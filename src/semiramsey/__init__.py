@@ -1,10 +1,10 @@
 """Exact-arithmetic constructions, solvers and verifiers for homogeneous
 subsets of semi-algebraic relations."""
 
-from .constructions import (ConstructionInstance, DeltaIndex,
-                            base_construction, base_relation, delta_index,
-                            frankl_wilson_graph, one_dim_k4_construction,
-                            one_dim_k4_relation, slope, step_up,
+from .constructions import (ConstructionInstance, base_construction,
+                            base_relation, delta_index, frankl_wilson_graph,
+                            one_dim_k4_construction, one_dim_k4_relation,
+                            slope, step_up,
                             step_up_membership_rule, step_up_points,
                             step_up_relation, tower, verify_delta_properties,
                             verify_eps_deep_sampled, verify_eps_increasing)
@@ -17,8 +17,7 @@ from .geometry import (Arrangement, Hyperplane, det, general_position_points,
                        orientation_polynomial, project_onto_hyperplane,
                        solve_linear_system)
 from .poly import (MultivariatePolynomial, derivative, from_univariate_coeffs,
-                   poly_eval, poly_restrict, univariate_coeffs,
-                   univariate_divmod)
+                   univariate_coeffs, univariate_divmod)
 from .relation import (Atom, Formula, OrderedPointSet, SemiAlgebraicRelation,
                        count_distinct_sign_vectors, eval_membership,
                        milnor_thom_bound, sign_vector)
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError", "Arrangement", "Atom", "BudgetExhaustedError",
-    "ConstructionInstance", "DegenerateInputError", "DeltaIndex", "Formula",
+    "ConstructionInstance", "DegenerateInputError", "Formula",
     "HomogeneousResult", "Hypergraph3", "Hyperplane",
     "MultivariatePolynomial", "OrderedPointSet", "PreconditionError",
     "ResourceLimitError", "SeededRng", "SemiAlgebraicRelation",
@@ -48,7 +47,7 @@ __all__ = [
     "longest_monotone_subsequence", "max_homogeneous", "milnor_thom_bound",
     "one_dim_k4_construction", "one_dim_k4_relation", "one_sided_relation",
     "order_type_relation", "orientation", "orientation_polynomial",
-    "poly_eval", "poly_restrict", "project_onto_hyperplane", "sign_changes",
+    "project_onto_hyperplane", "sign_changes",
     "sign_vector", "slope", "solve_linear_system",
     "spencer_independent_set", "step_up", "step_up_membership_rule",
     "step_up_points", "step_up_relation", "sturm_sequence", "tower",

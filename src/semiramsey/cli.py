@@ -42,11 +42,24 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write(jsonio.dumps({"error": payload}))
 
 
-def _read_json(path: str):
+def _read_json(path: str, decode=lambda doc: doc):
+    """Parse the JSON file at path ("-" is stdin) and decode it.
+
+    A malformed document raises ArgumentError (exit 2): exit 1 is reserved
+    for a property that fails.
+    """
     if path == "-":
-        return jsonio.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return jsonio.loads(fh.read())
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return decode(jsonio.loads(text))
+    except ArgumentError:  # a ValueError too: keep its type and witness
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ArgumentError(
+            f"malformed input {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _instance_summary(inst: constructions.ConstructionInstance) -> dict:
@@ -103,7 +116,7 @@ def cmd_construct_stepup(args) -> int:
         base = constructions.base_construction(args.n,
                                                max_points=args.max_points)
     else:
-        base = jsonio.instance_from_json(_read_json(args.input))
+        base = _read_json(args.input, jsonio.instance_from_json)
     inst = constructions.step_up(base, max_points=args.max_points)
     return _write_instance(args, inst)
 
@@ -129,7 +142,7 @@ def cmd_construct_order_type(args) -> int:
     if args.input is None:
         _emit(jsonio.relation_to_json(relation))
         return EXIT_OK
-    points = jsonio.points_from_json(_read_json(args.input))
+    points = _read_json(args.input, jsonio.points_from_json)
     if points.dim != args.dim:
         raise ArgumentError(
             f"points have dimension {points.dim}, expected {args.dim}")
@@ -144,7 +157,7 @@ def cmd_construct_one_sided(args) -> int:
     if args.input is None:
         _emit(jsonio.relation_to_json(relation))
         return EXIT_OK
-    arr = jsonio.arrangement_from_json(_read_json(args.input))
+    arr = _read_json(args.input, jsonio.arrangement_from_json)
     if arr.dim != args.dim:
         raise ArgumentError(
             f"arrangement lives in dimension {arr.dim}, expected {args.dim}")
@@ -159,14 +172,14 @@ def cmd_construct_one_sided(args) -> int:
 
 
 def cmd_solve_brute(args) -> int:
-    inst = jsonio.instance_from_json(_read_json(args.input))
+    inst = _read_json(args.input, jsonio.instance_from_json)
     res = solvers.max_homogeneous(inst.points, inst.relation,
                                   budget=args.budget)
     return _write_result(args, res)
 
 
 def cmd_solve_greedy(args) -> int:
-    inst = jsonio.instance_from_json(_read_json(args.input))
+    inst = _read_json(args.input, jsonio.instance_from_json)
     res = solvers.erdos_rado_greedy(inst.points, inst.relation,
                                     budget=args.budget)
     return _write_result(args, res)
@@ -196,7 +209,7 @@ def cmd_solve_monotone(args) -> int:
 
 
 def cmd_solve_spencer(args) -> int:
-    graph = jsonio.hypergraph_from_json(_read_json(args.input))
+    graph = _read_json(args.input, jsonio.hypergraph_from_json)
     vertices, stats = solvers.spencer_independent_set(
         graph, seed=args.seed, max_rounds=args.max_rounds)
     res = solvers.HomogeneousResult(
@@ -219,21 +232,21 @@ def cmd_verify_properties_ab(args) -> int:
 
 def cmd_verify_stepup_consistency(args) -> int:
     base = constructions.base_construction(args.n)
+    # Stepping up gives 2^N points and arity k + 1: refuse before building.
+    n_pts = 2 ** len(base.points)
+    k = base.relation.arity + 1
+    if args.sample is None:
+        total = math.comb(n_pts, k)
+        if total > 10 ** 6:
+            raise ResourceLimitError(
+                f"{total} tuples to check; pass --sample to subsample")
+        tuples = itertools.combinations(range(1, n_pts + 1), k)
     inst = constructions.step_up(base)
-    n_pts = len(inst.points)
-    k = inst.relation.arity
-    all_tuples = itertools.combinations(range(1, n_pts + 1), k)
     if args.sample is not None:
         rng = SeededRng(args.seed)
         pool = list(range(1, n_pts + 1))
         tuples = [tuple(sorted(rng.sample(pool, k)))
                   for _ in range(args.sample)]
-    else:
-        total = math.comb(n_pts, k)
-        if total > 10 ** 6:
-            raise ResourceLimitError(
-                f"{total} tuples to check; pass --sample to subsample")
-        tuples = all_tuples
     checked = 0
     for t in tuples:
         poly_side = eval_membership(inst.relation, inst.points, t)
@@ -249,7 +262,7 @@ def cmd_verify_stepup_consistency(args) -> int:
 
 
 def cmd_verify_eps_deep(args) -> int:
-    inst = jsonio.instance_from_json(_read_json(args.input))
+    inst = _read_json(args.input, jsonio.instance_from_json)
     ok, witness = constructions.verify_eps_deep_sampled(
         inst, samples_per_tuple=args.samples, seed=args.seed)
     if ok:
@@ -388,7 +401,7 @@ def cmd_report_clique_thresholds(args) -> int:
 def cmd_report_hom(args) -> int:
     jobs = [(f"base-{n}", constructions.base_construction(n))
             for n in args.n or []]
-    jobs += [(path, jsonio.instance_from_json(_read_json(path)))
+    jobs += [(path, _read_json(path, jsonio.instance_from_json))
              for path in args.input or []]
     if not jobs:
         raise ArgumentError("give --n heights and/or --input instance files")

@@ -147,15 +147,6 @@ def delta_index(a: int, b: int, bits: int) -> int:
     return ((a - 1) ^ (b - 1)).bit_length()
 
 
-@dataclass(frozen=True)
-class DeltaIndex:
-    """The delta map on 1..2^bits for a fixed width."""
-    bits: int
-
-    def __call__(self, a: int, b: int) -> int:
-        return delta_index(a, b, self.bits)
-
-
 def verify_delta_properties(bits: int, chains: int = 200, seed: int = 0):
     """Exhaustively check, over all of 1..2^bits:
 
@@ -410,8 +401,8 @@ def _clear_denominators(f: MultivariatePolynomial,
     """Sign-correct substitution x_i -> nums[i]/dens[i] into f.
 
     Multiplies through by even powers of every denominator, so the result has
-    the sign of f at the substituted rational point whenever no denominator
-    vanishes.
+    the sign of f at the rational point x_i = nums[i]/dens[i] whenever no
+    denominator vanishes.
     """
     if len(nums) != f.num_vars or len(dens) != f.num_vars:
         raise ArgumentError("need a numerator/denominator pair per variable")
@@ -477,11 +468,14 @@ def step_up_relation(base: SemiAlgebraicRelation) -> SemiAlgebraicRelation:
             return Formula(formula.op,
                            tuple(remap(ch, table) for ch in formula.children))
 
+        # Output polynomials are numbered in nodes() order, so that order
+        # fixes the serialized relation.
         table = {}
-        for leaf_atom, leaf in _formula_leaves(base.formula):
-            cleared = _clear_denominators(
-                base.polys[leaf_atom.poly_index], flat_nums, flat_dens)
-            table[id(leaf)] = rb.atom(cleared, leaf_atom.cmp)
+        for leaf in base.formula.nodes():
+            if leaf.op == "atom":
+                cleared = _clear_denominators(
+                    base.polys[leaf.atom.poly_index], flat_nums, flat_dens)
+                table[id(leaf)] = rb.atom(cleared, leaf.atom.cmp)
         return remap(base.formula, table)
 
     increasing = Formula.all_of(
@@ -492,20 +486,6 @@ def step_up_relation(base: SemiAlgebraicRelation) -> SemiAlgebraicRelation:
     c3 = Formula.all_of([decreasing, base_on_slopes(list(range(k - 1, -1, -1)))])
 
     return rb.build(Formula.all_of([order, Formula.any_of([c1, c2, c3])]))
-
-
-def _formula_leaves(formula: Formula):
-    """Yield (atom, node) for every atom leaf, shared nodes once."""
-    seen = set()
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.op == "atom":
-            yield node.atom, node
-        stack.extend(node.children)
 
 
 def step_up(base: ConstructionInstance,

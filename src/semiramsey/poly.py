@@ -186,7 +186,7 @@ class MultivariatePolynomial:
             n >>= 1
         return result
 
-    # -- evaluation and substitution ------------------------------------
+    # -- evaluation and restriction -------------------------------------
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
@@ -243,34 +243,6 @@ class MultivariatePolynomial:
             else:
                 new_terms[ne] = s
         return MultivariatePolynomial(len(keep), new_terms)
-
-    def substitute(self, replacements: Sequence["MultivariatePolynomial"]) -> "MultivariatePolynomial":
-        """Full substitution x_i -> replacements[i] (all in a common space)."""
-        if len(replacements) != self.num_vars:
-            raise ArgumentError("need one replacement polynomial per variable")
-        if replacements:
-            space = replacements[0].num_vars
-            for r in replacements:
-                if r.num_vars != space:
-                    raise ArgumentError("replacement polynomials live in different spaces")
-        else:
-            space = 0
-        out = MultivariatePolynomial(space)
-        for e, c in self.terms.items():
-            term = MultivariatePolynomial.constant(space, c)
-            for r, k in zip(replacements, e):
-                if k:
-                    term = term * r ** k
-            out = out + term
-        return out
-
-
-def poly_eval(p: MultivariatePolynomial, point: Sequence[Scalar]) -> Fraction:
-    return p.eval(point)
-
-
-def poly_restrict(p: MultivariatePolynomial, fixed: Mapping[int, Scalar]) -> MultivariatePolynomial:
-    return p.restrict(fixed)
 
 
 # -- univariate helpers (used by the Sturm machinery) -------------------

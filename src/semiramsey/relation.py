@@ -80,19 +80,21 @@ class Formula:
     def negation(cls, child: "Formula") -> "Formula":
         return cls("not", (child,))
 
-    def atoms(self) -> list[Atom]:
-        out, seen = [], set()
-        self._collect_atoms(out, seen)
-        return out
+    def nodes(self):
+        """Yield every node of the tree, shared nodes once, in depth-first
+        stack order (last child first)."""
+        seen = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            yield node
+            stack.extend(node.children)
 
-    def _collect_atoms(self, out: list, seen: set):
-        if id(self) in seen:
-            return
-        seen.add(id(self))
-        if self.op == "atom":
-            out.append(self.atom)
-        for ch in self.children:
-            ch._collect_atoms(out, seen)
+    def atoms(self) -> list[Atom]:
+        return [node.atom for node in self.nodes() if node.op == "atom"]
 
     def max_poly_index(self) -> int:
         return max((a.poly_index for a in self.atoms()), default=-1)
@@ -116,17 +118,7 @@ class Formula:
 
     def size(self) -> int:
         """Node count of the tree with shared nodes counted once."""
-        seen = set()
-        stack = [self]
-        n = 0
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            n += 1
-            stack.extend(node.children)
-        return n
+        return sum(1 for _ in self.nodes())
 
     def __repr__(self):
         if self.op == "atom":
@@ -136,12 +128,6 @@ class Formula:
         joiner = " and " if self.op == "and" else " or "
         inner = joiner.join(repr(c) for c in self.children)
         return f"({inner})" if self.children else ("true" if self.op == "and" else "false")
-
-
-BooleanFormula = Formula
-
-TRUE = Formula("and")
-FALSE = Formula("or")
 
 
 class SemiAlgebraicRelation:

@@ -13,13 +13,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (ArgumentError, BudgetExhaustedError, PreconditionError,
                      ResourceLimitError)
 from .poly import MultivariatePolynomial
-from .relation import (OrderedPointSet, SemiAlgebraicRelation, eval_membership,
-                       milnor_thom_bound)
+from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
+                       eval_membership, milnor_thom_bound)
 from .rng import SeededRng
 
 
@@ -35,18 +35,44 @@ class HomogeneousResult:
     stats: dict = field(default_factory=dict)
 
 
-def _membership_oracle(points: OrderedPointSet, relation: SemiAlgebraicRelation):
-    """Memoized membership for index tuples."""
-    cache: dict[tuple, bool] = {}
+class MembershipOracle:
+    """Membership of index tuples of one point set in one relation.
 
-    def member(indices: tuple) -> bool:
-        v = cache.get(indices)
+    The point set and the relation must live in the same space; that is
+    checked once, here.  member() is memoized per tuple, and polarity() is
+    the homogeneity check every solver certifies with.
+    """
+
+    def __init__(self, points: OrderedPointSet,
+                 relation: SemiAlgebraicRelation):
+        if relation.point_dim != points.dim:
+            raise ArgumentError(
+                f"relation lives in R^{relation.point_dim}, "
+                f"points in R^{points.dim}")
+        self.points = points
+        self.relation = relation
+        self.cache: dict[tuple, bool] = {}
+
+    def member(self, indices: tuple) -> bool:
+        v = self.cache.get(indices)
         if v is None:
-            v = eval_membership(relation, points, indices)
-            cache[indices] = v
+            v = eval_membership(self.relation, self.points, indices)
+            self.cache[indices] = v
         return v
 
-    return member
+    def polarity(self, subset: tuple):
+        """("in" | "out", None) when all k-tuples of the increasing subset
+        fall on one side (subsets smaller than k are "in"), else
+        (None, the first k-tuple on the other side from the first one)."""
+        tuples = itertools.combinations(subset, self.relation.arity)
+        first = next(tuples, None)
+        if first is None:
+            return "in", None
+        want = self.member(first)
+        for tup in tuples:
+            if self.member(tup) != want:
+                return None, tup
+        return ("in" if want else "out"), None
 
 
 def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
@@ -63,7 +89,8 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     k = relation.arity
     if n < 1:
         raise ArgumentError("empty point set")
-    member = _membership_oracle(points, relation)
+    oracle = MembershipOracle(points, relation)
+    member = oracle.member
     nodes = 0
     exhausted = False
 
@@ -103,38 +130,21 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         subset, polarity = best_in, "in"
     else:
         subset, polarity = best_out, "out"
-    certified = _certify(member, subset, k, polarity)
     return HomogeneousResult(
         subset=subset,
         polarity=polarity,
-        certified=certified,
+        certified=oracle.polarity(subset)[0] == polarity,
         stats={"nodes": nodes, "maximum": not exhausted,
                "method": "branch-and-bound"},
     )
 
 
-def _certify(member: Callable, subset: tuple, k: int, polarity: str) -> bool:
-    want = polarity == "in"
-    if len(subset) < k:
-        return True
-    return all(member(tup) == want
-               for tup in itertools.combinations(subset, k))
-
-
 def homogeneous_check(points: OrderedPointSet, relation: SemiAlgebraicRelation,
                       subset: Sequence[int]):
-    """Polarity of a subset if homogeneous, else (None, witnesses)."""
-    member = _membership_oracle(points, relation)
-    k = relation.arity
-    subset = tuple(sorted(subset))
-    if len(subset) < k:
-        return "in", None
-    values = {member(t) for t in itertools.combinations(subset, k)}
-    if values == {True}:
-        return "in", None
-    if values == {False}:
-        return "out", None
-    return None, subset
+    """Polarity of a subset if homogeneous, else (None, witness) where the
+    witness is a k-tuple of the subset on the other side from its first
+    k-tuple."""
+    return MembershipOracle(points, relation).polarity(tuple(sorted(subset)))
 
 
 # -- greedy extraction --------------------------------------------------------
@@ -153,13 +163,12 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     one; at arity 2 an exact budgeted search finishes the job.  The returned
     subset is re-certified exhaustively against the original relation.
     """
+    oracle = MembershipOracle(points, relation)
     k = relation.arity
     if k < 3:
         raise ArgumentError("greedy extraction needs arity at least 3")
     if len(points) < k:
         raise ArgumentError("need at least arity many points")
-    if relation.point_dim != points.dim:
-        raise ArgumentError("relation/point dimension mismatch")
 
     classes_per_level: list[list[int]] = []
     coords = [points.point(i) for i in range(1, len(points) + 1)]
@@ -167,10 +176,8 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     subset = _greedy_level(coords, indices, relation, budget, classes_per_level)
     subset = tuple(sorted(subset))
 
-    member = _membership_oracle(points, relation)
-    polarity, witness = _subset_polarity(member, subset, k)
-    certified = polarity is not None
-    if not certified:
+    polarity, witness = oracle.polarity(subset)
+    if polarity is None:
         raise AssertionError(
             f"greedy produced a non-homogeneous subset, witness {witness}")
     return HomogeneousResult(
@@ -179,20 +186,6 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         certified=True,
         stats={"classes_per_level": classes_per_level, "method": "greedy"},
     )
-
-
-def _subset_polarity(member, subset: tuple, k: int):
-    if len(subset) < k:
-        return "in", None
-    seen_true = seen_false = False
-    for tup in itertools.combinations(subset, k):
-        if member(tup):
-            seen_true = True
-        else:
-            seen_false = True
-        if seen_true and seen_false:
-            return None, tup
-    return ("in" if seen_true else "out"), None
 
 
 def _greedy_level(coords: list, indices: list[int],
@@ -226,35 +219,31 @@ def _greedy_level(coords: list, indices: list[int],
             prefix_cache[key] = got
         return got
 
+    # The distinct atoms grouped by polynomial, in (poly_index, cmp) order.
+    atoms_by_poly: dict[int, list[Atom]] = {}
+    for atom in sorted(set(relation.formula.atoms()),
+                       key=lambda a: (a.poly_index, a.cmp)):
+        atoms_by_poly.setdefault(atom.poly_index, []).append(atom)
+
     while survivors:
         q = survivors.pop(0)
         chosen.append(q)
         if not survivors:
             break
-        # Signature of a survivor w: truth of every atom polynomial of the
-        # relation restricted at ((k-2)-subset of earlier chosen, q, w).
-        restricted: list[tuple[MultivariatePolynomial, str]] = []
-        atom_cmps = {}
-        for atom in relation.formula.atoms():
-            atom_cmps.setdefault(atom.poly_index, set()).add(atom.cmp)
-        poly_indices = sorted(atom_cmps)
+        # Signature of a survivor w: truth of every atom of the relation
+        # restricted at ((k-2)-subset of earlier chosen, q, w).
+        restricted: list[tuple[MultivariatePolynomial, list[Atom]]] = []
+        fixed = {c: coords[q][c] for c in range(d)}
         for prefix in itertools.combinations(chosen[:-1], k - 2):
-            for pi in poly_indices:
+            for pi, atoms in atoms_by_poly.items():
                 half = prefix_restricted(pi, prefix)
-                fixed = {c: coords[q][c] for c in range(d)}
-                restricted.append((half.restrict(fixed), pi))
+                restricted.append((half.restrict(fixed), atoms))
         groups: dict[tuple, list[int]] = {}
         for w in survivors:
             sig = []
-            for rp, pi in restricted:
+            for rp, atoms in restricted:
                 value = rp.eval(coords[w])
-                for cmp in sorted(atom_cmps[pi]):
-                    if cmp == "ge":
-                        sig.append(value >= 0)
-                    elif cmp == "gt":
-                        sig.append(value > 0)
-                    else:
-                        sig.append(value == 0)
+                sig.extend([atom.holds(value) for atom in atoms])
             groups.setdefault(tuple(sig), []).append(w)
         level_log.append((len(chosen) - 1, len(groups)))
         survivors = max(groups.values(), key=lambda g: (len(g), -g[0]))
@@ -502,7 +491,7 @@ def is_Ks3_free(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         raise ArgumentError("clique freeness is for ternary relations")
     if s < 3:
         raise ArgumentError("clique size must be at least 3")
-    member = _membership_oracle(points, relation)
+    member = MembershipOracle(points, relation).member
     for sub in itertools.combinations(range(1, len(points) + 1), s):
         if all(member(t) for t in itertools.combinations(sub, 3)):
             return False, sub
@@ -514,7 +503,7 @@ def is_K4e_free(points: OrderedPointSet, relation: SemiAlgebraicRelation):
     (False, witness_quad)."""
     if relation.arity != 3:
         raise ArgumentError("this freeness notion is for ternary relations")
-    member = _membership_oracle(points, relation)
+    member = MembershipOracle(points, relation).member
     for quad in itertools.combinations(range(1, len(points) + 1), 4):
         if sum(member(t) for t in itertools.combinations(quad, 3)) > 2:
             return False, quad

@@ -186,10 +186,13 @@ def test_verify_stepup_consistency_small(capsys):
 
 
 def test_verify_stepup_consistency_hits_resource_cap(capsys):
-    code, out, err = run(capsys, "verify", "stepup-consistency", "--n", "3")
-    assert code == 3
-    assert out == ""
-    assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+    # The cap is checked before stepping up, so even --n 4 (65,536 points)
+    # is refused at once.
+    for n in ("3", "4"):
+        code, out, err = run(capsys, "verify", "stepup-consistency", "--n", n)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ResourceLimitError"
 
 
 def test_verify_stepup_consistency_sampled(capsys):
@@ -303,6 +306,18 @@ def test_missing_input_file_is_usage_error(capsys):
                          "--input", "/nonexistent/file.json")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
+def test_malformed_input_is_usage_error(capsys, base2_file):
+    with open(base2_file) as fh:
+        doc = json.load(fh)
+    del doc["relation"]["dim"]
+    for text in ("{not json", json.dumps(doc)):
+        with open(base2_file, "w") as fh:
+            fh.write(text)
+        code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ArgumentError"
 
 
 def test_module_entry_point_subprocess():

@@ -12,8 +12,6 @@ from semiramsey import (
     MultivariatePolynomial as Poly,
     derivative,
     from_univariate_coeffs,
-    poly_eval,
-    poly_restrict,
     univariate_coeffs,
     univariate_divmod,
 )
@@ -33,28 +31,28 @@ def midpoint_gap() -> Poly:
 
 
 def test_eval_midpoint_gap_at_arithmetic_progression(midpoint_gap):
-    assert poly_eval(midpoint_gap, [1, 2, 3]) == 0
+    assert midpoint_gap.eval([1, 2, 3]) == 0
 
 
 def test_eval_zero_polynomial_is_zero_everywhere():
     zero = Poly(3, {})
     assert zero.is_zero()
-    assert poly_eval(zero, [F(7, 3), -1, 5]) == 0
+    assert zero.eval([F(7, 3), -1, 5]) == 0
 
 
 def test_eval_with_fractional_point():
     p = x(0, 2) * x(1, 2) ** 2
-    assert poly_eval(p, [F(2, 3), 3]) == 6
+    assert p.eval([F(2, 3), 3]) == 6
 
 
 def test_eval_dimension_mismatch_rejected(midpoint_gap):
     with pytest.raises(ArgumentError):
-        poly_eval(midpoint_gap, [1, 2])
+        midpoint_gap.eval([1, 2])
 
 
 def test_eval_returns_exact_fraction():
     p = x(0, 1) ** 3
-    value = poly_eval(p, [F(1, 3)])
+    value = p.eval([F(1, 3)])
     assert value == F(1, 27) and isinstance(value, F)
 
 
@@ -62,31 +60,31 @@ def test_eval_returns_exact_fraction():
 
 
 def test_restrict_midpoint_gap_to_middle_variable(midpoint_gap):
-    restricted = poly_restrict(midpoint_gap, {0: 1, 2: 3})
+    restricted = midpoint_gap.restrict({0: 1, 2: 3})
     assert restricted.num_vars == 1
     assert univariate_coeffs(restricted) == [F(4), F(-2)]
 
 
 def test_restrict_cancels_to_zero():
     p = x(0, 2) * x(1, 2) - x(1, 2)
-    assert poly_restrict(p, {0: 1}).is_zero()
+    assert p.restrict({0: 1}).is_zero()
 
 
 def test_restrict_keeps_constant_term():
     p = x(0, 2) ** 2 + x(1, 2)
-    restricted = poly_restrict(p, {1: F(1, 2)})
+    restricted = p.restrict({1: F(1, 2)})
     assert univariate_coeffs(restricted) == [F(1, 2), F(0), F(1)]
 
 
 def test_restrict_out_of_range_variable_rejected(midpoint_gap):
     with pytest.raises(ArgumentError):
-        poly_restrict(midpoint_gap, {3: 1})
+        midpoint_gap.restrict({3: 1})
 
 
 def test_restrict_everything_leaves_constant(midpoint_gap):
-    p = poly_restrict(midpoint_gap, {0: 1, 1: 3, 2: 4})
+    p = midpoint_gap.restrict({0: 1, 1: 3, 2: 4})
     assert p.num_vars == 0
-    assert poly_eval(p, []) == -1
+    assert p.eval([]) == -1
 
 
 # -- ring structure ------------------------------------------------------------
@@ -171,9 +169,9 @@ def test_restrict_then_eval_matches_direct_eval(p, data):
     fixed_vars = data.draw(
         st.sets(st.integers(0, p.num_vars - 1), max_size=p.num_vars))
     fixed = {i: point[i] for i in fixed_vars}
-    restricted = poly_restrict(p, fixed)
+    restricted = p.restrict(fixed)
     remaining = [point[i] for i in range(p.num_vars) if i not in fixed]
-    assert poly_eval(restricted, remaining) == poly_eval(p, point)
+    assert restricted.eval(remaining) == p.eval(point)
 
 
 @given(polynomials(max_vars=2), polynomials(max_vars=2), st.data())
@@ -184,7 +182,7 @@ def test_product_evaluates_pointwise(p, q, data):
     p = Poly(n, {e + (0,) * (n - len(e)): c for e, c in p.terms.items()})
     q = Poly(n, {e + (0,) * (n - len(e)): c for e, c in q.terms.items()})
     point = [data.draw(rationals) for _ in range(n)]
-    assert poly_eval(p * q, point) == poly_eval(p, point) * poly_eval(q, point)
+    assert (p * q).eval(point) == p.eval(point) * q.eval(point)
 
 
 @given(polynomials(), polynomials(), polynomials())

@@ -21,6 +21,7 @@ from semiramsey import (
     SemiAlgebraicRelation,
     TransitiveColoring,
     base_construction,
+    base_relation,
     erdos_rado_greedy,
     eval_membership,
     find_bad_triples,
@@ -131,9 +132,20 @@ def test_branch_and_bound_matches_naive_search_on_random_instances():
 def test_homogeneous_check_detects_mixed_subsets():
     inst = base_construction(2)
     assert homogeneous_check(inst.points, inst.relation, [1, 2, 3]) == ("in", None)
-    polarity, witness = homogeneous_check(inst.points, inst.relation,
-                                          [1, 2, 3, 4])
-    assert polarity is None and witness is not None
+    # (1, 2, 3) and (1, 2, 4) are in; (1, 3, 4) is the first triple that is
+    # not, as 1 + 4 - 2*3 = -1 < -1/2.
+    assert homogeneous_check(inst.points, inst.relation,
+                             [1, 2, 3, 4]) == (None, (1, 3, 4))
+
+
+def test_point_and_relation_dimension_mismatch_rejected():
+    # Two points are too few for any triple to be evaluated, so only the
+    # up-front dimension check can catch the mismatch.
+    points = OrderedPointSet(2, [(1, 1), (2, 2)])
+    with pytest.raises(ArgumentError):
+        max_homogeneous(points, base_relation())
+    with pytest.raises(ArgumentError):
+        is_Ks3_free(points, base_relation(), 3)
 
 
 # -- greedy extraction --------------------------------------------------------------
