@@ -3,7 +3,8 @@
 Everything prints canonical JSON (or an aligned text table for report
 --format text).  Exit codes: 0 success/verified, 1 property fails with a
 witness, 2 bad arguments or violated preconditions, 3 resource limit hit,
-4 search gave up inconclusively (budget exhausted).
+4 search gave up inconclusively (budget exhausted), 5 internal error (an
+unexpected exception, reported as JSON on stderr with its traceback).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(obj) -> None:
@@ -619,6 +621,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error(exc)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not a verdict: exit 1 means "fails"
+        import traceback  # kept off the start-up path
+        sys.stderr.write(jsonio.dumps({"error": {
+            "type": type(exc).__name__, "message": str(exc),
+            "traceback": traceback.format_exc()}}))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (ArgumentError, DegenerateInputError, PreconditionError,
-                     ResourceLimitError, MAX_BITS, MAX_POINTS)
+                     ResourceLimitError, MAX_BITS, MAX_PAIRS, MAX_POINTS)
 from .poly import MultivariatePolynomial, Scalar, _coef
 from .relation import (Formula, OrderedPointSet, SemiAlgebraicRelation,
                        eval_membership)
@@ -272,6 +272,8 @@ def step_up_points(base: ConstructionInstance,
     the output points by at most eps1.  Requires every base coordinate to be
     strictly positive (the copy anchored at the origin makes the output
     itself unsuitable for further stepping-up without a translation).
+    Refuses before building when 2^N exceeds max_points or the C(2^N, 2)
+    output pairs the radius visits exceed MAX_PAIRS.
     """
     pts = base.points
     eps = base.epsilon
@@ -280,6 +282,10 @@ def step_up_points(base: ConstructionInstance,
         raise ArgumentError("base must have at least one point")
     if 2 ** n > max_points:
         raise ResourceLimitError(f"2^{n} output points exceeds cap {max_points}")
+    pairs = math.comb(2 ** n, 2)
+    if pairs > MAX_PAIRS:
+        raise ResourceLimitError(
+            f"{pairs} output pairs for the stability radius exceeds cap {MAX_PAIRS}")
     violation = _eps_increasing_violation(pts, eps)
     if violation is not None:
         raise PreconditionError("base points are not eps-increasing",
@@ -324,44 +330,62 @@ def _stepped_stability_radius(out: list, base_pts: OrderedPointSet,
     Analytic per-pair bounds give a candidate which is then verified exactly
     on corner perturbations; the candidate is halved on failure and doubled
     while the next larger dyadic still passes.
+
+    The points are scaled once by their common denominator m, so every
+    difference below is an int in units of 1/m.  A pair contributes one
+    constraint per coordinate pair c: its x- and y-differences amp and num
+    and the window around coordinate c of base point delta(i, j) that its
+    slope must stay in.  The recursive copies repeat differences, and the
+    bound and the check are a min and an all over constraints, so only the
+    distinct ones are kept.
     """
     n_out = len(out)
     dim2 = len(out[0])
     bits = n_out.bit_length() - 1
-    gap = min(out[i + 1][c] - out[i][c]
+    m = math.lcm(*(v.denominator for p in out for v in p))
+    pts = [[v.numerator * (m // v.denominator) for v in p] for p in out]
+    gap = min(pts[i + 1][c] - pts[i][c]
               for i in range(n_out - 1) for c in range(dim2))
-    pairs = []
-    bound = gap / 2
+    # The slope window t - eps .. t + eps of each base coordinate as
+    # numerator/denominator pairs (denominators positive).
+    window = {(delta, c): ((t + eps).as_integer_ratio()
+                           + (t - eps).as_integer_ratio())
+              for delta in range(1, bits + 1)
+              for c, t in enumerate(base_pts.point(delta))}
+    constraints = set()
     for i in range(n_out):
+        lo = pts[i]
         for j in range(i + 1, n_out):
-            target = base_pts.point(delta_index(i + 1, j + 1, bits))
-            for c in range(len(target)):
-                amp = out[j][2 * c] - out[i][2 * c]      # x-difference
-                num = out[j][2 * c + 1] - out[i][2 * c + 1]  # y-difference
-                pairs.append((amp, num, target[c]))
-                t_hi = target[c] + eps
-                t_lo = target[c] - eps
-                # From (num + 2e)/(amp - 2e) <= t_hi and
-                # (num - 2e)/(amp + 2e) >= t_lo, solved for e.
-                if 1 + t_hi > 0:
-                    bound = min(bound, (t_hi * amp - num) / (2 * (1 + t_hi)))
-                if 1 + t_lo > 0:
-                    bound = min(bound, (num - t_lo * amp) / (2 * (1 + t_lo)))
-                bound = min(bound, amp / 4)
+            hi = pts[j]
+            delta = delta_index(i + 1, j + 1, bits)
+            for c in range(0, dim2, 2):
+                constraints.add((hi[c] - lo[c], hi[c + 1] - lo[c + 1])
+                                + window[delta, c // 2])
+
+    bound = Fraction(gap, 2)  # in units of 1/m, as amp and num
+    for amp, num, hn, hd, ln, ld in constraints:
+        # From (num + 2e)/(amp - 2e) <= t + eps and
+        # (num - 2e)/(amp + 2e) >= t - eps, solved for e.
+        if hd + hn > 0:
+            bound = min(bound, Fraction(hn * amp - hd * num, 2 * (hd + hn)))
+        if ld + ln > 0:
+            bound = min(bound, Fraction(ld * num - ln * amp, 2 * (ld + ln)))
+        bound = min(bound, Fraction(amp, 4))
 
     def passes(e: Fraction) -> bool:
-        if 2 * e >= gap:
+        p, q = (2 * e * m).as_integer_ratio()  # 2e in units of 1/m is p/q
+        if p >= gap * q:
             return False
-        for amp, num, t in pairs:
-            if amp - 2 * e <= 0:
+        for amp, num, hn, hd, ln, ld in constraints:
+            if amp * q - p <= 0:
                 return False
-            if (num + 2 * e) / (amp - 2 * e) > t + eps:
+            if (num * q + p) * hd > hn * (amp * q - p):
                 return False
-            if (num - 2 * e) / (amp + 2 * e) < t - eps:
+            if (num * q - p) * ld < ln * (amp * q + p):
                 return False
         return True
 
-    eps1 = _largest_dyadic_below(bound, strict=True)
+    eps1 = _largest_dyadic_below(bound / m, strict=True)
     while not passes(eps1):
         eps1 = eps1 / 2
     while eps1 < 1 and passes(eps1 * 2):

@@ -38,6 +38,9 @@ class BudgetExhaustedError(ResourceLimitError):
 
 # Default resource caps.  Constructions refuse to materialize point sets
 # larger than MAX_POINTS, and tower() refuses to produce integers wider
-# than MAX_BITS bits.  Both are overridable per call.
+# than MAX_BITS bits.  Both are overridable per call.  Stepping up refuses
+# an output with more than MAX_PAIRS point pairs, because its stability
+# radius visits every pair; this cap is fixed.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6
+MAX_PAIRS = 10 ** 6

@@ -3,10 +3,12 @@
 A polynomial is a map from exponent vectors (one integer per variable) to
 nonzero Fraction coefficients.  Variables are 0-based: x0, x1, ...  All
 arithmetic is exact; nothing in this module ever touches floats.
+Evaluation clears denominators and runs in plain integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -22,7 +24,7 @@ def _coef(value: Scalar) -> Fraction:
 class MultivariatePolynomial:
     """Immutable sparse polynomial in a fixed number of variables."""
 
-    __slots__ = ("num_vars", "terms", "_hash")
+    __slots__ = ("num_vars", "terms", "_hash", "_int_form")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, Scalar] | Iterable = ()):
         if num_vars < 0:
@@ -44,9 +46,20 @@ class MultivariatePolynomial:
                     clean.pop(e, None)
                 else:
                     clean[e] = c
+        self._set(num_vars, clean)
+
+    def _set(self, num_vars: int, terms: dict) -> "MultivariatePolynomial":
         self.num_vars = num_vars
-        self.terms = clean
+        self.terms = terms
         self._hash = None
+        self._int_form = None
+        return self
+
+    @classmethod
+    def _from_terms(cls, num_vars: int, terms: dict) -> "MultivariatePolynomial":
+        """Wrap a term dict that is already clean (tuple exponent vectors of
+        length num_vars, nonzero Fraction coefficients) without copying it."""
+        return cls.__new__(cls)._set(num_vars, terms)
 
     # -- constructors -------------------------------------------------
 
@@ -123,20 +136,13 @@ class MultivariatePolynomial:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        out = MultivariatePolynomial.__new__(MultivariatePolynomial)
-        out.num_vars = self.num_vars
-        out.terms = terms
-        out._hash = None
-        return out
+        return MultivariatePolynomial._from_terms(self.num_vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultivariatePolynomial.__new__(MultivariatePolynomial)
-        out.num_vars = self.num_vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return MultivariatePolynomial._from_terms(
+            self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -151,11 +157,8 @@ class MultivariatePolynomial:
             c = _coef(other)
             if c == 0:
                 return MultivariatePolynomial(self.num_vars)
-            out = MultivariatePolynomial.__new__(MultivariatePolynomial)
-            out.num_vars = self.num_vars
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            out._hash = None
-            return out
+            return MultivariatePolynomial._from_terms(
+                self.num_vars, {e: k * c for e, k in self.terms.items()})
         self._check_same_space(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -166,11 +169,7 @@ class MultivariatePolynomial:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        out = MultivariatePolynomial.__new__(MultivariatePolynomial)
-        out.num_vars = self.num_vars
-        out.terms = terms
-        out._hash = None
-        return out
+        return MultivariatePolynomial._from_terms(self.num_vars, terms)
 
     __rmul__ = __mul__
 
@@ -188,33 +187,60 @@ class MultivariatePolynomial:
 
     # -- evaluation and restriction -------------------------------------
 
+    def _integer_form(self) -> tuple:
+        """Integer data for eval, built on first use.
+
+        (B, D, used, powers, terms): B is the positive LCM of the coefficient
+        denominators and D the degree (0 for the zero polynomial).  `used`
+        lists the variables that occur.  A call scales them to integers X_s
+        and appends L as slot len(used); `powers` holds the distinct
+        (slot, exponent) pairs to raise, including L^(D - |e|) only for the
+        residual degrees that occur.  Each term is (c*B as an int, indices
+        into the table of those powers).
+        """
+        if self._int_form is None:
+            scale = math.lcm(*(c.denominator for c in self.terms.values()))
+            degree = max(self.degree(), 0)
+            used = sorted({i for e in self.terms for i, k in enumerate(e) if k})
+            slot = {v: s for s, v in enumerate(used)}
+            factors = {}
+            for e in self.terms:
+                factors[e] = [(slot[i], k) for i, k in enumerate(e) if k]
+                if degree > sum(e):
+                    factors[e].append((len(used), degree - sum(e)))
+            powers = sorted({f for fs in factors.values() for f in fs})
+            index = {f: j for j, f in enumerate(powers)}
+            terms = tuple(
+                (c.numerator * (scale // c.denominator),
+                 tuple(index[f] for f in factors[e]))
+                for e, c in self.terms.items())
+            self._int_form = (scale, degree, tuple(used), tuple(powers), terms)
+        return self._int_form
+
     def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point.
+
+        With L the LCM of the denominators of the coordinates that occur and
+        X_i = x_i * L, the value is
+        sum c*B * L^(D - |e|) * prod X_i^e_i  /  (B * L^D),
+        so the sum runs in plain ints.
+        """
         if len(point) != self.num_vars:
             raise ArgumentError(
                 f"point has {len(point)} coordinates, polynomial has {self.num_vars} variables")
-        coords = [_coef(x) for x in point]
-        # Integer fast path: plain int arithmetic is several times faster
-        # than Fraction and this function dominates sign-vector sampling.
-        if all(x.denominator == 1 for x in coords) and all(
-                c.denominator == 1 for c in self.terms.values()):
-            ints = [x.numerator for x in coords]
-            total = 0
-            for e, c in self.terms.items():
-                v = c.numerator
-                for x, k in zip(ints, e):
-                    if k:
-                        v *= x ** k
-                total += v
-            return Fraction(total)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(coords, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
+        scale, degree, used, powers, terms = (self._int_form
+                                              or self._integer_form())
+        ratios = [point[i].as_integer_ratio() for i in used]
+        lcm = math.lcm(*[d for _, d in ratios])
+        bases = [n * (lcm // d) for n, d in ratios]
+        bases.append(lcm)
+        table = [bases[s] ** k for s, k in powers]
+        total = 0
+        for c, factors in terms:
+            for j in factors:
+                c *= table[j]
+            total += c
+        return Fraction(total, scale * lcm ** degree)
 
     def restrict(self, fixed: Mapping[int, Scalar]) -> "MultivariatePolynomial":
         """Substitute values for a subset of variables.

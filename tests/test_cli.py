@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from semiramsey import jsonio
+from semiramsey import cli, jsonio
 from semiramsey.cli import main
 
 
@@ -186,11 +186,15 @@ def test_verify_stepup_consistency_small(capsys):
 
 
 def test_verify_stepup_consistency_hits_resource_cap(capsys):
-    # The cap is checked before stepping up, so even --n 4 (65,536 points)
-    # is refused at once.
-    for n in ("3", "4"):
-        code, out, err = run(capsys, "verify", "stepup-consistency", "--n", n)
-        assert code == 3
+    # The caps are checked before stepping up, so even --n 4 (65,536 points)
+    # is refused at once: without --sample by the tuple count, with it (and
+    # in construct) by the C(65536, 2) point pairs of the stability radius.
+    for argv in (("verify", "stepup-consistency", "--n", "3"),
+                 ("verify", "stepup-consistency", "--n", "4"),
+                 ("verify", "stepup-consistency", "--n", "4", "--sample", "1"),
+                 ("construct", "stepup", "--n", "4")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ResourceLimitError"
 
@@ -318,6 +322,22 @@ def test_malformed_input_is_usage_error(capsys, base2_file):
         code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ArgumentError"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch,
+                                               base2_file):
+    # Exit 1 means "property fails"; a crash must not look like one.
+    def broken(*args, **kwargs):
+        raise AssertionError("greedy invariant broken")
+
+    monkeypatch.setattr(cli.solvers, "erdos_rado_greedy", broken)
+    code, out, err = run(capsys, "solve", "greedy", "--input", base2_file)
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "AssertionError"
+    assert error["message"] == "greedy invariant broken"
+    assert "Traceback" in error["traceback"]
 
 
 def test_module_entry_point_subprocess():

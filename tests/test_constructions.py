@@ -5,11 +5,13 @@ subset-intersection graph, and the stability verifiers."""
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_radius
 from semiramsey import (
     ArgumentError,
     ConstructionInstance,
@@ -201,6 +203,45 @@ def test_step_up_requires_strictly_positive_coordinates():
 def test_step_up_point_cap():
     with pytest.raises(ResourceLimitError):
         step_up_points(base_construction(5), max_points=1000)
+
+
+def test_step_up_pair_cap_refuses_before_building():
+    # base(4) steps up to 2^16 points, within MAX_POINTS, but its C(2^16, 2)
+    # output pairs exceed MAX_PAIRS; base(3)'s 32,640 pairs pass (below).
+    with pytest.raises(ResourceLimitError, match="pairs"):
+        step_up_points(base_construction(4))
+
+
+def perturbed_base(seed: int) -> ConstructionInstance:
+    """Four points near 1..4, each moved by a seeded multiple of 1/100."""
+    rng = random.Random(seed)
+    return tiny_instance([i + F(rng.randint(-9, 9), 100) for i in range(1, 5)])
+
+
+def two_dim_base() -> ConstructionInstance:
+    """step_up(base(1)) moved by (1, 1): four points in R^2, so the radius
+    of its own step-up has two coordinate pairs."""
+    inner = step_up(base_construction(1))
+    moved = OrderedPointSet(2, [(x + 1, y + 1) for x, y in inner.points.points])
+    return ConstructionInstance(points=moved, relation=inner.relation,
+                                epsilon=inner.epsilon,
+                                provenance={"kind": "test"})
+
+
+@pytest.mark.parametrize("make_base", [
+    lambda: base_construction(1), lambda: base_construction(2),
+    lambda: base_construction(3), lambda: perturbed_base(7), two_dim_base,
+], ids=["base1", "base2", "base3", "perturbed-seed7", "two-dim"])
+def test_stability_radius_matches_all_pairs_oracle(make_base):
+    base = make_base()
+    points, eps1 = step_up_points(base)
+    assert eps1 == oracle_radius.stepped_stability_radius(
+        points.points, base.points.points, base.epsilon)
+
+
+def test_stepped_epsilons_are_pinned():
+    assert step_up(base_construction(2)).epsilon == F(1, 2 ** 31)
+    assert step_up(base_construction(3)).epsilon == F(1, 2 ** 76)
 
 
 # -- stepping up: relation ---------------------------------------------------------

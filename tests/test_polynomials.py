@@ -7,8 +7,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_eval
 from semiramsey import (
     ArgumentError,
+    Atom,
     MultivariatePolynomial as Poly,
     derivative,
     from_univariate_coeffs,
@@ -196,3 +198,62 @@ def test_addition_associative_and_commutative(a, b, c):
     a, b, c = lift(a), lift(b), lift(c)
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
+
+
+# -- integer kernel against the Fraction oracle ----------------------------------
+
+# Small pools, so that values of exactly 0 (and hence "eq" atoms) occur.
+coords = st.one_of(st.integers(-3, 3),
+                   st.sampled_from([F(1, 2), F(-1, 3), F(2, 5), F(7, 6),
+                                    F(-3, 4), F(5, 1), F(0, 1)]))
+coefficients = st.fractions(min_value=-20, max_value=20,
+                            max_denominator=30).map(F)
+
+
+@st.composite
+def mixed_polynomials(draw):
+    """Zero, constant and mixed-degree polynomials whose coefficients have
+    unequal denominators."""
+    n = draw(st.integers(0, 4))
+    exponents = st.tuples(*[st.integers(0, 6) for _ in range(n)])
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=8))
+    return Poly(n, terms)
+
+
+def assert_matches_oracle(p: Poly, point) -> None:
+    value = p.eval(point)
+    expected = oracle_eval.eval_fraction(p.terms, point)
+    assert value == expected and type(value) is F
+    assert Atom(0, "ge").holds(value) == (expected >= 0)
+    assert Atom(0, "gt").holds(value) == (expected > 0)
+    assert Atom(0, "eq").holds(value) == (expected == 0)
+
+
+@given(mixed_polynomials(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_eval_equals_fraction_oracle(p, data):
+    point = [data.draw(coords) for _ in range(p.num_vars)]
+    assert_matches_oracle(p, point)
+
+
+def test_eval_zero_and_constant_polynomials_match_oracle():
+    for p in (Poly(0, {}), Poly(2, {}), Poly.constant(0, F(-7, 3)),
+              Poly.constant(3, F(5, 4)), Poly.constant(2, 9)):
+        for point in ([], [0, 0], [F(1, 3), -2], [0, F(5, 7), 1]):
+            if len(point) == p.num_vars:
+                assert_matches_oracle(p, point)
+
+
+def test_eval_exact_zero_decides_eq_atoms():
+    # (x0 - x1) * (3*x0 + 1) vanishes on the diagonal and at x0 = -1/3.
+    p = (x(0, 2) - x(1, 2)) * (3 * x(0, 2) + 1)
+    for point in ([F(2, 7), F(2, 7)], [F(-1, 3), 5], [4, 4], [F(1, 2), 3]):
+        assert_matches_oracle(p, point)
+    assert p.eval([F(-1, 3), 5]) == 0
+
+
+@given(st.sampled_from([3, F(3, 2), F(-5, 4), 1, 0]), coords)
+@settings(max_examples=60, deadline=None)
+def test_eval_sparse_high_degree_monomial(a, b):
+    p = Poly(2, {(300, 0): F(1, 7), (0, 1): 1})  # x0^300 / 7 + x1
+    assert_matches_oracle(p, [a, b])
