@@ -40,7 +40,10 @@ class BudgetExhaustedError(ResourceLimitError):
 # larger than MAX_POINTS, and tower() refuses to produce integers wider
 # than MAX_BITS bits.  Both are overridable per call.  Stepping up refuses
 # an output with more than MAX_PAIRS point pairs, because its stability
-# radius visits every pair; this cap is fixed.
+# radius visits every pair; this cap is fixed.  Decoded polynomials of total
+# degree above MAX_DEGREE are refused, because evaluating one raises its
+# coordinates to that power; the constructions emit degree at most 6.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6
 MAX_PAIRS = 10 ** 6
+MAX_DEGREE = 1000

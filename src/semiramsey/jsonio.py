@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ResourceLimitError, MAX_DEGREE
 from .geometry import Arrangement, Hyperplane
 from .poly import MultivariatePolynomial
 from .relation import (Atom, Formula, OrderedPointSet, SemiAlgebraicRelation)
@@ -42,7 +42,11 @@ def poly_to_json(p: MultivariatePolynomial) -> dict:
 
 def poly_from_json(data: dict) -> MultivariatePolynomial:
     terms = {tuple(t["e"]): fraction_from_json(t["c"]) for t in data["terms"]}
-    return MultivariatePolynomial(data["vars"], terms)
+    p = MultivariatePolynomial(data["vars"], terms)
+    if p.degree() > MAX_DEGREE:
+        raise ResourceLimitError(
+            f"polynomial of degree {p.degree()} exceeds cap {MAX_DEGREE}")
+    return p
 
 
 def formula_to_json(f: Formula) -> dict:

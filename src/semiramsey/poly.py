@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ArgumentError
@@ -21,6 +22,25 @@ def _coef(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _sum_terms(pairs: Iterable) -> dict:
+    """Term map of the sum of (exponent tuple, Fraction) pairs.
+
+    Coefficients of equal exponent tuples are summed and sums of 0 are
+    dropped.  The first coefficient of an exponent is stored as it is, so
+    a term that occurs once costs no Fraction addition.
+    """
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for e, c in pairs:
+        acc = terms.get(e)
+        if acc is not None:
+            c = acc + c
+        if c:
+            terms[e] = c
+        elif acc is not None:
+            del terms[e]
+    return terms
+
+
 class MultivariatePolynomial:
     """Immutable sparse polynomial in a fixed number of variables."""
 
@@ -30,7 +50,7 @@ class MultivariatePolynomial:
         if num_vars < 0:
             raise ArgumentError("num_vars must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         for expvec, c in items:
             e = tuple(int(x) for x in expvec)
             if len(e) != num_vars:
@@ -38,15 +58,8 @@ class MultivariatePolynomial:
                     f"exponent vector {e} has length {len(e)}, expected {num_vars}")
             if any(x < 0 for x in e):
                 raise ArgumentError(f"negative exponent in {e}")
-            c = _coef(c)
-            if c != 0:
-                acc = clean.get(e)
-                c = c if acc is None else acc + c
-                if c == 0:
-                    clean.pop(e, None)
-                else:
-                    clean[e] = c
-        self._set(num_vars, clean)
+            pairs.append((e, _coef(c)))
+        self._set(num_vars, _sum_terms(pairs))
 
     def _set(self, num_vars: int, terms: dict) -> "MultivariatePolynomial":
         self.num_vars = num_vars
@@ -57,8 +70,11 @@ class MultivariatePolynomial:
 
     @classmethod
     def _from_terms(cls, num_vars: int, terms: dict) -> "MultivariatePolynomial":
-        """Wrap a term dict that is already clean (tuple exponent vectors of
-        length num_vars, nonzero Fraction coefficients) without copying it."""
+        """Wrap a term map without copying or checking it.
+
+        A term map sends exponent tuples of length num_vars (nonnegative
+        ints) to nonzero Fraction coefficients; `_sum_terms` builds one.
+        """
         return cls.__new__(cls)._set(num_vars, terms)
 
     # -- constructors -------------------------------------------------
@@ -129,14 +145,9 @@ class MultivariatePolynomial:
         if isinstance(other, (int, Fraction)):
             other = MultivariatePolynomial.constant(self.num_vars, other)
         self._check_same_space(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return MultivariatePolynomial._from_terms(self.num_vars, terms)
+        return MultivariatePolynomial._from_terms(
+            self.num_vars,
+            _sum_terms(chain(self.terms.items(), other.terms.items())))
 
     __radd__ = __add__
 
@@ -145,8 +156,6 @@ class MultivariatePolynomial:
             self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultivariatePolynomial.constant(self.num_vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -156,20 +165,14 @@ class MultivariatePolynomial:
         if isinstance(other, (int, Fraction)):
             c = _coef(other)
             if c == 0:
-                return MultivariatePolynomial(self.num_vars)
+                return MultivariatePolynomial._from_terms(self.num_vars, {})
             return MultivariatePolynomial._from_terms(
                 self.num_vars, {e: k * c for e, k in self.terms.items()})
         self._check_same_space(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MultivariatePolynomial._from_terms(self.num_vars, terms)
+        return MultivariatePolynomial._from_terms(self.num_vars, _sum_terms(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -254,21 +257,14 @@ class MultivariatePolynomial:
                 raise ArgumentError(f"fixed variable {i} out of range")
         values = {i: _coef(v) for i, v in fixed.items()}
         keep = [i for i in range(self.num_vars) if i not in values]
-        new_terms: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         for e, c in self.terms.items():
             for i, v in values.items():
                 k = e[i]
                 if k:
                     c = c * v ** k
-            if c == 0:
-                continue
-            ne = tuple(e[i] for i in keep)
-            s = new_terms.get(ne, Fraction(0)) + c
-            if s == 0:
-                new_terms.pop(ne, None)
-            else:
-                new_terms[ne] = s
-        return MultivariatePolynomial(len(keep), new_terms)
+            pairs.append((tuple(e[i] for i in keep), c))
+        return MultivariatePolynomial._from_terms(len(keep), _sum_terms(pairs))
 
 
 # -- univariate helpers (used by the Sturm machinery) -------------------
@@ -286,19 +282,19 @@ def univariate_coeffs(p: MultivariatePolynomial) -> list[Fraction]:
 
 
 def from_univariate_coeffs(coeffs: Sequence[Scalar]) -> MultivariatePolynomial:
-    return MultivariatePolynomial(1, {(i,): c for i, c in enumerate(coeffs)})
+    return MultivariatePolynomial._from_terms(
+        1, _sum_terms(((i,), _coef(c)) for i, c in enumerate(coeffs)))
 
 
 def derivative(p: MultivariatePolynomial, index: int = 0) -> MultivariatePolynomial:
-    terms: dict[tuple[int, ...], Fraction] = {}
+    pairs = []
     for e, c in p.terms.items():
         k = e[index]
         if k:
             ne = list(e)
             ne[index] = k - 1
-            ne = tuple(ne)
-            terms[ne] = terms.get(ne, Fraction(0)) + c * k
-    return MultivariatePolynomial(p.num_vars, terms)
+            pairs.append((tuple(ne), c * k))
+    return MultivariatePolynomial._from_terms(p.num_vars, _sum_terms(pairs))
 
 
 def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):
@@ -307,20 +303,16 @@ def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):
         raise ArgumentError("expected univariate polynomials")
     if b.is_zero():
         raise ArgumentError("division by the zero polynomial")
-    ra = univariate_coeffs(a)
+    r = univariate_coeffs(a)
     rb = univariate_coeffs(b)
-    q = [Fraction(0)] * max(1, len(ra) - len(rb) + 1)
-    r = list(ra)
-    db = len(rb) - 1
+    q = [Fraction(0)] * max(1, len(r) - len(rb) + 1)
     lead = rb[-1]
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db or not r:
-            break
-        shift = len(r) - 1 - db
+    while len(r) >= len(rb):
+        shift = len(r) - len(rb)
         factor = r[-1] / lead
         q[shift] = factor
         for i, c in enumerate(rb):
             r[shift + i] -= factor * c
+        while r and r[-1] == 0:
+            r.pop()
     return from_univariate_coeffs(q), from_univariate_coeffs(r)

@@ -151,8 +151,7 @@ def homogeneous_check(points: OrderedPointSet, relation: SemiAlgebraicRelation,
 
 
 def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
-                      budget: int = 10 ** 6,
-                      log_classes: bool = True) -> HomogeneousResult:
+                      budget: int = 10 ** 6) -> HomogeneousResult:
     """Greedy homogeneous-subset extraction for arity >= 3.
 
     One pass: seed the first k-2 points, then repeatedly take the smallest-

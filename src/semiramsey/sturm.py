@@ -52,10 +52,10 @@ def count_real_roots(g: MultivariatePolynomial, a: Fraction, b: Fraction,
         raise ArgumentError(f"empty interval ({a}, {b})")
     if seq is None:
         seq = sturm_sequence(g)
-    if g.eval([a]) == 0:
-        raise PreconditionError(f"g({a}) = 0: endpoint must not be a root", witness=a)
-    if g.eval([b]) == 0:
-        raise PreconditionError(f"g({b}) = 0: endpoint must not be a root", witness=b)
     at_a = [p.eval([a]) for p in seq]
     at_b = [p.eval([b]) for p in seq]
+    if at_a[0] == 0:  # seq[0] is g
+        raise PreconditionError(f"g({a}) = 0: endpoint must not be a root", witness=a)
+    if at_b[0] == 0:
+        raise PreconditionError(f"g({b}) = 0: endpoint must not be a root", witness=b)
     return sign_changes(at_a) - sign_changes(at_b)

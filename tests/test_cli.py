@@ -324,6 +324,19 @@ def test_malformed_input_is_usage_error(capsys, base2_file):
         assert json.loads(err)["error"]["type"] == "ArgumentError"
 
 
+def test_high_degree_input_is_resource_error(capsys, base2_file):
+    # The formula never reads the extra polynomial; decoding refuses it.
+    with open(base2_file) as fh:
+        doc = json.load(fh)
+    doc["relation"]["polys"].append(
+        {"vars": 3, "terms": [{"c": "1", "e": [0, 0, 10 ** 9]}]})
+    with open(base2_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
+    assert code == cli.EXIT_RESOURCE == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch,
                                                base2_file):
     # Exit 1 means "property fails"; a crash must not look like one.

@@ -6,7 +6,7 @@ import pytest
 
 from semiramsey import jsonio
 from semiramsey.constructions import ConstructionInstance, base_construction
-from semiramsey.errors import ArgumentError
+from semiramsey.errors import ArgumentError, MAX_DEGREE, ResourceLimitError
 from semiramsey.geometry import Arrangement, Hyperplane
 from semiramsey.poly import MultivariatePolynomial as Poly
 from semiramsey.relation import Formula, OrderedPointSet, SemiAlgebraicRelation
@@ -114,6 +114,16 @@ def test_instance_epsilon_may_be_null():
     again = jsonio.instance_from_json(data)
     assert again.epsilon is None
     assert again.provenance == {"kind": "test"}
+
+
+def test_instance_with_high_degree_polynomial_is_refused():
+    data = jsonio.instance_to_json(base_construction(2))
+    terms = data["relation"]["polys"][-1]["terms"]
+    terms.append({"c": "1", "e": [0, 0, MAX_DEGREE + 1]})
+    with pytest.raises(ResourceLimitError):
+        jsonio.instance_from_json(data)
+    terms[-1]["e"] = [1, 0, MAX_DEGREE - 1]  # total degree at the cap
+    assert jsonio.instance_from_json(data).relation.polys[-1].degree() == MAX_DEGREE
 
 
 # -- hypergraphs, hyperplanes, arrangements ----------------------------------

@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_eval
+import oracle_roots
 from semiramsey import (
     ArgumentError,
     Atom,
@@ -198,6 +199,55 @@ def test_addition_associative_and_commutative(a, b, c):
     a, b, c = lift(a), lift(b), lift(c)
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
+
+
+coefficient_lists = st.lists(rationals, max_size=7)
+
+
+@given(coefficient_lists, coefficient_lists.filter(any), st.booleans())
+@example([], [F(3)], False)                       # zero dividend
+@example([F(1), F(2), F(-1)], [F(-2, 3)], False)  # constant divisor
+@example([F(1), F(2)], [F(1), F(0), F(5)], False)  # divisor of higher degree
+@example([F(1), F(-1, 2)], [F(2), F(0), F(1)], True)  # exact division
+@settings(max_examples=200, deadline=None)
+def test_divmod_and_derivative_equal_list_oracle(a, b, exact):
+    """Trailing zeros in the lists pad the polynomial; the oracle strips."""
+    if exact:
+        a = oracle_roots.mul(a, b)
+    quotient, remainder = univariate_divmod(from_univariate_coeffs(a),
+                                            from_univariate_coeffs(b))
+    expected_q, expected_r = oracle_roots.poly_divmod(a, b)
+    assert univariate_coeffs(quotient) == expected_q
+    assert univariate_coeffs(remainder) == expected_r
+    assert remainder.is_zero() or not exact
+    assert (univariate_coeffs(derivative(from_univariate_coeffs(a)))
+            == oracle_roots.derivative(a))
+
+
+def assert_canonical(q: Poly) -> None:
+    for e, c in q.terms.items():
+        assert type(c) is F and c != 0
+        assert type(e) is tuple and len(e) == q.num_vars
+        assert all(type(k) is int and k >= 0 for k in e)
+    rebuilt = Poly(q.num_vars, q.terms)
+    assert q == rebuilt and hash(q) == hash(rebuilt)
+
+
+@given(st.data(), coefficient_lists, coefficient_lists)
+@settings(max_examples=150, deadline=None)
+def test_producers_return_canonical_term_maps(data, a, b):
+    n = data.draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3) for _ in range(n)])
+    p, q = (Poly(n, data.draw(st.dictionaries(exponents, rationals, max_size=5)))
+            for _ in range(2))
+    fixed = data.draw(st.dictionaries(st.integers(0, n - 1), rationals))
+    u, v = from_univariate_coeffs(a), from_univariate_coeffs(b)
+    outputs = [p + q, p - q, p - p, p + 2, 1 - p, p * q, p * 0, p * F(-1, 3),
+               p.restrict(fixed), derivative(p, n - 1), u, v, derivative(u)]
+    if not v.is_zero():
+        outputs.extend(univariate_divmod(u, v))
+    for out in outputs:
+        assert_canonical(out)
 
 
 # -- integer kernel against the Fraction oracle ----------------------------------

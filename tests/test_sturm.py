@@ -80,10 +80,14 @@ def test_double_root_counted_once():
 
 def test_endpoint_root_is_a_precondition_error():
     g = from_univariate_coeffs([-1, 0, 1])
-    with pytest.raises(PreconditionError):
-        count_real_roots(g, F(1), F(2))
-    with pytest.raises(PreconditionError):
-        count_real_roots(g, F(-3), F(-1))
+    seq = sturm_sequence(g)
+    # (a, b, witness); with both endpoints roots, a is reported.
+    cases = ((F(1), F(2), F(1)), (F(-3), F(-1), F(-1)), (F(-1), F(1), F(-1)))
+    for a, b, witness in cases:
+        for precomputed in (None, seq):
+            with pytest.raises(PreconditionError) as info:
+                count_real_roots(g, a, b, precomputed)
+            assert info.value.witness == witness
 
 
 def test_reversed_interval_rejected():
