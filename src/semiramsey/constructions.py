@@ -9,8 +9,10 @@ positional digit patterns, and the Frankl-Wilson intersection graph.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -147,50 +149,70 @@ def delta_index(a: int, b: int, bits: int) -> int:
     return ((a - 1) ^ (b - 1)).bit_length()
 
 
-def verify_delta_properties(bits: int, chains: int = 200, seed: int = 0):
+def verify_delta_properties(bits: int, chains: int = 200, seed: int = 0,
+                            delta=delta_index):
     """Exhaustively check, over all of 1..2^bits:
 
     A: delta(a, b) != delta(b, c) for every a < b < c, and
     B: delta(a, c) = max(delta(a, b), delta(b, c)) for every a < b < c,
        plus max-of-consecutive over seeded random longer chains.
 
-    Returns (True, None) or (False, witness).  Uses numpy so the N = 10
-    case (all ~1.8e8 triples) finishes in seconds.
+    Returns (True, None) or (False, witness): the first A violation by
+    middle point, value, a and c, else the first B violation by b, a and c.
+    `delta` is the function checked, called as delta(a, b, bits) with
+    a < b.  The triples are checked with int bitmasks (bit x for point x)
+    of the points on each side of a point at each delta value: A is an
+    empty intersection of values per point and B a subset test per pair,
+    so the N = 10 case (all ~1.8e8 triples) finishes in seconds.
     """
-    import numpy as np
-
     n = 2 ** bits
-    xs = np.arange(n, dtype=np.int64)
-    xor = xs[:, None] ^ xs[None, :]
-    bl = np.array([v.bit_length() for v in range(n)], dtype=np.int64)
-    d = bl[xor]  # d[a-1][b-1] = delta(a, b)
+    # left[b][v]: points a < b with delta(a, b) = v; right[a][v]: points
+    # c > a with delta(a, c) = v; d[a][c] = delta(a, c).
+    left: list[dict] = [{} for _ in range(n + 1)]
+    right: list[dict] = [{} for _ in range(n + 1)]
+    d: list[list] = [[]]
+    for a in range(1, n + 1):
+        row = [0] * (a + 1)
+        ra = right[a]
+        for c in range(a + 1, n + 1):
+            v = delta(a, c, bits)
+            row.append(v)
+            ra[v] = ra.get(v, 0) | 1 << c
+            lc = left[c]
+            lc[v] = lc.get(v, 0) | 1 << a
+        d.append(row)
 
-    for mid in range(1, n - 1):
-        left = d[:mid, mid]
-        right = d[mid, mid + 1:]
-        common = np.intersect1d(left, right)
-        if common.size:
-            value = int(common[0])
-            a = int(np.nonzero(left == value)[0][0]) + 1
-            c = int(np.nonzero(right == value)[0][0]) + mid + 2
-            return False, ("A", (a, mid + 1, c))
+    def lowest(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
 
-    for mid in range(1, n - 1):
-        lhs = np.maximum.outer(d[:mid, mid], d[mid, mid + 1:])
-        rhs = d[:mid, mid + 1:]
-        bad = np.nonzero(lhs != rhs)
-        if bad[0].size:
-            a = int(bad[0][0]) + 1
-            c = int(bad[1][0]) + mid + 2
-            return False, ("B", (a, mid + 1, c))
+    for b in range(2, n):
+        common = left[b].keys() & right[b].keys()
+        if common:
+            v = min(common)
+            return False, ("A", (lowest(left[b][v]), b, lowest(right[b][v])))
+
+    for b in range(2, n):
+        # The points c > b whose delta from b is at most each value.
+        values = sorted(right[b])
+        upto = list(itertools.accumulate((right[b][v] for v in values),
+                                         operator.or_))
+        for a in range(1, b):
+            u = d[a][b]
+            ra = right[a]
+            i = bisect.bisect_right(values, u)
+            bad = upto[i - 1] & ~ra.get(u, 0) if i else 0
+            for v in values[i:]:
+                bad |= right[b][v] & ~ra.get(v, 0)
+            if bad:
+                return False, ("B", (a, b, lowest(bad)))
 
     rng = SeededRng(seed)
     if n >= 3:
         for _ in range(chains):
             length = rng.randint(3, min(12, n))
             chain = sorted(rng.sample(range(1, n + 1), length))
-            dmax = max(delta_index(x, y, bits) for x, y in zip(chain, chain[1:]))
-            if delta_index(chain[0], chain[-1], bits) != dmax:
+            dmax = max(d[x][y] for x, y in zip(chain, chain[1:]))
+            if d[chain[0]][chain[-1]] != dmax:
                 return False, ("B-chain", tuple(chain))
     return True, None
 
@@ -553,22 +575,47 @@ def step_up_membership_rule(base: ConstructionInstance,
 # -- one-dimensional arity-4 construction ------------------------------------
 
 
-def one_dim_k4_relation() -> SemiAlgebraicRelation:
-    """Arity-4 relation on the line: x1 < x2 < x3 < x4 and one of
+def one_dim_k4_relation(base: int = 10) -> SemiAlgebraicRelation:
+    """Arity-4 relation on the line for base-b digit points: x1 < x2 < x3 < x4
+    and one of
 
     C1: x2-x1 > x3-x2 and x4-x3 > x3-x2,
-    C2: x2-x1 < x3-x2 < x4-x3 and (x2-x1)(x4-x3) >= (x3-x2)^2,
-    C3: x2-x1 > x3-x2 > x4-x3 and (x2-x1)(x4-x3) >= (x3-x2)^2.
+    C2: x2-x1 < x3-x2 < x4-x3 and c(x2-x1)(x4-x3) >= (x3-x2)^2,
+    C3: x2-x1 > x3-x2 > x4-x3 and c(x2-x1)(x4-x3) >= (x3-x2)^2,
+
+    with the factor c = quad_factor(b), which is 3 for b = 10.
     """
     rb = _RelationBuilder(4, 1)
     x = [MultivariatePolynomial.variable(i, 4) for i in range(4)]
     d1, d2, d3 = x[1] - x[0], x[2] - x[1], x[3] - x[2]
     order = Formula.all_of(rb.atom(p, "gt") for p in (d1, d2, d3))
-    quad = rb.atom(d1 * d3 - d2 * d2, "ge")
+    quad = rb.atom(quad_factor(base) * d1 * d3 - d2 * d2, "ge")
     c1 = Formula.all_of([rb.atom(d1 - d2, "gt"), rb.atom(d3 - d2, "gt")])
     c2 = Formula.all_of([rb.atom(d2 - d1, "gt"), rb.atom(d3 - d2, "gt"), quad])
     c3 = Formula.all_of([rb.atom(d1 - d2, "gt"), rb.atom(d2 - d3, "gt"), quad])
     return rb.build(Formula.all_of([order, Formula.any_of([c1, c2, c3])]))
+
+
+def quad_factor(base: int) -> Fraction:
+    """Factor c of the quadratic atom for digit base b: of the rationals p/q
+    nearest sqrt(b) for q = 1, 2, ..., the first with b^0.4 < c < b^0.6,
+    checked exactly as b^4 q^10 < p^10 < b^6 q^10.
+
+    A difference of digit points with top digit i lies strictly between
+    b^(i - 0.1) and b^(i + 0.1), so c(x2-x1)(x4-x3) / (x3-x2)^2 lies
+    strictly between c b^(m - 0.4) and c b^(m + 0.4), with m = i1 + i3 - 2 i2
+    an integer.  The bounds on c put it above 1 when m >= 0 and below 1 when
+    m <= -1: the atom is the base relation's midpoint atom on the digit
+    positions.
+    """
+    if base < 2:
+        raise ArgumentError("digit base must be at least 2")
+    q = 1
+    while True:
+        p = (math.isqrt(4 * base * q * q) + 1) // 2
+        if base ** 4 * q ** 10 < p ** 10 < base ** 6 * q ** 10:
+            return Fraction(p, q)
+        q += 1
 
 
 def one_dim_k4_construction(n: int, base: int = 10,
@@ -583,15 +630,11 @@ def one_dim_k4_construction(n: int, base: int = 10,
     comparing (p - q)^10 against powers of b.
 
     The digit positions 0..2^n - 1 play the role of the 2^n points of
-    base(n), whose largest homogeneous subset has size n + 1, so the
-    stepping-up lemma suggests no homogeneous subset of size 2n + 3
-    (hom <= 2n + 2).  The bound is not inherited from the lemma, though: the
-    quadratic atom (x2-x1)(x4-x3) >= (x3-x2)^2 is boundary-tight and, at
-    n = 2, disagrees with the base relation on digit positions for 112 of
-    the 1820 4-tuples, all with delta_1 + delta_3 = 2 * delta_2 (e.g.
-    (1, 2, 4, 5), with differences 1, 10, 89).  At n = 2 the bound is
-    certified by exhaustive search instead.  Whether the atom should carry
-    base_relation's -1/2 slack is open.
+    base(n), whose largest homogeneous subset has size n + 1.  With the
+    factor of quad_factor(b) on the quadratic atom, membership of a tuple
+    is step_up_membership_rule(base(n), tuple): the relation is the
+    stepped-up base relation on these points, so the stepping-up lemma
+    gives no homogeneous subset of size 2n + 3 (hom <= 2n + 2).
     """
     if n < 1:
         raise ArgumentError("n must be at least 1")
@@ -627,12 +670,13 @@ def one_dim_k4_construction(n: int, base: int = 10,
     points = OrderedPointSet(1, [(v,) for v in values])
     return ConstructionInstance(
         points=points,
-        relation=one_dim_k4_relation(),
+        relation=one_dim_k4_relation(base),
         epsilon=Fraction(1, 10),
         provenance={"kind": "one-dim-k4", "n": n, "base": base,
                     "eps_note": "epsilon records the increasing margin and the "
-                                "digit-position slack; deepness is not claimed "
-                                "(the quadratic atom is boundary-tight)"},
+                                "digit-position slack; the quadratic atom's "
+                                "factor c, with b^0.4 < c < b^0.6, keeps it "
+                                "off its boundary on digit points"},
     )
 
 

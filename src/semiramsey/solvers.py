@@ -1,6 +1,7 @@
 """Homogeneous-subset solvers and hypergraph routines.
 
-max_homogeneous is an exact branch-and-bound over both polarities.
+max_homogeneous is an exact branch-and-bound over both polarities, with
+its candidate sets kept as int bitmasks.
 erdos_rado_greedy is the recursive class-refinement extraction: it seeds
 k-2 points, repeatedly keeps the largest membership-signature class, and
 recurses on a relation of one lower arity obtained by fixing the last
@@ -39,8 +40,9 @@ class MembershipOracle:
     """Membership of index tuples of one point set in one relation.
 
     The point set and the relation must live in the same space; that is
-    checked once, here.  member() is memoized per tuple, and polarity() is
-    the homogeneity check every solver certifies with.
+    checked once, here.  member() is memoized per tuple, above() per
+    (k-1)-prefix, and polarity() is the homogeneity check every solver
+    certifies with.
     """
 
     def __init__(self, points: OrderedPointSet,
@@ -52,6 +54,7 @@ class MembershipOracle:
         self.points = points
         self.relation = relation
         self.cache: dict[tuple, bool] = {}
+        self.masks: dict[tuple, tuple[int, int]] = {}
 
     def member(self, indices: tuple) -> bool:
         v = self.cache.get(indices)
@@ -59,6 +62,24 @@ class MembershipOracle:
             v = eval_membership(self.relation, self.points, indices)
             self.cache[indices] = v
         return v
+
+    def above(self, prefix: tuple, within: int) -> int:
+        """Bitmask with bit c set for each point index c in the bitmask
+        `within` such that prefix + (c,) is in the relation; prefix has k-1
+        entries and `within` only indices after prefix[-1].  Each tuple goes
+        through member() once: the mask of every prefix is kept with the
+        bits it is known on."""
+        known, mask = self.masks.get(prefix, (0, 0))
+        todo = within & ~known
+        if todo:
+            member = self.member
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                if member(prefix + (low.bit_length() - 1,)):
+                    mask |= low
+            self.masks[prefix] = (known | within, mask)
+        return mask & within
 
     def polarity(self, subset: tuple):
         """("in" | "out", None) when all k-tuples of the increasing subset
@@ -79,49 +100,66 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
                     budget: int = 10 ** 6) -> HomogeneousResult:
     """Maximum homogeneous subset by branch and bound over both polarities.
 
-    Candidates are filtered so that every arity-subset of the partial set
-    stays on the chosen side; the search is pruned when the remaining
-    candidates cannot beat the best subset found.  If the node budget runs
-    out the best subset found so far is returned with stats["maximum"] set
-    to False (it is still a certified homogeneous subset).
+    The search runs once per polarity, "in" then "out", and grows an
+    increasing subset `current` one point at a time.  It carries its
+    candidates as an int bitmask (bit c for point c): the points after the
+    last one chosen that keep every k-tuple of `current` + (c,) on the
+    chosen side.  When v joins `current`, the later candidates are cut to
+    oracle.above(S + (v,), candidates), or to the rest of them for "out",
+    for each (k-2)-subset S of the earlier points; S + (v,) are the only
+    new (k-1)-prefixes.  Candidates are taken lowest bit first, and a branch
+    is pruned when |current| + popcount(candidates) cannot beat the best
+    subset found.
+
+    If the node budget runs out the best subset found so far is returned
+    with stats["maximum"] set to False (it is still a certified homogeneous
+    subset).  stats also counts the nodes, the bound prunes and the
+    distinct tuples evaluated ("evaluations").
     """
     n = len(points)
     k = relation.arity
     if n < 1:
         raise ArgumentError("empty point set")
     oracle = MembershipOracle(points, relation)
-    member = oracle.member
-    nodes = 0
+    above = oracle.above
+    nodes = prunes = 0
     exhausted = False
 
-    def search(polarity_value: bool) -> tuple:
-        nonlocal nodes, exhausted
+    def search(want: bool) -> tuple:
+        nonlocal nodes, prunes, exhausted
         best: tuple = ()
 
-        def extend(current: list[int], candidates: list[int]):
-            nonlocal best, nodes, exhausted
+        def extend(current: list[int], candidates: int):
+            nonlocal best, nodes, prunes, exhausted
             nodes += 1
             if nodes > budget:
                 exhausted = True
                 return
             if len(current) > len(best):
                 best = tuple(current)
-            for pos, cand in enumerate(candidates):
-                if len(current) + len(candidates) - pos <= len(best):
+            while candidates:
+                if len(current) + candidates.bit_count() <= len(best):
+                    prunes += 1
                     break
                 if exhausted:
                     return
-                ok = True
-                if len(current) >= k - 1:
-                    for prefix in itertools.combinations(current, k - 1):
-                        if member(prefix + (cand,)) != polarity_value:
-                            ok = False
+                low = candidates & -candidates
+                candidates ^= low
+                v = low.bit_length() - 1
+                child = candidates
+                if k > 1:
+                    for s in itertools.combinations(current, k - 2):
+                        if not child:
                             break
-                if not ok:
-                    continue
-                extend(current + [cand], candidates[pos + 1:])
+                        mask = above(s + (v,), child)
+                        child = mask if want else child ^ mask
+                extend(current + [v], child)
 
-        extend([], list(range(1, n + 1)))
+        candidates = (1 << (n + 1)) - 2
+        if k == 1:
+            mask = above((), candidates)
+            candidates = mask if want else candidates ^ mask
+        extend([], candidates)
         return best
 
     best_in = search(True)
@@ -130,11 +168,13 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         subset, polarity = best_in, "in"
     else:
         subset, polarity = best_out, "out"
+    certified = oracle.polarity(subset)[0] == polarity
     return HomogeneousResult(
         subset=subset,
         polarity=polarity,
-        certified=oracle.polarity(subset)[0] == polarity,
-        stats={"nodes": nodes, "maximum": not exhausted,
+        certified=certified,
+        stats={"nodes": nodes, "prunes": prunes,
+               "evaluations": len(oracle.cache), "maximum": not exhausted,
                "method": "branch-and-bound"},
     )
 

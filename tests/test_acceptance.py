@@ -66,7 +66,7 @@ def witness_detail(res: solvers.HomogeneousResult, bits: int) -> str:
 
 def test_criterion_01_base_construction_hom():
     got = {}
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         got[n] = len(certified_hom(constructions.base_construction(n)).subset)
     ok = all(got[n] == n + 1 for n in got)
     assert report(1, "base-hom", ok,
@@ -124,10 +124,9 @@ def test_criterion_05_onedim_k4_no_size5():
     homogeneous subset of size 2n + 3.  The name records an older target of
     "no size 5" (2n + 1), which misapplied the lemma with n = hom(base).
 
-    The bound is not inherited from the lemma: the relation's quadratic atom
-    is boundary-tight and disagrees with the base relation on digit
-    positions for some tuples with delta_1 + delta_3 = 2 * delta_2, so the
-    search here is what certifies it.
+    The relation agrees with the stepped-up rule of base(n) on every tuple
+    (tests/test_constructions.py checks all 1820 at n = 2), so the lemma
+    applies; the exhaustive search certifies the bound as well.
     """
     n = 2
     base = constructions.base_construction(n)

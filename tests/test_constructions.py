@@ -39,6 +39,7 @@ from semiramsey import (
     verify_eps_deep_sampled,
     verify_eps_increasing,
 )
+from semiramsey.constructions import quad_factor
 
 
 def tiny_instance(values, eps=F(1, 10)) -> ConstructionInstance:
@@ -138,6 +139,50 @@ def test_delta_properties_hold_exhaustively_at_small_widths():
     for bits in (1, 2, 3, 4, 5, 6):
         ok, witness = verify_delta_properties(bits, chains=50, seed=3)
         assert ok, witness
+
+
+def _first_delta_violation(bits, delta):
+    """Brute force over all triples: the first A violation by middle point,
+    value, a and c, else the first B violation by b, a and c."""
+    n = 2 ** bits
+    for b in range(2, n):
+        hits = [(delta(a, b, bits), a, c) for a in range(1, b)
+                for c in range(b + 1, n + 1)
+                if delta(a, b, bits) == delta(b, c, bits)]
+        if hits:
+            _, a, c = min(hits)
+            return "A", (a, b, c)
+    for b in range(2, n):
+        for a in range(1, b):
+            for c in range(b + 1, n + 1):
+                if delta(a, c, bits) != max(delta(a, b, bits),
+                                            delta(b, c, bits)):
+                    return "B", (a, b, c)
+    return None
+
+
+@given(st.integers(2, 4), st.dictionaries(
+    st.tuples(st.integers(1, 16), st.integers(1, 16)), st.integers(0, 5),
+    min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_delta_properties_witness_matches_brute_force(bits, changes):
+    def wrong(a, b, width):
+        return changes.get((a, b), delta_index(a, b, width))
+
+    ok, witness = verify_delta_properties(bits, chains=0, delta=wrong)
+    expected = _first_delta_violation(bits, wrong)
+    assert (ok, witness) == (expected is None, expected)
+
+
+def test_delta_properties_report_the_smallest_shared_value():
+    # With delta(4, 5) = 1 and delta(4, 6) = 2, point 4 shares the values 1
+    # (with 3) and 2 (with 1 and 2) on both sides; the witness takes 1.
+    changes = {(4, 5): 1, (4, 6): 2}
+
+    def wrong(a, b, bits):
+        return changes.get((a, b), delta_index(a, b, bits))
+
+    assert verify_delta_properties(3, delta=wrong) == (False, ("A", (3, 4, 5)))
 
 
 # -- slope -----------------------------------------------------------------------
@@ -342,6 +387,35 @@ def test_onedim_base_ten_passes_digit_closeness_at_n2():
     assert len(inst.points) == 16
     largest = inst.points.point(16)[0]
     assert largest == 1 + 1000 + 100 + 10 + 1  # digits 1111 in base 10
+
+
+def test_onedim_relation_is_the_stepped_rule_at_n2():
+    inst = one_dim_k4_construction(2)
+    base = base_construction(2)
+    mismatches = [t for t in itertools.combinations(range(1, 17), 4)
+                  if eval_membership(inst.relation, inst.points, t)
+                  != step_up_membership_rule(base, t)]
+    assert mismatches == []
+
+
+def test_onedim_relation_is_the_stepped_rule_on_sampled_tuples_at_n3():
+    from semiramsey import SeededRng
+
+    inst = one_dim_k4_construction(3)
+    base = base_construction(3)
+    rng = SeededRng(5)
+    for _ in range(400):
+        t = tuple(sorted(rng.sample(range(1, 257), 4)))
+        assert eval_membership(inst.relation, inst.points, t) == \
+            step_up_membership_rule(base, t), t
+
+
+def test_quad_factor_lies_between_the_digit_powers():
+    assert quad_factor(10) == 3
+    assert quad_factor(2) == F(3, 2)
+    for b in range(2, 200):
+        c = quad_factor(b)
+        assert b ** 4 < c ** 10 < b ** 6
 
 
 def test_onedim_small_base_fails_digit_closeness():

@@ -38,6 +38,8 @@ from semiramsey import (
 )
 from semiramsey.solvers import greedy_class_bound_check
 
+import oracle_bnb
+
 
 def x(i: int, n: int) -> Poly:
     return Poly.variable(i, n)
@@ -87,6 +89,16 @@ def test_budget_exhaustion_degrades_to_uncertified_maximum():
     assert len(result.subset) >= 1
 
 
+def test_budget_exhaustion_at_arity_four():
+    inst = step_up(base_construction(2))
+    result = max_homogeneous(inst.points, inst.relation, budget=40)
+    assert result.stats["nodes"] > 40 and not result.stats["maximum"]
+    assert result.certified
+    assert 4 <= len(result.subset) < 6
+    assert homogeneous_check(inst.points, inst.relation,
+                             result.subset) == (result.polarity, None)
+
+
 def _naive_max_homogeneous(points, relation) -> int:
     n = len(points)
     k = relation.arity
@@ -102,14 +114,27 @@ def _naive_max_homogeneous(points, relation) -> int:
     return best
 
 
+def _assert_matches_prefix_loop(points, relation):
+    result = max_homogeneous(points, relation)
+    subset, polarity, maximum, nodes = oracle_bnb.max_homogeneous_prefix_loop(
+        points, relation)
+    assert (result.subset, result.polarity, result.stats["maximum"]) == (
+        subset, polarity, maximum)
+    assert result.certified
+    # The bitset bound counts only candidates that pass, so it never
+    # visits more nodes than the prefix loop.
+    assert result.stats["nodes"] <= nodes
+    return result
+
+
 def test_branch_and_bound_matches_naive_search_on_random_instances():
     from semiramsey import SeededRng
 
     rng = SeededRng(99)
-    for trial in range(25):
+    for trial in range(40):
         t_rng = rng.derive(f"instance-{trial}")
         n = t_rng.randint(4, 7)
-        arity = t_rng.randint(2, 3)
+        arity = t_rng.randint(1, 4)
         values = sorted(t_rng.sample(list(range(-20, 21)), n))
         points = integer_points(*values)
         nv = arity
@@ -124,9 +149,38 @@ def test_branch_and_bound_matches_naive_search_on_random_instances():
             Formula.all_of([Formula.leaf(1, "gt")]),
         ])
         relation = SemiAlgebraicRelation(arity, 1, polys, formula)
-        result = max_homogeneous(points, relation)
+        result = _assert_matches_prefix_loop(points, relation)
         assert result.stats["maximum"]
         assert len(result.subset) == _naive_max_homogeneous(points, relation)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_constant_relations_match_the_prefix_loop(arity):
+    points = integer_points(2, 3, 5, 7, 11, 13)
+    for relation, polarity in ((always_relation(arity), "in"),
+                               (never_relation(arity), "out")):
+        result = _assert_matches_prefix_loop(points, relation)
+        assert (result.subset, result.polarity) == ((1, 2, 3, 4, 5, 6),
+                                                    polarity)
+
+
+@pytest.mark.parametrize("make", [lambda: base_construction(5),
+                                  lambda: step_up(base_construction(2))],
+                         ids=["base-5", "step-up-base-2"])
+def test_constructions_match_the_prefix_loop(make):
+    inst = make()
+    _assert_matches_prefix_loop(inst.points, inst.relation)
+
+
+def test_search_counters_are_deterministic():
+    inst = base_construction(3)
+    first = max_homogeneous(inst.points, inst.relation)
+    again = max_homogeneous(inst.points, inst.relation)
+    assert first.stats == again.stats == {
+        "nodes": 55, "prunes": 30, "evaluations": 54, "maximum": True,
+        "method": "branch-and-bound"}
+    # Each evaluation is a distinct triple of the 8 points.
+    assert first.stats["evaluations"] <= math.comb(8, 3)
 
 
 def test_homogeneous_check_detects_mixed_subsets():
