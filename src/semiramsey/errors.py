@@ -38,7 +38,9 @@ class BudgetExhaustedError(ResourceLimitError):
 
 # Default resource caps.  Constructions refuse to materialize point sets
 # larger than MAX_POINTS, and tower() refuses to produce integers wider
-# than MAX_BITS bits.  Both are overridable per call.  Stepping up refuses
+# than MAX_BITS bits.  Both are overridable per call.  A point set whose
+# common denominator has more than MAX_BITS bits cannot be scaled to
+# integers (OrderedPointSet.scaled); that use of the cap is fixed.  Stepping up refuses
 # an output with more than MAX_PAIRS point pairs, because its stability
 # radius visits every pair; this cap is fixed.  Decoded polynomials of total
 # degree above MAX_DEGREE are refused, because evaluating one raises its

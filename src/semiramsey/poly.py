@@ -3,7 +3,8 @@
 A polynomial is a map from exponent vectors (one integer per variable) to
 nonzero Fraction coefficients.  Variables are 0-based: x0, x1, ...  All
 arithmetic is exact; nothing in this module ever touches floats.
-Evaluation clears denominators and runs in plain integers.
+Evaluation clears denominators and runs in plain integers; an IntegerForm
+decides signs at integer points with the same loop, `_int_total`.
 """
 
 from __future__ import annotations
@@ -193,31 +194,25 @@ class MultivariatePolynomial:
     def _integer_form(self) -> tuple:
         """Integer data for eval, built on first use.
 
-        (B, D, used, powers, terms): B is the positive LCM of the coefficient
-        denominators and D the degree (0 for the zero polynomial).  `used`
-        lists the variables that occur.  A call scales them to integers X_s
-        and appends L as slot len(used); `powers` holds the distinct
-        (slot, exponent) pairs to raise, including L^(D - |e|) only for the
-        residual degrees that occur.  Each term is (c*B as an int, indices
-        into the table of those powers).
+        (B, D, used, powers, terms): B is the positive LCM of the
+        coefficient denominators and D the degree (0 for the zero
+        polynomial).  `used` lists the variables that occur.  A call scales
+        them to integers X_s and appends L as slot len(used); `powers` and
+        `terms` compile sum c*B * L^(D - |e|) * prod X_s^e_s for
+        `_int_total`, with L raised only to the residual degrees that occur.
         """
         if self._int_form is None:
             scale = math.lcm(*(c.denominator for c in self.terms.values()))
             degree = max(self.degree(), 0)
             used = sorted({i for e in self.terms for i, k in enumerate(e) if k})
             slot = {v: s for s, v in enumerate(used)}
-            factors = {}
-            for e in self.terms:
-                factors[e] = [(slot[i], k) for i, k in enumerate(e) if k]
+            items = []
+            for e, c in self.terms.items():
+                factors = [(slot[i], k) for i, k in enumerate(e) if k]
                 if degree > sum(e):
-                    factors[e].append((len(used), degree - sum(e)))
-            powers = sorted({f for fs in factors.values() for f in fs})
-            index = {f: j for j, f in enumerate(powers)}
-            terms = tuple(
-                (c.numerator * (scale // c.denominator),
-                 tuple(index[f] for f in factors[e]))
-                for e, c in self.terms.items())
-            self._int_form = (scale, degree, tuple(used), tuple(powers), terms)
+                    factors.append((len(used), degree - sum(e)))
+                items.append((c.numerator * (scale // c.denominator), factors))
+            self._int_form = (scale, degree, tuple(used), *_compile(items))
         return self._int_form
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
@@ -226,7 +221,7 @@ class MultivariatePolynomial:
         With L the LCM of the denominators of the coordinates that occur and
         X_i = x_i * L, the value is
         sum c*B * L^(D - |e|) * prod X_i^e_i  /  (B * L^D),
-        so the sum runs in plain ints.
+        and the sum is the integer loop `_int_total`.
         """
         if len(point) != self.num_vars:
             raise ArgumentError(
@@ -237,13 +232,17 @@ class MultivariatePolynomial:
         lcm = math.lcm(*[d for _, d in ratios])
         bases = [n * (lcm // d) for n, d in ratios]
         bases.append(lcm)
-        table = [bases[s] ** k for s, k in powers]
-        total = 0
-        for c, factors in terms:
-            for j in factors:
-                c *= table[j]
-            total += c
-        return Fraction(total, scale * lcm ** degree)
+        return Fraction(_int_total(powers, terms, bases), scale * lcm ** degree)
+
+    def integer_form(self, scale: int) -> "IntegerForm":
+        """The IntegerForm sum c*B * scale^(D - |e|) * X^e, which equals
+        B * scale^D * self(X / scale) and so has the sign of self at
+        X / scale for every integer point X (scale > 0)."""
+        lcm, degree = (self._int_form or self._integer_form())[:2]
+        powers = [scale ** j for j in range(degree + 1)]
+        return IntegerForm(self.num_vars, {
+            e: c.numerator * (lcm // c.denominator) * powers[degree - sum(e)]
+            for e, c in self.terms.items()})
 
     def restrict(self, fixed: Mapping[int, Scalar]) -> "MultivariatePolynomial":
         """Substitute values for a subset of variables.
@@ -255,16 +254,81 @@ class MultivariatePolynomial:
         for i in fixed:
             if not 0 <= i < self.num_vars:
                 raise ArgumentError(f"fixed variable {i} out of range")
-        values = {i: _coef(v) for i, v in fixed.items()}
-        keep = [i for i in range(self.num_vars) if i not in values]
-        pairs = []
-        for e, c in self.terms.items():
-            for i, v in values.items():
-                k = e[i]
-                if k:
-                    c = c * v ** k
-            pairs.append((tuple(e[i] for i in keep), c))
-        return MultivariatePolynomial._from_terms(len(keep), _sum_terms(pairs))
+        return MultivariatePolynomial._from_terms(
+            self.num_vars - len(fixed),
+            _substitute(self.terms, {i: _coef(v) for i, v in fixed.items()},
+                        self.num_vars))
+
+
+def _substitute(terms: dict, fixed: Mapping[int, Scalar], num_vars: int) -> dict:
+    """Term map of `terms` with each variable of `fixed` replaced by its
+    value, the other variables kept in order.  Coefficients and values are
+    Fractions or ints alike."""
+    keep = [i for i in range(num_vars) if i not in fixed]
+    pairs = []
+    for e, c in terms.items():
+        for i, v in fixed.items():
+            k = e[i]
+            if k:
+                c = c * v ** k
+        pairs.append((tuple(e[i] for i in keep), c))
+    return _sum_terms(pairs)
+
+
+def _compile(items: list) -> tuple:
+    """(powers, terms) for `_int_total` from (int coefficient, list of
+    (variable, exponent) factors) items: the distinct factors to raise per
+    call, and each term as (coefficient, indices into their table)."""
+    powers = sorted({f for _, factors in items for f in factors})
+    index = {f: j for j, f in enumerate(powers)}
+    return tuple(powers), tuple(
+        (c, tuple([index[f] for f in factors])) for c, factors in items)
+
+
+def _int_total(powers: tuple, terms: tuple, point: Sequence[int]) -> int:
+    """The one integer loop, behind eval and every sign: the sum over terms
+    (c, indices) of c times the product of table[j] for j in indices, with
+    table the powers point[v] ** k for (v, k) in powers.  Coordinates of
+    variables that occur in no power are not read."""
+    table = [point[v] ** k for v, k in powers]
+    total = 0
+    for c, factors in terms:
+        for j in factors:
+            c *= table[j]
+        total += c
+    return total
+
+
+class IntegerForm:
+    """Polynomial with int coefficients, read at integer points.
+
+    `MultivariatePolynomial.integer_form(M)` gives the form whose sign at X
+    is the sign of the polynomial at X / M; restricting a form at integer
+    values gives another form, with no Fraction anywhere.
+    """
+
+    __slots__ = ("num_vars", "terms", "_loop")
+
+    def __init__(self, num_vars: int, terms: dict):
+        """`terms` maps exponent tuples of length num_vars to nonzero ints."""
+        self.num_vars = num_vars
+        self.terms = terms
+        self._loop = None
+
+    def sign(self, point: Sequence[int]) -> int:
+        """-1, 0 or 1: the sign of the value at an integer point."""
+        if self._loop is None:
+            self._loop = _compile([(c, [(i, k) for i, k in enumerate(e) if k])
+                                   for e, c in self.terms.items()])
+        powers, terms = self._loop
+        total = _int_total(powers, terms, point)
+        return (total > 0) - (total < 0)
+
+    def restrict(self, fixed: Mapping[int, int]) -> "IntegerForm":
+        """Substitute int values for some variables; the others are
+        re-indexed in order, as in MultivariatePolynomial.restrict."""
+        return IntegerForm(self.num_vars - len(fixed),
+                           _substitute(self.terms, fixed, self.num_vars))
 
 
 # -- univariate helpers (used by the Sturm machinery) -------------------

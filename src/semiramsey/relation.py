@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import ArgumentError
-from .poly import MultivariatePolynomial, Scalar, _coef
+from .errors import MAX_BITS, ArgumentError, ResourceLimitError
+from .poly import IntegerForm, MultivariatePolynomial, Scalar, _coef
 
 COMPARISONS = ("ge", "gt", "eq")
 
@@ -32,12 +32,14 @@ class Atom:
         if self.poly_index < 0:
             raise ArgumentError("negative polynomial index")
 
-    def holds(self, value: Fraction) -> bool:
+    def holds(self, sign: int) -> bool:
+        """Whether the condition holds where the polynomial has this sign
+        (-1, 0 or 1)."""
         if self.cmp == "ge":
-            return value >= 0
+            return sign >= 0
         if self.cmp == "gt":
-            return value > 0
-        return value == 0
+            return sign > 0
+        return sign == 0
 
 
 class Formula:
@@ -151,6 +153,7 @@ class SemiAlgebraicRelation:
         self.point_dim = point_dim
         self.polys = tuple(polys)
         self.formula = formula
+        self._forms: dict[int, list[IntegerForm]] = {}
 
     def complexity(self) -> int:
         """Description complexity t: ambient dimension, polynomial count and
@@ -158,18 +161,36 @@ class SemiAlgebraicRelation:
         max_deg = max((p.degree() for p in self.polys), default=0)
         return max(self.arity * self.point_dim, len(self.polys), max_deg)
 
+    def integer_forms(self, scale: int) -> list[IntegerForm]:
+        """Each polynomial's integer form at `scale`, built once per scale."""
+        forms = self._forms.get(scale)
+        if forms is None:
+            forms = [p.integer_form(scale) for p in self.polys]
+            self._forms[scale] = forms
+        return forms
+
     def holds_on_coords(self, coords: Sequence[Fraction]) -> bool:
         """Evaluate on already-concatenated coordinates of an index tuple."""
         if len(coords) != self.arity * self.point_dim:
             raise ArgumentError("coordinate vector has the wrong length")
-        values: dict[int, Fraction] = {}
+        return self._decide(lambda i: _sign(self.polys[i].eval(coords)))
+
+    def holds_at_scale(self, scale: int, coords: Sequence[int]) -> bool:
+        """Evaluate at the rational point coords / scale, given the integer
+        coordinates of an index tuple (see OrderedPointSet.scaled)."""
+        forms = self.integer_forms(scale)
+        return self._decide(lambda i: forms[i].sign(coords))
+
+    def _decide(self, sign: Callable[[int], int]) -> bool:
+        """The formula with each atom decided by sign(poly_index), which is
+        called at most once per polynomial."""
+        signs: dict[int, int] = {}
 
         def truth(atom: Atom) -> bool:
-            v = values.get(atom.poly_index)
-            if v is None:
-                v = self.polys[atom.poly_index].eval(coords)
-                values[atom.poly_index] = v
-            return atom.holds(v)
+            s = signs.get(atom.poly_index)
+            if s is None:
+                s = signs[atom.poly_index] = sign(atom.poly_index)
+            return atom.holds(s)
 
         return self.formula.evaluate(truth)
 
@@ -187,13 +208,17 @@ class OrderedPointSet:
             pts.append(tuple(_coef(x) for x in p))
         self.dim = dim
         self.points = tuple(pts)
+        self._scaled = None
 
     def __len__(self):
         return len(self.points)
 
-    def point(self, index: int) -> tuple[Fraction, ...]:
+    def _check_index(self, index: int) -> None:
         if not 1 <= index <= len(self.points):
             raise ArgumentError(f"point index {index} out of range 1..{len(self.points)}")
+
+    def point(self, index: int) -> tuple[Fraction, ...]:
+        self._check_index(index)
         return self.points[index - 1]
 
     def coords_for(self, indices: Sequence[int]) -> list[Fraction]:
@@ -202,10 +227,38 @@ class OrderedPointSet:
             out.extend(self.point(i))
         return out
 
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(M, X), built on first use: M is the LCM of every coordinate
+        denominator and X the points times M, as int tuples in index order.
+
+        Raises ResourceLimitError when M has more than MAX_BITS bits.
+        """
+        if self._scaled is None:
+            scale = 1
+            for d in {x.denominator for p in self.points for x in p}:
+                scale = math.lcm(scale, d)
+                if scale.bit_length() > MAX_BITS:
+                    raise ResourceLimitError(
+                        f"common denominator of the points exceeds {MAX_BITS} bits")
+            self._scaled = (scale, tuple(
+                tuple(x.numerator * (scale // x.denominator) for x in p)
+                for p in self.points))
+        return self._scaled
+
+    def scaled_coords_for(self, indices: Sequence[int]) -> tuple[int, list[int]]:
+        """(M, the concatenated integer coordinates of the indexed points)."""
+        scale, scaled = self.scaled()
+        out: list[int] = []
+        for i in indices:
+            self._check_index(i)
+            out.extend(scaled[i - 1])
+        return scale, out
+
 
 def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
                     indices: Sequence[int]) -> bool:
-    """Whether the index tuple (1-based, strictly increasing) is in the relation."""
+    """Whether the index tuple (1-based, strictly increasing) is in the
+    relation, decided by integer signs on the scaled point set."""
     if relation.point_dim != points.dim:
         raise ArgumentError(
             f"relation lives in R^{relation.point_dim}, points in R^{points.dim}")
@@ -215,7 +268,12 @@ def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
     for a, b in zip(indices, indices[1:]):
         if a >= b:
             raise ArgumentError(f"indices must be strictly increasing, got {tuple(indices)}")
-    return relation.holds_on_coords(points.coords_for(indices))
+    return relation.holds_at_scale(*points.scaled_coords_for(indices))
+
+
+def _sign(value: Fraction) -> int:
+    n = value.numerator
+    return (n > 0) - (n < 0)
 
 
 SignVector = tuple  # tuple of -1 / 0 / +1, one entry per polynomial
@@ -224,11 +282,7 @@ SignVector = tuple  # tuple of -1 / 0 / +1, one entry per polynomial
 def sign_vector(polys: Sequence[MultivariatePolynomial],
                 point: Sequence[Scalar]) -> SignVector:
     """Componentwise sign of a polynomial family at a point."""
-    out = []
-    for p in polys:
-        v = p.eval(point)
-        out.append(0 if v == 0 else (1 if v > 0 else -1))
-    return tuple(out)
+    return tuple([_sign(p.eval(point)) for p in polys])
 
 
 def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],

@@ -4,8 +4,9 @@ max_homogeneous is an exact branch-and-bound over both polarities, with
 its candidate sets kept as int bitmasks.
 erdos_rado_greedy is the recursive class-refinement extraction: it seeds
 k-2 points, repeatedly keeps the largest membership-signature class, and
-recurses on a relation of one lower arity obtained by fixing the last
-chosen point, certifying the final subset against the original relation.
+recurses at one lower arity with the last chosen point fixed in the
+relation's integer forms, certifying the final subset against the original
+relation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .errors import (ArgumentError, BudgetExhaustedError, PreconditionError,
                      ResourceLimitError)
-from .poly import MultivariatePolynomial
+from .poly import IntegerForm, MultivariatePolynomial
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
                        eval_membership, milnor_thom_bound)
 from .rng import SeededRng
@@ -113,8 +114,8 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
 
     If the node budget runs out the best subset found so far is returned
     with stats["maximum"] set to False (it is still a certified homogeneous
-    subset).  stats also counts the nodes, the bound prunes and the
-    distinct tuples evaluated ("evaluations").
+    subset).  stats also counts the nodes visited (at most the budget), the
+    bound prunes and the distinct tuples evaluated ("evaluations").
     """
     n = len(points)
     k = relation.arity
@@ -131,10 +132,10 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
 
         def extend(current: list[int], candidates: int):
             nonlocal best, nodes, prunes, exhausted
-            nodes += 1
-            if nodes > budget:
+            if nodes >= budget:
                 exhausted = True
                 return
+            nodes += 1
             if len(current) > len(best):
                 best = tuple(current)
             while candidates:
@@ -201,6 +202,11 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     Fixing the last chosen point in the final slot then drops the arity by
     one; at arity 2 an exact budgeted search finishes the job.  The returned
     subset is re-certified exhaustively against the original relation.
+
+    The pass runs on the scaled point set (OrderedPointSet.scaled) and the
+    relation's integer forms, so every restriction and every sign is
+    computed in ints.  stats counts the restrictions and the sign
+    evaluations of the class splits.
     """
     oracle = MembershipOracle(points, relation)
     k = relation.arity
@@ -209,60 +215,70 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     if len(points) < k:
         raise ArgumentError("need at least arity many points")
 
-    classes_per_level: list[list[int]] = []
-    coords = [points.point(i) for i in range(1, len(points) + 1)]
-    indices = list(range(1, len(points) + 1))
-    subset = _greedy_level(coords, indices, relation, budget, classes_per_level)
+    scale, scaled = points.scaled()
+    stats = {"classes_per_level": [], "restrictions": 0, "sign_evaluations": 0}
+    subset = _greedy_level(list(scaled), list(range(1, len(points) + 1)),
+                           relation.integer_forms(scale), relation, k,
+                           budget, stats)
     subset = tuple(sorted(subset))
 
     polarity, witness = oracle.polarity(subset)
     if polarity is None:
         raise AssertionError(
             f"greedy produced a non-homogeneous subset, witness {witness}")
+    stats["method"] = "greedy"
     return HomogeneousResult(
         subset=subset,
         polarity=polarity,
         certified=True,
-        stats={"classes_per_level": classes_per_level, "method": "greedy"},
+        stats=stats,
     )
 
 
-def _greedy_level(coords: list, indices: list[int],
-                  relation: SemiAlgebraicRelation, budget: int,
-                  classes_log: list) -> list[int]:
-    """One arity level of the greedy recursion; returns original indices."""
-    k = relation.arity
+def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
+                  relation: SemiAlgebraicRelation, k: int, budget: int,
+                  stats: dict) -> list[int]:
+    """One arity level of the greedy recursion on integer points, with
+    `forms` the relation's integer forms with all but the first k slots
+    fixed; returns original indices."""
     d = relation.point_dim
     if k == 2:
-        pts = OrderedPointSet(d, coords)
-        res = max_homogeneous(pts, relation, budget=budget)
+        lower = SemiAlgebraicRelation(
+            2, d, [MultivariatePolynomial(f.num_vars, f.terms) for f in forms],
+            relation.formula)
+        res = max_homogeneous(OrderedPointSet(d, coords), lower, budget=budget)
         return [indices[i - 1] for i in res.subset]
+
+    def restrict(form: IntegerForm, fixed: dict) -> IntegerForm:
+        stats["restrictions"] += 1
+        return form.restrict(fixed)
 
     chosen: list[int] = list(range(k - 2))       # positions into coords
     survivors = list(range(k - 2, len(coords)))
     level_log: list[int] = []
 
-    # cache[(poly, prefix-positions)] = polynomial with the first k-2 slots
-    # fixed, leaving the last two slots (2d variables) free
-    prefix_cache: dict[tuple, MultivariatePolynomial] = {}
+    # cache[(poly, prefix-positions)] = form with the first k-2 slots fixed,
+    # leaving the last two slots (2d variables) free
+    prefix_cache: dict[tuple, IntegerForm] = {}
 
-    def prefix_restricted(pi: int, prefix: tuple) -> MultivariatePolynomial:
+    def prefix_restricted(pi: int, prefix: tuple) -> IntegerForm:
         key = (pi, prefix)
         got = prefix_cache.get(key)
         if got is None:
-            fixed = {}
-            for slot, pos in enumerate(prefix):
-                for c in range(d):
-                    fixed[slot * d + c] = coords[pos][c]
-            got = relation.polys[pi].restrict(fixed)
-            prefix_cache[key] = got
+            fixed = {slot * d + c: v for slot, pos in enumerate(prefix)
+                     for c, v in enumerate(coords[pos])}
+            got = prefix_cache[key] = restrict(forms[pi], fixed)
         return got
 
-    # The distinct atoms grouped by polynomial, in (poly_index, cmp) order.
+    # The distinct atoms grouped by polynomial, in (poly_index, cmp) order,
+    # with their truth values indexed by sign: truths[s] for s in 0, 1, -1.
     atoms_by_poly: dict[int, list[Atom]] = {}
     for atom in sorted(set(relation.formula.atoms()),
                        key=lambda a: (a.poly_index, a.cmp)):
         atoms_by_poly.setdefault(atom.poly_index, []).append(atom)
+    truths_by_poly = {pi: tuple(tuple(a.holds(s) for a in atoms)
+                                for s in (0, 1, -1))
+                      for pi, atoms in atoms_by_poly.items()}
 
     while survivors:
         q = survivors.pop(0)
@@ -270,33 +286,35 @@ def _greedy_level(coords: list, indices: list[int],
         if not survivors:
             break
         # Signature of a survivor w: truth of every atom of the relation
-        # restricted at ((k-2)-subset of earlier chosen, q, w).
-        restricted: list[tuple[MultivariatePolynomial, list[Atom]]] = []
-        fixed = {c: coords[q][c] for c in range(d)}
+        # restricted at ((k-2)-subset of earlier chosen, q, w).  A form
+        # without variables has one sign for every w and splits no class,
+        # so it is left out.
+        restricted: list[tuple[IntegerForm, tuple]] = []
+        fixed = dict(enumerate(coords[q]))
         for prefix in itertools.combinations(chosen[:-1], k - 2):
-            for pi, atoms in atoms_by_poly.items():
-                half = prefix_restricted(pi, prefix)
-                restricted.append((half.restrict(fixed), atoms))
+            for pi, truths in truths_by_poly.items():
+                form = restrict(prefix_restricted(pi, prefix), fixed)
+                if any(any(e) for e in form.terms):
+                    restricted.append((form, truths))
         groups: dict[tuple, list[int]] = {}
         for w in survivors:
-            sig = []
-            for rp, atoms in restricted:
-                value = rp.eval(coords[w])
-                sig.extend([atom.holds(value) for atom in atoms])
-            groups.setdefault(tuple(sig), []).append(w)
+            x = coords[w]
+            sig = tuple([truths[form.sign(x)] for form, truths in restricted])
+            groups.setdefault(sig, []).append(w)
+        stats["sign_evaluations"] += len(survivors) * len(restricted)
         level_log.append((len(chosen) - 1, len(groups)))
         survivors = max(groups.values(), key=lambda g: (len(g), -g[0]))
 
-    classes_log.append(level_log)
+    stats["classes_per_level"].append(level_log)
 
     # Fix the last chosen point into the final slot: arity drops by one.
     last = chosen[-1]
     rest = chosen[:-1]
-    fixed = {(k - 1) * d + c: coords[last][c] for c in range(d)}
-    lower = SemiAlgebraicRelation(
-        k - 1, d, [p.restrict(fixed) for p in relation.polys], relation.formula)
+    fixed = {(k - 1) * d + c: v for c, v in enumerate(coords[last])}
     inner = _greedy_level([coords[i] for i in rest],
-                          [indices[i] for i in rest], lower, budget, classes_log)
+                          [indices[i] for i in rest],
+                          [restrict(f, fixed) for f in forms], relation,
+                          k - 1, budget, stats)
     return inner + [indices[last]]
 
 

@@ -12,8 +12,12 @@ import oracle_roots
 from semiramsey import (
     ArgumentError,
     Atom,
+    Formula,
     MultivariatePolynomial as Poly,
+    OrderedPointSet,
+    SemiAlgebraicRelation,
     derivative,
+    eval_membership,
     from_univariate_coeffs,
     univariate_coeffs,
     univariate_divmod,
@@ -270,13 +274,39 @@ def mixed_polynomials(draw):
     return Poly(n, terms)
 
 
+def sign(value) -> int:
+    return (value > 0) - (value < 0)
+
+
 def assert_matches_oracle(p: Poly, point) -> None:
     value = p.eval(point)
     expected = oracle_eval.eval_fraction(p.terms, point)
     assert value == expected and type(value) is F
-    assert Atom(0, "ge").holds(value) == (expected >= 0)
-    assert Atom(0, "gt").holds(value) == (expected > 0)
-    assert Atom(0, "eq").holds(value) == (expected == 0)
+    assert Atom(0, "ge").holds(sign(value)) == (expected >= 0)
+    assert Atom(0, "gt").holds(sign(value)) == (expected > 0)
+    assert Atom(0, "eq").holds(sign(value)) == (expected == 0)
+
+
+def assert_scaled_signs_match_oracle(p: Poly, rows, fixed_vars=()) -> None:
+    """On the point set `rows`: the integer form at the instance scale has
+    the oracle's sign at every point, also after fixing `fixed_vars` at the
+    point's integer coordinates, and each one-atom relation on p decides
+    membership as the oracle's value does."""
+    points = OrderedPointSet(p.num_vars, rows)
+    scale, scaled = points.scaled()
+    form = p.integer_form(scale)
+    relations = {cmp: SemiAlgebraicRelation(1, p.num_vars, [p],
+                                            Formula.leaf(0, cmp))
+                 for cmp in ("ge", "gt", "eq")}
+    for i, (row, xs) in enumerate(zip(rows, scaled), start=1):
+        expected = oracle_eval.eval_fraction(p.terms, row)
+        assert form.sign(xs) == sign(expected)
+        rest = [v for j, v in enumerate(xs) if j not in fixed_vars]
+        pinned = form.restrict({j: xs[j] for j in fixed_vars})
+        assert pinned.sign(rest) == sign(expected)
+        assert eval_membership(relations["ge"], points, (i,)) == (expected >= 0)
+        assert eval_membership(relations["gt"], points, (i,)) == (expected > 0)
+        assert eval_membership(relations["eq"], points, (i,)) == (expected == 0)
 
 
 @given(mixed_polynomials(), st.data())
@@ -284,6 +314,18 @@ def assert_matches_oracle(p: Poly, point) -> None:
 def test_eval_equals_fraction_oracle(p, data):
     point = [data.draw(coords) for _ in range(p.num_vars)]
     assert_matches_oracle(p, point)
+
+
+@given(mixed_polynomials(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_instance_scale_signs_equal_fraction_oracle(p, data):
+    if p.num_vars == 0:
+        p = Poly(1, {(0,): c for c in p.terms.values()})
+    n = p.num_vars
+    rows = data.draw(st.lists(st.lists(coords, min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    fixed_vars = data.draw(st.sets(st.integers(0, n - 1)))
+    assert_scaled_signs_match_oracle(p, rows, fixed_vars)
 
 
 def test_eval_zero_and_constant_polynomials_match_oracle():
@@ -297,9 +339,16 @@ def test_eval_zero_and_constant_polynomials_match_oracle():
 def test_eval_exact_zero_decides_eq_atoms():
     # (x0 - x1) * (3*x0 + 1) vanishes on the diagonal and at x0 = -1/3.
     p = (x(0, 2) - x(1, 2)) * (3 * x(0, 2) + 1)
-    for point in ([F(2, 7), F(2, 7)], [F(-1, 3), 5], [4, 4], [F(1, 2), 3]):
+    rows = [[F(2, 7), F(2, 7)], [F(-1, 3), 5], [4, 4], [F(1, 2), 3]]
+    for point in rows:
         assert_matches_oracle(p, point)
     assert p.eval([F(-1, 3), 5]) == 0
+    # The same zeros on one point set with common denominator 42.
+    assert_scaled_signs_match_oracle(p, rows, fixed_vars={0})
+    points = OrderedPointSet(2, rows)
+    on_zero = SemiAlgebraicRelation(1, 2, [p], Formula.leaf(0, "eq"))
+    assert [eval_membership(on_zero, points, (i,)) for i in range(1, 5)] == [
+        True, True, True, False]
 
 
 @given(st.sampled_from([3, F(3, 2), F(-5, 4), 1, 0]), coords)

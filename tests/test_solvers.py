@@ -18,7 +18,9 @@ from semiramsey import (
     MultivariatePolynomial as Poly,
     OrderedPointSet,
     PreconditionError,
+    ResourceLimitError,
     SemiAlgebraicRelation,
+    SeededRng,
     TransitiveColoring,
     base_construction,
     base_relation,
@@ -31,6 +33,7 @@ from semiramsey import (
     longest_monotone_subsequence,
     max_homogeneous,
     milnor_thom_bound,
+    one_dim_k4_construction,
     spencer_independent_set,
     step_up,
     transitive_ramsey_number,
@@ -39,6 +42,7 @@ from semiramsey import (
 from semiramsey.solvers import greedy_class_bound_check
 
 import oracle_bnb
+import oracle_greedy
 
 
 def x(i: int, n: int) -> Poly:
@@ -92,7 +96,7 @@ def test_budget_exhaustion_degrades_to_uncertified_maximum():
 def test_budget_exhaustion_at_arity_four():
     inst = step_up(base_construction(2))
     result = max_homogeneous(inst.points, inst.relation, budget=40)
-    assert result.stats["nodes"] > 40 and not result.stats["maximum"]
+    assert result.stats["nodes"] == 40 and not result.stats["maximum"]
     assert result.certified
     assert 4 <= len(result.subset) < 6
     assert homogeneous_check(inst.points, inst.relation,
@@ -242,6 +246,57 @@ def test_greedy_class_counts_respect_the_sign_pattern_bound():
     for step, classes in result.stats["classes_per_level"][0]:
         verdict = greedy_class_bound_check(inst.relation, classes, step)
         assert verdict is None or verdict
+
+
+def jittered_base(n: int, seed: int) -> tuple:
+    """base(n) with each point moved by a seeded rational offset in
+    [-1/10, 1/10], each with its own denominator."""
+    rng = SeededRng(seed)
+    inst = base_construction(n)
+    points = [[inst.points.point(i)[0] + rng.fraction(
+        F(-1, 10), F(1, 10), denominator=rng.randint(2, 97))]
+        for i in range(1, len(inst.points) + 1)]
+    return OrderedPointSet(1, points), inst.relation
+
+
+def _instance(inst) -> tuple:
+    return inst.points, inst.relation
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _instance(step_up(base_construction(2))),
+    lambda: _instance(one_dim_k4_construction(2)),
+    lambda: _instance(base_construction(4)),
+    lambda: jittered_base(4, 1),
+    lambda: jittered_base(5, 7),
+    lambda: jittered_base(5, 11),
+], ids=["stepup2", "onedim2", "base4", "jittered4-s1", "jittered5-s7",
+        "jittered5-s11"])
+def test_greedy_matches_the_fraction_oracle(make):
+    points, relation = make()
+    result = erdos_rado_greedy(points, relation)
+    subset, polarity, classes = oracle_greedy.greedy_fraction(points, relation)
+    assert (result.subset, result.polarity,
+            result.stats["classes_per_level"]) == (subset, polarity, classes)
+
+
+def test_greedy_counters_are_deterministic():
+    inst = step_up(base_construction(2))
+    stats = [erdos_rado_greedy(inst.points, inst.relation).stats
+             for _ in range(2)]
+    assert stats[0] == stats[1]
+    assert (stats[0]["restrictions"], stats[0]["sign_evaluations"]) == (
+        1353, 1732)
+
+
+def test_common_denominator_over_max_bits_is_refused():
+    # Each denominator alone is under MAX_BITS; their LCM is 1,233,986 bits.
+    points = OrderedPointSet(1, [[F(1, 2 ** 600000)], [F(1, 3 ** 400000)],
+                                 [1]])
+    with pytest.raises(ResourceLimitError):
+        eval_membership(base_relation(), points, (1, 2, 3))
+    with pytest.raises(ResourceLimitError):
+        erdos_rado_greedy(points, base_relation())
 
 
 def test_greedy_rejects_binary_relations():
