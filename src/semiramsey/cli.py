@@ -321,8 +321,8 @@ def cmd_verify_milnor_thom(args) -> int:
                 polys.append(p)
         if len(polys) < dim:
             continue
-        pts = [[t_rng.fraction(Fraction(-10), Fraction(10))
-                for _ in range(dim)] for _ in range(args.points)]
+        pts = [[t_rng.fraction(-10, 10) for _ in range(dim)]
+               for _ in range(args.points)]
         got = count_distinct_sign_vectors(polys, pts)
         bound = milnor_thom_bound(max(p.degree() for p in polys),
                                   len(polys), dim)
@@ -347,15 +347,15 @@ def cmd_verify_sturm(args) -> int:
         g = from_univariate_coeffs(coeffs)
         seq = sturm_sequence(g)
         a, b = Fraction(-100), Fraction(100)
-        while g.eval([a]) == 0:
+        while g.sign([a]) == 0:
             a -= 1
-        while g.eval([b]) == 0:
+        while g.sign([b]) == 0:
             b += 1
         total = count_real_roots(g, a, b, seq)
         mid = (a + b) / 2
-        if g.eval([mid]) == 0:
+        if g.sign([mid]) == 0:
             mid += Fraction(1, 257)
-        if g.eval([mid]) == 0:
+        if g.sign([mid]) == 0:
             continue
         split = (count_real_roots(g, a, mid, seq)
                  + count_real_roots(g, mid, b, seq))

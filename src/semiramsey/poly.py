@@ -3,8 +3,9 @@
 A polynomial is a map from exponent vectors (one integer per variable) to
 nonzero Fraction coefficients.  Variables are 0-based: x0, x1, ...  All
 arithmetic is exact; nothing in this module ever touches floats.
-Evaluation clears denominators and runs in plain integers; an IntegerForm
-decides signs at integer points with the same loop, `_int_total`.
+Evaluation and `sign` clear denominators and run in plain integers, and
+so does univariate division; an IntegerForm decides signs at integer points
+with the same loop, `_int_total`.
 """
 
 from __future__ import annotations
@@ -215,24 +216,33 @@ class MultivariatePolynomial:
             self._int_form = (scale, degree, tuple(used), *_compile(items))
         return self._int_form
 
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point.
-
-        With L the LCM of the denominators of the coordinates that occur and
-        X_i = x_i * L, the value is
-        sum c*B * L^(D - |e|) * prod X_i^e_i  /  (B * L^D),
-        and the sum is the integer loop `_int_total`.
-        """
+    def _scaled_total(self, point: Sequence[Scalar]) -> tuple[int, int]:
+        """(T, L) at a rational point: L is the LCM of the denominators of
+        the coordinates that occur and, with X_i = x_i * L,
+        T = sum c*B * L^(D - |e|) * prod X_i^e_i = B * L^D * self(point),
+        summed by the integer loop `_int_total`."""
         if len(point) != self.num_vars:
             raise ArgumentError(
                 f"point has {len(point)} coordinates, polynomial has {self.num_vars} variables")
-        scale, degree, used, powers, terms = (self._int_form
-                                              or self._integer_form())
+        _, _, used, powers, terms = self._int_form or self._integer_form()
         ratios = [point[i].as_integer_ratio() for i in used]
         lcm = math.lcm(*[d for _, d in ratios])
         bases = [n * (lcm // d) for n, d in ratios]
         bases.append(lcm)
-        return Fraction(_int_total(powers, terms, bases), scale * lcm ** degree)
+        return _int_total(powers, terms, bases), lcm
+
+    def eval(self, point: Sequence[Scalar]) -> Fraction:
+        """Exact value at a rational point: T / (B * L^D), with T and L as
+        in `_scaled_total`."""
+        total, lcm = self._scaled_total(point)
+        scale, degree = self._int_form[:2]
+        return Fraction(total, scale * lcm ** degree)
+
+    def sign(self, point: Sequence[Scalar]) -> int:
+        """-1, 0 or 1: the sign of the value at a rational point, read off
+        the integer total without forming the value (B * L^D > 0)."""
+        total = self._scaled_total(point)[0]
+        return (total > 0) - (total < 0)
 
     def integer_form(self, scale: int) -> "IntegerForm":
         """The IntegerForm sum c*B * scale^(D - |e|) * X^e, which equals
@@ -362,21 +372,46 @@ def derivative(p: MultivariatePolynomial, index: int = 0) -> MultivariatePolynom
 
 
 def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):
-    """Exact Euclidean division of univariate polynomials: a = q*b + r."""
+    """Exact Euclidean division of univariate polynomials: a = q*b + r.
+
+    The denominators are cleared once, A = a * da and Bz = b * db, and
+    integer pseudo-division keeps s * A = Q * Bz + R with an integer s != 0,
+    which each step multiplies by lead(Bz) / gcd.  Then q = Q * db / (s * da)
+    and r = R / (s * da), one Fraction per coefficient; as Euclidean
+    division is unique, these are the quotient and remainder over Q.
+    """
     if a.num_vars != 1 or b.num_vars != 1:
         raise ArgumentError("expected univariate polynomials")
     if b.is_zero():
         raise ArgumentError("division by the zero polynomial")
-    r = univariate_coeffs(a)
-    rb = univariate_coeffs(b)
-    q = [Fraction(0)] * max(1, len(r) - len(rb) + 1)
+    r, da = _cleared(univariate_coeffs(a))
+    rb, db = _cleared(univariate_coeffs(b))
+    q = [0] * max(1, len(r) - len(rb) + 1)
     lead = rb[-1]
+    s = 1
     while len(r) >= len(rb):
         shift = len(r) - len(rb)
-        factor = r[-1] / lead
+        g = math.gcd(r[-1], lead)
+        mult, factor = lead // g, r[-1] // g
+        if mult != 1:
+            s *= mult
+            r = [mult * c for c in r]
+            q = [mult * c for c in q]
         q[shift] = factor
         for i, c in enumerate(rb):
             r[shift + i] -= factor * c
         while r and r[-1] == 0:
             r.pop()
-    return from_univariate_coeffs(q), from_univariate_coeffs(r)
+    return _from_ints(q, db, s * da), _from_ints(r, 1, s * da)
+
+
+def _cleared(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """(the coefficients times d, d) with d the LCM of their denominators."""
+    d = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _from_ints(coeffs: list[int], num: int, den: int) -> MultivariatePolynomial:
+    """The univariate polynomial sum coeffs[i] * num / den * x^i."""
+    return MultivariatePolynomial._from_terms(1, {
+        (i,): Fraction(c * num, den) for i, c in enumerate(coeffs) if c})

@@ -173,7 +173,7 @@ class SemiAlgebraicRelation:
         """Evaluate on already-concatenated coordinates of an index tuple."""
         if len(coords) != self.arity * self.point_dim:
             raise ArgumentError("coordinate vector has the wrong length")
-        return self._decide(lambda i: _sign(self.polys[i].eval(coords)))
+        return self._decide(lambda i: self.polys[i].sign(coords))
 
     def holds_at_scale(self, scale: int, coords: Sequence[int]) -> bool:
         """Evaluate at the rational point coords / scale, given the integer
@@ -271,23 +271,37 @@ def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
     return relation.holds_at_scale(*points.scaled_coords_for(indices))
 
 
-def _sign(value: Fraction) -> int:
-    n = value.numerator
-    return (n > 0) - (n < 0)
-
-
 SignVector = tuple  # tuple of -1 / 0 / +1, one entry per polynomial
 
 
 def sign_vector(polys: Sequence[MultivariatePolynomial],
                 point: Sequence[Scalar]) -> SignVector:
     """Componentwise sign of a polynomial family at a point."""
-    return tuple([_sign(p.eval(point)) for p in polys])
+    return tuple([p.sign(point) for p in polys])
 
 
 def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
                                 points: Iterable[Sequence[Scalar]]) -> int:
-    return len({sign_vector(polys, p) for p in points})
+    """Number of distinct sign vectors of the family over the points.
+
+    The points are scaled to integers once (`OrderedPointSet.scaled`: one
+    LCM M, refused above MAX_BITS bits), and each polynomial is read
+    through its integer form at M, so no value is formed.  The points must
+    have as many coordinates as every polynomial has variables.
+    """
+    points = list(points)
+    if not points:
+        return 0
+    if not polys:
+        return 1  # every point has the empty sign vector
+    dim = polys[0].num_vars
+    for p in polys:
+        if p.num_vars != dim:
+            raise ArgumentError(
+                f"family mixes polynomials in {dim} and {p.num_vars} variables")
+    scale, scaled = OrderedPointSet(dim, points).scaled()
+    forms = [p.integer_form(scale) for p in polys]
+    return len({tuple([f.sign(x) for f in forms]) for x in scaled})
 
 
 def milnor_thom_bound(max_degree: int, family_size: int, dim: int) -> int:

@@ -53,10 +53,15 @@ class SeededRng:
             if u < limit:
                 return lo + u % span
 
-    def fraction(self, lo: Fraction, hi: Fraction, denominator: int = 1 << 16) -> Fraction:
-        """Exact rational sample from [lo, hi] on a uniform grid."""
+    def fraction(self, lo: int | Fraction, hi: int | Fraction,
+                 denominator: int = 1 << 16) -> Fraction:
+        """Exact rational sample from [lo, hi] on a uniform grid: the value
+        lo + (hi - lo) * k / denominator, formed as a single Fraction."""
         k = self.randint(0, denominator)
-        return lo + (hi - lo) * Fraction(k, denominator)
+        ln, ld = lo.as_integer_ratio()
+        hn, hd = hi.as_integer_ratio()
+        return Fraction(ln * hd * denominator + (hn * ld - ln * hd) * k,
+                        ld * hd * denominator)
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]

@@ -603,6 +603,6 @@ def find_bad_triples(points: OrderedPointSet, relation: SemiAlgebraicRelation):
                 if c == a or c == b:
                     continue
                 x = vals[c]
-                if any(f.eval([x]) == 0 for f in family):
+                if any(f.sign([x]) == 0 for f in family):
                     bad.add(tuple(sorted((a + 1, b + 1, c + 1))))
     return sorted(bad), skipped

@@ -213,6 +213,10 @@ coefficient_lists = st.lists(rationals, max_size=7)
 @example([F(1), F(2), F(-1)], [F(-2, 3)], False)  # constant divisor
 @example([F(1), F(2)], [F(1), F(0), F(5)], False)  # divisor of higher degree
 @example([F(1), F(-1, 2)], [F(2), F(0), F(1)], True)  # exact division
+@example([F(1), F(-2), F(0), F(5, 2), F(-4, 9)],
+         [F(1, 2), F(-3, 5), F(7, 3)], False)  # non-monic rational divisor
+@example([F(3, 2 ** 64), F(-1), F(0), F(5, 2 ** 64 - 1), F(1, 3)],
+         [F(-2), F(1, 7)], False)  # dividend with a 2^64 denominator
 @settings(max_examples=200, deadline=None)
 def test_divmod_and_derivative_equal_list_oracle(a, b, exact):
     """Trailing zeros in the lists pad the polynomial; the oracle strips."""
@@ -282,6 +286,7 @@ def assert_matches_oracle(p: Poly, point) -> None:
     value = p.eval(point)
     expected = oracle_eval.eval_fraction(p.terms, point)
     assert value == expected and type(value) is F
+    assert p.sign(point) == sign(expected)
     assert Atom(0, "ge").holds(sign(value)) == (expected >= 0)
     assert Atom(0, "gt").holds(sign(value)) == (expected > 0)
     assert Atom(0, "eq").holds(sign(value)) == (expected == 0)
@@ -314,6 +319,19 @@ def assert_scaled_signs_match_oracle(p: Poly, rows, fixed_vars=()) -> None:
 def test_eval_equals_fraction_oracle(p, data):
     point = [data.draw(coords) for _ in range(p.num_vars)]
     assert_matches_oracle(p, point)
+
+
+@given(mixed_polynomials(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sign_equals_sign_of_fraction_oracle(p, data):
+    """Also at an exact zero: p minus its oracle value at the point."""
+    point = [data.draw(coords) for _ in range(p.num_vars)]
+    assert_matches_oracle(p, point)
+    shifted = p - oracle_eval.eval_fraction(p.terms, point)
+    assert_matches_oracle(shifted, point)
+    assert shifted.sign(point) == 0
+    with pytest.raises(ArgumentError):
+        p.sign(point + [1])
 
 
 @given(mixed_polynomials(), st.data())

@@ -8,11 +8,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_eval
 from semiramsey import (
     ArgumentError,
     Formula,
     MultivariatePolynomial as Poly,
     OrderedPointSet,
+    ResourceLimitError,
+    SeededRng,
     SemiAlgebraicRelation,
     base_construction,
     count_distinct_sign_vectors,
@@ -137,6 +140,72 @@ def test_count_distinct_sign_vectors_examples():
     assert count_distinct_sign_vectors([one], [[-5], [0], [7]]) == 1
     quadrants = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
     assert count_distinct_sign_vectors([x(0, 2), x(1, 2)], quadrants) == 4
+
+
+def milnor_thom_family(rng: SeededRng) -> list[Poly]:
+    """A family drawn as `verify milnor-thom` draws one; empty when that
+    command would skip the trial."""
+    dim = rng.randint(2, 3)
+    family_size = rng.randint(dim, 6)
+    degree = rng.randint(1, 3)
+    polys = []
+    for _ in range(family_size):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = [0] * dim
+            for _ in range(degree):
+                e[rng.randint(0, dim - 1)] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + rng.randint(-5, 5)
+        p = Poly(dim, terms)
+        if not p.is_zero() and p.degree() >= 1:
+            polys.append(p)
+    return polys if len(polys) >= dim else []
+
+
+def oracle_sign_vector_count(polys, points) -> int:
+    return len({tuple((v > 0) - (v < 0) for v in (
+        oracle_eval.eval_fraction(p.terms, pt) for p in polys))
+        for pt in points})
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_count_distinct_sign_vectors_equals_oracle(seed):
+    rng = SeededRng(seed)
+    families = 0
+    while families < 25:
+        polys = milnor_thom_family(rng)
+        if not polys:
+            continue
+        families += 1
+        dim = polys[0].num_vars
+        grid = [[rng.fraction(-10, 10) for _ in range(dim)] for _ in range(20)]
+        ints = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(20)]
+        mixed = [[rng.fraction(F(-2), F(3, 2), denominator=rng.randint(1, 40))
+                  for _ in range(dim)] for _ in range(20)]
+        # The drawn polynomials are homogeneous; shifted ones are not.
+        shifted = [p + F(rng.randint(-9, 9), rng.randint(1, 5)) for p in polys]
+        for family in (polys, shifted):
+            for points in (grid, ints, mixed, grid + ints + mixed):
+                assert (count_distinct_sign_vectors(family, points)
+                        == oracle_sign_vector_count(family, points))
+
+
+def test_count_distinct_sign_vectors_refuses_bad_points():
+    with pytest.raises(ArgumentError):  # a point of the wrong dimension
+        count_distinct_sign_vectors([x(0, 2)], [[1, 2], [1]])
+    with pytest.raises(ArgumentError):  # a family across dimensions
+        count_distinct_sign_vectors([x(0, 2), x(0, 1)], [[1, 2]])
+    # Each denominator alone is under MAX_BITS; their LCM is 1,233,986 bits.
+    with pytest.raises(ResourceLimitError):
+        count_distinct_sign_vectors(
+            [x(0, 1)], [[F(1, 2 ** 600000)], [F(1, 3 ** 400000)], [1]])
+
+
+def test_count_distinct_sign_vectors_of_empty_inputs():
+    assert count_distinct_sign_vectors([], [[1], [F(1, 2)]]) == 1
+    assert count_distinct_sign_vectors([x(0, 1)], []) == 0
+    assert count_distinct_sign_vectors([], iter([])) == 0
+    assert count_distinct_sign_vectors([x(0, 1)], iter([[2], [-2]])) == 2
 
 
 # -- sign-pattern bound ----------------------------------------------------------

@@ -61,6 +61,7 @@ def test_sturm_sequence_rejects_multivariate_input():
 def test_sign_changes_ignores_zeros():
     assert sign_changes([F(1), F(0), F(-1), F(2)]) == 2
     assert sign_changes([F(0), F(0)]) == 0
+    assert sign_changes([1, 0, -1, 0, 1]) == 2
 
 
 def test_count_two_simple_roots():
