@@ -59,45 +59,39 @@ def _read_json(path: str, decode=lambda doc: doc):
         return decode(jsonio.loads(text))
     except ArgumentError:  # a ValueError too: keep its type and witness
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ArgumentError(
             f"malformed input {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _instance_summary(inst: constructions.ConstructionInstance) -> dict:
-    eps = inst.epsilon
-    return {"points": len(inst.points),
-            "dim": inst.points.dim,
-            "arity": inst.relation.arity,
-            "complexity": inst.relation.complexity(),
-            "epsilon": None if eps is None else jsonio.fraction_to_json(eps)}
+def _write(args, doc: dict, summary: dict) -> None:
+    """Write the document to --output (stdout by default).
 
-
-def _write_instance(args, inst: constructions.ConstructionInstance) -> int:
-    """Write instance JSON to --output (stdout by default).
-
-    With a real output file the summary line goes to stdout instead, so the
-    file stays byte-deterministic and scripts still get something to read.
+    With a real output file the summary goes to stdout instead, so the file
+    stays byte-deterministic and scripts still get something to read.
     """
-    doc = jsonio.instance_to_json(inst)
     if args.output in (None, "-"):
         _emit(doc)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(jsonio.dumps(doc))
-        _emit(_instance_summary(inst))
+        _emit(summary)
+
+
+def _write_instance(args, inst: constructions.ConstructionInstance) -> int:
+    eps = inst.epsilon
+    _write(args, jsonio.instance_to_json(inst), {
+        "points": len(inst.points), "dim": inst.points.dim,
+        "arity": inst.relation.arity,
+        "complexity": inst.relation.complexity(),
+        "epsilon": None if eps is None else jsonio.fraction_to_json(eps)})
     return EXIT_OK
 
 
 def _write_result(args, res: solvers.HomogeneousResult) -> int:
-    doc = jsonio.result_to_json(res)
-    if args.output in (None, "-"):
-        _emit(doc)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps(doc))
-        _emit({"size": len(res.subset), "polarity": res.polarity,
-               "certified": res.certified})
+    _write(args, jsonio.result_to_json(res),
+           {"size": len(res.subset), "polarity": res.polarity,
+            "certified": res.certified})
     if not res.certified or res.stats.get("maximum") is False:
         return EXIT_INCONCLUSIVE
     return EXIT_OK

@@ -339,12 +339,11 @@ def step_up_points(base: ConstructionInstance,
                  for p in prev]
         return copy1 + copy2
 
-    out = build(n)
-    eps1 = _stepped_stability_radius(out, pts, eps)
-    return OrderedPointSet(2 * d, out), eps1
+    out = OrderedPointSet(2 * d, build(n))
+    return out, _stepped_stability_radius(out, pts, eps)
 
 
-def _stepped_stability_radius(out: list, base_pts: OrderedPointSet,
+def _stepped_stability_radius(out: OrderedPointSet, base_pts: OrderedPointSet,
                               eps: Fraction) -> Fraction:
     """Largest dyadic eps1 making the stepped-up output eps1-increasing with
     all perturbed pair slopes still within eps of their base points.
@@ -353,19 +352,18 @@ def _stepped_stability_radius(out: list, base_pts: OrderedPointSet,
     on corner perturbations; the candidate is halved on failure and doubled
     while the next larger dyadic still passes.
 
-    The points are scaled once by their common denominator m, so every
-    difference below is an int in units of 1/m.  A pair contributes one
-    constraint per coordinate pair c: its x- and y-differences amp and num
-    and the window around coordinate c of base point delta(i, j) that its
-    slope must stay in.  The recursive copies repeat differences, and the
-    bound and the check are a min and an all over constraints, so only the
-    distinct ones are kept.
+    The points are read scaled by their common denominator m
+    (OrderedPointSet.scaled), so every difference below is an int in units
+    of 1/m.  A pair contributes one constraint per coordinate pair c: its
+    x- and y-differences amp and num and the window around coordinate c of
+    base point delta(i, j) that its slope must stay in.  The recursive
+    copies repeat differences, and the bound and the check are a min and an
+    all over constraints, so only the distinct ones are kept.
     """
     n_out = len(out)
-    dim2 = len(out[0])
+    dim2 = out.dim
     bits = n_out.bit_length() - 1
-    m = math.lcm(*(v.denominator for p in out for v in p))
-    pts = [[v.numerator * (m // v.denominator) for v in p] for p in out]
+    m, pts = out.scaled()
     gap = min(pts[i + 1][c] - pts[i][c]
               for i in range(n_out - 1) for c in range(dim2))
     # The slope window t - eps .. t + eps of each base coordinate as

@@ -14,7 +14,7 @@ from typing import Any
 from .errors import ArgumentError, ResourceLimitError, MAX_DEGREE
 from .geometry import Arrangement, Hyperplane
 from .poly import MultivariatePolynomial
-from .relation import (Atom, Formula, OrderedPointSet, SemiAlgebraicRelation)
+from .relation import Formula, OrderedPointSet, SemiAlgebraicRelation
 from .constructions import ConstructionInstance
 from .solvers import Hypergraph3, HomogeneousResult, TransitiveColoring
 

@@ -3,9 +3,12 @@
 A polynomial is a map from exponent vectors (one integer per variable) to
 nonzero Fraction coefficients.  Variables are 0-based: x0, x1, ...  All
 arithmetic is exact; nothing in this module ever touches floats.
-Evaluation and `sign` clear denominators and run in plain integers, and
-so does univariate division; an IntegerForm decides signs at integer points
-with the same loop, `_int_total`.
+
+Each polynomial has one integer form, its homogenization H in one more
+variable, the scale L (`_homogenized`): `eval` and `sign` read H at a point
+cleared to (X, L), `integer_form(M)` fixes L at M for a point set scaled
+by M, and the one integer loop `_int_total` sums every value and sign.
+Univariate division runs in integers too.
 """
 
 from __future__ import annotations
@@ -49,17 +52,17 @@ class MultivariatePolynomial:
     __slots__ = ("num_vars", "terms", "_hash", "_int_form")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, Scalar] | Iterable = ()):
-        if num_vars < 0:
-            raise ArgumentError("num_vars must be nonnegative")
+        if type(num_vars) is not int or num_vars < 0:
+            raise ArgumentError(f"num_vars must be a nonnegative int, got {num_vars!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         pairs = []
         for expvec, c in items:
-            e = tuple(int(x) for x in expvec)
+            e = tuple(expvec)
             if len(e) != num_vars:
                 raise ArgumentError(
                     f"exponent vector {e} has length {len(e)}, expected {num_vars}")
-            if any(x < 0 for x in e):
-                raise ArgumentError(f"negative exponent in {e}")
+            if any(type(x) is not int or x < 0 for x in e):
+                raise ArgumentError(f"exponents must be nonnegative ints, got {e}")
             pairs.append((e, _coef(c)))
         self._set(num_vars, _sum_terms(pairs))
 
@@ -192,67 +195,51 @@ class MultivariatePolynomial:
 
     # -- evaluation and restriction -------------------------------------
 
-    def _integer_form(self) -> tuple:
-        """Integer data for eval, built on first use.
-
-        (B, D, used, powers, terms): B is the positive LCM of the
-        coefficient denominators and D the degree (0 for the zero
-        polynomial).  `used` lists the variables that occur.  A call scales
-        them to integers X_s and appends L as slot len(used); `powers` and
-        `terms` compile sum c*B * L^(D - |e|) * prod X_s^e_s for
-        `_int_total`, with L raised only to the residual degrees that occur.
-        """
+    def _homogenized(self) -> tuple:
+        """(B, D, H), built on first use: B is the positive LCM of the
+        coefficient denominators, D the degree (0 for the zero polynomial)
+        and H the homogenization sum c*B * X^e * L^(D - |e|), an IntegerForm
+        in num_vars + 1 variables whose last one is the scale L.  For
+        X = x * L, H(X, L) = B * L^D * self(x)."""
         if self._int_form is None:
-            scale = math.lcm(*(c.denominator for c in self.terms.values()))
+            scale = math.lcm(*[c.denominator for c in self.terms.values()])
             degree = max(self.degree(), 0)
-            used = sorted({i for e in self.terms for i, k in enumerate(e) if k})
-            slot = {v: s for s, v in enumerate(used)}
-            items = []
-            for e, c in self.terms.items():
-                factors = [(slot[i], k) for i, k in enumerate(e) if k]
-                if degree > sum(e):
-                    factors.append((len(used), degree - sum(e)))
-                items.append((c.numerator * (scale // c.denominator), factors))
-            self._int_form = (scale, degree, tuple(used), *_compile(items))
+            self._int_form = (scale, degree, IntegerForm(self.num_vars + 1, {
+                e + (degree - sum(e),): c.numerator * (scale // c.denominator)
+                for e, c in self.terms.items()}))
         return self._int_form
 
-    def _scaled_total(self, point: Sequence[Scalar]) -> tuple[int, int]:
-        """(T, L) at a rational point: L is the LCM of the denominators of
-        the coordinates that occur and, with X_i = x_i * L,
-        T = sum c*B * L^(D - |e|) * prod X_i^e_i = B * L^D * self(point),
-        summed by the integer loop `_int_total`."""
+    def _total(self, point: Sequence[Scalar]) -> tuple[int, int]:
+        """(H(X, L), L) at a rational point, with X, L = _cleared(point)."""
         if len(point) != self.num_vars:
             raise ArgumentError(
                 f"point has {len(point)} coordinates, polynomial has {self.num_vars} variables")
-        _, _, used, powers, terms = self._int_form or self._integer_form()
-        ratios = [point[i].as_integer_ratio() for i in used]
-        lcm = math.lcm(*[d for _, d in ratios])
-        bases = [n * (lcm // d) for n, d in ratios]
-        bases.append(lcm)
-        return _int_total(powers, terms, bases), lcm
+        form = (self._int_form or self._homogenized())[2]
+        xs, lcm = _cleared(point)
+        xs.append(lcm)
+        return form.total(xs), lcm
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point: T / (B * L^D), with T and L as
-        in `_scaled_total`."""
-        total, lcm = self._scaled_total(point)
+        """Exact value at a rational point: H(X, L) / (B * L^D)."""
+        total, lcm = self._total(point)
         scale, degree = self._int_form[:2]
         return Fraction(total, scale * lcm ** degree)
 
     def sign(self, point: Sequence[Scalar]) -> int:
         """-1, 0 or 1: the sign of the value at a rational point, read off
-        the integer total without forming the value (B * L^D > 0)."""
-        total = self._scaled_total(point)[0]
+        H(X, L) without forming the value (B * L^D > 0)."""
+        total = self._total(point)[0]
         return (total > 0) - (total < 0)
 
     def integer_form(self, scale: int) -> "IntegerForm":
-        """The IntegerForm sum c*B * scale^(D - |e|) * X^e, which equals
-        B * scale^D * self(X / scale) and so has the sign of self at
-        X / scale for every integer point X (scale > 0)."""
-        lcm, degree = (self._int_form or self._integer_form())[:2]
+        """H with L fixed at scale: the IntegerForm
+        sum c*B * scale^(D - |e|) * X^e = B * scale^D * self(X / scale),
+        which has the sign of self at X / scale for every integer point X
+        (scale > 0)."""
+        _, degree, form = self._int_form or self._homogenized()
         powers = [scale ** j for j in range(degree + 1)]
         return IntegerForm(self.num_vars, {
-            e: c.numerator * (lcm // c.denominator) * powers[degree - sum(e)]
-            for e, c in self.terms.items()})
+            e[:-1]: c * powers[e[-1]] for e, c in form.terms.items()})
 
     def restrict(self, fixed: Mapping[int, Scalar]) -> "MultivariatePolynomial":
         """Substitute values for a subset of variables.
@@ -285,18 +272,20 @@ def _substitute(terms: dict, fixed: Mapping[int, Scalar], num_vars: int) -> dict
     return _sum_terms(pairs)
 
 
-def _compile(items: list) -> tuple:
-    """(powers, terms) for `_int_total` from (int coefficient, list of
-    (variable, exponent) factors) items: the distinct factors to raise per
-    call, and each term as (coefficient, indices into their table)."""
-    powers = sorted({f for _, factors in items for f in factors})
+def _compile(terms: dict) -> tuple:
+    """(powers, terms) for `_int_total` from an int term map: the distinct
+    (variable, exponent) factors to raise per call, and each term as
+    (coefficient, indices into their table)."""
+    factors = [[(i, k) for i, k in enumerate(e) if k] for e in terms]
+    powers = sorted({f for fs in factors for f in fs})
     index = {f: j for j, f in enumerate(powers)}
     return tuple(powers), tuple(
-        (c, tuple([index[f] for f in factors])) for c, factors in items)
+        (c, tuple([index[f] for f in fs]))
+        for c, fs in zip(terms.values(), factors))
 
 
 def _int_total(powers: tuple, terms: tuple, point: Sequence[int]) -> int:
-    """The one integer loop, behind eval and every sign: the sum over terms
+    """The one integer loop, behind every value and sign: the sum over terms
     (c, indices) of c times the product of table[j] for j in indices, with
     table the powers point[v] ** k for (v, k) in powers.  Coordinates of
     variables that occur in no power are not read."""
@@ -312,9 +301,9 @@ def _int_total(powers: tuple, terms: tuple, point: Sequence[int]) -> int:
 class IntegerForm:
     """Polynomial with int coefficients, read at integer points.
 
-    `MultivariatePolynomial.integer_form(M)` gives the form whose sign at X
-    is the sign of the polynomial at X / M; restricting a form at integer
-    values gives another form, with no Fraction anywhere.
+    A polynomial's homogenization is one; `integer_form(M)` fixes its scale
+    at M, so that the sign at X is the polynomial's sign at X / M.
+    Restricting a form at integer values gives another, with no Fraction.
     """
 
     __slots__ = ("num_vars", "terms", "_loop")
@@ -325,12 +314,18 @@ class IntegerForm:
         self.terms = terms
         self._loop = None
 
+    def _compiled(self) -> tuple:
+        self._loop = _compile(self.terms)
+        return self._loop
+
+    def total(self, point: Sequence[int]) -> int:
+        """The value at an integer point."""
+        powers, terms = self._loop or self._compiled()
+        return _int_total(powers, terms, point)
+
     def sign(self, point: Sequence[int]) -> int:
         """-1, 0 or 1: the sign of the value at an integer point."""
-        if self._loop is None:
-            self._loop = _compile([(c, [(i, k) for i, k in enumerate(e) if k])
-                                   for e, c in self.terms.items()])
-        powers, terms = self._loop
+        powers, terms = self._loop or self._compiled()
         total = _int_total(powers, terms, point)
         return (total > 0) - (total < 0)
 
@@ -405,10 +400,12 @@ def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):
     return _from_ints(q, db, s * da), _from_ints(r, 1, s * da)
 
 
-def _cleared(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    """(the coefficients times d, d) with d the LCM of their denominators."""
-    d = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+def _cleared(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """(the values times d, d) with d the LCM of their denominators; the
+    values are ints or Fractions, coefficients or coordinates alike."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
 
 
 def _from_ints(coeffs: list[int], num: int, den: int) -> MultivariatePolynomial:

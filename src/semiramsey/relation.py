@@ -10,7 +10,7 @@ matching the convention that point sets are ordered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -29,8 +29,9 @@ class Atom:
     def __post_init__(self):
         if self.cmp not in COMPARISONS:
             raise ArgumentError(f"unknown comparison {self.cmp!r}")
-        if self.poly_index < 0:
-            raise ArgumentError("negative polynomial index")
+        if type(self.poly_index) is not int or self.poly_index < 0:
+            raise ArgumentError(
+                f"polynomial index must be a nonnegative int, got {self.poly_index!r}")
 
     def holds(self, sign: int) -> bool:
         """Whether the condition holds where the polynomial has this sign
@@ -137,10 +138,11 @@ class SemiAlgebraicRelation:
 
     def __init__(self, arity: int, point_dim: int,
                  polys: Sequence[MultivariatePolynomial], formula: Formula):
-        if arity < 1:
-            raise ArgumentError("arity must be at least 1")
-        if point_dim < 1:
-            raise ArgumentError("point dimension must be at least 1")
+        if type(arity) is not int or arity < 1:
+            raise ArgumentError(f"arity must be an int of at least 1, got {arity!r}")
+        if type(point_dim) is not int or point_dim < 1:
+            raise ArgumentError(
+                f"point dimension must be an int of at least 1, got {point_dim!r}")
         nv = arity * point_dim
         for i, p in enumerate(polys):
             if p.num_vars != nv:
@@ -199,8 +201,8 @@ class OrderedPointSet:
     """Finite ordered list of rational points; indices are 1-based."""
 
     def __init__(self, dim: int, points: Sequence[Sequence[Scalar]]):
-        if dim < 1:
-            raise ArgumentError("dimension must be at least 1")
+        if type(dim) is not int or dim < 1:
+            raise ArgumentError(f"dimension must be an int of at least 1, got {dim!r}")
         pts = []
         for p in points:
             if len(p) != dim:

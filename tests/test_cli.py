@@ -324,6 +324,42 @@ def test_malformed_input_is_usage_error(capsys, base2_file):
         assert json.loads(err)["error"]["type"] == "ArgumentError"
 
 
+def _float_exponent(doc):
+    doc["relation"]["polys"][0]["terms"][0]["e"][0] = 1.9
+    return doc
+
+
+def _atom_on_float_poly(doc):
+    doc["relation"]["formula"] = {"op": "atom", "poly": 0.5, "cmp": "ge"}
+    return doc
+
+
+def _float_arity_without_polys(doc):
+    doc["relation"] = {"arity": 2.5, "dim": 1, "polys": [],
+                       "formula": {"op": "and", "args": []}}
+    return doc
+
+
+def _float_point_dim(doc):
+    doc["points"]["dim"] = 1.0
+    return doc
+
+
+@pytest.mark.parametrize("mutate", [
+    _float_exponent, lambda doc: [], _atom_on_float_poly,
+    _float_arity_without_polys, _float_point_dim,
+], ids=["float-exponent", "top-level-list", "atom-float-poly",
+        "float-arity-no-polys", "float-point-dim"])
+def test_malformed_instance_shape_is_usage_error(capsys, base2_file, mutate):
+    with open(base2_file) as fh:
+        doc = mutate(json.load(fh))
+    with open(base2_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
+
+
 def test_high_degree_input_is_resource_error(capsys, base2_file):
     # The formula never reads the extra polynomial; decoding refuses it.
     with open(base2_file) as fh:

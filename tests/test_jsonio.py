@@ -57,6 +57,17 @@ def test_poly_json_shape():
     assert data == {"vars": 3, "terms": [{"c": "1", "e": [0, 1, 0]}]}
 
 
+@pytest.mark.parametrize("data", [
+    {"vars": 2, "terms": [{"c": "1", "e": [1.9, "2"]}]},
+    {"vars": 2, "terms": [{"c": "1", "e": [1.0, 2]}]},
+    {"vars": 2, "terms": [{"c": "1", "e": [True, 2]}]},
+    {"vars": 2.0, "terms": [{"c": "1", "e": [1, 2]}]},
+])
+def test_poly_from_json_refuses_non_int_exponents_and_vars(data):
+    with pytest.raises(ArgumentError):
+        jsonio.poly_from_json(data)
+
+
 # -- relations and point sets ----------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -344,6 +345,52 @@ def test_instance_scale_signs_equal_fraction_oracle(p, data):
                               min_size=1, max_size=4))
     fixed_vars = data.draw(st.sets(st.integers(0, n - 1)))
     assert_scaled_signs_match_oracle(p, rows, fixed_vars)
+
+
+# Coordinates with large, pairwise unequal denominators, for the variables
+# a polynomial does not use: they change L but not the value.
+far_coords = st.builds(F, st.integers(-10 ** 20, 10 ** 20),
+                       st.sampled_from([2 ** 61 - 1, 10 ** 30 + 7, 3 ** 40]))
+
+
+def assert_homogenization(p: Poly, scale: int) -> None:
+    """integer_form(scale) is sum c*B * scale^(D - |e|) * X^e, computed
+    here from p.terms, and its total at integer X is B * scale^D times the
+    oracle's value at X / scale."""
+    lcm = math.lcm(*[c.denominator for c in p.terms.values()])
+    degree = max(p.degree(), 0)
+    form = p.integer_form(scale)
+    assert form.num_vars == p.num_vars
+    assert form.terms == {e: c * lcm * scale ** (degree - sum(e))
+                          for e, c in p.terms.items()}
+    assert all(type(c) is int for c in form.terms.values())
+    for xs in ([0] * p.num_vars, list(range(1, p.num_vars + 1)),
+               [(-1) ** i * (2 * i + 3) for i in range(p.num_vars)]):
+        assert form.total(xs) == lcm * scale ** degree * oracle_eval.eval_fraction(
+            p.terms, [F(x, scale) for x in xs])
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 3 * 3 ** 2 * 5 * 7])
+@pytest.mark.parametrize("p", [
+    Poly(2, {}), Poly(0, {}), Poly.constant(3, F(-5, 6)), Poly.constant(1, 4),
+    Poly(2, {(2, 1): F(1, 3), (1, 0): F(-3, 4), (0, 0): 2}),
+    Poly(3, {(0, 0, 4): F(7, 10), (0, 2, 0): F(1, 6), (1, 0, 0): -1}),
+], ids=["zero", "zero-0-vars", "constant", "int-constant", "mixed-2", "mixed-3"])
+def test_integer_form_of_zero_constant_and_mixed_degree(p, scale):
+    assert_homogenization(p, scale)
+
+
+@given(mixed_polynomials(), st.sampled_from([1, 2, 2 ** 3 * 3 ** 2 * 5 * 7]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_form_is_homogenization_at_scale(p, scale, data):
+    """Also sign and eval agree with the Fraction oracle at points whose
+    coordinates, used or not, have unequal denominators."""
+    assert_homogenization(p, scale)
+    used = {i for e in p.terms for i, k in enumerate(e) if k}
+    point = [data.draw(coords if i in used else far_coords)
+             for i in range(p.num_vars)]
+    assert_matches_oracle(p, point)
 
 
 def test_eval_zero_and_constant_polynomials_match_oracle():
