@@ -341,15 +341,15 @@ def cmd_verify_sturm(args) -> int:
         g = from_univariate_coeffs(coeffs)
         seq = sturm_sequence(g)
         a, b = Fraction(-100), Fraction(100)
-        while g.sign([a]) == 0:
+        while seq.sign_at(a) == 0:
             a -= 1
-        while g.sign([b]) == 0:
+        while seq.sign_at(b) == 0:
             b += 1
         total = count_real_roots(g, a, b, seq)
         mid = (a + b) / 2
-        if g.sign([mid]) == 0:
+        if seq.sign_at(mid) == 0:
             mid += Fraction(1, 257)
-        if g.sign([mid]) == 0:
+        if seq.sign_at(mid) == 0:
             continue
         split = (count_real_roots(g, a, mid, seq)
                  + count_real_roots(g, mid, b, seq))

@@ -8,7 +8,8 @@ Each polynomial has one integer form, its homogenization H in one more
 variable, the scale L (`_homogenized`): `eval` and `sign` read H at a point
 cleared to (X, L), `integer_form(M)` fixes L at M for a point set scaled
 by M, and the one integer loop `_int_total` sums every value and sign.
-Univariate division runs in integers too.
+Univariate division runs in integers too, through the one pseudo-division
+loop `_pseudo_divmod` that the Sturm chains share.
 """
 
 from __future__ import annotations
@@ -370,22 +371,36 @@ def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):
     """Exact Euclidean division of univariate polynomials: a = q*b + r.
 
     The denominators are cleared once, A = a * da and Bz = b * db, and
-    integer pseudo-division keeps s * A = Q * Bz + R with an integer s != 0,
-    which each step multiplies by lead(Bz) / gcd.  Then q = Q * db / (s * da)
-    and r = R / (s * da), one Fraction per coefficient; as Euclidean
-    division is unique, these are the quotient and remainder over Q.
+    `_pseudo_divmod` gives s * A = Q * Bz + R in integers.  Then
+    q = Q * db / (s * da) and r = R / (s * da), one Fraction per
+    coefficient; as Euclidean division is unique, these are the quotient
+    and remainder over Q.
     """
     if a.num_vars != 1 or b.num_vars != 1:
         raise ArgumentError("expected univariate polynomials")
     if b.is_zero():
         raise ArgumentError("division by the zero polynomial")
-    r, da = _cleared(univariate_coeffs(a))
+    ra, da = _cleared(univariate_coeffs(a))
     rb, db = _cleared(univariate_coeffs(b))
-    q = [0] * max(1, len(r) - len(rb) + 1)
-    lead = rb[-1]
+    q, r, s = _pseudo_divmod(ra, rb)
+    return _from_ints(q, db, s * da), _from_ints(r, 1, s * da)
+
+
+def _pseudo_divmod(a: Sequence[int],
+                   b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(Q, R, s) with s * a = Q * b + R and deg R < deg b, for int
+    coefficient lists (index = power, b with a nonzero last entry).
+
+    The one integer division loop: each step multiplies s by lead(b) / gcd,
+    so s is a nonzero int whose sign may be either.  R has no trailing
+    zeros (it is [] when b divides a), and neither input is modified.
+    """
+    r = list(a)
+    q = [0] * max(1, len(r) - len(b) + 1)
+    lead = b[-1]
     s = 1
-    while len(r) >= len(rb):
-        shift = len(r) - len(rb)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
         g = math.gcd(r[-1], lead)
         mult, factor = lead // g, r[-1] // g
         if mult != 1:
@@ -393,11 +408,11 @@ def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):
             r = [mult * c for c in r]
             q = [mult * c for c in q]
         q[shift] = factor
-        for i, c in enumerate(rb):
+        for i, c in enumerate(b):
             r[shift + i] -= factor * c
         while r and r[-1] == 0:
             r.pop()
-    return _from_ints(q, db, s * da), _from_ints(r, 1, s * da)
+    return q, r, s
 
 
 def _cleared(values: Sequence[Scalar]) -> tuple[list[int], int]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import MAX_BITS, ArgumentError, ResourceLimitError
-from .poly import IntegerForm, MultivariatePolynomial, Scalar, _coef
+from .poly import IntegerForm, MultivariatePolynomial, Scalar
 
 COMPARISONS = ("ge", "gt", "eq")
 
@@ -198,7 +198,11 @@ class SemiAlgebraicRelation:
 
 
 class OrderedPointSet:
-    """Finite ordered list of rational points; indices are 1-based."""
+    """Finite ordered list of rational points; indices are 1-based.
+
+    Coordinates are kept as given, ints or Fractions; any other type (bool
+    and float included) is refused.
+    """
 
     def __init__(self, dim: int, points: Sequence[Sequence[Scalar]]):
         if type(dim) is not int or dim < 1:
@@ -207,7 +211,12 @@ class OrderedPointSet:
         for p in points:
             if len(p) != dim:
                 raise ArgumentError(f"point {p} does not have dimension {dim}")
-            pts.append(tuple(_coef(x) for x in p))
+            p = tuple(p)
+            for x in p:
+                if type(x) is not int and not isinstance(x, Fraction):
+                    raise ArgumentError(
+                        f"coordinate {x!r} of point {p} is not an int or a Fraction")
+            pts.append(p)
         self.dim = dim
         self.points = tuple(pts)
         self._scaled = None
@@ -219,12 +228,12 @@ class OrderedPointSet:
         if not 1 <= index <= len(self.points):
             raise ArgumentError(f"point index {index} out of range 1..{len(self.points)}")
 
-    def point(self, index: int) -> tuple[Fraction, ...]:
+    def point(self, index: int) -> tuple[Scalar, ...]:
         self._check_index(index)
         return self.points[index - 1]
 
-    def coords_for(self, indices: Sequence[int]) -> list[Fraction]:
-        out: list[Fraction] = []
+    def coords_for(self, indices: Sequence[int]) -> list[Scalar]:
+        out: list[Scalar] = []
         for i in indices:
             out.extend(self.point(i))
         return out
@@ -236,15 +245,15 @@ class OrderedPointSet:
         Raises ResourceLimitError when M has more than MAX_BITS bits.
         """
         if self._scaled is None:
+            ratios = [[x.as_integer_ratio() for x in p] for p in self.points]
             scale = 1
-            for d in {x.denominator for p in self.points for x in p}:
+            for d in {q for r in ratios for _, q in r}:
                 scale = math.lcm(scale, d)
                 if scale.bit_length() > MAX_BITS:
                     raise ResourceLimitError(
                         f"common denominator of the points exceeds {MAX_BITS} bits")
             self._scaled = (scale, tuple(
-                tuple(x.numerator * (scale // x.denominator) for x in p)
-                for p in self.points))
+                tuple([n * (scale // q) for n, q in r]) for r in ratios))
         return self._scaled
 
     def scaled_coords_for(self, indices: Sequence[int]) -> tuple[int, list[int]]:

@@ -493,8 +493,12 @@ class Hypergraph3:
 
     @classmethod
     def make(cls, n: int, edges) -> "Hypergraph3":
+        if type(n) is not int:
+            raise ArgumentError(f"vertex count must be an int, got {n!r}")
         clean = set()
         for e in edges:
+            if any(type(v) is not int for v in e):
+                raise ArgumentError(f"edge {e} has a vertex that is not an int")
             t = tuple(sorted(e))
             if len(t) != 3 or len(set(t)) != 3:
                 raise ArgumentError(f"edge {e} is not a 3-set")

@@ -169,6 +169,20 @@ def test_solve_spencer(capsys, tmp_path):
     assert doc["polarity"] == "out"
 
 
+@pytest.mark.parametrize("graph", [
+    {"n": 4.5, "edges": [[1, 2, 3], [1, 2, 4]]},
+    {"n": True, "edges": []},
+    {"n": 4, "edges": [[1, 2, 3.0], [1, 2, 4]]},
+    {"n": 4, "edges": [[True, 2, 3], [1, 2, 4]]},
+], ids=["float-count", "bool-count", "float-vertex", "bool-vertex"])
+def test_solve_spencer_refuses_non_int_vertices(capsys, tmp_path, graph):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "solve", "spencer", "--input", str(path))
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -397,3 +411,12 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert len(doc["points"]["points"]) == 4
+
+
+def test_package_entry_point_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiramsey",
+         "verify", "sturm", "--trials", "5", "--seed", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"ok": True, "trials": 5}

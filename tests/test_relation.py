@@ -95,6 +95,16 @@ def test_dimension_mismatch_rejected():
         eval_membership(inst.relation, points, (1, 2, 3))
 
 
+def test_point_set_keeps_int_coordinates_and_refuses_other_types():
+    points = OrderedPointSet(2, [[1, F(1, 2)], (3, F(4))])
+    assert [type(x) for x in points.point(1)] == [int, F]
+    assert points.point(2) == (3, 4)
+    assert points.scaled() == (2, ((2, 1), (6, 8)))
+    for bad in (True, 0.5, "1", None):
+        with pytest.raises(ArgumentError):
+            OrderedPointSet(2, [[1, 2], [3, bad]])
+
+
 def test_membership_ignores_points_outside_the_tuple():
     relation = base_construction(2).relation
     small = OrderedPointSet(1, [[1], [2], [3]])

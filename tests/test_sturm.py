@@ -3,12 +3,16 @@ independent Descartes-bisection oracle (tests/oracle_roots.py)."""
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracle_roots
+from semiramsey import sturm
+from semiramsey.poly import _pseudo_divmod
 from semiramsey import (
     ArgumentError,
     MultivariatePolynomial as Poly,
@@ -151,3 +155,80 @@ def test_counts_match_oracle_on_products_of_known_roots():
         assert count_real_roots(g, a, b) == len(inside)
         coeffs = univariate_coeffs(g)
         assert oracle_roots.count_distinct_roots(coeffs, a, b) == len(inside)
+
+
+# -- the integer chain ---------------------------------------------------------
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def rational_polys(draw):
+    """Coefficient lists (index = power) of nonzero rational polynomials;
+    about a third are f^2 * h with deg f >= 1, so that the chain ends early
+    on a nonconstant gcd."""
+    def poly(min_degree, max_degree):
+        lower = draw(st.lists(small_rationals, min_size=min_degree,
+                              max_size=max_degree))
+        return lower + [draw(small_rationals.filter(bool))]
+
+    if draw(st.integers(0, 2)):
+        return poly(0, 6)
+    f = poly(1, 2)
+    return oracle_roots.mul(oracle_roots.mul(f, f), poly(0, 3))
+
+
+@given(rational_polys(),
+       st.fractions(min_value=-12, max_value=12, max_denominator=9),
+       st.fractions(min_value=-12, max_value=12, max_denominator=9))
+@settings(max_examples=300, deadline=None)
+def test_integer_chain_is_a_positive_multiple_of_the_rational_chain(coeffs, a, b):
+    g = from_univariate_coeffs(coeffs)
+    seq = sturm_sequence(g)
+    members = coeff_lists(seq)
+    assert len(seq.ints) == len(members)
+    for ints, member in zip(seq.ints, members):
+        assert all(type(c) is int for c in ints) and math.gcd(*ints) == 1
+        ratio = ints[-1] / member[-1]
+        assert ratio > 0 and [ratio * c for c in member] == ints
+    assume(a != b)
+    a, b = min(a, b), max(a, b)
+    assume(oracle_roots.evaluate(coeffs, a) != 0)
+    assume(oracle_roots.evaluate(coeffs, b) != 0)
+    assert (count_real_roots(g, a, b, seq)
+            == oracle_roots.count_distinct_roots(coeffs, a, b))
+
+
+def test_sturm_sequence_is_a_lazy_sequence(monkeypatch):
+    built = []
+    for name in ("derivative", "univariate_divmod"):
+        real = getattr(sturm, name)
+        monkeypatch.setattr(sturm, name,
+                            lambda *args, real=real: built.append(1) or real(*args))
+    g = from_univariate_coeffs([0, -1, 0, 1])  # x^3 - x
+    chain = [[F(0), F(-1), F(0), F(1)], [F(-1), F(0), F(3)], [F(0), F(2, 3)], [F(1)]]
+    seq = sturm_sequence(g)
+    assert isinstance(seq, Sequence)
+    assert len(seq) == 4 and seq.ints == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
+    assert built == []  # len and the int chain build no rational member
+    assert univariate_coeffs(seq[1]) == chain[1]
+    assert len(built) == 1
+    assert coeff_lists(seq) == chain  # iteration after partial access
+    assert coeff_lists(seq[-3:]) == chain[1:]
+    assert coeff_lists(seq[::-2]) == [chain[3], chain[1]]
+    assert seq[-1] is seq[3] and seq[-4] is seq[0] is g
+    assert len(built) == 3  # each member is built once
+    for index in (4, -5):
+        with pytest.raises(IndexError):
+            seq[index]
+
+
+@pytest.mark.parametrize("b", [[3, 1], [3, 2], [1, -3, -4]],
+                         ids=["lead-1", "lead-2", "lead-minus-4"])
+def test_pseudo_division_leaves_its_inputs_unchanged(b):
+    a = [1, -2, 0, 5, 7]
+    a_before, b_before = list(a), list(b)
+    q, r, s = _pseudo_divmod(a, b)
+    assert (a, b) == (a_before, b_before)
+    assert len(r) < len(b)
+    assert oracle_roots.add(oracle_roots.mul(q, b), r) == [s * c for c in a]
