@@ -10,6 +10,7 @@ matching the convention that point sets are ordered.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -46,9 +47,9 @@ class Atom:
 class Formula:
     """Boolean formula tree over atoms.
 
-    Nodes are immutable and may be shared between parents; evaluation
-    memoizes on node identity so shared subtrees cost once.  An AND with
-    no children is constant true, an OR with no children constant false.
+    Nodes are immutable and may be shared between parents.  An AND with no
+    children is constant true, an OR with no children constant false.  A
+    relation decides its formula through one compiled decider (`_compile`).
     """
 
     __slots__ = ("op", "children", "atom")
@@ -102,23 +103,6 @@ class Formula:
     def max_poly_index(self) -> int:
         return max((a.poly_index for a in self.atoms()), default=-1)
 
-    def evaluate(self, atom_truth: Callable[[Atom], bool], _cache: dict | None = None) -> bool:
-        if _cache is None:
-            _cache = {}
-        key = id(self)
-        if key in _cache:
-            return _cache[key]
-        if self.op == "atom":
-            v = atom_truth(self.atom)
-        elif self.op == "not":
-            v = not self.children[0].evaluate(atom_truth, _cache)
-        elif self.op == "and":
-            v = all(ch.evaluate(atom_truth, _cache) for ch in self.children)
-        else:
-            v = any(ch.evaluate(atom_truth, _cache) for ch in self.children)
-        _cache[key] = v
-        return v
-
     def size(self) -> int:
         """Node count of the tree with shared nodes counted once."""
         return sum(1 for _ in self.nodes())
@@ -155,6 +139,7 @@ class SemiAlgebraicRelation:
         self.point_dim = point_dim
         self.polys = tuple(polys)
         self.formula = formula
+        self._decide = _compile(formula, len(self.polys))
         self._forms: dict[int, list[IntegerForm]] = {}
 
     def complexity(self) -> int:
@@ -175,26 +160,76 @@ class SemiAlgebraicRelation:
         """Evaluate on already-concatenated coordinates of an index tuple."""
         if len(coords) != self.arity * self.point_dim:
             raise ArgumentError("coordinate vector has the wrong length")
-        return self._decide(lambda i: self.polys[i].sign(coords))
+        return self._decide(self.polys, coords)
 
     def holds_at_scale(self, scale: int, coords: Sequence[int]) -> bool:
         """Evaluate at the rational point coords / scale, given the integer
         coordinates of an index tuple (see OrderedPointSet.scaled)."""
-        forms = self.integer_forms(scale)
-        return self._decide(lambda i: forms[i].sign(coords))
+        return self._decide(self.integer_forms(scale), coords)
 
-    def _decide(self, sign: Callable[[int], int]) -> bool:
-        """The formula with each atom decided by sign(poly_index), which is
-        called at most once per polynomial."""
-        signs: dict[int, int] = {}
 
-        def truth(atom: Atom) -> bool:
-            s = signs.get(atom.poly_index)
-            if s is None:
-                s = signs[atom.poly_index] = sign(atom.poly_index)
-            return atom.holds(s)
+def _compile(formula: Formula, num_polys: int
+             ) -> Callable[[Sequence, Sequence], bool]:
+    """The formula as one decider(signers, x), with signers[i].sign(x) the
+    sign of polynomial i at x.
 
-        return self.formula.evaluate(truth)
+    Each node becomes a closure over a per-call memo list, built once
+    however many parents share it.  An atom reads its polynomial's sign
+    from the memo, so each sign is computed at most once per call; AND and
+    OR stop at the first child that settles them; a node with more than
+    one parent keeps its truth value in the memo too, so it is decided at
+    most once per call.
+    """
+    parents = Counter(id(ch) for node in formula.nodes() for ch in node.children)
+    built: dict[int, Callable] = {}
+    slots = num_polys
+
+    def build(node: Formula) -> Callable:
+        nonlocal slots
+        f = built.get(id(node))
+        if f is not None:
+            return f
+        if node.op == "atom":
+            pi = node.atom.poly_index
+            truth = tuple(node.atom.holds(s) for s in (0, 1, -1))
+
+            def f(memo, signers, x):
+                s = memo[pi]
+                if s is None:
+                    s = memo[pi] = signers[pi].sign(x)
+                return truth[s]
+        elif node.op == "not":
+            child = build(node.children[0])
+
+            def f(memo, signers, x):
+                return not child(memo, signers, x)
+        else:
+            kids = tuple(build(ch) for ch in node.children)
+            settles = node.op == "or"  # the child value that decides
+
+            def f(memo, signers, x):
+                for kid in kids:
+                    if kid(memo, signers, x) is settles:
+                        return settles
+                return not settles
+        if node.op != "atom" and parents[id(node)] > 1:
+            slot, inner = slots, f
+            slots += 1
+
+            def f(memo, signers, x):
+                v = memo[slot]
+                if v is None:
+                    v = memo[slot] = inner(memo, signers, x)
+                return v
+        built[id(node)] = f
+        return f
+
+    root = build(formula)
+
+    def decide(signers: Sequence, x: Sequence) -> bool:
+        return root([None] * slots, signers, x)
+
+    return decide
 
 
 class OrderedPointSet:

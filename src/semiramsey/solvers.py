@@ -112,10 +112,23 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     is pruned when |current| + popcount(candidates) cannot beat the best
     subset found.
 
+    At arity k >= 2, a node with at least k-2 chosen points is first
+    bounded by colouring (Carraghan-Pardalos; Tomita-Seki).  With T the
+    last k-2 of them, two candidates a < b are adjacent when T + (a, b) is
+    on the searched side, read through oracle.above(T + (a,), ...).  Every
+    homogeneous extension of `current` is a clique of that graph, so the
+    number of colours of a greedy colouring (lowest bit first) bounds it,
+    and the node is pruned when |current| plus that number cannot beat the
+    best subset found.  A valid bound only skips branches that cannot
+    strictly improve on the best subset, so the result is the first
+    maximum in search order ("in" before "out") whatever the bound; only
+    the counters depend on it.
+
     If the node budget runs out the best subset found so far is returned
     with stats["maximum"] set to False (it is still a certified homogeneous
     subset).  stats also counts the nodes visited (at most the budget), the
-    bound prunes and the distinct tuples evaluated ("evaluations").
+    popcount prunes ("prunes"), the colouring prunes ("colour_prunes") and
+    the distinct tuples evaluated ("evaluations").
     """
     n = len(points)
     k = relation.arity
@@ -123,21 +136,47 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         raise ArgumentError("empty point set")
     oracle = MembershipOracle(points, relation)
     above = oracle.above
-    nodes = prunes = 0
+    nodes = prunes = colour_prunes = 0
     exhausted = False
 
     def search(want: bool) -> tuple:
-        nonlocal nodes, prunes, exhausted
+        nonlocal nodes, prunes, colour_prunes, exhausted
         best: tuple = ()
 
+        def colours(link: tuple, uncoloured: int, room: int) -> int:
+            """Colours of the greedy colouring of the link graph of `link`
+            on the bitmask `uncoloured`, or room + 1 as soon as room
+            colour classes leave a point uncoloured."""
+            used = 0
+            while uncoloured:
+                if used == room:
+                    return room + 1
+                used += 1
+                free = uncoloured
+                while free:
+                    low = free & -free
+                    free ^= low
+                    uncoloured ^= low
+                    if free:
+                        mask = above(link + (low.bit_length() - 1,), free)
+                        free = free ^ mask if want else mask
+            return used
+
         def extend(current: list[int], candidates: int):
-            nonlocal best, nodes, prunes, exhausted
+            nonlocal best, nodes, prunes, colour_prunes, exhausted
             if nodes >= budget:
                 exhausted = True
                 return
             nodes += 1
             if len(current) > len(best):
                 best = tuple(current)
+            room = len(best) - len(current)
+            if (k > 1 and len(current) >= k - 2
+                    and candidates.bit_count() > room
+                    and colours(tuple(current[len(current) - k + 2:]),
+                                candidates, room) <= room):
+                colour_prunes += 1
+                return
             while candidates:
                 if len(current) + candidates.bit_count() <= len(best):
                     prunes += 1
@@ -175,6 +214,7 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         polarity=polarity,
         certified=certified,
         stats={"nodes": nodes, "prunes": prunes,
+               "colour_prunes": colour_prunes,
                "evaluations": len(oracle.cache), "maximum": not exhausted,
                "method": "branch-and-bound"},
     )

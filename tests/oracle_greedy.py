@@ -4,8 +4,9 @@ This is the class-refinement greedy that erdos_rado_greedy ran before the
 point set was scaled to integers: polynomials are restricted in Fraction
 arithmetic at the rational points and every atom compares an exact
 Fraction value with 0.  Restriction and evaluation here read only term
-maps and share no code with the integer forms under test; the arity-2
-tail is the prefix-loop search of tests/oracle_bnb.py.
+maps and share no code with the integer forms under test; the formula is
+read by tests/oracle_formula.py and the arity-2 tail is the prefix-loop
+search of tests/oracle_bnb.py.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from oracle_bnb import max_homogeneous_prefix_loop
 from oracle_eval import eval_fraction
+from oracle_formula import evaluate
 from semiramsey.relation import OrderedPointSet, SemiAlgebraicRelation
 from semiramsey.poly import MultivariatePolynomial
 
@@ -47,7 +49,7 @@ def greedy_fraction(points: OrderedPointSet, relation: SemiAlgebraicRelation):
     polarity = "in"
     if len(first) == relation.arity:
         point = [x for i in first for x in points.point(i)]
-        inside = relation.formula.evaluate(lambda atom: atom.holds(_sign(
+        inside = evaluate(relation.formula, lambda atom: atom.holds(_sign(
             eval_fraction(relation.polys[atom.poly_index].terms, point))))
         polarity = "in" if inside else "out"
     return subset, polarity, classes

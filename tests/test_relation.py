@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_eval
+import oracle_formula
 from semiramsey import (
     ArgumentError,
     Formula,
@@ -24,6 +25,7 @@ from semiramsey import (
     order_type_relation,
     sign_vector,
 )
+from semiramsey.poly import IntegerForm
 
 
 def x(i: int, n: int) -> Poly:
@@ -119,6 +121,91 @@ def test_empty_and_is_true_empty_or_is_false():
     never = SemiAlgebraicRelation(2, 1, [], Formula.any_of([]))
     assert eval_membership(always, points, (1, 2))
     assert not eval_membership(never, points, (1, 2))
+
+
+# -- the compiled decider ------------------------------------------------------
+
+COMPILED_POLYS = [x(0, 2) - x(1, 2), x(0, 2) * x(1, 2) - Poly.constant(2, 1),
+                  x(0, 2) + x(1, 2), 4 * x(0, 2) ** 2 - Poly.constant(2, 1)]
+# Each polynomial vanishes at some pair of these values.
+COMPILED_VALUES = [F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)]
+
+
+def random_formula(rng: SeededRng, depth: int, pool: list) -> Formula:
+    """A seeded random formula over COMPILED_POLYS.  Every node built goes
+    into `pool` and may be picked again as a child, so subtrees are shared;
+    AND and OR get 0 to 3 children."""
+    if pool and rng.randint(0, 3) == 0:
+        return rng.choice(pool)
+    op = "atom" if depth == 0 else rng.choice(["atom", "and", "or", "not"])
+    if op == "atom":
+        node = Formula.leaf(rng.randint(0, len(COMPILED_POLYS) - 1),
+                            rng.choice(["ge", "gt", "eq"]))
+    elif op == "not":
+        node = Formula.negation(random_formula(rng, depth - 1, pool))
+    else:
+        node = Formula(op, tuple(random_formula(rng, depth - 1, pool)
+                                 for _ in range(rng.randint(0, 3))))
+    pool.append(node)
+    return node
+
+
+def _shares_a_subtree(formula: Formula) -> bool:
+    edges = [id(ch) for node in formula.nodes() for ch in node.children]
+    return len(edges) != len(set(edges))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 23])
+def test_compiled_decider_matches_the_recursive_oracle(seed, monkeypatch):
+    reads: list = []
+    for cls in (Poly, IntegerForm):
+        def counted(self, point, _sign=cls.sign):
+            reads.append(id(self))
+            return _sign(self, point)
+        monkeypatch.setattr(cls, "sign", counted)
+
+    rng = SeededRng(seed)
+    seen_signs: set = set()
+    seen_ops: set = set()
+    shared = 0
+    for _ in range(300):
+        formula = random_formula(rng, 4, [])
+        relation = SemiAlgebraicRelation(2, 1, COMPILED_POLYS, formula)
+        coords = [rng.choice(COMPILED_VALUES), rng.choice(COMPILED_VALUES)]
+
+        def truth(atom):
+            value = oracle_eval.eval_fraction(
+                COMPILED_POLYS[atom.poly_index].terms, coords)
+            sign = (value > 0) - (value < 0)
+            seen_signs.add((atom.cmp, sign))
+            return atom.holds(sign)
+
+        expected = oracle_formula.evaluate(formula, truth)
+        scale, scaled = OrderedPointSet(
+            1, [[c] for c in coords]).scaled_coords_for((1, 2))
+        for decide in (lambda: relation.holds_on_coords(coords),
+                       lambda: relation.holds_at_scale(scale, scaled)):
+            reads.clear()
+            assert decide() == expected
+            # Each polynomial's sign is read at most once per call.
+            assert len(reads) == len(set(reads))
+        seen_ops |= {(node.op, len(node.children)) for node in formula.nodes()}
+        shared += _shares_a_subtree(formula)
+    # The draws cover every comparison at an exact zero and on both sides,
+    # NOT, empty AND and OR, and shared subtrees.
+    assert seen_signs == {(c, s) for c in ("ge", "gt", "eq") for s in (-1, 0, 1)}
+    assert {("not", 1), ("and", 0), ("or", 0)} <= seen_ops
+    assert shared > 0
+
+
+def test_compiled_decider_decides_a_shared_node_once_per_call():
+    # Forty levels of and(prev, prev) unfold to 2^40 leaves.
+    node = Formula.leaf(0, "ge")
+    for _ in range(40):
+        node = Formula.all_of([node, Formula.negation(Formula.negation(node))])
+    relation = SemiAlgebraicRelation(2, 1, COMPILED_POLYS, node)
+    assert relation.holds_on_coords([F(1), F(0)])
+    assert not relation.holds_on_coords([F(0), F(1)])
 
 
 # -- sign vectors ----------------------------------------------------------------

@@ -64,6 +64,21 @@ def integer_points(*values) -> OrderedPointSet:
 # -- exact maximum search ---------------------------------------------------------
 
 
+def jittered_base(n: int, seed: int) -> tuple:
+    """base(n) with each point moved by a seeded rational offset in
+    [-1/10, 1/10], each with its own denominator."""
+    rng = SeededRng(seed)
+    inst = base_construction(n)
+    points = [[inst.points.point(i)[0] + rng.fraction(
+        F(-1, 10), F(1, 10), denominator=rng.randint(2, 97))]
+        for i in range(1, len(inst.points) + 1)]
+    return OrderedPointSet(1, points), inst.relation
+
+
+def _instance(inst) -> tuple:
+    return inst.points, inst.relation
+
+
 def test_base_two_has_an_all_in_triangle():
     inst = base_construction(2)
     result = max_homogeneous(inst.points, inst.relation)
@@ -168,12 +183,18 @@ def test_constant_relations_match_the_prefix_loop(arity):
                                                     polarity)
 
 
-@pytest.mark.parametrize("make", [lambda: base_construction(5),
-                                  lambda: step_up(base_construction(2))],
-                         ids=["base-5", "step-up-base-2"])
+@pytest.mark.parametrize("make", [
+    lambda: _instance(base_construction(5)),
+    lambda: _instance(step_up(base_construction(2))),
+    lambda: jittered_base(5, 1),
+    lambda: jittered_base(5, 7),
+    lambda: _instance(one_dim_k4_construction(2)),
+], ids=["base-5", "step-up-base-2", "jittered5-s1", "jittered5-s7",
+        "onedim-k4-2"])
 def test_constructions_match_the_prefix_loop(make):
-    inst = make()
-    _assert_matches_prefix_loop(inst.points, inst.relation)
+    result = _assert_matches_prefix_loop(*make())
+    # The colouring bound prunes on every one of these (arity 3 and 4).
+    assert result.stats["colour_prunes"] > 0
 
 
 def test_search_counters_are_deterministic():
@@ -181,8 +202,8 @@ def test_search_counters_are_deterministic():
     first = max_homogeneous(inst.points, inst.relation)
     again = max_homogeneous(inst.points, inst.relation)
     assert first.stats == again.stats == {
-        "nodes": 55, "prunes": 30, "evaluations": 54, "maximum": True,
-        "method": "branch-and-bound"}
+        "nodes": 29, "prunes": 8, "colour_prunes": 9, "evaluations": 53,
+        "maximum": True, "method": "branch-and-bound"}
     # Each evaluation is a distinct triple of the 8 points.
     assert first.stats["evaluations"] <= math.comb(8, 3)
 
@@ -246,21 +267,6 @@ def test_greedy_class_counts_respect_the_sign_pattern_bound():
     for step, classes in result.stats["classes_per_level"][0]:
         verdict = greedy_class_bound_check(inst.relation, classes, step)
         assert verdict is None or verdict
-
-
-def jittered_base(n: int, seed: int) -> tuple:
-    """base(n) with each point moved by a seeded rational offset in
-    [-1/10, 1/10], each with its own denominator."""
-    rng = SeededRng(seed)
-    inst = base_construction(n)
-    points = [[inst.points.point(i)[0] + rng.fraction(
-        F(-1, 10), F(1, 10), denominator=rng.randint(2, 97))]
-        for i in range(1, len(inst.points) + 1)]
-    return OrderedPointSet(1, points), inst.relation
-
-
-def _instance(inst) -> tuple:
-    return inst.points, inst.relation
 
 
 @pytest.mark.parametrize("make", [
