@@ -45,7 +45,11 @@ class BudgetExhaustedError(ResourceLimitError):
 # radius visits every pair; this cap is fixed.  Decoded polynomials of total
 # degree above MAX_DEGREE are refused, because evaluating one raises its
 # coordinates to that power; the constructions emit degree at most 6.
+# The geometry relations refuse to expand more than MAX_EXPANSION monomial
+# products ((d+1)! for the order type in R^d, (d!)^2 for one-sidedness), so
+# every accepted dimension builds in under a second; this cap is fixed.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6
 MAX_PAIRS = 10 ** 6
 MAX_DEGREE = 1000
+MAX_EXPANSION = 20_000

@@ -1,89 +1,104 @@
 """Exact computational geometry: orientations, hyperplane arrangements,
-one-sided tuples and convex position, all over the rationals.
+one-sided tuples and convex position, all over the rationals.  `det`,
+`orientation` (decided in ints) and the Cramer solve behind
+`hyperplane_intersection` share one fraction-free integer elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ArgumentError, DegenerateInputError, PreconditionError
-from .poly import MultivariatePolynomial, Scalar, _coef
+from .errors import (MAX_EXPANSION, ArgumentError, DegenerateInputError,
+                     PreconditionError, ResourceLimitError)
+from .poly import MultivariatePolynomial, Scalar, _cleared, _coef, _sum_terms
 from .relation import Formula, OrderedPointSet, SemiAlgebraicRelation
 
 
 # -- exact linear algebra -------------------------------------------------
 
 
+def _eliminate(rows: list[list[int]]) -> int:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of n int rows, in
+    place; returns the determinant D of their left n x n block (0 at the
+    first column with no pivot).  Each update divides exactly by the last
+    pivot (Sylvester's identity); a swapped-in pivot row is negated, which
+    keeps D.  If D != 0, the columns right of the block end as D * X, X the
+    solution of (left block) X = (right block)."""
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            r = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if r is None:
+                return 0
+            rows[k], rows[r] = [-v for v in rows[r]], rows[k]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                for j in range(k + 1, len(row)):
+                    row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        prev = p
+    return prev
+
+
 def det(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Exact determinant by fraction-free style elimination over Fraction."""
+    """Exact determinant: the elimination's determinant of the rows
+    cleared to ints, divided by the product of the row scales."""
     n = len(matrix)
-    m = [[_coef(x) for x in row] for row in matrix]
-    for row in m:
-        if len(row) != n:
-            raise ArgumentError("determinant of a non-square matrix")
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        pv = m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / pv
-            if factor == 0:
-                continue
-            row = m[r]
-            prow = m[col]
-            for c in range(col, n):
-                row[c] -= factor * prow[c]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= m[i][i]
-    return result
+    if any(len(row) != n for row in matrix):
+        raise ArgumentError("determinant of a non-square matrix")
+    cleared = [_cleared(row) for row in matrix]
+    return Fraction(_eliminate([r for r, _ in cleared]),
+                    math.prod(s for _, s in cleared))
 
 
 def solve_linear_system(a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction]:
-    """Solve a square system exactly; raises DegenerateInputError if singular."""
+    """Solve a square system exactly by Cramer's rule: one elimination of
+    the cleared rows of [A | b] gives det * x.  Raises DegenerateInputError
+    if the system is singular."""
     n = len(a)
-    m = [[_coef(x) for x in row] + [_coef(bv)] for row, bv in zip(a, b)]
-    if any(len(row) != n + 1 for row in m) or len(m) != n:
+    if len(b) != n or any(len(row) != n for row in a):
         raise ArgumentError("system shape mismatch")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise DegenerateInputError("singular linear system")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+    rows = [_cleared([*row, bv])[0] for row, bv in zip(a, b)]
+    d = _eliminate(rows)
+    if not d:
+        raise DegenerateInputError("singular linear system")
+    return [Fraction(row[n], d) for row in rows]
 
 
-def _sym_det(entries: Sequence[Sequence[MultivariatePolynomial]]) -> MultivariatePolynomial:
-    """Symbolic determinant by Leibniz expansion (rows of polynomials)."""
-    n = len(entries)
-    nv = entries[0][0].num_vars
-    out = MultivariatePolynomial(nv)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                         if perm[i] > perm[j])
-        term = MultivariatePolynomial.constant(nv, (-1) ** inversions)
-        for row, col in enumerate(perm):
-            term = term * entries[row][col]
-        out = out + term
-    return out
+def _check_expansion(size: int, copies: int) -> None:
+    """Refuse a product of `copies` size x size Leibniz expansions with more
+    than MAX_EXPANSION monomial products, counting no further than that."""
+    count = 1
+    for i in range(2, size + 1):
+        count *= i ** copies
+        if count > MAX_EXPANSION:
+            raise ResourceLimitError(
+                f"expanding {copies} determinant(s) of size {size} needs more "
+                f"than MAX_EXPANSION = {MAX_EXPANSION} monomial products")
+
+
+def _sym_det(nv: int, rows: list[list[int | None]]) -> MultivariatePolynomial:
+    """Leibniz expansion, in nv variables, of a determinant whose entries
+    are variables (by index) or 1 (None); its signed monomials are summed in
+    one term-map pass."""
+
+    def signed_monomials():
+        for perm in itertools.permutations(range(len(rows))):
+            e = [0] * nv
+            for row, col in zip(rows, perm):
+                if row[col] is not None:
+                    e[row[col]] += 1
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            yield tuple(e), Fraction((-1) ** inversions)
+
+    return MultivariatePolynomial._from_terms(nv, _sum_terms(signed_monomials()))
 
 
 # -- point orientation ----------------------------------------------------
@@ -94,31 +109,25 @@ def orientation(points: Sequence[Sequence[Scalar]]) -> int:
 
     Takes exactly d+1 points in R^d; returns -1, 0 or +1.
     """
-    k = len(points)
-    if k < 2:
-        raise ArgumentError("orientation needs at least two points")
-    d = len(points[0])
-    if k != d + 1:
-        raise ArgumentError(f"orientation in R^{d} needs {d + 1} points, got {k}")
-    for p in points:
-        if len(p) != d:
-            raise ArgumentError("points of mixed dimension")
-    matrix = [[Fraction(1)] * k] + [[_coef(p[i]) for p in points] for i in range(d)]
-    v = det(matrix)
-    return 0 if v == 0 else (1 if v > 0 else -1)
+    d = len(points) - 1
+    if d < 1 or any(len(p) != d for p in points):
+        raise ArgumentError(
+            f"orientation needs d+1 points in R^d for some d >= 1, got {d + 1} points "
+            f"of dimensions {sorted({len(p) for p in points})}")
+    # Row j is (1, p_j) times the positive LCM of p_j's denominators.
+    v = _eliminate([_cleared((1, *p))[0] for p in points])
+    return (v > 0) - (v < 0)
 
 
 def orientation_polynomial(dim: int) -> MultivariatePolynomial:
     """The orientation determinant as a polynomial in (d+1)*d variables,
-    blocked slot-major (point j occupies variables [j*d, (j+1)*d))."""
+    blocked slot-major (point j occupies variables [j*d, (j+1)*d)).
+    Raises ResourceLimitError when its (d+1)! products exceed MAX_EXPANSION."""
     d = dim
-    nv = (d + 1) * d
-    one = MultivariatePolynomial.constant(nv, 1)
-    rows = [[one] * (d + 1)]
-    for coord in range(d):
-        rows.append([MultivariatePolynomial.variable(j * d + coord, nv)
-                     for j in range(d + 1)])
-    return _sym_det(rows)
+    _check_expansion(d + 1, 1)
+    # Row 0 is all ones; row 1 + c holds coordinate c of each point.
+    return _sym_det((d + 1) * d, [[None] * (d + 1)] + [
+        [j * d + c for j in range(d + 1)] for c in range(d)])
 
 
 def order_type_relation(dim: int) -> SemiAlgebraicRelation:
@@ -129,18 +138,24 @@ def order_type_relation(dim: int) -> SemiAlgebraicRelation:
     return SemiAlgebraicRelation(dim + 1, dim, [p], Formula.leaf(0, "gt"))
 
 
+def _orientation_table(points: OrderedPointSet):
+    """({(d+1)-subset: orientation} in combinations order, None), or
+    (None, witness) with witness the first subset of orientation 0."""
+    table = {}
+    for combo in itertools.combinations(range(1, len(points) + 1), points.dim + 1):
+        table[combo] = orientation([points.point(i) for i in combo])
+        if not table[combo]:
+            return None, combo
+    return table, None
+
+
 def general_position_points(points: OrderedPointSet):
     """All (d+1)-subsets have nonzero orientation.
 
     Returns (True, None) or (False, witness_indices).
     """
-    d = points.dim
-    n = len(points)
-    idx = range(1, n + 1)
-    for combo in itertools.combinations(idx, d + 1):
-        if orientation([points.point(i) for i in combo]) == 0:
-            return False, combo
-    return True, None
+    table, witness = _orientation_table(points)
+    return table is not None, witness
 
 
 # -- hyperplane arrangements ----------------------------------------------
@@ -174,19 +189,10 @@ class Hyperplane:
 
     def proportional_to(self, other: "Hyperplane") -> bool:
         """Same hyperplane as a set (coefficient vectors parallel, same b ratio)."""
-        if self.dim != other.dim:
-            return False
-        ratio = None
-        for x, y in zip(self.a + (self.b,), other.a + (other.b,)):
-            if (x == 0) != (y == 0):
-                return False
-            if x != 0:
-                r = y / x
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False
-        return ratio is not None and ratio != 0
+        u, v = self.a + (self.b,), other.a + (other.b,)
+        k = next((i for i, x in enumerate(u) if x), None)
+        return (len(u) == len(v) and k is not None and v[k] != 0
+                and all(x * v[k] == y * u[k] for x, y in zip(u, v)))
 
 
 class Arrangement:
@@ -221,26 +227,31 @@ def hyperplane_intersection(hyperplanes: Sequence[Hyperplane]) -> tuple[Fraction
     d = hyperplanes[0].dim
     if len(hyperplanes) != d:
         raise ArgumentError(f"need exactly {d} hyperplanes in R^{d}")
-    a = [h.a for h in hyperplanes]
-    b = [h.b for h in hyperplanes]
-    return tuple(solve_linear_system(a, b))
+    return tuple(solve_linear_system([h.a for h in hyperplanes],
+                                     [h.b for h in hyperplanes]))
+
+
+def _vertex_walk(arr: Arrangement):
+    """(vertices, None) with vertices = {vertex: d-subset} in combinations
+    order, or (None, witness) at the first d-subset that meets in no single
+    point or in the same point as an earlier one."""
+    vertices = {}
+    for combo in itertools.combinations(range(1, len(arr) + 1), arr.dim):
+        try:
+            v = hyperplane_intersection([arr.hyperplane(i) for i in combo])
+        except DegenerateInputError:
+            return None, combo
+        if v in vertices:
+            return None, (vertices[v], combo)
+        vertices[v] = combo
+    return vertices, None
 
 
 def general_position_hyperplanes(arr: Arrangement):
     """Every d-subset meets in a single point and those points are pairwise
     distinct.  Returns (True, None) or (False, witness)."""
-    d = arr.dim
-    n = len(arr)
-    vertices = {}
-    for combo in itertools.combinations(range(1, n + 1), d):
-        try:
-            v = hyperplane_intersection([arr.hyperplane(i) for i in combo])
-        except DegenerateInputError:
-            return False, combo
-        if v in vertices:
-            return False, (vertices[v], combo)
-        vertices[v] = combo
-    return True, None
+    vertices, witness = _vertex_walk(arr)
+    return vertices is not None, witness
 
 
 def one_sided_relation(dim: int) -> SemiAlgebraicRelation:
@@ -251,18 +262,17 @@ def one_sided_relation(dim: int) -> SemiAlgebraicRelation:
     det(A_d)/det(A) of two determinants in the representation coordinates,
     so positivity is the single polynomial condition det(A_d)*det(A) > 0.
     Singular tuples make the product vanish and are therefore non-members.
+    Raises ResourceLimitError when its (d!)^2 products exceed MAX_EXPANSION.
     """
     d = dim
     if d < 1:
         raise ArgumentError("dimension must be at least 1")
+    _check_expansion(d, 2)
     nv = d * (d + 1)
-
-    def entry(slot: int, coord: int) -> MultivariatePolynomial:
-        return MultivariatePolynomial.variable(slot * (d + 1) + coord, nv)
-
-    coeff_rows = [[entry(i, j) for j in range(d)] for i in range(d)]
-    numer_rows = [[entry(i, j) for j in range(d - 1)] + [entry(i, d)] for i in range(d)]
-    p = _sym_det(numer_rows) * _sym_det(coeff_rows)
+    # Coordinate j of representation point i is variable i*(d+1) + j.
+    coeff_rows = [[i * (d + 1) + j for j in range(d)] for i in range(d)]
+    numer_rows = [row[:-1] + [i * (d + 1) + d] for i, row in enumerate(coeff_rows)]
+    p = _sym_det(nv, numer_rows) * _sym_det(nv, coeff_rows)
     return SemiAlgebraicRelation(d, d + 1, [p], Formula.leaf(0, "gt"))
 
 
@@ -273,25 +283,18 @@ def is_one_sided(arr: Arrangement, reference: Hyperplane | None = None):
     Requires the arrangement in general position.  Returns (True, sign) or
     (False, witness_combo).
     """
-    d = arr.dim
-    ok, witness = general_position_hyperplanes(arr)
-    if not ok:
+    vertices, witness = _vertex_walk(arr)
+    if vertices is None:
         raise PreconditionError("arrangement not in general position", witness=witness)
     if reference is None:
-        normal = [Fraction(0)] * d
-        normal[d - 1] = Fraction(1)
-        reference = Hyperplane.make(normal, 0)
+        reference = Hyperplane.make([0] * (arr.dim - 1) + [1], 0)
     seen_sign = 0
-    for combo in itertools.combinations(range(1, len(arr) + 1), d):
-        v = hyperplane_intersection([arr.hyperplane(i) for i in combo])
+    for v, combo in vertices.items():
         s = reference.side(v)
-        if s == 0:
+        s = (s > 0) - (s < 0)
+        if s == 0 or s == -seen_sign:
             return False, combo
-        s = 1 if s > 0 else -1
-        if seen_sign == 0:
-            seen_sign = s
-        elif s != seen_sign:
-            return False, combo
+        seen_sign = s
     return True, seen_sign
 
 
@@ -328,9 +331,7 @@ def project_onto_hyperplane(arr: Arrangement, pivot_index: int):
             raise DegenerateInputError(
                 "member parallel to the pivot has no hyperplane image in the chart")
         members.append(image)
-    floor_normal = [Fraction(0)] * d
-    floor_normal[d - 1] = Fraction(1)
-    floor_image = image_of(Hyperplane.make(floor_normal, 0))
+    floor_image = image_of(Hyperplane.make([0] * (d - 1) + [1], 0))
     return Arrangement(d - 1, members), floor_image
 
 
@@ -338,22 +339,17 @@ def is_convex_position(points: OrderedPointSet) -> bool:
     """Whether every point is a vertex of the convex hull (planar, exact).
 
     Requires general position (raises PreconditionError otherwise, with the
-    offending triple as witness).
+    first collinear triple in combinations order as witness).  Each triple's
+    orientation is computed once.  A point inside the hull of the others is
+    inside a triangle of three of them (Caratheodory), so it suffices that
+    every four points are in convex position: their affine dependency, with
+    coefficient signs +o(234), -o(134), +o(124), -o(123), splits them 2 + 2
+    (Radon), i.e. the four orientations multiply to +1.
     """
     if points.dim != 2:
         raise ArgumentError("convex position test is for planar point sets")
-    ok, witness = general_position_points(points)
-    if not ok:
+    table, witness = _orientation_table(points)
+    if table is None:
         raise PreconditionError("points not in general position", witness=witness)
-    n = len(points)
-    for q in range(1, n + 1):
-        others = [i for i in range(1, n + 1) if i != q]
-        qp = points.point(q)
-        for tri in itertools.combinations(others, 3):
-            a, b, c = (points.point(i) for i in tri)
-            s1 = orientation([a, b, qp])
-            s2 = orientation([b, c, qp])
-            s3 = orientation([c, a, qp])
-            if s1 == s2 == s3:
-                return False
-    return True
+    return all(math.prod(table[t] for t in itertools.combinations(quad, 3)) > 0
+               for quad in itertools.combinations(range(1, len(points) + 1), 4))

@@ -114,6 +114,16 @@ def test_construct_one_sided_relation_only(capsys):
     assert doc["arity"] == 2 and doc["dim"] == 3
 
 
+@pytest.mark.parametrize("command,dim", [
+    ("order-type", "7"), ("order-type", "100000"),
+    ("one-sided", "6"), ("one-sided", "100000")])
+def test_construct_geometry_dim_above_expansion_cap(capsys, command, dim):
+    # The expansion is counted, and refused, before anything is built.
+    code, out, err = run(capsys, "construct", command, "--dim", dim)
+    assert code == cli.EXIT_RESOURCE == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+
+
 # -- solve --------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_linalg
 from semiramsey import (
     ArgumentError,
     Arrangement,
@@ -31,6 +32,7 @@ from semiramsey import (
     project_onto_hyperplane,
     solve_linear_system,
 )
+from semiramsey import geometry
 
 
 def line(a1, a2, b) -> Hyperplane:
@@ -364,3 +366,130 @@ def test_any_five_points_contain_four_in_convex_position():
             for quad in itertools.combinations(range(5), 4))
         assert found, coords
         done += 1
+
+
+# -- the integer elimination against the Fraction oracle ----------------------------------------
+
+scalars = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
+
+
+def _others(draw, size, i):
+    return draw(st.sampled_from([j for j in range(size) if j != i]))
+
+
+@st.composite
+def square_systems(draw):
+    """(A, b) with A of size 1..6; about half are made singular by
+    replacing a row with a rational combination of two others."""
+    n = draw(st.integers(1, 6))
+    a = [draw(st.lists(scalars, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j, k = _others(draw, n, i), _others(draw, n, i)
+        s, t = draw(scalars), draw(scalars)
+        a[i] = [s * x + t * y for x, y in zip(a[j], a[k])]
+    return a, draw(st.lists(scalars, min_size=n, max_size=n))
+
+
+@st.composite
+def point_tuples(draw):
+    """d+1 points in R^d, d = 1..5, often with a repeated point or one on
+    the line through two others."""
+    d = draw(st.integers(1, 5))
+    pts = [draw(st.lists(scalars, min_size=d, max_size=d)) for _ in range(d + 1)]
+    mode = draw(st.sampled_from(["free", "repeat", "collinear"]))
+    i = draw(st.integers(0, d))
+    if mode == "repeat" or (mode == "collinear" and d == 1):
+        pts[i] = list(pts[_others(draw, d + 1, i)])
+    elif mode == "collinear":
+        j, k, s = _others(draw, d + 1, i), _others(draw, d + 1, i), draw(scalars)
+        pts[i] = [s * x + (1 - s) * y for x, y in zip(pts[j], pts[k])]
+    return pts
+
+
+@given(square_systems())
+@settings(max_examples=300, deadline=None)
+def test_det_and_solve_match_fraction_oracle(system):
+    a, b = system
+    assert det(a) == oracle_linalg.det(a)
+    try:
+        expected = oracle_linalg.solve_linear_system(a, b)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            solve_linear_system(a, b)
+    else:
+        assert solve_linear_system(a, b) == expected
+
+
+@given(point_tuples())
+@settings(max_examples=300, deadline=None)
+def test_orientation_matches_fraction_oracle(points):
+    assert orientation(points) == oracle_linalg.orientation(points)
+
+
+def test_solve_linear_system_rejects_mismatched_right_side():
+    with pytest.raises(ArgumentError):
+        solve_linear_system([[1, 0], [0, 1]], [1, 2, 3])
+    with pytest.raises(ArgumentError):
+        solve_linear_system([[1, 0], [0, 1]], [1])
+
+
+def _outcome(test, points):
+    try:
+        return test(points)
+    except PreconditionError as exc:
+        return ("witness", exc.witness)
+
+
+def test_convex_position_matches_oracle():
+    """Planar sets of 4-8 points; the small grids give many collinear
+    triples, where the PreconditionError witness must be the oracle's."""
+    rng = SeededRng(4242)
+    seen = set()
+    for trial in range(300):
+        t_rng = rng.derive(f"convex-{trial}")
+        span = 3 if trial % 3 == 0 else 30
+        coords = [[F(t_rng.randint(-span, span), t_rng.randint(1, 2)),
+                   F(t_rng.randint(-span, span), t_rng.randint(1, 2))]
+                  for _ in range(4 + trial % 5)]
+        points = OrderedPointSet(2, coords)
+        expected = _outcome(oracle_linalg.is_convex_position, points)
+        assert _outcome(is_convex_position, points) == expected, coords
+        seen.add(expected if isinstance(expected, bool) else "witness")
+    assert seen == {True, False, "witness"}
+
+
+def test_convex_position_reads_each_triple_once(monkeypatch):
+    calls = []
+
+    def counting(points):
+        calls.append(tuple(points))
+        return orientation(points)
+
+    monkeypatch.setattr(geometry, "orientation", counting)
+    octagon = OrderedPointSet(2, [[3, 0], [2, 2], [0, 3], [-2, 2],
+                                  [-3, 0], [-2, -2], [0, -3], [2, -2]])
+    assert is_convex_position(octagon)
+    assert len(calls) == len(set(calls)) == 56  # C(8, 3)
+
+
+def test_is_one_sided_solves_each_subset_once(monkeypatch):
+    calls = []
+
+    def counting(hyperplanes):
+        calls.append(tuple(hyperplanes))
+        return hyperplane_intersection(hyperplanes)
+
+    monkeypatch.setattr(geometry, "hyperplane_intersection", counting)
+    arr = Arrangement(2, [line(-1, 1, 1), line(1, 1, 3), line(0, 1, 1), line(1, 2, 9)])
+    assert is_one_sided(arr) == (True, 1)
+    assert len(calls) == len(set(calls)) == 6  # C(4, 2)
+
+
+def test_proportional_to_rejects_other_hyperplanes():
+    assert line(1, 1, 1).proportional_to(line(-2, -2, -2))
+    assert line(0, 3, 0).proportional_to(line(0, -1, 0))
+    assert not line(1, 1, 1).proportional_to(line(1, 1, 2))
+    assert not line(1, 0, 1).proportional_to(line(1, 1, 1))
+    assert not line(1, 2, 0).proportional_to(line(2, 1, 0))
+    assert not line(1, 1, 0).proportional_to(plane(1, 1, 0, 0))
