@@ -295,6 +295,8 @@ def cmd_verify_transitive_ramsey(args) -> int:
 
 
 def cmd_verify_milnor_thom(args) -> int:
+    if args.trials < 0 or args.points < 0:
+        raise ArgumentError("--trials and --points must be at least 0")
     rng = SeededRng(args.seed)
     worst = Fraction(0)
     for trial in range(args.trials):
@@ -332,6 +334,8 @@ def cmd_verify_milnor_thom(args) -> int:
 
 
 def cmd_verify_sturm(args) -> int:
+    if args.trials < 0 or args.degree < 1:
+        raise ArgumentError("--trials must be at least 0 and --degree at least 1")
     rng = SeededRng(args.seed)
     for trial in range(args.trials):
         t_rng = rng.derive(f"poly-{trial}")

@@ -268,10 +268,7 @@ class OrderedPointSet:
         return self.points[index - 1]
 
     def coords_for(self, indices: Sequence[int]) -> list[Scalar]:
-        out: list[Scalar] = []
-        for i in indices:
-            out.extend(self.point(i))
-        return out
+        return [x for i in indices for x in self.point(i)]
 
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(M, X), built on first use: M is the LCM of every coordinate
@@ -291,15 +288,6 @@ class OrderedPointSet:
                 tuple([n * (scale // q) for n, q in r]) for r in ratios))
         return self._scaled
 
-    def scaled_coords_for(self, indices: Sequence[int]) -> tuple[int, list[int]]:
-        """(M, the concatenated integer coordinates of the indexed points)."""
-        scale, scaled = self.scaled()
-        out: list[int] = []
-        for i in indices:
-            self._check_index(i)
-            out.extend(scaled[i - 1])
-        return scale, out
-
 
 def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
                     indices: Sequence[int]) -> bool:
@@ -314,7 +302,12 @@ def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
     for a, b in zip(indices, indices[1:]):
         if a >= b:
             raise ArgumentError(f"indices must be strictly increasing, got {tuple(indices)}")
-    return relation.holds_at_scale(*points.scaled_coords_for(indices))
+    # Increasing, so the first and the last index bound all of them.
+    points._check_index(indices[0])
+    points._check_index(indices[-1])
+    scale, scaled = points.scaled()
+    coords = [x for i in indices for x in scaled[i - 1]]
+    return relation.holds_at_scale(scale, coords)
 
 
 SignVector = tuple  # tuple of -1 / 0 / +1, one entry per polynomial

@@ -41,9 +41,9 @@ class MembershipOracle:
     """Membership of index tuples of one point set in one relation.
 
     The point set and the relation must live in the same space; that is
-    checked once, here.  member() is memoized per tuple, above() per
-    (k-1)-prefix, and polarity() is the homogeneity check every solver
-    certifies with.
+    checked once, here.  Membership is memoized once, per (k-1)-prefix as a
+    bitmask; `evaluations` counts the tuples evaluated.  polarity() is the
+    homogeneity check every solver certifies with.
     """
 
     def __init__(self, points: OrderedPointSet,
@@ -54,30 +54,31 @@ class MembershipOracle:
                 f"points in R^{points.dim}")
         self.points = points
         self.relation = relation
-        self.cache: dict[tuple, bool] = {}
         self.masks: dict[tuple, tuple[int, int]] = {}
+        self.evaluations = 0
 
     def member(self, indices: tuple) -> bool:
-        v = self.cache.get(indices)
-        if v is None:
-            v = eval_membership(self.relation, self.points, indices)
-            self.cache[indices] = v
-        return v
+        if not indices or not 1 <= indices[-1] <= len(self.points):
+            # No bit to read: eval_membership refuses every such tuple.
+            return eval_membership(self.relation, self.points, indices)
+        return bool(self.above(indices[:-1], 1 << indices[-1]))
 
     def above(self, prefix: tuple, within: int) -> int:
         """Bitmask with bit c set for each point index c in the bitmask
         `within` such that prefix + (c,) is in the relation; prefix has k-1
-        entries and `within` only indices after prefix[-1].  Each tuple goes
-        through member() once: the mask of every prefix is kept with the
-        bits it is known on."""
+        entries and `within` only indices after prefix[-1].  Each tuple is
+        evaluated once: the mask of every prefix is kept with the bits it
+        is known on."""
         known, mask = self.masks.get(prefix, (0, 0))
         todo = within & ~known
         if todo:
-            member = self.member
+            self.evaluations += todo.bit_count()
+            relation, points = self.relation, self.points
             while todo:
                 low = todo & -todo
                 todo ^= low
-                if member(prefix + (low.bit_length() - 1,)):
+                if eval_membership(relation, points,
+                                   prefix + (low.bit_length() - 1,)):
                     mask |= low
             self.masks[prefix] = (known | within, mask)
         return mask & within
@@ -128,7 +129,7 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     with stats["maximum"] set to False (it is still a certified homogeneous
     subset).  stats also counts the nodes visited (at most the budget), the
     popcount prunes ("prunes"), the colouring prunes ("colour_prunes") and
-    the distinct tuples evaluated ("evaluations").
+    the distinct tuples evaluated ("evaluations", MembershipOracle's count).
     """
     n = len(points)
     k = relation.arity
@@ -215,7 +216,7 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         certified=certified,
         stats={"nodes": nodes, "prunes": prunes,
                "colour_prunes": colour_prunes,
-               "evaluations": len(oracle.cache), "maximum": not exhausted,
+               "evaluations": oracle.evaluations, "maximum": not exhausted,
                "method": "branch-and-bound"},
     )
 
@@ -533,8 +534,8 @@ class Hypergraph3:
 
     @classmethod
     def make(cls, n: int, edges) -> "Hypergraph3":
-        if type(n) is not int:
-            raise ArgumentError(f"vertex count must be an int, got {n!r}")
+        if type(n) is not int or n < 1:
+            raise ArgumentError(f"vertex count must be an int of at least 1, got {n!r}")
         clean = set()
         for e in edges:
             if any(type(v) is not int for v in e):

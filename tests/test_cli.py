@@ -184,7 +184,10 @@ def test_solve_spencer(capsys, tmp_path):
     {"n": True, "edges": []},
     {"n": 4, "edges": [[1, 2, 3.0], [1, 2, 4]]},
     {"n": 4, "edges": [[True, 2, 3], [1, 2, 4]]},
-], ids=["float-count", "bool-count", "float-vertex", "bool-vertex"])
+    {"n": 0, "edges": []},
+    {"n": -3, "edges": []},
+], ids=["float-count", "bool-count", "float-vertex", "bool-vertex",
+        "zero-count", "negative-count"])
 def test_solve_spencer_refuses_non_int_vertices(capsys, tmp_path, graph):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
@@ -265,6 +268,20 @@ def test_verify_milnor_thom(capsys):
                               "--trials", "5", "--points", "50")
     assert code == 0 and err == ""
     assert doc["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["sturm", "--degree", "0"],
+    ["sturm", "--degree", "-2"],
+    ["sturm", "--trials", "-1"],
+    ["milnor-thom", "--trials", "-1"],
+    ["milnor-thom", "--points", "-1"],
+], ids=["sturm-degree-0", "sturm-degree-negative", "sturm-trials-negative",
+        "milnor-thom-trials-negative", "milnor-thom-points-negative"])
+def test_verify_refuses_counts_out_of_range(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
 
 
 # -- report -------------------------------------------------------------------

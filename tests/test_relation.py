@@ -181,8 +181,9 @@ def test_compiled_decider_matches_the_recursive_oracle(seed, monkeypatch):
             return atom.holds(sign)
 
         expected = oracle_formula.evaluate(formula, truth)
-        scale, scaled = OrderedPointSet(
-            1, [[c] for c in coords]).scaled_coords_for((1, 2))
+        scale, (first, second) = OrderedPointSet(
+            1, [[c] for c in coords]).scaled()
+        scaled = first + second
         for decide in (lambda: relation.holds_on_coords(coords),
                        lambda: relation.holds_at_scale(scale, scaled)):
             reads.clear()

@@ -39,6 +39,7 @@ from semiramsey import (
     transitive_ramsey_number,
     verify_transitive_ramsey,
 )
+from semiramsey import solvers
 from semiramsey.solvers import greedy_class_bound_check
 
 import oracle_bnb
@@ -191,10 +192,20 @@ def test_constant_relations_match_the_prefix_loop(arity):
     lambda: _instance(one_dim_k4_construction(2)),
 ], ids=["base-5", "step-up-base-2", "jittered5-s1", "jittered5-s7",
         "onedim-k4-2"])
-def test_constructions_match_the_prefix_loop(make):
+def test_constructions_match_the_prefix_loop(make, monkeypatch):
+    calls = []
+
+    def recorded(relation, points, indices):
+        calls.append(tuple(indices))
+        return eval_membership(relation, points, indices)
+
+    monkeypatch.setattr(solvers, "eval_membership", recorded)
     result = _assert_matches_prefix_loop(*make())
     # The colouring bound prunes on every one of these (arity 3 and 4).
     assert result.stats["colour_prunes"] > 0
+    # One max_homogeneous call, final certification included, evaluates
+    # each tuple once and counts every evaluation.
+    assert len(calls) == len(set(calls)) == result.stats["evaluations"]
 
 
 def test_search_counters_are_deterministic():
@@ -215,6 +226,11 @@ def test_homogeneous_check_detects_mixed_subsets():
     # not, as 1 + 4 - 2*3 = -1 < -1/2.
     assert homogeneous_check(inst.points, inst.relation,
                              [1, 2, 3, 4]) == (None, (1, 3, 4))
+    # Index 0, negative indices, an index above n = 4 and a repeated index
+    # are refused, never read as a bit of the memo.
+    for subset in ([0, 1, 2], [-3, -2, -1], [1, 2, 5], [1, 2, 2]):
+        with pytest.raises(ArgumentError):
+            homogeneous_check(inst.points, inst.relation, subset)
 
 
 def test_point_and_relation_dimension_mismatch_rejected():
@@ -430,6 +446,9 @@ def test_hypergraph_validation():
         Hypergraph3.make(4, [(1, 2, 5)])
     with pytest.raises(ArgumentError):
         Hypergraph3.make(4, [(1, 1, 2)])
+    for n in (0, -3):
+        with pytest.raises(ArgumentError):
+            Hypergraph3.make(n, [])
     normalized = Hypergraph3.make(4, [(2, 1, 3)])
     assert (1, 2, 3) in normalized.edges
 
