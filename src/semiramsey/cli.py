@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import constructions, geometry, jsonio, solvers
 from .errors import (ArgumentError, BudgetExhaustedError,
-                     ResourceLimitError, MAX_BITS, MAX_POINTS)
+                     ResourceLimitError, MAX_DIGITS, MAX_TUPLES)
 from .relation import (count_distinct_sign_vectors, eval_membership,
                        milnor_thom_bound)
 from .poly import MultivariatePolynomial, from_univariate_coeffs
@@ -101,7 +101,7 @@ def _write_result(args, res: solvers.HomogeneousResult) -> int:
 
 
 def cmd_construct_base(args) -> int:
-    inst = constructions.base_construction(args.n, max_points=args.max_points)
+    inst = constructions.base_construction(args.n)
     return _write_instance(args, inst)
 
 
@@ -109,24 +109,20 @@ def cmd_construct_stepup(args) -> int:
     if (args.n is None) == (args.input is None):
         raise ArgumentError("give exactly one of --n or --input")
     if args.n is not None:
-        base = constructions.base_construction(args.n,
-                                               max_points=args.max_points)
+        base = constructions.base_construction(args.n)
     else:
         base = _read_json(args.input, jsonio.instance_from_json)
-    inst = constructions.step_up(base, max_points=args.max_points)
+    inst = constructions.step_up(base)
     return _write_instance(args, inst)
 
 
 def cmd_construct_onedim_k4(args) -> int:
-    inst = constructions.one_dim_k4_construction(
-        args.n, base=args.base, max_points=args.max_points,
-        max_bits=args.max_bits)
+    inst = constructions.one_dim_k4_construction(args.n, base=args.base)
     return _write_instance(args, inst)
 
 
 def cmd_construct_frankl_wilson(args) -> int:
-    points, relation, _adj = constructions.frankl_wilson_graph(
-        args.m, args.p, max_points=args.max_points)
+    points, relation, _adj = constructions.frankl_wilson_graph(args.m, args.p)
     inst = constructions.ConstructionInstance(
         points=points, relation=relation, epsilon=None,
         provenance={"kind": "frankl-wilson", "m": args.m, "p": args.p})
@@ -217,8 +213,7 @@ def cmd_solve_spencer(args) -> int:
 
 
 def cmd_verify_properties_ab(args) -> int:
-    ok, witness = constructions.verify_delta_properties(
-        args.bits, chains=args.chains, seed=args.seed)
+    ok, witness = constructions.verify_delta_properties(args.bits)
     if ok:
         _emit({"ok": True, "bits": args.bits})
         return EXIT_OK
@@ -227,13 +222,15 @@ def cmd_verify_properties_ab(args) -> int:
 
 
 def cmd_verify_stepup_consistency(args) -> int:
+    if args.sample is not None and args.sample < 0:
+        raise ArgumentError("--sample must be at least 0")
     base = constructions.base_construction(args.n)
     # Stepping up gives 2^N points and arity k + 1: refuse before building.
     n_pts = 2 ** len(base.points)
     k = base.relation.arity + 1
     if args.sample is None:
         total = math.comb(n_pts, k)
-        if total > 10 ** 6:
+        if total > MAX_TUPLES:
             raise ResourceLimitError(
                 f"{total} tuples to check; pass --sample to subsample")
         tuples = itertools.combinations(range(1, n_pts + 1), k)
@@ -382,9 +379,12 @@ def _table(rows: list[dict], columns: list[str], fmt: str) -> str:
 
 
 def cmd_report_tower(args) -> int:
-    rows = [{"height": i, "value": constructions.tower(i, args.x,
-                                                       max_bits=args.max_bits)}
+    rows = [{"height": i, "value": constructions.tower(i, args.x)}
             for i in range(1, args.height + 1)]
+    if rows and rows[-1]["value"] >= 10 ** MAX_DIGITS:
+        raise ResourceLimitError(
+            f"tower({args.height}, {args.x}) has more than {MAX_DIGITS} "
+            "decimal digits to print")
     sys.stdout.write(_table(rows, ["height", "value"], args.format))
     return EXIT_OK
 
@@ -426,16 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "semi-algebraic homogeneous-subset problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, budget=False, points=False, bits=False,
-               output=False):
+    def common(p, seed=False, budget=False, output=False):
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if budget:
             p.add_argument("--budget", type=int, default=10 ** 6)
-        if points:
-            p.add_argument("--max-points", type=int, default=MAX_POINTS)
-        if bits:
-            p.add_argument("--max-bits", type=int, default=MAX_BITS)
         if output:
             p.add_argument("--output", default=None,
                            help="write JSON here instead of stdout and "
@@ -448,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("base", help="2^n integers with the ternary "
                                      "midpoint-gap relation")
     p.add_argument("--n", type=int, required=True)
-    common(p, points=True, output=True)
+    common(p, output=True)
     p.set_defaults(func=cmd_construct_base)
 
     p = csub.add_parser("stepup", help="double the exponent: lift an "
@@ -457,21 +452,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step up the height-n base construction")
     p.add_argument("--input", default=None,
                    help="step up an instance read from this JSON file")
-    common(p, points=True, output=True)
+    common(p, output=True)
     p.set_defaults(func=cmd_construct_stepup)
 
     p = csub.add_parser("onedim-k4", help="4-ary construction on the line "
                                           "with tower-size point count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--base", type=int, default=10)
-    common(p, points=True, bits=True, output=True)
+    common(p, output=True)
     p.set_defaults(func=cmd_construct_onedim_k4)
 
     p = csub.add_parser("frankl-wilson", help="set-intersection graph with "
                                               "small cliques and independent sets")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    common(p, points=True, output=True)
+    common(p, output=True)
     p.set_defaults(func=cmd_construct_frankl_wilson)
 
     p = csub.add_parser("order-type", help="orientation relation on (d+1)-"
@@ -527,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
                                               "differing-bit properties")
     p.add_argument("--N", "--bits", dest="bits", type=int, required=True,
                    help="check all pairs/triples from {1, ..., 2^N}")
-    p.add_argument("--chains", type=int, default=200)
-    common(p, seed=True)
     p.set_defaults(func=cmd_verify_properties_ab)
 
     p = vsub.add_parser("stepup-consistency",
@@ -579,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--x", type=int, default=2)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    common(p, bits=True)
     p.set_defaults(func=cmd_report_tower)
 
     p = rsub.add_parser("transitive", help="transitive-coloring clique "

@@ -41,10 +41,10 @@ class ConstructionInstance:
             raise ArgumentError("epsilon must be positive")
 
 
-def tower(height: int, x: int, max_bits: int = MAX_BITS) -> int:
+def tower(height: int, x: int) -> int:
     """Iterated exponential: tower(1, x) = x, tower(i+1, x) = 2**tower(i, x).
 
-    Refuses to build integers wider than max_bits bits.
+    Refuses to build integers wider than MAX_BITS bits.
     """
     if height < 1:
         raise ArgumentError("tower height must be at least 1")
@@ -52,8 +52,8 @@ def tower(height: int, x: int, max_bits: int = MAX_BITS) -> int:
         raise ArgumentError("tower argument must be nonnegative")
     value = x
     for _ in range(height - 1):
-        if value > max_bits:
-            raise ResourceLimitError(f"tower value would exceed {max_bits} bits")
+        if value > MAX_BITS:
+            raise ResourceLimitError(f"tower value would exceed {MAX_BITS} bits")
         value = 2 ** value
     return value
 
@@ -111,7 +111,7 @@ def base_relation() -> SemiAlgebraicRelation:
     return rb.build(Formula.all_of(order + [rb.atom(mid, "ge")]))
 
 
-def base_construction(n: int, max_points: int = MAX_POINTS) -> ConstructionInstance:
+def base_construction(n: int) -> ConstructionInstance:
     """The integers 1..2^n on the line with the ternary base relation.
 
     Its largest homogeneous subset has size exactly n + 1 (e.g. the powers
@@ -120,8 +120,8 @@ def base_construction(n: int, max_points: int = MAX_POINTS) -> ConstructionInsta
     if n < 1:
         raise ArgumentError("n must be at least 1")
     count = 2 ** n
-    if count > max_points:
-        raise ResourceLimitError(f"2^{n} points exceeds cap {max_points}")
+    if count > MAX_POINTS:
+        raise ResourceLimitError(f"2^{n} points exceeds cap {MAX_POINTS}")
     points = OrderedPointSet(1, [(i,) for i in range(1, count + 1)])
     return ConstructionInstance(
         points=points,
@@ -149,13 +149,15 @@ def delta_index(a: int, b: int, bits: int) -> int:
     return ((a - 1) ^ (b - 1)).bit_length()
 
 
-def verify_delta_properties(bits: int, chains: int = 200, seed: int = 0,
-                            delta=delta_index):
+def verify_delta_properties(bits: int, delta=delta_index):
     """Exhaustively check, over all of 1..2^bits:
 
     A: delta(a, b) != delta(b, c) for every a < b < c, and
-    B: delta(a, c) = max(delta(a, b), delta(b, c)) for every a < b < c,
-       plus max-of-consecutive over seeded random longer chains.
+    B: delta(a, c) = max(delta(a, b), delta(b, c)) for every a < b < c.
+
+    B on every triple gives the same for every longer chain c0 < ... < ck,
+    delta(c0, ck) = max of delta over consecutive pairs, by induction on k:
+    apply B to (c0, c_{k-1}, ck).
 
     Returns (True, None) or (False, witness): the first A violation by
     middle point, value, a and c, else the first B violation by b, a and c.
@@ -165,6 +167,8 @@ def verify_delta_properties(bits: int, chains: int = 200, seed: int = 0,
     empty intersection of values per point and B a subset test per pair,
     so the N = 10 case (all ~1.8e8 triples) finishes in seconds.
     """
+    if bits < 1:
+        raise ArgumentError("bits must be at least 1")
     n = 2 ** bits
     # left[b][v]: points a < b with delta(a, b) = v; right[a][v]: points
     # c > a with delta(a, c) = v; d[a][c] = delta(a, c).
@@ -205,15 +209,6 @@ def verify_delta_properties(bits: int, chains: int = 200, seed: int = 0,
                 bad |= right[b][v] & ~ra.get(v, 0)
             if bad:
                 return False, ("B", (a, b, lowest(bad)))
-
-    rng = SeededRng(seed)
-    if n >= 3:
-        for _ in range(chains):
-            length = rng.randint(3, min(12, n))
-            chain = sorted(rng.sample(range(1, n + 1), length))
-            dmax = max(d[x][y] for x, y in zip(chain, chain[1:]))
-            if d[chain[0]][chain[-1]] != dmax:
-                return False, ("B-chain", tuple(chain))
     return True, None
 
 
@@ -277,8 +272,7 @@ def _cross_ball_radius(anchor: Sequence[Fraction], eps: Fraction) -> Fraction:
         r = r / 2
 
 
-def step_up_points(base: ConstructionInstance,
-                   max_points: int = MAX_POINTS) -> tuple[OrderedPointSet, Fraction]:
+def step_up_points(base: ConstructionInstance) -> tuple[OrderedPointSet, Fraction]:
     """Recursive doubling construction: N base points in R^d with stability
     radius eps give 2^N points in R^{2d}.
 
@@ -294,7 +288,7 @@ def step_up_points(base: ConstructionInstance,
     the output points by at most eps1.  Requires every base coordinate to be
     strictly positive (the copy anchored at the origin makes the output
     itself unsuitable for further stepping-up without a translation).
-    Refuses before building when 2^N exceeds max_points or the C(2^N, 2)
+    Refuses before building when 2^N exceeds MAX_POINTS or the C(2^N, 2)
     output pairs the radius visits exceed MAX_PAIRS.
     """
     pts = base.points
@@ -302,8 +296,8 @@ def step_up_points(base: ConstructionInstance,
     n = len(pts)
     if n < 1:
         raise ArgumentError("base must have at least one point")
-    if 2 ** n > max_points:
-        raise ResourceLimitError(f"2^{n} output points exceeds cap {max_points}")
+    if 2 ** n > MAX_POINTS:
+        raise ResourceLimitError(f"2^{n} output points exceeds cap {MAX_POINTS}")
     pairs = math.comb(2 ** n, 2)
     if pairs > MAX_PAIRS:
         raise ResourceLimitError(
@@ -532,10 +526,9 @@ def step_up_relation(base: SemiAlgebraicRelation) -> SemiAlgebraicRelation:
     return rb.build(Formula.all_of([order, Formula.any_of([c1, c2, c3])]))
 
 
-def step_up(base: ConstructionInstance,
-            max_points: int = MAX_POINTS) -> ConstructionInstance:
+def step_up(base: ConstructionInstance) -> ConstructionInstance:
     """Full stepping-up of an instance: points, relation and new epsilon."""
-    points, eps1 = step_up_points(base, max_points=max_points)
+    points, eps1 = step_up_points(base)
     return ConstructionInstance(
         points=points,
         relation=step_up_relation(base.relation),
@@ -616,9 +609,7 @@ def quad_factor(base: int) -> Fraction:
         q += 1
 
 
-def one_dim_k4_construction(n: int, base: int = 10,
-                            max_points: int = MAX_POINTS,
-                            max_bits: int = MAX_BITS) -> ConstructionInstance:
+def one_dim_k4_construction(n: int, base: int = 10) -> ConstructionInstance:
     """2^(2^n) points on the line from base-b digit patterns, with the
     arity-4 relation above.
 
@@ -640,9 +631,9 @@ def one_dim_k4_construction(n: int, base: int = 10,
         raise ArgumentError("digit base must be at least 2")
     digits = 2 ** n
     count = 2 ** digits
-    if count > max_points:
-        raise ResourceLimitError(f"2^(2^{n}) points exceeds cap {max_points}")
-    if digits * math.log2(base) > max_bits:
+    if count > MAX_POINTS:
+        raise ResourceLimitError(f"2^(2^{n}) points exceeds cap {MAX_POINTS}")
+    if digits * math.log2(base) > MAX_BITS:
         raise ResourceLimitError("coordinates would exceed the bit cap")
     values = []
     for pattern in range(count):
@@ -698,7 +689,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def frankl_wilson_graph(m: int, p: int, max_points: int = MAX_POINTS):
+def frankl_wilson_graph(m: int, p: int):
     """Vertices: all (p^2-1)-subsets of 1..m as increasing vectors; edges:
     pairs with intersection size congruent to -1 mod p.
 
@@ -713,8 +704,8 @@ def frankl_wilson_graph(m: int, p: int, max_points: int = MAX_POINTS):
     if m < r:
         raise ArgumentError(f"need m >= p^2 - 1 = {r}")
     count = math.comb(m, r)
-    if count > max_points:
-        raise ResourceLimitError(f"binomial({m},{r}) vertices exceeds cap {max_points}")
+    if count > MAX_POINTS:
+        raise ResourceLimitError(f"binomial({m},{r}) vertices exceeds cap {MAX_POINTS}")
     subsets = list(itertools.combinations(range(1, m + 1), r))
     points = OrderedPointSet(r, subsets)
 
@@ -798,6 +789,8 @@ def verify_eps_deep_sampled(instance: ConstructionInstance,
     witness holds the tuple, the perturbed coordinates and both memberships.
     This samples; it can refute deepness but never fully certify it.
     """
+    if samples_per_tuple < 0:
+        raise ArgumentError("samples_per_tuple must be at least 0")
     eps = _coef(eps if eps is not None else instance.epsilon)
     if eps <= 0:
         raise ArgumentError("eps must be positive")

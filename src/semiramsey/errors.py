@@ -36,20 +36,26 @@ class BudgetExhaustedError(ResourceLimitError):
     """
 
 
-# Default resource caps.  Constructions refuse to materialize point sets
-# larger than MAX_POINTS, and tower() refuses to produce integers wider
-# than MAX_BITS bits.  Both are overridable per call.  A point set whose
-# common denominator has more than MAX_BITS bits cannot be scaled to
-# integers (OrderedPointSet.scaled); that use of the cap is fixed.  Stepping up refuses
-# an output with more than MAX_PAIRS point pairs, because its stability
-# radius visits every pair; this cap is fixed.  Decoded polynomials of total
-# degree above MAX_DEGREE are refused, because evaluating one raises its
-# coordinates to that power; the constructions emit degree at most 6.
-# The geometry relations refuse to expand more than MAX_EXPANSION monomial
-# products ((d+1)! for the order type in R^d, (d!)^2 for one-sidedness), so
-# every accepted dimension builds in under a second; this cap is fixed.
+# Resource caps.  Every cap is a fixed constant: no call or command-line
+# option lifts one.  Constructions refuse to materialize point sets larger
+# than MAX_POINTS, and tower() refuses to produce integers wider than
+# MAX_BITS bits.  A point set whose common denominator has more than
+# MAX_BITS bits cannot be scaled to integers (OrderedPointSet.scaled).
+# Stepping up refuses an output with more than MAX_PAIRS point pairs,
+# because its stability radius visits every pair.  An exhaustive
+# `verify stepup-consistency` refuses more than MAX_TUPLES tuples.  Decoded
+# polynomials of total degree above MAX_DEGREE are refused, because
+# evaluating one raises its coordinates to that power; the constructions
+# emit degree at most 6.  The geometry relations refuse to expand more
+# than MAX_EXPANSION monomial products ((d+1)! for the order type in R^d,
+# (d!)^2 for one-sidedness), so every accepted dimension builds in under a
+# second.  `report tower` refuses to print an integer of more than
+# MAX_DIGITS decimal digits, the interpreter's default int-to-str limit,
+# so its output does not depend on the Python version or its settings.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6
 MAX_PAIRS = 10 ** 6
+MAX_TUPLES = 10 ** 6
 MAX_DEGREE = 1000
 MAX_EXPANSION = 20_000
+MAX_DIGITS = 4300

@@ -9,7 +9,7 @@ variable, the scale L (`_homogenized`): `eval` and `sign` read H at a point
 cleared to (X, L), `integer_form(M)` fixes L at M for a point set scaled
 by M, and the one integer loop `_int_total` sums every value and sign.
 Univariate division runs in integers too, through the one pseudo-division
-loop `_pseudo_divmod` that the Sturm chains share.
+loop `_pseudo_divmod` that every Sturm chain uses.
 """
 
 from __future__ import annotations

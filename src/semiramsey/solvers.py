@@ -135,6 +135,8 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     k = relation.arity
     if n < 1:
         raise ArgumentError("empty point set")
+    if budget < 0:
+        raise ArgumentError("budget must be at least 0")
     oracle = MembershipOracle(points, relation)
     above = oracle.above
     nodes = prunes = colour_prunes = 0
@@ -255,6 +257,8 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         raise ArgumentError("greedy extraction needs arity at least 3")
     if len(points) < k:
         raise ArgumentError("need at least arity many points")
+    if budget < 0:
+        raise ArgumentError("budget must be at least 0")
 
     scale, scaled = points.scaled()
     stats = {"classes_per_level": [], "restrictions": 0, "sign_evaluations": 0}
@@ -466,6 +470,8 @@ def verify_transitive_ramsey(s: int, n: int, N: int,
         raise ArgumentError("both clique sizes must be at least 3")
     if N < 1:
         raise ArgumentError("N must be positive")
+    if budget < 0:
+        raise ArgumentError("budget must be at least 0")
     triples = list(itertools.combinations(range(1, N + 1), 3))
     colors: dict[tuple, str] = {}
     nodes = 0
@@ -563,6 +569,8 @@ def spencer_independent_set(graph: Hypergraph3, seed: int = 0,
     exact integer comparison 27 * |S|^2 * |E| >= 4 * N^3 certifies the bound
     (at most max_rounds attempts).  Returns (vertices, stats).
     """
+    if max_rounds < 1:
+        raise ArgumentError("max_rounds must be at least 1")
     n = graph.n
     m = len(graph.edges)
     if m * 3 < n:

@@ -108,8 +108,7 @@ def test_criterion_03_stepup_consistency():
 def test_criterion_04_delta_properties():
     failures = []
     for bits in range(1, 11):
-        holds, witness = constructions.verify_delta_properties(
-            bits, chains=200, seed=bits)
+        holds, witness = constructions.verify_delta_properties(bits)
         if not holds:
             failures.append((bits, witness))
     ok = not failures

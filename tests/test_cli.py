@@ -216,10 +216,15 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys):
     # The caps are checked before stepping up, so even --n 4 (65,536 points)
     # is refused at once: without --sample by the tuple count, with it (and
     # in construct) by the C(65536, 2) point pairs of the stability radius.
+    # The point caps are fixed, so the constructions above them are refused
+    # before anything is built.
     for argv in (("verify", "stepup-consistency", "--n", "3"),
                  ("verify", "stepup-consistency", "--n", "4"),
                  ("verify", "stepup-consistency", "--n", "4", "--sample", "1"),
-                 ("construct", "stepup", "--n", "4")):
+                 ("construct", "stepup", "--n", "4"),
+                 ("construct", "base", "--n", "21"),
+                 ("construct", "onedim-k4", "--n", "5"),
+                 ("construct", "frankl-wilson", "--m", "200", "--p", "2")):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert out == ""
@@ -271,15 +276,33 @@ def test_verify_milnor_thom(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sturm", "--degree", "0"],
-    ["sturm", "--degree", "-2"],
-    ["sturm", "--trials", "-1"],
-    ["milnor-thom", "--trials", "-1"],
-    ["milnor-thom", "--points", "-1"],
+    ["verify", "sturm", "--degree", "0"],
+    ["verify", "sturm", "--degree", "-2"],
+    ["verify", "sturm", "--trials", "-1"],
+    ["verify", "milnor-thom", "--trials", "-1"],
+    ["verify", "milnor-thom", "--points", "-1"],
+    ["verify", "properties-ab", "--N", "-1"],
+    ["verify", "properties-ab", "--N", "0"],
+    ["verify", "eps-deep", "--input", "{base2}", "--samples", "-1"],
+    ["verify", "stepup-consistency", "--n", "1", "--sample", "-1"],
+    ["verify", "transitive-ramsey", "--s", "3", "--n", "3", "--budget", "-1"],
+    ["solve", "brute", "--input", "{base2}", "--budget", "-1"],
+    ["solve", "greedy", "--input", "{base2}", "--budget", "-1"],
+    ["solve", "spencer", "--input", "{graph}", "--max-rounds", "0"],
+    ["report", "hom", "--n", "2", "--budget", "-1"],
 ], ids=["sturm-degree-0", "sturm-degree-negative", "sturm-trials-negative",
-        "milnor-thom-trials-negative", "milnor-thom-points-negative"])
-def test_verify_refuses_counts_out_of_range(capsys, argv):
-    code, out, err = run(capsys, "verify", *argv)
+        "milnor-thom-trials-negative", "milnor-thom-points-negative",
+        "properties-ab-bits-negative", "properties-ab-bits-0",
+        "eps-deep-samples-negative", "stepup-consistency-sample-negative",
+        "transitive-ramsey-budget-negative", "brute-budget-negative",
+        "greedy-budget-negative", "spencer-max-rounds-0",
+        "hom-budget-negative"])
+def test_verify_refuses_counts_out_of_range(capsys, tmp_path, base2_file,
+                                            argv):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 6, "edges": [[1, 2, 3], [4, 5, 6]]}))
+    argv = [a.format(base2=base2_file, graph=graph) for a in argv]
+    code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_USAGE == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "ArgumentError"
 
@@ -301,6 +324,16 @@ def test_report_tower_text(capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["height", "value"]
     assert lines[3].split() == ["3", "16"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_tower_refuses_values_too_long_to_print(capsys, fmt):
+    # tower(5, 2) = 2^65536 is within the bit cap, but its 19,729 decimal
+    # digits are above MAX_DIGITS.
+    code, out, err = run(capsys, "report", "tower", "--height", "5",
+                         "--format", fmt)
+    assert code == cli.EXIT_RESOURCE == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "ResourceLimitError"
 
 
 def test_report_transitive_thresholds(capsys):

@@ -72,7 +72,7 @@ def test_tower_height_must_be_positive():
 
 def test_tower_refuses_astronomic_results_without_computing_them():
     with pytest.raises(ResourceLimitError):
-        tower(4, 10, max_bits=10 ** 4)
+        tower(4, 10)
 
 
 # -- base construction -----------------------------------------------------------
@@ -103,7 +103,7 @@ def test_powers_of_two_are_homogeneous_at_n3():
 
 def test_base_point_count_capped():
     with pytest.raises(ResourceLimitError):
-        base_construction(12, max_points=1000)
+        base_construction(21)
 
 
 # -- delta index -----------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_delta_index_matches_naive_bit_scan(a, b):
 
 def test_delta_properties_hold_exhaustively_at_small_widths():
     for bits in (1, 2, 3, 4, 5, 6):
-        ok, witness = verify_delta_properties(bits, chains=50, seed=3)
+        ok, witness = verify_delta_properties(bits)
         assert ok, witness
 
 
@@ -169,7 +169,7 @@ def test_delta_properties_witness_matches_brute_force(bits, changes):
     def wrong(a, b, width):
         return changes.get((a, b), delta_index(a, b, width))
 
-    ok, witness = verify_delta_properties(bits, chains=0, delta=wrong)
+    ok, witness = verify_delta_properties(bits, delta=wrong)
     expected = _first_delta_violation(bits, wrong)
     assert (ok, witness) == (expected is None, expected)
 
@@ -247,7 +247,7 @@ def test_step_up_requires_strictly_positive_coordinates():
 
 def test_step_up_point_cap():
     with pytest.raises(ResourceLimitError):
-        step_up_points(base_construction(5), max_points=1000)
+        step_up_points(base_construction(5))
 
 
 def test_step_up_pair_cap_refuses_before_building():
@@ -425,7 +425,7 @@ def test_onedim_small_base_fails_digit_closeness():
 
 def test_onedim_point_cap():
     with pytest.raises(ResourceLimitError):
-        one_dim_k4_construction(3, max_points=100)
+        one_dim_k4_construction(5)
 
 
 # -- subset intersection graph -------------------------------------------------------
