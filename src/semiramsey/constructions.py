@@ -119,10 +119,9 @@ def base_construction(n: int) -> ConstructionInstance:
     """
     if n < 1:
         raise ArgumentError("n must be at least 1")
-    count = 2 ** n
-    if count > MAX_POINTS:
+    if n >= MAX_POINTS.bit_length():  # 2^n > MAX_POINTS, with no 2^n formed
         raise ResourceLimitError(f"2^{n} points exceeds cap {MAX_POINTS}")
-    points = OrderedPointSet(1, [(i,) for i in range(1, count + 1)])
+    points = OrderedPointSet(1, [(i,) for i in range(1, 2 ** n + 1)])
     return ConstructionInstance(
         points=points,
         relation=base_relation(),
@@ -165,10 +164,14 @@ def verify_delta_properties(bits: int, delta=delta_index):
     a < b.  The triples are checked with int bitmasks (bit x for point x)
     of the points on each side of a point at each delta value: A is an
     empty intersection of values per point and B a subset test per pair,
-    so the N = 10 case (all ~1.8e8 triples) finishes in seconds.
+    so the N = 10 case (all ~1.8e8 triples) finishes in seconds.  Its
+    table has all C(2^bits, 2) pairs, so bits >= 11 are refused.
     """
     if bits < 1:
         raise ArgumentError("bits must be at least 1")
+    if _pairs_exceed_cap(bits):
+        raise ResourceLimitError(
+            f"the pairs of 2^{bits} points exceed cap {MAX_PAIRS}")
     n = 2 ** bits
     # left[b][v]: points a < b with delta(a, b) = v; right[a][v]: points
     # c > a with delta(a, c) = v; d[a][c] = delta(a, c).
@@ -623,16 +626,18 @@ def one_dim_k4_construction(n: int, base: int = 10) -> ConstructionInstance:
     factor of quad_factor(b) on the quadratic atom, membership of a tuple
     is step_up_membership_rule(base(n), tuple): the relation is the
     stepped-up base relation on these points, so the stepping-up lemma
-    gives no homogeneous subset of size 2n + 3 (hom <= 2n + 2).
+    gives no homogeneous subset of size 2n + 3 (hom <= 2n + 2).  The
+    digit check visits all C(2^(2^n), 2) pairs, so n >= 4 is refused.
     """
     if n < 1:
         raise ArgumentError("n must be at least 1")
     if base < 2:
         raise ArgumentError("digit base must be at least 2")
+    if n > MAX_PAIRS.bit_length() or _pairs_exceed_cap(2 ** n):
+        raise ResourceLimitError(
+            f"the pairs of 2^(2^{n}) points exceed cap {MAX_PAIRS}")
     digits = 2 ** n
     count = 2 ** digits
-    if count > MAX_POINTS:
-        raise ResourceLimitError(f"2^(2^{n}) points exceeds cap {MAX_POINTS}")
     if digits * math.log2(base) > MAX_BITS:
         raise ResourceLimitError("coordinates would exceed the bit cap")
     values = []
@@ -667,6 +672,12 @@ def one_dim_k4_construction(n: int, base: int = 10) -> ConstructionInstance:
                                 "factor c, with b^0.4 < c < b^0.6, keeps it "
                                 "off its boundary on digit points"},
     )
+
+
+def _pairs_exceed_cap(exponent: int) -> bool:
+    """Whether 2^exponent points have more than MAX_PAIRS pairs, decided
+    with no power of two above 2^(MAX_PAIRS.bit_length()) formed."""
+    return exponent > MAX_PAIRS.bit_length() or math.comb(2 ** exponent, 2) > MAX_PAIRS
 
 
 def _top_digit(a: int, b: int, base: int, digits: int) -> int:
@@ -777,11 +788,10 @@ def verify_eps_increasing(points: OrderedPointSet, eps: Fraction) -> bool:
 
 def verify_eps_deep_sampled(instance: ConstructionInstance,
                             samples_per_tuple: int = 20,
-                            seed: int = 0,
-                            eps: Fraction | None = None):
-    """Sampled necessary condition for eps-deepness: membership of every
-    index tuple must survive perturbing the tuple's points within their
-    closed eps-balls.
+                            seed: int = 0):
+    """Sampled necessary condition for eps-deepness, eps the instance's
+    epsilon: membership of every index tuple must survive perturbing the
+    tuple's points within their closed eps-balls.
 
     Perturbations tried per tuple: every single point pushed to each corner
     of its ball, plus seeded pseudorandom rational perturbations of all
@@ -791,9 +801,9 @@ def verify_eps_deep_sampled(instance: ConstructionInstance,
     """
     if samples_per_tuple < 0:
         raise ArgumentError("samples_per_tuple must be at least 0")
-    eps = _coef(eps if eps is not None else instance.epsilon)
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
+    if instance.epsilon is None:
+        raise ArgumentError("instance has no epsilon to check")
+    eps = _coef(instance.epsilon)
     rel = instance.relation
     pts = instance.points
     k = rel.arity

@@ -42,7 +42,10 @@ class BudgetExhaustedError(ResourceLimitError):
 # MAX_BITS bits.  A point set whose common denominator has more than
 # MAX_BITS bits cannot be scaled to integers (OrderedPointSet.scaled).
 # Stepping up refuses an output with more than MAX_PAIRS point pairs,
-# because its stability radius visits every pair.  An exhaustive
+# because its stability radius visits every pair; so do the digit check of
+# `one_dim_k4_construction` (n >= 4) and the delta table of
+# `verify_delta_properties` (N >= 11), which also visit every pair.  Their
+# exponents are compared before any power of two is formed.  An exhaustive
 # `verify stepup-consistency` refuses more than MAX_TUPLES tuples.  Decoded
 # polynomials of total degree above MAX_DEGREE are refused, because
 # evaluating one raises its coordinates to that power; the constructions

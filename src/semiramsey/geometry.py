@@ -276,9 +276,9 @@ def one_sided_relation(dim: int) -> SemiAlgebraicRelation:
     return SemiAlgebraicRelation(d, d + 1, [p], Formula.leaf(0, "gt"))
 
 
-def is_one_sided(arr: Arrangement, reference: Hyperplane | None = None):
+def is_one_sided(arr: Arrangement):
     """Whether all arrangement vertices lie strictly on one side of the
-    reference hyperplane (default x_d = 0).
+    hyperplane x_d = 0.
 
     Requires the arrangement in general position.  Returns (True, sign) or
     (False, witness_combo).
@@ -286,12 +286,9 @@ def is_one_sided(arr: Arrangement, reference: Hyperplane | None = None):
     vertices, witness = _vertex_walk(arr)
     if vertices is None:
         raise PreconditionError("arrangement not in general position", witness=witness)
-    if reference is None:
-        reference = Hyperplane.make([0] * (arr.dim - 1) + [1], 0)
     seen_sign = 0
     for v, combo in vertices.items():
-        s = reference.side(v)
-        s = (s > 0) - (s < 0)
+        s = (v[-1] > 0) - (v[-1] < 0)
         if s == 0 or s == -seen_sign:
             return False, combo
         seen_sign = s

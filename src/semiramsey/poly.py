@@ -5,9 +5,10 @@ nonzero Fraction coefficients.  Variables are 0-based: x0, x1, ...  All
 arithmetic is exact; nothing in this module ever touches floats.
 
 Each polynomial has one integer form, its homogenization H in one more
-variable, the scale L (`_homogenized`): `eval` and `sign` read H at a point
-cleared to (X, L), `integer_form(M)` fixes L at M for a point set scaled
-by M, and the one integer loop `_int_total` sums every value and sign.
+variable, the scale L (`integer_form`): every value and sign is H read at
+(X, L), with X = L * x for a rational point x, through the one integer loop
+`_int_total`.  `eval` and `sign` clear a point to (X, L); a point set
+scaled by M reads H with L fixed at M.
 Univariate division runs in integers too, through the one pseudo-division
 loop `_pseudo_divmod` that every Sturm chain uses.
 """
@@ -196,29 +197,30 @@ class MultivariatePolynomial:
 
     # -- evaluation and restriction -------------------------------------
 
-    def _homogenized(self) -> tuple:
-        """(B, D, H), built on first use: B is the positive LCM of the
-        coefficient denominators, D the degree (0 for the zero polynomial)
-        and H the homogenization sum c*B * X^e * L^(D - |e|), an IntegerForm
-        in num_vars + 1 variables whose last one is the scale L.  For
-        X = x * L, H(X, L) = B * L^D * self(x)."""
+    def integer_form(self) -> "IntegerForm":
+        """H, built on first use and kept with B and D in `_int_form`: B is
+        the positive LCM of the coefficient denominators, D the degree (0
+        for the zero polynomial) and H the homogenization
+        sum c*B * X^e * L^(D - |e|), an IntegerForm in num_vars + 1
+        variables whose last one is the scale L.  H(X, L) = B * L^D *
+        self(X / L) has the sign of self at X / L for every integer point X
+        and L > 0; `restrict({num_vars: M})` fixes L at M for a point set
+        scaled by M."""
         if self._int_form is None:
             scale = math.lcm(*[c.denominator for c in self.terms.values()])
             degree = max(self.degree(), 0)
             self._int_form = (scale, degree, IntegerForm(self.num_vars + 1, {
                 e + (degree - sum(e),): c.numerator * (scale // c.denominator)
                 for e, c in self.terms.items()}))
-        return self._int_form
+        return self._int_form[2]
 
     def _total(self, point: Sequence[Scalar]) -> tuple[int, int]:
         """(H(X, L), L) at a rational point, with X, L = _cleared(point)."""
         if len(point) != self.num_vars:
             raise ArgumentError(
                 f"point has {len(point)} coordinates, polynomial has {self.num_vars} variables")
-        form = (self._int_form or self._homogenized())[2]
         xs, lcm = _cleared(point)
-        xs.append(lcm)
-        return form.total(xs), lcm
+        return self.integer_form().total([*xs, lcm]), lcm
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point: H(X, L) / (B * L^D)."""
@@ -231,16 +233,6 @@ class MultivariatePolynomial:
         H(X, L) without forming the value (B * L^D > 0)."""
         total = self._total(point)[0]
         return (total > 0) - (total < 0)
-
-    def integer_form(self, scale: int) -> "IntegerForm":
-        """H with L fixed at scale: the IntegerForm
-        sum c*B * scale^(D - |e|) * X^e = B * scale^D * self(X / scale),
-        which has the sign of self at X / scale for every integer point X
-        (scale > 0)."""
-        _, degree, form = self._int_form or self._homogenized()
-        powers = [scale ** j for j in range(degree + 1)]
-        return IntegerForm(self.num_vars, {
-            e[:-1]: c * powers[e[-1]] for e, c in form.terms.items()})
 
     def restrict(self, fixed: Mapping[int, Scalar]) -> "MultivariatePolynomial":
         """Substitute values for a subset of variables.
@@ -302,9 +294,9 @@ def _int_total(powers: tuple, terms: tuple, point: Sequence[int]) -> int:
 class IntegerForm:
     """Polynomial with int coefficients, read at integer points.
 
-    A polynomial's homogenization is one; `integer_form(M)` fixes its scale
-    at M, so that the sign at X is the polynomial's sign at X / M.
-    Restricting a form at integer values gives another, with no Fraction.
+    A polynomial's homogenization is one (`integer_form`); its sign at
+    (X, L) is the polynomial's sign at X / L.  Restricting a form at integer
+    values gives another, with no Fraction.
     """
 
     __slots__ = ("num_vars", "terms", "_loop")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import MAX_BITS, ArgumentError, ResourceLimitError
-from .poly import IntegerForm, MultivariatePolynomial, Scalar
+from .poly import IntegerForm, MultivariatePolynomial, Scalar, _cleared
 
 COMPARISONS = ("ge", "gt", "eq")
 
@@ -103,10 +103,6 @@ class Formula:
     def max_poly_index(self) -> int:
         return max((a.poly_index for a in self.atoms()), default=-1)
 
-    def size(self) -> int:
-        """Node count of the tree with shared nodes counted once."""
-        return sum(1 for _ in self.nodes())
-
     def __repr__(self):
         if self.op == "atom":
             return f"p{self.atom.poly_index} {self.atom.cmp} 0"
@@ -139,8 +135,7 @@ class SemiAlgebraicRelation:
         self.point_dim = point_dim
         self.polys = tuple(polys)
         self.formula = formula
-        self._decide = _compile(formula, len(self.polys))
-        self._forms: dict[int, list[IntegerForm]] = {}
+        self._decide = _compile(formula, [p.integer_form() for p in self.polys])
 
     def complexity(self) -> int:
         """Description complexity t: ambient dimension, polynomial count and
@@ -148,30 +143,24 @@ class SemiAlgebraicRelation:
         max_deg = max((p.degree() for p in self.polys), default=0)
         return max(self.arity * self.point_dim, len(self.polys), max_deg)
 
-    def integer_forms(self, scale: int) -> list[IntegerForm]:
-        """Each polynomial's integer form at `scale`, built once per scale."""
-        forms = self._forms.get(scale)
-        if forms is None:
-            forms = [p.integer_form(scale) for p in self.polys]
-            self._forms[scale] = forms
-        return forms
-
-    def holds_on_coords(self, coords: Sequence[Fraction]) -> bool:
-        """Evaluate on already-concatenated coordinates of an index tuple."""
+    def holds_on_coords(self, coords: Sequence[Scalar]) -> bool:
+        """Evaluate on already-concatenated coordinates of an index tuple,
+        cleared once to (X, L) with L their common denominator."""
         if len(coords) != self.arity * self.point_dim:
             raise ArgumentError("coordinate vector has the wrong length")
-        return self._decide(self.polys, coords)
+        xs, lcm = _cleared(coords)
+        return self.holds_at_scale(lcm, xs)
 
     def holds_at_scale(self, scale: int, coords: Sequence[int]) -> bool:
         """Evaluate at the rational point coords / scale, given the integer
         coordinates of an index tuple (see OrderedPointSet.scaled)."""
-        return self._decide(self.integer_forms(scale), coords)
+        return self._decide([*coords, scale])
 
 
-def _compile(formula: Formula, num_polys: int
-             ) -> Callable[[Sequence, Sequence], bool]:
-    """The formula as one decider(signers, x), with signers[i].sign(x) the
-    sign of polynomial i at x.
+def _compile(formula: Formula, forms: Sequence[IntegerForm]
+             ) -> Callable[[Sequence[int]], bool]:
+    """The formula as one decider(x), with forms[i].sign(x) the sign of
+    polynomial i at the integer point x = (X, L).
 
     Each node becomes a closure over a per-call memo list, built once
     however many parents share it.  An atom reads its polynomial's sign
@@ -182,7 +171,7 @@ def _compile(formula: Formula, num_polys: int
     """
     parents = Counter(id(ch) for node in formula.nodes() for ch in node.children)
     built: dict[int, Callable] = {}
-    slots = num_polys
+    slots = len(forms)
 
     def build(node: Formula) -> Callable:
         nonlocal slots
@@ -191,43 +180,44 @@ def _compile(formula: Formula, num_polys: int
             return f
         if node.op == "atom":
             pi = node.atom.poly_index
+            form = forms[pi]
             truth = tuple(node.atom.holds(s) for s in (0, 1, -1))
 
-            def f(memo, signers, x):
+            def f(memo, x):
                 s = memo[pi]
                 if s is None:
-                    s = memo[pi] = signers[pi].sign(x)
+                    s = memo[pi] = form.sign(x)
                 return truth[s]
         elif node.op == "not":
             child = build(node.children[0])
 
-            def f(memo, signers, x):
-                return not child(memo, signers, x)
+            def f(memo, x):
+                return not child(memo, x)
         else:
             kids = tuple(build(ch) for ch in node.children)
             settles = node.op == "or"  # the child value that decides
 
-            def f(memo, signers, x):
+            def f(memo, x):
                 for kid in kids:
-                    if kid(memo, signers, x) is settles:
+                    if kid(memo, x) is settles:
                         return settles
                 return not settles
         if node.op != "atom" and parents[id(node)] > 1:
             slot, inner = slots, f
             slots += 1
 
-            def f(memo, signers, x):
+            def f(memo, x):
                 v = memo[slot]
                 if v is None:
-                    v = memo[slot] = inner(memo, signers, x)
+                    v = memo[slot] = inner(memo, x)
                 return v
         built[id(node)] = f
         return f
 
     root = build(formula)
 
-    def decide(signers: Sequence, x: Sequence) -> bool:
-        return root([None] * slots, signers, x)
+    def decide(x: Sequence[int]) -> bool:
+        return root([None] * slots, x)
 
     return decide
 
@@ -325,7 +315,7 @@ def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
 
     The points are scaled to integers once (`OrderedPointSet.scaled`: one
     LCM M, refused above MAX_BITS bits), and each polynomial is read
-    through its integer form at M, so no value is formed.  The points must
+    through its integer form with L fixed at M, so no value is formed.  The points must
     have as many coordinates as every polynomial has variables.
     """
     points = list(points)
@@ -339,7 +329,7 @@ def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
             raise ArgumentError(
                 f"family mixes polynomials in {dim} and {p.num_vars} variables")
     scale, scaled = OrderedPointSet(dim, points).scaled()
-    forms = [p.integer_form(scale) for p in polys]
+    forms = [p.integer_form().restrict({dim: scale}) for p in polys]
     return len({tuple([f.sign(x) for f in forms]) for x in scaled})
 
 

@@ -262,9 +262,10 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
 
     scale, scaled = points.scaled()
     stats = {"classes_per_level": [], "restrictions": 0, "sign_evaluations": 0}
+    forms = [p.integer_form().restrict({p.num_vars: scale})
+             for p in relation.polys]
     subset = _greedy_level(list(scaled), list(range(1, len(points) + 1)),
-                           relation.integer_forms(scale), relation, k,
-                           budget, stats)
+                           forms, relation, k, budget, stats)
     subset = tuple(sorted(subset))
 
     polarity, witness = oracle.polarity(subset)
@@ -628,26 +629,30 @@ def find_bad_triples(points: OrderedPointSet, relation: SemiAlgebraicRelation):
     in each of the three slot pairs; identically-zero restrictions impose no
     roots and are skipped but reported.  A triple is bad when any surviving
     univariate polynomial vanishes at a third point.  Returns
-    (sorted_bad_triples, skipped_zero_restrictions).
+    (sorted_bad_triples, skipped_zero_restrictions).  The integer forms
+    are pinned at L = M of the scaled points (OrderedPointSet.scaled), and
+    x -> x/M keeps zero polynomials, degrees and signs.
     """
     if relation.arity != 3 or relation.point_dim != 1:
         raise ArgumentError("bad triples are defined for ternary relations on the line")
     n = len(points)
-    vals = [points.point(i)[0] for i in range(1, n + 1)]
+    scale, scaled = points.scaled()
+    vals = [x for x, in scaled]
+    forms = [p.integer_form().restrict({3: scale}) for p in relation.polys]
     bad: set[tuple] = set()
     skipped: list[tuple] = []
     slot_pairs = (((1, 2), 0), ((0, 2), 1), ((0, 1), 2))  # fixed slots, free slot
     for a in range(n):
         for b in range(a + 1, n):
             family = []
-            for pi, poly in enumerate(relation.polys):
+            for pi, form in enumerate(forms):
                 for fixed_slots, free in slot_pairs:
-                    restricted = poly.restrict({fixed_slots[0]: vals[a],
+                    restricted = form.restrict({fixed_slots[0]: vals[a],
                                                 fixed_slots[1]: vals[b]})
-                    if restricted.is_zero():
+                    if not restricted.terms:
                         skipped.append((a + 1, b + 1, pi, free))
                         continue
-                    if restricted.degree() < 1:
+                    if not any(e[0] for e in restricted.terms):
                         continue
                     family.append(restricted)
             if not family:

@@ -217,14 +217,23 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys):
     # is refused at once: without --sample by the tuple count, with it (and
     # in construct) by the C(65536, 2) point pairs of the stability radius.
     # The point caps are fixed, so the constructions above them are refused
-    # before anything is built.
+    # before anything is built.  onedim-k4 and properties-ab visit every
+    # point pair, so they are refused above MAX_PAIRS pairs, with exponents
+    # compared before any power of two is formed.
     for argv in (("verify", "stepup-consistency", "--n", "3"),
                  ("verify", "stepup-consistency", "--n", "4"),
                  ("verify", "stepup-consistency", "--n", "4", "--sample", "1"),
                  ("construct", "stepup", "--n", "4"),
                  ("construct", "base", "--n", "21"),
                  ("construct", "onedim-k4", "--n", "5"),
-                 ("construct", "frankl-wilson", "--m", "200", "--p", "2")):
+                 ("construct", "frankl-wilson", "--m", "200", "--p", "2"),
+                 ("construct", "onedim-k4", "--n", "4"),
+                 ("construct", "onedim-k4", "--n", "40"),
+                 ("construct", "onedim-k4", "--n", "1000000000"),
+                 ("construct", "base", "--n", "100000000"),
+                 ("verify", "properties-ab", "--N", "11"),
+                 ("verify", "properties-ab", "--N", "40"),
+                 ("verify", "properties-ab", "--N", "1000000000")):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert out == ""

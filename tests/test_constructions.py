@@ -4,6 +4,7 @@ subset-intersection graph, and the stability verifiers."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -481,10 +482,16 @@ def test_eps_deep_holds_for_base_at_its_stated_radius():
 
 
 def test_eps_deep_fails_for_oversized_radius():
-    ok, witness = verify_eps_deep_sampled(base_construction(2),
-                                          samples_per_tuple=8, seed=1,
-                                          eps=F(1))
+    oversized = dataclasses.replace(base_construction(2), epsilon=F(1))
+    ok, witness = verify_eps_deep_sampled(oversized, samples_per_tuple=8,
+                                          seed=1)
     assert not ok and witness is not None
+
+
+def test_eps_deep_refuses_an_instance_without_epsilon():
+    unstated = dataclasses.replace(base_construction(2), epsilon=None)
+    with pytest.raises(ArgumentError):
+        verify_eps_deep_sampled(unstated, samples_per_tuple=8, seed=1)
 
 
 def test_eps_deep_boundary_atom_fails():

@@ -294,21 +294,27 @@ def assert_matches_oracle(p: Poly, point) -> None:
 
 
 def assert_scaled_signs_match_oracle(p: Poly, rows, fixed_vars=()) -> None:
-    """On the point set `rows`: the integer form at the instance scale has
-    the oracle's sign at every point, also after fixing `fixed_vars` at the
-    point's integer coordinates, and each one-atom relation on p decides
-    membership as the oracle's value does."""
+    """On the point set `rows`, scaled by M: the integer form H has the
+    oracle's sign at every (X, M), so does H with L fixed at M at X, also
+    after fixing `fixed_vars` at the point's integer coordinates (before or
+    together with L), and each one-atom relation on p decides membership
+    as the oracle's value does."""
     points = OrderedPointSet(p.num_vars, rows)
     scale, scaled = points.scaled()
-    form = p.integer_form(scale)
+    n = p.num_vars
+    form = p.integer_form()
+    at_scale = form.restrict({n: scale})
     relations = {cmp: SemiAlgebraicRelation(1, p.num_vars, [p],
                                             Formula.leaf(0, cmp))
                  for cmp in ("ge", "gt", "eq")}
     for i, (row, xs) in enumerate(zip(rows, scaled), start=1):
         expected = oracle_eval.eval_fraction(p.terms, row)
-        assert form.sign(xs) == sign(expected)
+        assert form.sign([*xs, scale]) == sign(expected)
+        assert at_scale.sign(xs) == sign(expected)
         rest = [v for j, v in enumerate(xs) if j not in fixed_vars]
-        pinned = form.restrict({j: xs[j] for j in fixed_vars})
+        pinned = at_scale.restrict({j: xs[j] for j in fixed_vars})
+        assert pinned.sign(rest) == sign(expected)
+        pinned = form.restrict({n: scale, **{j: xs[j] for j in fixed_vars}})
         assert pinned.sign(rest) == sign(expected)
         assert eval_membership(relations["ge"], points, (i,)) == (expected >= 0)
         assert eval_membership(relations["gt"], points, (i,)) == (expected > 0)
@@ -354,20 +360,31 @@ far_coords = st.builds(F, st.integers(-10 ** 20, 10 ** 20),
 
 
 def assert_homogenization(p: Poly, scale: int) -> None:
-    """integer_form(scale) is sum c*B * scale^(D - |e|) * X^e, computed
-    here from p.terms, and its total at integer X is B * scale^D times the
-    oracle's value at X / scale."""
+    """integer_form() is H, with terms e + (D - |e|,) -> c*B computed here
+    from p.terms, and restricting its last variable L to scale gives
+    sum c*B * scale^(D - |e|) * X^e, in the order of p.terms, whose total at
+    integer X is H(X, scale) = B * scale^D times the oracle's value at
+    X / scale."""
     lcm = math.lcm(*[c.denominator for c in p.terms.values()])
     degree = max(p.degree(), 0)
-    form = p.integer_form(scale)
-    assert form.num_vars == p.num_vars
-    assert form.terms == {e: c * lcm * scale ** (degree - sum(e))
+    form = p.integer_form()
+    assert form is p.integer_form()
+    assert form.num_vars == p.num_vars + 1
+    assert form.terms == {e + (degree - sum(e),): c * lcm
                           for e, c in p.terms.items()}
     assert all(type(c) is int for c in form.terms.values())
+    fixed = form.restrict({p.num_vars: scale})
+    assert fixed.num_vars == p.num_vars
+    assert fixed.terms == {e: c * lcm * scale ** (degree - sum(e))
+                           for e, c in p.terms.items()}
+    assert list(fixed.terms) == list(p.terms)
+    assert all(type(c) is int for c in fixed.terms.values())
     for xs in ([0] * p.num_vars, list(range(1, p.num_vars + 1)),
                [(-1) ** i * (2 * i + 3) for i in range(p.num_vars)]):
-        assert form.total(xs) == lcm * scale ** degree * oracle_eval.eval_fraction(
+        expected = lcm * scale ** degree * oracle_eval.eval_fraction(
             p.terms, [F(x, scale) for x in xs])
+        assert fixed.total(xs) == expected
+        assert form.total([*xs, scale]) == expected
 
 
 @pytest.mark.parametrize("scale", [1, 2 ** 3 * 3 ** 2 * 5 * 7])

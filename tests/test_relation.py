@@ -209,6 +209,29 @@ def test_compiled_decider_decides_a_shared_node_once_per_call():
     assert not relation.holds_on_coords([F(0), F(1)])
 
 
+def test_holds_on_coords_clears_its_tuple_once(monkeypatch):
+    """Every atom of a four-atom conjunction is read, and the rational
+    tuple is cleared to (X, L) once for all of them."""
+    from semiramsey import poly, relation as relation_module
+    calls: list = []
+
+    def counted(values, _cleared=poly._cleared):
+        calls.append(tuple(values))
+        return _cleared(values)
+    monkeypatch.setattr(poly, "_cleared", counted)
+    monkeypatch.setattr(relation_module, "_cleared", counted, raising=False)
+    relation = SemiAlgebraicRelation(
+        2, 1, COMPILED_POLYS,
+        Formula.all_of([Formula.leaf(0, "gt"), Formula.leaf(1, "gt"),
+                        Formula.leaf(2, "gt"), Formula.leaf(3, "gt")]))
+    coords = [F(5, 2), F(2, 3)]
+    assert relation.holds_on_coords(coords)
+    assert calls == [tuple(coords)]
+    calls.clear()
+    assert not relation.holds_on_coords([F(1, 3), F(2, 3)])
+    assert len(calls) == 1
+
+
 # -- sign vectors ----------------------------------------------------------------
 
 

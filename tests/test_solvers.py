@@ -42,6 +42,7 @@ from semiramsey import (
 from semiramsey import solvers
 from semiramsey.solvers import greedy_class_bound_check
 
+import oracle_bad_triples
 import oracle_bnb
 import oracle_greedy
 
@@ -518,6 +519,37 @@ def test_identically_zero_restrictions_are_flagged_not_counted():
     assert skipped  # fixing x1 = 1 or x2 = 2 kills the product entirely
     for entry in skipped:
         assert len(entry) == 4
+
+
+def test_find_bad_triples_matches_the_fraction_oracle():
+    """On seeded rational points, with polynomials that vanish at some of
+    the points (so some restrictions are identically zero and some third
+    points are roots), random ones and a constant."""
+    nv = 3
+    skipped_seen = bad_seen = 0
+    for seed in range(12):
+        rng = SeededRng(seed)
+        vals = [F(rng.randint(-12, 12), rng.choice([1, 2, 3, 7, 12]))
+                for _ in range(rng.randint(3, 7))]
+        points = OrderedPointSet(1, [[v] for v in vals])
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
+        polys = [
+            (x(i, nv) - rng.choice(vals)) * (x(j, nv) - rng.choice(vals)),
+            x(rng.randint(0, 2), nv) - rng.choice(vals),
+            Poly.constant(nv, F(rng.randint(1, 5), rng.randint(1, 5))),
+            Poly(nv, {tuple(rng.randint(0, 2) for _ in range(nv)):
+                      F(rng.randint(-9, 9), rng.randint(1, 9))
+                      for _ in range(4)}),
+        ]
+        relation = SemiAlgebraicRelation(
+            3, 1, polys, Formula.all_of([Formula.leaf(k, "ge")
+                                         for k in range(len(polys))]))
+        bad, skipped = find_bad_triples(points, relation)
+        assert (bad, skipped) == oracle_bad_triples.find_bad_triples_fraction(
+            points, relation), seed
+        skipped_seen += len(skipped)
+        bad_seen += len(bad)
+    assert skipped_seen and bad_seen
 
 
 def test_bad_triples_need_one_dimensional_points():
