@@ -36,6 +36,16 @@ def _emit(obj) -> None:
     sys.stdout.write(jsonio.dumps(obj))
 
 
+def _verdict(witness, **fields) -> int:
+    """Emit {"ok": true, **fields} and return 0 when witness is None, else
+    emit {"ok": false, "witness": witness} and return 1."""
+    if witness is None:
+        _emit({"ok": True, **fields})
+        return EXIT_OK
+    _emit({"ok": False, "witness": witness})
+    return EXIT_FAIL
+
+
 def _emit_error(exc: Exception) -> None:
     payload = {"type": type(exc).__name__, "message": str(exc)}
     witness = getattr(exc, "witness", None)
@@ -117,7 +127,7 @@ def cmd_construct_stepup(args) -> int:
 
 
 def cmd_construct_onedim_k4(args) -> int:
-    inst = constructions.one_dim_k4_construction(args.n, base=args.base)
+    inst = constructions.one_dim_k4_construction(args.n)
     return _write_instance(args, inst)
 
 
@@ -213,12 +223,8 @@ def cmd_solve_spencer(args) -> int:
 
 
 def cmd_verify_properties_ab(args) -> int:
-    ok, witness = constructions.verify_delta_properties(args.bits)
-    if ok:
-        _emit({"ok": True, "bits": args.bits})
-        return EXIT_OK
-    _emit({"ok": False, "witness": jsonio.jsonable(witness)})
-    return EXIT_FAIL
+    _, witness = constructions.verify_delta_properties(args.bits)
+    return _verdict(witness, bits=args.bits)
 
 
 def cmd_verify_stepup_consistency(args) -> int:
@@ -241,40 +247,31 @@ def cmd_verify_stepup_consistency(args) -> int:
         tuples = [tuple(sorted(rng.sample(pool, k)))
                   for _ in range(args.sample)]
     checked = 0
+    witness = None
     for t in tuples:
         poly_side = eval_membership(inst.relation, inst.points, t)
         rule_side = constructions.step_up_membership_rule(base, t)
         if poly_side != rule_side:
-            _emit({"ok": False,
-                   "witness": {"indices": list(t), "relation": poly_side,
-                               "rule": rule_side}})
-            return EXIT_FAIL
+            witness = {"indices": t, "relation": poly_side, "rule": rule_side}
+            break
         checked += 1
-    _emit({"ok": True, "tuples_checked": checked})
-    return EXIT_OK
+    return _verdict(witness, tuples_checked=checked)
 
 
 def cmd_verify_eps_deep(args) -> int:
     inst = _read_json(args.input, jsonio.instance_from_json)
-    ok, witness = constructions.verify_eps_deep_sampled(
+    _, witness = constructions.verify_eps_deep_sampled(
         inst, samples_per_tuple=args.samples, seed=args.seed)
-    if ok:
-        _emit({"ok": True})
-        return EXIT_OK
-    _emit({"ok": False, "witness": jsonio.jsonable(witness)})
-    return EXIT_FAIL
+    return _verdict(witness)
 
 
 def cmd_verify_transitive_ramsey(args) -> int:
     if args.points is not None:
-        holds, witness = solvers.verify_transitive_ramsey(
+        _, witness = solvers.verify_transitive_ramsey(
             args.s, args.n, args.points, budget=args.budget)
-        if holds:
-            _emit({"ok": True, "s": args.s, "n": args.n,
-                   "points": args.points})
-            return EXIT_OK
-        _emit({"ok": False, "witness": jsonio.coloring_to_json(witness)})
-        return EXIT_FAIL
+        if witness is not None:
+            witness = jsonio.coloring_to_json(witness)
+        return _verdict(witness, s=args.s, n=args.n, points=args.points)
     # No vertex count given: confirm the closed-form threshold is exact.
     # It must hold with that many vertices and fail with one fewer.
     threshold = solvers.transitive_ramsey_number(args.s, args.n)
@@ -296,6 +293,7 @@ def cmd_verify_milnor_thom(args) -> int:
         raise ArgumentError("--trials and --points must be at least 0")
     rng = SeededRng(args.seed)
     worst = Fraction(0)
+    witness = None
     for trial in range(args.trials):
         t_rng = rng.derive(f"trial-{trial}")
         dim = t_rng.randint(2, 3)
@@ -320,20 +318,17 @@ def cmd_verify_milnor_thom(args) -> int:
         bound = milnor_thom_bound(max(p.degree() for p in polys),
                                   len(polys), dim)
         if got > bound:
-            _emit({"ok": False,
-                   "witness": {"trial": trial, "sign_vectors": got,
-                               "bound": bound}})
-            return EXIT_FAIL
+            witness = {"trial": trial, "sign_vectors": got, "bound": bound}
+            break
         worst = max(worst, Fraction(got, bound))
-    _emit({"ok": True, "trials": args.trials,
-           "tightest_ratio": jsonio.fraction_to_json(worst)})
-    return EXIT_OK
+    return _verdict(witness, trials=args.trials, tightest_ratio=worst)
 
 
 def cmd_verify_sturm(args) -> int:
     if args.trials < 0 or args.degree < 1:
         raise ArgumentError("--trials must be at least 0 and --degree at least 1")
     rng = SeededRng(args.seed)
+    witness = None
     for trial in range(args.trials):
         t_rng = rng.derive(f"poly-{trial}")
         degree = t_rng.randint(1, args.degree)
@@ -355,12 +350,9 @@ def cmd_verify_sturm(args) -> int:
         split = (count_real_roots(g, a, mid, seq)
                  + count_real_roots(g, mid, b, seq))
         if split != total:
-            _emit({"ok": False,
-                   "witness": {"trial": trial, "total": total,
-                               "split": split}})
-            return EXIT_FAIL
-    _emit({"ok": True, "trials": args.trials})
-    return EXIT_OK
+            witness = {"trial": trial, "total": total, "split": split}
+            break
+    return _verdict(witness, trials=args.trials)
 
 
 # -- report -------------------------------------------------------------------
@@ -458,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("onedim-k4", help="4-ary construction on the line "
                                           "with tower-size point count")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--base", type=int, default=10)
     common(p, output=True)
     p.set_defaults(func=cmd_construct_onedim_k4)
 

@@ -237,42 +237,37 @@ def slope(p: Sequence[Scalar], q: Sequence[Scalar]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _largest_dyadic_below(bound: Fraction, strict: bool) -> Fraction:
-    """Largest 1/2^j that is <= bound (or < bound when strict)."""
+def _dyadic_floor(bound: Fraction, strict: bool) -> Fraction:
+    """Largest power of two 2^k, k any integer, that is <= bound (< bound
+    when strict).  With bound = p/q, 2^(k-1) < bound < 2^(k+1) for
+    k = bitlen(p) - bitlen(q), so one comparison settles it."""
     if bound <= 0:
         raise ArgumentError("no positive dyadic below a nonpositive bound")
-    j = 0
-    value = Fraction(1)
-    while value > bound or (strict and value == bound):
-        j += 1
-        value = Fraction(1, 2 ** j)
+    p, q = bound.as_integer_ratio()
+    value = Fraction(2) ** (p.bit_length() - q.bit_length())
+    if value > bound or (strict and value == bound):
+        value /= 2
     return value
 
 
 def _cross_ball_radius(anchor: Sequence[Fraction], eps: Fraction) -> Fraction:
-    """Largest dyadic radius r such that any point of B(0, r) paired with any
-    point of B((1, a_1, ..., 1, a_d), r) has componentwise slope within eps/2
-    of (a_1, ..., a_d), and the two balls are separated coordinatewise.
+    """Largest radius r = 1/2^j such that any point of B(0, r)
+    paired with any point of B((1, a_1, ..., 1, a_d), r) has componentwise
+    slope within eps/2 of (a_1, ..., a_d), and the two balls are separated
+    coordinatewise.
 
-    Starts at 1/2 and halves until the exact corner check passes, so the
-    result really is the largest 1/2^j that works.  Slopes are monotone in
-    the numerator and antitone in the (positive) denominator, so checking the
-    four extreme numerator/denominator combinations per coordinate is exact.
+    Slopes are monotone in the numerator and antitone in the (positive)
+    denominator, so per coordinate the extreme slopes are (a + 2r)/(1 - 2r)
+    and (a - 2r)/(1 + 2r).  With h = eps/2 and 2r < 1, they stay in
+    [a - h, a + h] exactly when 2r(1 + a + h) <= h and 2r(1 + a - h) <= h;
+    the second binds only where 1 + a - h > 0.  Separation is
+    2r < min(1, min a), which also gives 2r < 1.
     """
-    half = eps / 2
-    r = Fraction(1, 2)
-    while True:
-        ok = 2 * r < min(Fraction(1), min(anchor))
-        if ok:
-            for a in anchor:
-                lo_den = 1 - 2 * r
-                if lo_den <= 0 or (a + 2 * r) / lo_den > a + half \
-                        or (a - 2 * r) / (1 + 2 * r) < a - half:
-                    ok = False
-                    break
-        if ok:
-            return r
-        r = r / 2
+    half = Fraction(eps, 2)
+    loose = min(half / (2 * (1 + a + sign * half))
+                for a in anchor for sign in (1, -1) if 1 + a + sign * half > 0)
+    return min(_dyadic_floor(Fraction(min(1, *anchor), 2), strict=True),
+               _dyadic_floor(loose, strict=False))
 
 
 def step_up_points(base: ConstructionInstance) -> tuple[OrderedPointSet, Fraction]:
@@ -342,24 +337,27 @@ def step_up_points(base: ConstructionInstance) -> tuple[OrderedPointSet, Fractio
 
 def _stepped_stability_radius(out: OrderedPointSet, base_pts: OrderedPointSet,
                               eps: Fraction) -> Fraction:
-    """Largest dyadic eps1 making the stepped-up output eps1-increasing with
-    all perturbed pair slopes still within eps of their base points.
-
-    Analytic per-pair bounds give a candidate which is then verified exactly
-    on corner perturbations; the candidate is halved on failure and doubled
-    while the next larger dyadic still passes.
+    """Largest eps1 = 1/2^j, j >= 0, making the stepped-up output
+    eps1-increasing with all perturbed pair slopes still within eps of
+    their base points.
 
     The points are read scaled by their common denominator m
     (OrderedPointSet.scaled), so every difference below is an int in units
-    of 1/m.  A pair contributes one constraint per coordinate pair c: its
-    x- and y-differences amp and num and the window around coordinate c of
-    base point delta(i, j) that its slope must stay in.  The recursive
-    copies repeat differences, and the bound and the check are a min and an
-    all over constraints, so only the distinct ones are kept.
+    of 1/m, and so is P = 2 * eps1 * m, the most a perturbation moves a
+    difference.  Output points i < j (0-based) have delta = bitlen(i ^ j),
+    and each coordinate pair c gives their x- and y-differences amp and num
+    and the window hn/hd, ln/ld = t +- eps around coordinate c of base
+    point delta that the slope must stay in.  Solved for P, the exact
+    conditions are P < gap (the least consecutive difference, which bounds
+    every amp from below), (num + P)/(amp - P) <= hn/hd, that is
+    P(hd + hn) <= hn*amp - hd*num, and (num - P)/(amp + P) >= ln/ld, that is
+    P(ld + ln) <= ld*num - ln*amp.  Where ld + ln <= 0, so t - eps <= -1,
+    the last holds for every P: amp and num are positive (every output
+    slope is), which keeps (num - P)/(amp + P) above -1.  The recursive
+    copies repeat differences, so only the distinct constraints are kept.
     """
     n_out = len(out)
     dim2 = out.dim
-    bits = n_out.bit_length() - 1
     m, pts = out.scaled()
     gap = min(pts[i + 1][c] - pts[i][c]
               for i in range(n_out - 1) for c in range(dim2))
@@ -367,47 +365,26 @@ def _stepped_stability_radius(out: OrderedPointSet, base_pts: OrderedPointSet,
     # numerator/denominator pairs (denominators positive).
     window = {(delta, c): ((t + eps).as_integer_ratio()
                            + (t - eps).as_integer_ratio())
-              for delta in range(1, bits + 1)
+              for delta in range(1, n_out.bit_length())
               for c, t in enumerate(base_pts.point(delta))}
     constraints = set()
     for i in range(n_out):
         lo = pts[i]
         for j in range(i + 1, n_out):
             hi = pts[j]
-            delta = delta_index(i + 1, j + 1, bits)
+            delta = (i ^ j).bit_length()
             for c in range(0, dim2, 2):
                 constraints.add((hi[c] - lo[c], hi[c + 1] - lo[c + 1])
                                 + window[delta, c // 2])
 
-    bound = Fraction(gap, 2)  # in units of 1/m, as amp and num
-    for amp, num, hn, hd, ln, ld in constraints:
-        # From (num + 2e)/(amp - 2e) <= t + eps and
-        # (num - 2e)/(amp + 2e) >= t - eps, solved for e.
-        if hd + hn > 0:
-            bound = min(bound, Fraction(hn * amp - hd * num, 2 * (hd + hn)))
-        if ld + ln > 0:
-            bound = min(bound, Fraction(ld * num - ln * amp, 2 * (ld + ln)))
-        bound = min(bound, Fraction(amp, 4))
-
-    def passes(e: Fraction) -> bool:
-        p, q = (2 * e * m).as_integer_ratio()  # 2e in units of 1/m is p/q
-        if p >= gap * q:
-            return False
-        for amp, num, hn, hd, ln, ld in constraints:
-            if amp * q - p <= 0:
-                return False
-            if (num * q + p) * hd > hn * (amp * q - p):
-                return False
-            if (num * q - p) * ld < ln * (amp * q + p):
-                return False
-        return True
-
-    eps1 = _largest_dyadic_below(bound / m, strict=True)
-    while not passes(eps1):
-        eps1 = eps1 / 2
-    while eps1 < 1 and passes(eps1 * 2):
-        eps1 = eps1 * 2
-    return eps1
+    # Base coordinates are positive, so hd + hn > 0.
+    loose = min(itertools.chain(
+        (Fraction(hn * amp - hd * num, hd + hn)
+         for amp, num, hn, hd, _, _ in constraints),
+        (Fraction(ld * num - ln * amp, ld + ln)
+         for amp, num, _, _, ln, ld in constraints if ld + ln > 0)))
+    return min(Fraction(1), _dyadic_floor(Fraction(gap, 2 * m), strict=True),
+               _dyadic_floor(loose / (2 * m), strict=False))
 
 
 # -- stepping-up: relation --------------------------------------------------
@@ -569,104 +546,77 @@ def step_up_membership_rule(base: ConstructionInstance,
 # -- one-dimensional arity-4 construction ------------------------------------
 
 
-def one_dim_k4_relation(base: int = 10) -> SemiAlgebraicRelation:
-    """Arity-4 relation on the line for base-b digit points: x1 < x2 < x3 < x4
-    and one of
+def one_dim_k4_relation() -> SemiAlgebraicRelation:
+    """Arity-4 relation on the line for decimal digit points: x1 < x2 < x3 <
+    x4 and one of
 
     C1: x2-x1 > x3-x2 and x4-x3 > x3-x2,
-    C2: x2-x1 < x3-x2 < x4-x3 and c(x2-x1)(x4-x3) >= (x3-x2)^2,
-    C3: x2-x1 > x3-x2 > x4-x3 and c(x2-x1)(x4-x3) >= (x3-x2)^2,
+    C2: x2-x1 < x3-x2 < x4-x3 and 3(x2-x1)(x4-x3) >= (x3-x2)^2,
+    C3: x2-x1 > x3-x2 > x4-x3 and 3(x2-x1)(x4-x3) >= (x3-x2)^2.
 
-    with the factor c = quad_factor(b), which is 3 for b = 10.
+    A difference of digit points with top digit i lies strictly between
+    10^(i - 0.1) and 10^(i + 0.1), so 3(x2-x1)(x4-x3) / (x3-x2)^2 lies
+    strictly between 3 * 10^(m - 0.4) and 3 * 10^(m + 0.4), with
+    m = i1 + i3 - 2 i2 an integer.  As 10^0.4 < 3 < 10^0.6 (10^4 < 3^10 =
+    59,049 < 10^6), that is above 1 when m >= 0 and below 1 when m <= -1:
+    the quadratic atom is the base relation's midpoint atom on the digit
+    positions.
     """
     rb = _RelationBuilder(4, 1)
     x = [MultivariatePolynomial.variable(i, 4) for i in range(4)]
     d1, d2, d3 = x[1] - x[0], x[2] - x[1], x[3] - x[2]
     order = Formula.all_of(rb.atom(p, "gt") for p in (d1, d2, d3))
-    quad = rb.atom(quad_factor(base) * d1 * d3 - d2 * d2, "ge")
+    quad = rb.atom(3 * d1 * d3 - d2 * d2, "ge")
     c1 = Formula.all_of([rb.atom(d1 - d2, "gt"), rb.atom(d3 - d2, "gt")])
     c2 = Formula.all_of([rb.atom(d2 - d1, "gt"), rb.atom(d3 - d2, "gt"), quad])
     c3 = Formula.all_of([rb.atom(d1 - d2, "gt"), rb.atom(d2 - d3, "gt"), quad])
     return rb.build(Formula.all_of([order, Formula.any_of([c1, c2, c3])]))
 
 
-def quad_factor(base: int) -> Fraction:
-    """Factor c of the quadratic atom for digit base b: of the rationals p/q
-    nearest sqrt(b) for q = 1, 2, ..., the first with b^0.4 < c < b^0.6,
-    checked exactly as b^4 q^10 < p^10 < b^6 q^10.
-
-    A difference of digit points with top digit i lies strictly between
-    b^(i - 0.1) and b^(i + 0.1), so c(x2-x1)(x4-x3) / (x3-x2)^2 lies
-    strictly between c b^(m - 0.4) and c b^(m + 0.4), with m = i1 + i3 - 2 i2
-    an integer.  The bounds on c put it above 1 when m >= 0 and below 1 when
-    m <= -1: the atom is the base relation's midpoint atom on the digit
-    positions.
-    """
-    if base < 2:
-        raise ArgumentError("digit base must be at least 2")
-    q = 1
-    while True:
-        p = (math.isqrt(4 * base * q * q) + 1) // 2
-        if base ** 4 * q ** 10 < p ** 10 < base ** 6 * q ** 10:
-            return Fraction(p, q)
-        q += 1
-
-
-def one_dim_k4_construction(n: int, base: int = 10) -> ConstructionInstance:
-    """2^(2^n) points on the line from base-b digit patterns, with the
+def one_dim_k4_construction(n: int) -> ConstructionInstance:
+    """2^(2^n) points on the line from decimal digit patterns, with the
     arity-4 relation above.
 
-    Point for pattern p: 1 + sum over i < 2^n of p(i) * b^i.  The base b must
-    be large enough that every pairwise difference has base-b logarithm within
-    1/10 of the highest differing digit position; this is verified exactly by
-    comparing (p - q)^10 against powers of b.
+    Point for pattern p: 1 + sum over i < 2^n of p(i) * 10^i.  Every
+    pairwise difference has decimal logarithm within 1/10 of its highest
+    differing digit position; this is verified exactly by comparing
+    (p - q)^10 against powers of 10.
 
     The digit positions 0..2^n - 1 play the role of the 2^n points of
     base(n), whose largest homogeneous subset has size n + 1.  With the
-    factor of quad_factor(b) on the quadratic atom, membership of a tuple
-    is step_up_membership_rule(base(n), tuple): the relation is the
+    factor 3 on the quadratic atom, membership of a tuple is
+    step_up_membership_rule(base(n), tuple): the relation is the
     stepped-up base relation on these points, so the stepping-up lemma
     gives no homogeneous subset of size 2n + 3 (hom <= 2n + 2).  The
-    digit check visits all C(2^(2^n), 2) pairs, so n >= 4 is refused.
+    digit check visits all C(2^(2^n), 2) pairs, so n >= 4 is refused; at
+    n <= 3 the coordinates stay below 10^8.
     """
     if n < 1:
         raise ArgumentError("n must be at least 1")
-    if base < 2:
-        raise ArgumentError("digit base must be at least 2")
     if n > MAX_PAIRS.bit_length() or _pairs_exceed_cap(2 ** n):
         raise ResourceLimitError(
             f"the pairs of 2^(2^{n}) points exceed cap {MAX_PAIRS}")
     digits = 2 ** n
-    count = 2 ** digits
-    if digits * math.log2(base) > MAX_BITS:
-        raise ResourceLimitError("coordinates would exceed the bit cap")
-    values = []
-    for pattern in range(count):
-        v = 1
-        for i in range(digits):
-            if (pattern >> i) & 1:
-                v += base ** i
-        values.append(v)
-    values.sort()
+    values = sorted(1 + sum(10 ** i for i in range(digits) if pattern >> i & 1)
+                    for pattern in range(2 ** digits))
     # Exact check: for p > q with highest differing digit i,
-    # b^(10i - 1) < (p - q)^10 < b^(10i + 1).
+    # 10^(10i - 1) < (p - q)^10 < 10^(10i + 1).
     for ai in range(len(values)):
         for bi in range(ai + 1, len(values)):
             diff = values[bi] - values[ai]
-            i = _top_digit(values[bi] - 1, values[ai] - 1, base, digits)
+            i = _top_digit(values[bi] - 1, values[ai] - 1, digits)
             tenth = diff ** 10
-            if not (base ** (10 * i) < tenth * base and tenth < base ** (10 * i + 1)):
+            if not (10 ** (10 * i) < tenth * 10 and tenth < 10 ** (10 * i + 1)):
                 raise PreconditionError(
-                    f"base {base} too small: difference of points "
-                    f"{values[ai]} and {values[bi]} is not within a tenth of "
-                    f"digit position {i}",
+                    f"difference of points {values[ai]} and {values[bi]} is "
+                    f"not within a tenth of digit position {i}",
                     witness=(values[ai], values[bi]))
     points = OrderedPointSet(1, [(v,) for v in values])
     return ConstructionInstance(
         points=points,
-        relation=one_dim_k4_relation(base),
+        relation=one_dim_k4_relation(),
         epsilon=Fraction(1, 10),
-        provenance={"kind": "one-dim-k4", "n": n, "base": base,
+        provenance={"kind": "one-dim-k4", "n": n, "base": 10,
                     "eps_note": "epsilon records the increasing margin and the "
                                 "digit-position slack; the quadratic atom's "
                                 "factor c, with b^0.4 < c < b^0.6, keeps it "
@@ -680,10 +630,10 @@ def _pairs_exceed_cap(exponent: int) -> bool:
     return exponent > MAX_PAIRS.bit_length() or math.comb(2 ** exponent, 2) > MAX_PAIRS
 
 
-def _top_digit(a: int, b: int, base: int, digits: int) -> int:
-    """Highest base-b digit position where a and b differ."""
+def _top_digit(a: int, b: int, digits: int) -> int:
+    """Highest decimal digit position where a and b differ."""
     for i in range(digits - 1, -1, -1):
-        if (a // base ** i) % base != (b // base ** i) % base:
+        if (a // 10 ** i) % 10 != (b // 10 ** i) % 10:
             return i
     raise ArgumentError("values do not differ")
 

@@ -140,11 +140,18 @@ def order_type_relation(dim: int) -> SemiAlgebraicRelation:
 
 def _orientation_table(points: OrderedPointSet):
     """({(d+1)-subset: orientation} in combinations order, None), or
-    (None, witness) with witness the first subset of orientation 0."""
+    (None, witness) with witness the first subset of orientation 0.
+
+    The set is scaled to ints once (OrderedPointSet.scaled, which refuses
+    a common denominator above MAX_BITS bits): det of the rows (M, X_j) is
+    M^(d+1) times det of the rows (1, x_j), with the same sign.
+    """
+    m, scaled = points.scaled()
     table = {}
     for combo in itertools.combinations(range(1, len(points) + 1), points.dim + 1):
-        table[combo] = orientation([points.point(i) for i in combo])
-        if not table[combo]:
+        v = _eliminate([[m, *scaled[i - 1]] for i in combo])
+        table[combo] = (v > 0) - (v < 0)
+        if not v:
             return None, combo
     return table, None
 

@@ -131,7 +131,7 @@ def test_criterion_05_onedim_k4_no_size5():
     base = constructions.base_construction(n)
     base_hom = len(certified_hom(base).subset)
     bound = stepping_up_bound(base_hom, base.relation.arity)
-    inst = constructions.one_dim_k4_construction(n, base=10)
+    inst = constructions.one_dim_k4_construction(n)
     assert len(inst.points) == 16
     res = certified_hom(inst)
     hom = len(res.subset)

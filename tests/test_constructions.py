@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_radius
+from semiramsey import constructions
 from semiramsey import (
     ArgumentError,
     ConstructionInstance,
@@ -30,6 +31,7 @@ from semiramsey import (
     frankl_wilson_graph,
     max_homogeneous,
     one_dim_k4_construction,
+    one_dim_k4_relation,
     slope,
     step_up,
     step_up_membership_rule,
@@ -40,7 +42,6 @@ from semiramsey import (
     verify_eps_deep_sampled,
     verify_eps_increasing,
 )
-from semiramsey.constructions import quad_factor
 
 
 def tiny_instance(values, eps=F(1, 10)) -> ConstructionInstance:
@@ -277,12 +278,36 @@ def two_dim_base() -> ConstructionInstance:
 @pytest.mark.parametrize("make_base", [
     lambda: base_construction(1), lambda: base_construction(2),
     lambda: base_construction(3), lambda: perturbed_base(7), two_dim_base,
-], ids=["base1", "base2", "base3", "perturbed-seed7", "two-dim"])
+    # eps = 4 around t = 1 reaches 1 + t - eps <= 0 in the radius and
+    # 1 + a - eps/2 <= 0 in the box radius.
+    lambda: tiny_instance([1, 10], eps=F(4)),
+], ids=["base1", "base2", "base3", "perturbed-seed7", "two-dim", "wide-eps"])
 def test_stability_radius_matches_all_pairs_oracle(make_base):
     base = make_base()
     points, eps1 = step_up_points(base)
     assert eps1 == oracle_radius.stepped_stability_radius(
         points.points, base.points.points, base.epsilon)
+
+
+def _cross_balls_ok(anchor, eps, r) -> bool:
+    """The exact corner check: separated balls, and the extreme slopes of
+    each coordinate within eps/2 of it."""
+    return 2 * r < min(1, *anchor) and all(
+        (a + 2 * r) / (1 - 2 * r) <= a + eps / 2
+        and (a - 2 * r) / (1 + 2 * r) >= a - eps / 2 for a in anchor)
+
+
+@pytest.mark.parametrize("anchor, eps", [
+    ((F(1),), F(1, 10)), ((F(8),), F(1, 10)), ((F(1, 3),), F(1, 10)),
+    ((F(1),), F(4)), ((F(10),), F(4)), ((F(2), F(7, 5)), F(1, 7)),
+    ((F(3, 2), F(40)), F(40)),
+    ((F(1, 2),), F(4)),  # separation binds at equality: 2r < 1/2
+])
+def test_cross_ball_radius_is_the_largest_passing_dyadic(anchor, eps):
+    r = constructions._cross_ball_radius(anchor, eps)
+    assert r.numerator == 1 and r.denominator.bit_count() == 1
+    assert _cross_balls_ok(anchor, eps, r)
+    assert not _cross_balls_ok(anchor, eps, 2 * r)
 
 
 def test_stepped_epsilons_are_pinned():
@@ -412,16 +437,11 @@ def test_onedim_relation_is_the_stepped_rule_on_sampled_tuples_at_n3():
 
 
 def test_quad_factor_lies_between_the_digit_powers():
-    assert quad_factor(10) == 3
-    assert quad_factor(2) == F(3, 2)
-    for b in range(2, 200):
-        c = quad_factor(b)
-        assert b ** 4 < c ** 10 < b ** 6
-
-
-def test_onedim_small_base_fails_digit_closeness():
-    with pytest.raises(PreconditionError):
-        one_dim_k4_construction(2, base=2)
+    relation = one_dim_k4_relation()
+    d1, d2, d3 = (Poly.variable(i + 1, 4) - Poly.variable(i, 4)
+                  for i in range(3))
+    assert 3 * d1 * d3 - d2 * d2 in relation.polys
+    assert 10 ** 4 < 3 ** 10 < 10 ** 6
 
 
 def test_onedim_point_cap():

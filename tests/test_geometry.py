@@ -17,6 +17,7 @@ from semiramsey import (
     Hyperplane,
     OrderedPointSet,
     PreconditionError,
+    ResourceLimitError,
     SeededRng,
     det,
     eval_membership,
@@ -33,6 +34,7 @@ from semiramsey import (
     solve_linear_system,
 )
 from semiramsey import geometry
+from semiramsey.errors import MAX_BITS
 
 
 def line(a1, a2, b) -> Hyperplane:
@@ -133,6 +135,30 @@ def test_general_position_points_examples():
     assert not ok and witness == (1, 2, 3)
     ok, _ = general_position_points(OrderedPointSet(1, [[1], [3], [7]]))
     assert ok
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_orientation_table_matches_per_tuple_orientation(dim):
+    rng = SeededRng(dim)
+    coords = [[F(rng.randint(-50, 50), rng.randint(1, 97)) for _ in range(dim)]
+              for _ in range(7)]
+    combos = list(itertools.combinations(range(1, 8), dim + 1))
+    table, _ = geometry._orientation_table(OrderedPointSet(dim, coords))
+    assert table == {t: orientation([coords[i - 1] for i in t]) for t in combos}
+    assert set(table.values()) == {-1, 1}
+    # A repeated point: the walk stops at the first subset of orientation 0.
+    coords.append(coords[2])
+    first_zero = next(
+        t for t in itertools.combinations(range(1, 9), dim + 1)
+        if orientation([coords[i - 1] for i in t]) == 0)
+    assert geometry._orientation_table(OrderedPointSet(dim, coords)) == \
+        (None, first_zero)
+
+
+def test_orientation_table_refuses_denominators_past_the_bit_cap():
+    points = OrderedPointSet(1, [[F(1, 2 ** MAX_BITS)], [1]])
+    with pytest.raises(ResourceLimitError):
+        general_position_points(points)
 
 
 # -- hyperplane arrangements ----------------------------------------------------------------
@@ -462,11 +488,12 @@ def test_convex_position_matches_oracle():
 def test_convex_position_reads_each_triple_once(monkeypatch):
     calls = []
 
-    def counting(points):
-        calls.append(tuple(points))
-        return orientation(points)
+    def counting(rows):
+        calls.append(tuple(map(tuple, rows)))
+        return eliminate(rows)
 
-    monkeypatch.setattr(geometry, "orientation", counting)
+    eliminate = geometry._eliminate
+    monkeypatch.setattr(geometry, "_eliminate", counting)
     octagon = OrderedPointSet(2, [[3, 0], [2, 2], [0, 3], [-2, 2],
                                   [-3, 0], [-2, -2], [0, -3], [2, -2]])
     assert is_convex_position(octagon)
