@@ -312,9 +312,11 @@ def cmd_verify_milnor_thom(args) -> int:
                 polys.append(p)
         if len(polys) < dim:
             continue
-        pts = [[t_rng.fraction(-10, 10) for _ in range(dim)]
-               for _ in range(args.points)]
-        got = count_distinct_sign_vectors(polys, pts)
+        # The grid of rng.fraction(-10, 10), (20 k - 10 * 2^16) / 2^16, kept
+        # as integer numerators over the one denominator 2^16.
+        rows = [[20 * t_rng.randint(0, 1 << 16) - (10 << 16)
+                 for _ in range(dim)] for _ in range(args.points)]
+        got = count_distinct_sign_vectors(polys, rows, denominator=1 << 16)
         bound = milnor_thom_bound(max(p.degree() for p in polys),
                                   len(polys), dim)
         if got > bound:

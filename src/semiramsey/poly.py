@@ -6,9 +6,11 @@ arithmetic is exact; nothing in this module ever touches floats.
 
 Each polynomial has one integer form, its homogenization H in one more
 variable, the scale L (`integer_form`): every value and sign is H read at
-(X, L), with X = L * x for a rational point x, through the one integer loop
-`_int_total`.  `eval` and `sign` clear a point to (X, L); a point set
-scaled by M reads H with L fixed at M.
+(X, L), with X = L * x for a rational point x.  One compiled form
+(`_compile`) has two readers: `_int_total` at one point (the relation's
+decider, `eval`, `sign`) and `_int_signs` at a whole point set, one column
+per power and per term (`IntegerForm.signs`).  `eval` and `sign` clear a
+point to (X, L); a point set scaled by M reads H with L fixed at M.
 Univariate division runs in integers too, through the one pseudo-division
 loop `_pseudo_divmod` that every Sturm chain uses.
 """
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ArgumentError
@@ -278,7 +281,7 @@ def _compile(terms: dict) -> tuple:
 
 
 def _int_total(powers: tuple, terms: tuple, point: Sequence[int]) -> int:
-    """The one integer loop, behind every value and sign: the sum over terms
+    """The compiled form's reader at one point: the sum over terms
     (c, indices) of c times the product of table[j] for j in indices, with
     table the powers point[v] ** k for (v, k) in powers.  Coordinates of
     variables that occur in no power are not read."""
@@ -289,6 +292,26 @@ def _int_total(powers: tuple, terms: tuple, point: Sequence[int]) -> int:
             c *= table[j]
         total += c
     return total
+
+
+def _int_signs(powers: tuple, terms: tuple,
+               points: Sequence[Sequence[int]]) -> list[int]:
+    """The compiled form's reader at a point set: the sign of `_int_total`
+    at each point, with every power and every term built as a column over
+    all points by `map`, so the per-point loops run in C."""
+    n = len(points)
+    if not n:
+        return []
+    columns = list(zip(*points))
+    table = [columns[v] if k == 1 else list(map(pow, columns[v], repeat(k, n)))
+             for v, k in powers]
+    totals = repeat(0, n)
+    for c, factors in terms:
+        column = repeat(c, n)
+        for j in factors:
+            column = map(mul, column, table[j])
+        totals = list(map(add, totals, column))
+    return [(t > 0) - (t < 0) for t in totals]
 
 
 class IntegerForm:
@@ -321,6 +344,13 @@ class IntegerForm:
         powers, terms = self._loop or self._compiled()
         total = _int_total(powers, terms, point)
         return (total > 0) - (total < 0)
+
+    def signs(self, points: Sequence[Sequence[int]]) -> list[int]:
+        """The sign at each integer point, in one pass over the set: equal
+        to [self.sign(x) for x in points], and faster than that from about
+        ten points on (at five or fewer, `sign` per point is faster)."""
+        powers, terms = self._loop or self._compiled()
+        return _int_signs(powers, terms, points)
 
     def restrict(self, fixed: Mapping[int, int]) -> "IntegerForm":
         """Substitute int values for some variables; the others are

@@ -310,14 +310,22 @@ def sign_vector(polys: Sequence[MultivariatePolynomial],
 
 
 def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
-                                points: Iterable[Sequence[Scalar]]) -> int:
-    """Number of distinct sign vectors of the family over the points.
+                                points: Iterable[Sequence[Scalar]],
+                                denominator: int = 1) -> int:
+    """Number of distinct sign vectors of the family over the points, each
+    point being the given coordinates divided by `denominator` (a positive
+    int).
 
-    The points are scaled to integers once (`OrderedPointSet.scaled`: one
-    LCM M, refused above MAX_BITS bits), and each polynomial is read
-    through its integer form with L fixed at M, so no value is formed.  The points must
-    have as many coordinates as every polynomial has variables.
+    The coordinates are scaled to integers X once (`OrderedPointSet.scaled`:
+    one LCM M), and each polynomial is read through its integer form with L
+    fixed at M * denominator, one column of signs per polynomial over all
+    points (`IntegerForm.signs`), so no value is formed.  M * denominator
+    is refused above MAX_BITS bits.  The points must have as many
+    coordinates as every polynomial has variables.
     """
+    if type(denominator) is not int or denominator < 1:
+        raise ArgumentError(
+            f"denominator must be a positive int, got {denominator!r}")
     points = list(points)
     if not points:
         return 0
@@ -329,8 +337,12 @@ def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
             raise ArgumentError(
                 f"family mixes polynomials in {dim} and {p.num_vars} variables")
     scale, scaled = OrderedPointSet(dim, points).scaled()
-    forms = [p.integer_form().restrict({dim: scale}) for p in polys]
-    return len({tuple([f.sign(x) for f in forms]) for x in scaled})
+    scale *= denominator
+    if scale.bit_length() > MAX_BITS:
+        raise ResourceLimitError(
+            f"common denominator of the points exceeds {MAX_BITS} bits")
+    return len(set(zip(*[p.integer_form().restrict({dim: scale}).signs(scaled)
+                         for p in polys])))
 
 
 def milnor_thom_bound(max_degree: int, family_size: int, dim: int) -> int:

@@ -342,10 +342,14 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
                 form = restrict(prefix_restricted(pi, prefix), fixed)
                 if any(any(e) for e in form.terms):
                     restricted.append((form, truths))
+        # One truth column per restricted form over all survivors, zipped
+        # into the survivors' signatures; with no form, one class of ().
+        rows = [coords[w] for w in survivors]
+        columns = [list(map(truths.__getitem__, form.signs(rows)))
+                   for form, truths in restricted]
         groups: dict[tuple, list[int]] = {}
-        for w in survivors:
-            x = coords[w]
-            sig = tuple([truths[form.sign(x)] for form, truths in restricted])
+        for w, sig in zip(survivors,
+                          zip(*columns) if columns else itertools.repeat(())):
             groups.setdefault(sig, []).append(w)
         stats["sign_evaluations"] += len(survivors) * len(restricted)
         level_log.append((len(chosen) - 1, len(groups)))
@@ -655,12 +659,8 @@ def find_bad_triples(points: OrderedPointSet, relation: SemiAlgebraicRelation):
                     if not any(e[0] for e in restricted.terms):
                         continue
                     family.append(restricted)
-            if not family:
-                continue
-            for c in range(n):
-                if c == a or c == b:
-                    continue
-                x = vals[c]
-                if any(f.sign([x]) == 0 for f in family):
-                    bad.add(tuple(sorted((a + 1, b + 1, c + 1))))
+            for f in family:
+                for c, s in enumerate(f.signs(scaled)):
+                    if not s and c != a and c != b:
+                        bad.add(tuple(sorted((a + 1, b + 1, c + 1))))
     return sorted(bad), skipped

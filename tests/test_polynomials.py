@@ -16,6 +16,7 @@ from semiramsey import (
     Formula,
     MultivariatePolynomial as Poly,
     OrderedPointSet,
+    SeededRng,
     SemiAlgebraicRelation,
     derivative,
     eval_membership,
@@ -23,6 +24,7 @@ from semiramsey import (
     univariate_coeffs,
     univariate_divmod,
 )
+from semiramsey.poly import IntegerForm
 
 
 def x(i: int, n: int) -> Poly:
@@ -408,6 +410,39 @@ def test_integer_form_is_homogenization_at_scale(p, scale, data):
     point = [data.draw(coords if i in used else far_coords)
              for i in range(p.num_vars)]
     assert_matches_oracle(p, point)
+
+
+def seeded_forms(seed: int) -> list[IntegerForm]:
+    """Random int forms in 0..3 variables, some terms constant, some
+    coefficients near 2^200, some forms with no terms at all."""
+    rng = SeededRng(seed)
+    forms = []
+    for _ in range(40):
+        n = rng.randint(0, 3)
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            e = tuple(rng.randint(0, 3) * rng.randint(0, 1) for _ in range(n))
+            c = rng.randint(-5, 5) + rng.choice([0, 2 ** 200, -2 ** 200 + 1])
+            terms[e] = terms.get(e, 0) + c
+        forms.append(IntegerForm(n, {e: c for e, c in terms.items() if c}))
+    return forms
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_column_signs_equal_per_point_signs(seed):
+    rng = SeededRng(seed)
+    special = [IntegerForm(2, {}), IntegerForm(0, {}), IntegerForm(0, {(): -3}),
+               IntegerForm(2, {(0, 0): 7, (1, 1): -1}),
+               IntegerForm(1, {(1,): 2 ** 200, (0,): -(2 ** 200) + 1})]
+    for form in special + seeded_forms(seed):
+        n = form.num_vars
+        for size in (0, 1, 2, 9):
+            rows = [[rng.randint(-4, 4) * rng.choice([1, 2 ** 70])
+                     for _ in range(n)] for _ in range(size)]
+            assert form.signs(rows) == [form.sign(x) for x in rows]
+    assert IntegerForm(2, {}).signs([[1, 2], [0, 0]]) == [0, 0]
+    assert IntegerForm(0, {(): -3}).signs([[], []]) == [-1, -1]
+    assert IntegerForm(1, {(1,): 1}).signs([]) == []
 
 
 def test_eval_zero_and_constant_polynomials_match_oracle():

@@ -25,6 +25,7 @@ from semiramsey import (
     order_type_relation,
     sign_vector,
 )
+from semiramsey.errors import MAX_BITS
 from semiramsey.poly import IntegerForm
 
 
@@ -309,6 +310,47 @@ def test_count_distinct_sign_vectors_equals_oracle(seed):
             for points in (grid, ints, mixed, grid + ints + mixed):
                 assert (count_distinct_sign_vectors(family, points)
                         == oracle_sign_vector_count(family, points))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_integer_grid_count_equals_fraction_grid_count(seed):
+    """The trials of `verify milnor-thom` replayed: the grid drawn as
+    integer numerators over 2^16 counts as the same draws taken as
+    rng.fraction(-10, 10) points, and as the oracle."""
+    rng = SeededRng(seed)
+    families = 0
+    for trial in range(200):
+        ints, fracs = rng.derive(f"trial-{trial}"), rng.derive(f"trial-{trial}")
+        polys = milnor_thom_family(ints)
+        assert milnor_thom_family(fracs) == polys
+        if not polys:
+            continue
+        families += 1
+        dim = polys[0].num_vars
+        rows = [[20 * ints.randint(0, 1 << 16) - (10 << 16)
+                 for _ in range(dim)] for _ in range(30)]
+        points = [[fracs.fraction(-10, 10) for _ in range(dim)]
+                  for _ in range(30)]
+        assert points == [[F(v, 1 << 16) for v in row] for row in rows]
+        got = count_distinct_sign_vectors(polys, rows, denominator=1 << 16)
+        assert got == count_distinct_sign_vectors(polys, points)
+        assert got == oracle_sign_vector_count(polys, points)
+    assert families > 100
+
+
+def test_count_distinct_sign_vectors_refuses_bad_denominators():
+    for bad in (0, -1, True, 1.5):
+        with pytest.raises(ArgumentError):
+            count_distinct_sign_vectors([x(0, 1)], [[1]], denominator=bad)
+        with pytest.raises(ArgumentError):  # refused before the points are read
+            count_distinct_sign_vectors([x(0, 1)], [], denominator=bad)
+    assert count_distinct_sign_vectors(
+        [x(0, 1)], [[F(1, 2 ** 20)]], denominator=2 ** (MAX_BITS - 21)) == 1
+    # M = 2^20 times the denominator 2^(MAX_BITS - 20) is 2^MAX_BITS, one
+    # bit over the cap; half that denominator is accepted above.
+    with pytest.raises(ResourceLimitError):
+        count_distinct_sign_vectors(
+            [x(0, 1)], [[F(1, 2 ** 20)]], denominator=2 ** (MAX_BITS - 20))
 
 
 def test_count_distinct_sign_vectors_refuses_bad_points():

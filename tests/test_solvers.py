@@ -262,6 +262,19 @@ def test_greedy_on_never_true_relation_keeps_everything():
     assert len(result.subset) == 8
 
 
+def test_greedy_keeps_one_class_when_no_form_reads_the_last_slot():
+    """x0 > x1 at arity 3: once the first two slots are fixed no form has a
+    variable left, so every survivor stays in the one class ()."""
+    relation = SemiAlgebraicRelation(3, 1, [x(0, 3) - x(1, 3)],
+                                     Formula.leaf(0, "gt"))
+    result = erdos_rado_greedy(integer_points(5, 2, 8, 1, 9, 3, 7, 4), relation)
+    assert (result.subset, result.polarity, result.certified) == (
+        (1, 2, 4, 8), "in", True)
+    assert result.stats == {
+        "classes_per_level": [[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)]],
+        "restrictions": 28, "sign_evaluations": 0, "method": "greedy"}
+
+
 def test_greedy_certifies_on_the_stepped_up_instance():
     stepped = step_up(base_construction(2))
     result = erdos_rado_greedy(stepped.points, stepped.relation)
