@@ -5,6 +5,11 @@ polynomial sign conditions in k*d variables.  Variables are blocked
 slot-major: slot s (0-based) occupies variables [s*d, (s+1)*d).
 Membership is only ever evaluated on strictly increasing index tuples,
 matching the convention that point sets are ordered.
+
+A relation reads a tuple at one integer point (X, L) through one generated
+function (`_generate`): its formula as a short-circuit expression over the
+straight-line kernels of its polynomials' integer forms
+(`IntegerForm.kernel`).  Both are generated on the first read.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import MAX_BITS, ArgumentError, ResourceLimitError
-from .poly import IntegerForm, MultivariatePolynomial, Scalar, _cleared
+from .poly import MultivariatePolynomial, Scalar, _cleared
 
 COMPARISONS = ("ge", "gt", "eq")
 
@@ -49,7 +54,8 @@ class Formula:
 
     Nodes are immutable and may be shared between parents.  An AND with no
     children is constant true, an OR with no children constant false.  A
-    relation decides its formula through one compiled decider (`_compile`).
+    relation decides its formula through one generated function
+    (`_generate`), built on its first read.
     """
 
     __slots__ = ("op", "children", "atom")
@@ -135,7 +141,7 @@ class SemiAlgebraicRelation:
         self.point_dim = point_dim
         self.polys = tuple(polys)
         self.formula = formula
-        self._decide = _compile(formula, [p.integer_form() for p in self.polys])
+        self._decide = None
 
     def complexity(self) -> int:
         """Description complexity t: ambient dimension, polynomial count and
@@ -154,72 +160,95 @@ class SemiAlgebraicRelation:
     def holds_at_scale(self, scale: int, coords: Sequence[int]) -> bool:
         """Evaluate at the rational point coords / scale, given the integer
         coordinates of an index tuple (see OrderedPointSet.scaled)."""
-        return self._decide([*coords, scale])
+        return (self._decide or self._generated())([*coords, scale])
+
+    def _generated(self) -> Callable[[Sequence[int]], bool]:
+        """The decider of `_generate`, built on the first read."""
+        self._decide = _generate(self.formula, self.polys)
+        return self._decide
 
 
-def _compile(formula: Formula, forms: Sequence[IntegerForm]
-             ) -> Callable[[Sequence[int]], bool]:
-    """The formula as one decider(x), with forms[i].sign(x) the sign of
-    polynomial i at the integer point x = (X, L).
+# Deepest nesting of one generated expression: a deeper node is decided by
+# a helper function of its own (CPython refuses 200 nested parentheses).
+_DEPTH = 32
 
-    Each node becomes a closure over a per-call memo list, built once
-    however many parents share it.  An atom reads its polynomial's sign
-    from the memo, so each sign is computed at most once per call; AND and
-    OR stop at the first child that settles them; a node with more than
-    one parent keeps its truth value in the memo too, so it is decided at
-    most once per call.
+_COMPARE = {"ge": ">=", "gt": ">", "eq": "=="}
+
+
+def _generate(formula: Formula, polys: Sequence[MultivariatePolynomial]
+              ) -> Callable[[Sequence[int]], bool]:
+    """The formula as one generated function decide(x), reading polynomial
+    i through the kernel of its integer form at the integer point
+    x = (X, L).
+
+    An atom of polynomial i compares the local s<i> with 0 and calls the
+    kernel only while s<i> is None, so each form is read at most once per
+    call.  AND and OR are Python's short-circuit `and` and `or`, NOT is
+    `not`.  A node with more than one parent, and a node that would nest
+    deeper than _DEPTH, becomes a helper function inside decide; a shared
+    node's helper keeps its truth value in a local, so it is decided at most
+    once per call.  Every node is written out once, and the kernels are
+    names bound in the function's globals: the source holds only names,
+    operators, None, True, False and 0.
     """
     parents = Counter(id(ch) for node in formula.nodes() for ch in node.children)
-    built: dict[int, Callable] = {}
-    slots = len(forms)
-
-    def build(node: Formula) -> Callable:
-        nonlocal slots
-        f = built.get(id(node))
-        if f is not None:
-            return f
+    # id(node) -> (expression, its nesting depth, the forms it may read)
+    done: dict[int, tuple[str, int, frozenset]] = {}
+    helpers: list[str] = []
+    memos: list[str] = []
+    stack = [(formula, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((ch, False) for ch in node.children)
+            continue
         if node.op == "atom":
-            pi = node.atom.poly_index
-            form = forms[pi]
-            truth = tuple(node.atom.holds(s) for s in (0, 1, -1))
-
-            def f(memo, x):
-                s = memo[pi]
-                if s is None:
-                    s = memo[pi] = form.sign(x)
-                return truth[s]
-        elif node.op == "not":
-            child = build(node.children[0])
-
-            def f(memo, x):
-                return not child(memo, x)
+            i = node.atom.poly_index
+            done[id(node)] = (
+                f"((s{i} if s{i} is not None else (s{i} := k{i}(x)))"
+                f" {_COMPARE[node.atom.cmp]} 0)", 4, frozenset([i]))
+            continue
+        kids = [done[id(ch)] for ch in node.children]
+        reads = frozenset().union(*[r for _, _, r in kids])
+        if node.op == "not":
+            expr, depth = f"(not {kids[0][0]})", kids[0][1] + 1
+        elif kids:
+            joiner = " and " if node.op == "and" else " or "
+            expr = "(" + joiner.join([e for e, _, _ in kids]) + ")"
+            depth = 1 + max(d for _, d, _ in kids)
         else:
-            kids = tuple(build(ch) for ch in node.children)
-            settles = node.op == "or"  # the child value that decides
-
-            def f(memo, x):
-                for kid in kids:
-                    if kid(memo, x) is settles:
-                        return settles
-                return not settles
-        if node.op != "atom" and parents[id(node)] > 1:
-            slot, inner = slots, f
-            slots += 1
-
-            def f(memo, x):
-                v = memo[slot]
-                if v is None:
-                    v = memo[slot] = inner(memo, x)
-                return v
-        built[id(node)] = f
-        return f
-
-    root = build(formula)
-
-    def decide(x: Sequence[int]) -> bool:
-        return root([None] * slots, x)
-
-    return decide
+            expr, depth = ("True" if node.op == "and" else "False"), 0
+        shared = parents[id(node)] > 1
+        if shared or depth > _DEPTH:
+            j = len(helpers)
+            names = [f"s{i}" for i in sorted(reads)] + [f"v{j}"] * shared
+            body = [f" def h{j}():"]
+            if names:
+                body.append("  nonlocal " + ", ".join(names))
+            if shared:
+                body += [f"  v{j} = {expr}", f"  return v{j}"]
+                memos.append(f"v{j}")
+                expr = f"(v{j} if v{j} is not None else h{j}())"
+            else:
+                body.append(f"  return {expr}")
+                expr = f"h{j}()"
+            helpers.append("\n".join(body))
+            depth, reads = 2, frozenset()
+        done[id(node)] = (expr, depth, reads)
+    used = sorted({a.poly_index for a in formula.atoms()})
+    memos = [f"s{i}" for i in used] + memos
+    lines = ["def decide(x):"]
+    if memos:
+        lines.append(" " + " = ".join(memos) + " = None")
+    lines += helpers
+    lines.append(f" return {done[id(formula)][0]}")
+    namespace = {f"k{i}": polys[i].integer_form().kernel() for i in used}
+    exec(compile("\n".join(lines), "<SemiAlgebraicRelation.decide>", "exec"),
+         namespace)
+    return namespace["decide"]
 
 
 class OrderedPointSet:

@@ -433,7 +433,10 @@ def test_column_signs_equal_per_point_signs(seed):
     rng = SeededRng(seed)
     special = [IntegerForm(2, {}), IntegerForm(0, {}), IntegerForm(0, {(): -3}),
                IntegerForm(2, {(0, 0): 7, (1, 1): -1}),
-               IntegerForm(1, {(1,): 2 ** 200, (0,): -(2 ** 200) + 1})]
+               IntegerForm(1, {(1,): 2 ** 200, (0,): -(2 ** 200) + 1}),
+               # Coefficients of 4,633, 3,967 and 3,529 decimal digits.
+               IntegerForm(2, {(1, 1): 35 ** 3000, (1, 0): -(21 ** 3000),
+                               (0, 0): 15 ** 3000})]
     for form in special + seeded_forms(seed):
         n = form.num_vars
         for size in (0, 1, 2, 9):
@@ -443,6 +446,21 @@ def test_column_signs_equal_per_point_signs(seed):
     assert IntegerForm(2, {}).signs([[1, 2], [0, 0]]) == [0, 0]
     assert IntegerForm(0, {(): -3}).signs([[], []]) == [-1, -1]
     assert IntegerForm(1, {(1,): 1}).signs([]) == []
+
+
+def test_form_of_twenty_thousand_terms_reads_as_its_columns():
+    """One term c * x0^i * x1^j per i <= 200, j < 100 but no constant, so
+    the origin is a zero; per point reads equal the column signs."""
+    rng = SeededRng(5)
+    form = IntegerForm(2, {(i, j): rng.choice([-1, 1]) * rng.randint(1, 2 ** 40)
+                           for i in range(201) for j in range(100) if i or j})
+    assert len(form.terms) > 20_000
+    rows = [[0, 0]] + [[rng.randint(-3, 3), rng.randint(-3, 3)]
+                       for _ in range(11)]
+    signs = form.signs(rows)
+    assert [form.sign(x) for x in rows] == signs
+    assert [(t > 0) - (t < 0) for t in map(form.total, rows)] == signs
+    assert set(signs) == {-1, 0, 1}
 
 
 def test_eval_zero_and_constant_polynomials_match_oracle():

@@ -12,6 +12,7 @@ import oracle_eval
 import oracle_formula
 from semiramsey import (
     ArgumentError,
+    Atom,
     Formula,
     MultivariatePolynomial as Poly,
     OrderedPointSet,
@@ -27,6 +28,7 @@ from semiramsey import (
 )
 from semiramsey.errors import MAX_BITS
 from semiramsey.poly import IntegerForm
+from semiramsey.relation import COMPARISONS
 
 
 def x(i: int, n: int) -> Poly:
@@ -158,12 +160,18 @@ def _shares_a_subtree(formula: Formula) -> bool:
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
 def test_compiled_decider_matches_the_recursive_oracle(seed, monkeypatch):
+    # Every kernel a decider is generated over counts its reads.
     reads: list = []
-    for cls in (Poly, IntegerForm):
-        def counted(self, point, _sign=cls.sign):
+    read_any = False
+
+    def counted_kernel(self, _kernel=IntegerForm.kernel):
+        total = _kernel(self)
+
+        def read(point):
             reads.append(id(self))
-            return _sign(self, point)
-        monkeypatch.setattr(cls, "sign", counted)
+            return total(point)
+        return read
+    monkeypatch.setattr(IntegerForm, "kernel", counted_kernel)
 
     rng = SeededRng(seed)
     seen_signs: set = set()
@@ -191,6 +199,7 @@ def test_compiled_decider_matches_the_recursive_oracle(seed, monkeypatch):
             assert decide() == expected
             # Each polynomial's sign is read at most once per call.
             assert len(reads) == len(set(reads))
+            read_any = read_any or bool(reads)
         seen_ops |= {(node.op, len(node.children)) for node in formula.nodes()}
         shared += _shares_a_subtree(formula)
     # The draws cover every comparison at an exact zero and on both sides,
@@ -198,6 +207,7 @@ def test_compiled_decider_matches_the_recursive_oracle(seed, monkeypatch):
     assert seen_signs == {(c, s) for c in ("ge", "gt", "eq") for s in (-1, 0, 1)}
     assert {("not", 1), ("and", 0), ("or", 0)} <= seen_ops
     assert shared > 0
+    assert read_any
 
 
 def test_compiled_decider_decides_a_shared_node_once_per_call():
@@ -208,6 +218,73 @@ def test_compiled_decider_decides_a_shared_node_once_per_call():
     relation = SemiAlgebraicRelation(2, 1, COMPILED_POLYS, node)
     assert relation.holds_on_coords([F(1), F(0)])
     assert not relation.holds_on_coords([F(0), F(1)])
+
+
+def test_formula_nested_three_hundred_deep_matches_the_recursive_oracle():
+    """150 levels of and(atom, or(atom, deeper)): the decider nests no
+    expression that deep, and agrees with the recursive walk."""
+    rng = SeededRng(3)
+
+    def leaf():
+        return Formula.leaf(rng.randint(0, len(COMPILED_POLYS) - 1),
+                            rng.choice(["ge", "gt", "eq"]))
+    node = leaf()
+    for _ in range(150):
+        node = Formula.all_of([leaf(), Formula.any_of([leaf(), node])])
+    relation = SemiAlgebraicRelation(2, 1, COMPILED_POLYS, node)
+    verdicts = set()
+    for a in COMPILED_VALUES:
+        for b in COMPILED_VALUES:
+            def truth(atom):
+                value = oracle_eval.eval_fraction(
+                    COMPILED_POLYS[atom.poly_index].terms, [a, b])
+                return atom.holds((value > 0) - (value < 0))
+            expected = oracle_formula.evaluate(node, truth)
+            assert relation.holds_on_coords([a, b]) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_coefficients_beyond_the_decimal_digit_limit_are_read_exactly():
+    """H has a coefficient 35^3000 of 4,633 digits, more than int() renders
+    as decimal by default; membership still equals the Fraction oracle."""
+    big = {(1, 1): F(1, 3 ** 3000), (1, 0): F(-1, 5 ** 3000),
+           (0, 0): F(1, 7 ** 3000)}
+    p = Poly(2, big)
+    assert max(p.integer_form().terms.values()) > 10 ** 4300
+    # x1 = 3^3000 * (1/5^3000 - 1/7^3000) is the zero at x0 = 1.
+    root = 3 ** 3000 * (F(1, 5 ** 3000) - F(1, 7 ** 3000))
+    rows = [[F(1), root], [F(1), root + F(1, 2 ** 40)], [F(1), root - 1],
+            [F(-2, 3), F(5)], [F(0), F(0)]]
+    points = OrderedPointSet(1, [[c] for row in rows for c in row])
+    for cmp in COMPARISONS:
+        relation = SemiAlgebraicRelation(2, 1, [p], Formula.leaf(0, cmp))
+        signs = []
+        for k, row in enumerate(rows):
+            value = oracle_eval.eval_fraction(p.terms, row)
+            sign = (value > 0) - (value < 0)
+            signs.append(sign)
+            expected = Atom(0, cmp).holds(sign)
+            assert relation.holds_on_coords(row) == expected
+            assert eval_membership(relation, points,
+                                   (2 * k + 1, 2 * k + 2)) == expected
+        assert set(signs) == {-1, 0, 1}
+
+
+def test_decider_is_generated_on_the_first_read(monkeypatch):
+    from semiramsey import relation as relation_module
+    calls: list = []
+
+    def counted(formula, polys, _generate=relation_module._generate):
+        calls.append(formula)
+        return _generate(formula, polys)
+    monkeypatch.setattr(relation_module, "_generate", counted)
+    relation = SemiAlgebraicRelation(2, 1, COMPILED_POLYS,
+                                     Formula.leaf(0, "gt"))
+    assert calls == []
+    assert relation.holds_on_coords([F(1), F(0)])
+    assert not relation.holds_at_scale(1, [0, 1])
+    assert calls == [relation.formula]
 
 
 def test_holds_on_coords_clears_its_tuple_once(monkeypatch):

@@ -6,9 +6,14 @@ Each directory holds the result files that `perfbench/run.py` writes to
 `.perfbench-work/results/` (`{"record", "result"}`), one per run, under any
 names ending in `.json`.  Only untraced runs (`--trace 0`) are read.  For
 each workload and seed, every end-to-end metric gets the median and the
-quartiles of each side's runs and the change's median over the parent's;
-each side also lists its git revisions and source digests, its run count
-and its failed runs.  The summary goes to stdout as JSON.
+quartiles of each side's runs and the change's median over the parent's.
+Runs are paired in record order, the i-th parent run with the i-th change
+run, both in file name order: `pairs` counts the pairs and `pairs_won` those
+where the change reads lower (every end-to-end metric is lower-is-better),
+and `gap_exceeds_parent_iqr` tells whether the medians differ by more than
+the parent's interquartile range.  Each side also lists its git revisions
+and source digests, its run count and its failed runs.  The summary goes to
+stdout as JSON.
 """
 
 from __future__ import annotations
@@ -52,16 +57,25 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
         names = sorted({m for runs in sides.values() for r in runs
                         for m in r["result"]["metrics"]})
         for name in names:
-            row = {}
+            row, values = {}, {}
             for side, runs in sides.items():
                 found = [r["result"]["metrics"][name] for r in runs
                          if name in r["result"]["metrics"]]
                 if found:
                     row["unit"] = found[0]["unit"]
-                    row[side] = spread([m["value"] for m in found])
-            if "parent" in row and "change" in row and row["parent"]["median"]:
-                row["change_over_parent"] = (row["change"]["median"]
-                                             / row["parent"]["median"])
+                    values[side] = [m["value"] for m in found]
+                    row[side] = spread(values[side])
+            if "parent" in row and "change" in row:
+                parent_row, change_row = row["parent"], row["change"]
+                if parent_row["median"]:
+                    row["change_over_parent"] = (change_row["median"]
+                                                 / parent_row["median"])
+                pairs = list(zip(values["parent"], values["change"]))
+                row["pairs"] = len(pairs)
+                row["pairs_won"] = sum(c < p for p, c in pairs)
+                row["gap_exceeds_parent_iqr"] = (
+                    abs(change_row["median"] - parent_row["median"])
+                    > parent_row["q3"] - parent_row["q1"])
             metrics[name] = row
         entry["metrics"] = metrics
         workloads.setdefault(workload, {})[str(seed)] = entry
