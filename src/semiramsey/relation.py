@@ -10,11 +10,14 @@ A relation reads a tuple at one integer point (X, L) through one generated
 function (`_generate`): its formula as a short-circuit expression over the
 straight-line kernels of its polynomials' integer forms
 (`IntegerForm.kernel`).  Both are generated on the first read.
+`eval_membership` checks every tuple it reads; a search that reads many
+checks once, through `membership_reader`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,11 +163,15 @@ class SemiAlgebraicRelation:
     def holds_at_scale(self, scale: int, coords: Sequence[int]) -> bool:
         """Evaluate at the rational point coords / scale, given the integer
         coordinates of an index tuple (see OrderedPointSet.scaled)."""
-        return (self._decide or self._generated())([*coords, scale])
+        return (self._decide or self.decider())([*coords, scale])
 
-    def _generated(self) -> Callable[[Sequence[int]], bool]:
-        """The decider of `_generate`, built on the first read."""
-        self._decide = _generate(self.formula, self.polys)
+    def decider(self) -> Callable[[Sequence[int]], bool]:
+        """The relation's decider decide([*X, L]), generated by `_generate`
+        on the first call: membership at the rational point X / L, given
+        the integer coordinates X of a whole tuple and L > 0.  It checks
+        nothing; `eval_membership` and `membership_reader` check first."""
+        if self._decide is None:
+            self._decide = _generate(self.formula, self.polys)
         return self._decide
 
 
@@ -181,21 +188,25 @@ def _generate(formula: Formula, polys: Sequence[MultivariatePolynomial]
     i through the kernel of its integer form at the integer point
     x = (X, L).
 
-    An atom of polynomial i compares the local s<i> with 0 and calls the
-    kernel only while s<i> is None, so each form is read at most once per
-    call.  AND and OR are Python's short-circuit `and` and `or`, NOT is
-    `not`.  A node with more than one parent, and a node that would nest
-    deeper than _DEPTH, becomes a helper function inside decide; a shared
-    node's helper keeps its truth value in a local, so it is decided at most
-    once per call.  Every node is written out once, and the kernels are
-    names bound in the function's globals: the source holds only names,
-    operators, None, True, False and 0.
+    AND and OR are Python's short-circuit `and` and `or`, NOT is `not`, and
+    each form is read at most once per call.  Every node is written out
+    once, and the kernels are names bound in the generated globals: the
+    source holds only names, operators, ints, None, True and False.
+
+    A node with more than one parent, and one that would nest deeper than
+    _DEPTH, becomes a helper h<j>(x, m), defined once next to decide.  With
+    helpers, every memo lives in one list m that decide makes per call and
+    passes on: m[i] for the form of polynomial i, read through `_read`, and
+    one slot after the forms per shared node, which is so decided at most
+    once per call.  Without them, the form of polynomial i is memoized in
+    the local s<i>, which reads faster than a list slot.
     """
     parents = Counter(id(ch) for node in formula.nodes() for ch in node.children)
-    # id(node) -> (expression, its nesting depth, the forms it may read)
-    done: dict[int, tuple[str, int, frozenset]] = {}
+    # id(node) -> (expression, its nesting depth); "@i@" stands for the
+    # memoized read of form i until the memos are chosen.
+    done: dict[int, tuple[str, int]] = {}
     helpers: list[str] = []
-    memos: list[str] = []
+    slots = len(polys)
     stack = [(formula, False)]
     while stack:
         node, expanded = stack.pop()
@@ -206,49 +217,48 @@ def _generate(formula: Formula, polys: Sequence[MultivariatePolynomial]
             stack.extend((ch, False) for ch in node.children)
             continue
         if node.op == "atom":
-            i = node.atom.poly_index
             done[id(node)] = (
-                f"((s{i} if s{i} is not None else (s{i} := k{i}(x)))"
-                f" {_COMPARE[node.atom.cmp]} 0)", 4, frozenset([i]))
+                f"(@{node.atom.poly_index}@ {_COMPARE[node.atom.cmp]} 0)", 4)
             continue
         kids = [done[id(ch)] for ch in node.children]
-        reads = frozenset().union(*[r for _, _, r in kids])
         if node.op == "not":
             expr, depth = f"(not {kids[0][0]})", kids[0][1] + 1
         elif kids:
             joiner = " and " if node.op == "and" else " or "
-            expr = "(" + joiner.join([e for e, _, _ in kids]) + ")"
-            depth = 1 + max(d for _, d, _ in kids)
+            expr = "(" + joiner.join([e for e, _ in kids]) + ")"
+            depth = 1 + max(d for _, d in kids)
         else:
             expr, depth = ("True" if node.op == "and" else "False"), 0
-        shared = parents[id(node)] > 1
-        if shared or depth > _DEPTH:
-            j = len(helpers)
-            names = [f"s{i}" for i in sorted(reads)] + [f"v{j}"] * shared
-            body = [f" def h{j}():"]
-            if names:
-                body.append("  nonlocal " + ", ".join(names))
-            if shared:
-                body += [f"  v{j} = {expr}", f"  return v{j}"]
-                memos.append(f"v{j}")
-                expr = f"(v{j} if v{j} is not None else h{j}())"
-            else:
-                body.append(f"  return {expr}")
-                expr = f"h{j}()"
-            helpers.append("\n".join(body))
-            depth, reads = 2, frozenset()
-        done[id(node)] = (expr, depth, reads)
+        j = len(helpers)
+        if parents[id(node)] > 1:
+            helpers.append(f"def h{j}(x, m):\n m[{slots}] = v = {expr}\n return v")
+            expr = f"(m[{slots}] if m[{slots}] is not None else h{j}(x, m))"
+            slots, depth = slots + 1, 2
+        elif depth > _DEPTH:
+            helpers.append(f"def h{j}(x, m):\n return {expr}")
+            expr, depth = f"h{j}(x, m)", 2
+        done[id(node)] = (expr, depth)
     used = sorted({a.poly_index for a in formula.atoms()})
-    memos = [f"s{i}" for i in used] + memos
-    lines = ["def decide(x):"]
-    if memos:
-        lines.append(" " + " = ".join(memos) + " = None")
-    lines += helpers
+    lines = helpers + ["def decide(x):"]
+    if helpers:
+        lines.append(f" m = [None] * {slots}")
+        read = r"(m[\1] if m[\1] is not None else _read(m, \1, k\1, x))"
+    else:
+        if used:
+            lines.append(" " + " = ".join(f"s{i}" for i in used) + " = None")
+        read = r"(s\1 if s\1 is not None else (s\1 := k\1(x)))"
     lines.append(f" return {done[id(formula)][0]}")
+    source = re.sub(r"@(\d+)@", read, "\n".join(lines))
     namespace = {f"k{i}": polys[i].integer_form().kernel() for i in used}
-    exec(compile("\n".join(lines), "<SemiAlgebraicRelation.decide>", "exec"),
-         namespace)
+    namespace["_read"] = _read
+    exec(compile(source, "<SemiAlgebraicRelation.decide>", "exec"), namespace)
     return namespace["decide"]
+
+
+def _read(memo: list, i: int, kernel: Callable, x: Sequence[int]) -> int:
+    """kernel(x), kept as memo[i] (decide's form read)."""
+    memo[i] = total = kernel(x)
+    return total
 
 
 class OrderedPointSet:
@@ -308,13 +318,19 @@ class OrderedPointSet:
         return self._scaled
 
 
-def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
-                    indices: Sequence[int]) -> bool:
-    """Whether the index tuple (1-based, strictly increasing) is in the
-    relation, decided by integer signs on the scaled point set."""
+def _check_spaces(relation: SemiAlgebraicRelation,
+                  points: OrderedPointSet) -> None:
     if relation.point_dim != points.dim:
         raise ArgumentError(
             f"relation lives in R^{relation.point_dim}, points in R^{points.dim}")
+
+
+def check_tuple(relation: SemiAlgebraicRelation, points: OrderedPointSet,
+                indices: Sequence[int]) -> None:
+    """Refuse (ArgumentError) what `eval_membership` refuses: a relation
+    and points in different spaces, or an index tuple that is not
+    `relation.arity` strictly increasing indices in 1..len(points)."""
+    _check_spaces(relation, points)
     if len(indices) != relation.arity:
         raise ArgumentError(
             f"tuple has {len(indices)} indices, relation arity is {relation.arity}")
@@ -324,9 +340,54 @@ def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
     # Increasing, so the first and the last index bound all of them.
     points._check_index(indices[0])
     points._check_index(indices[-1])
+
+
+def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
+                    indices: Sequence[int]) -> bool:
+    """Whether the index tuple (1-based, strictly increasing) is in the
+    relation, decided by integer signs on the scaled point set.
+
+    This is the checked path: the spaces and the tuple (`check_tuple`) and
+    the scale are checked on every call.  A search that reads many tuples
+    checks once through `membership_reader` instead, and certifies its
+    answer through this function."""
+    check_tuple(relation, points, indices)
     scale, scaled = points.scaled()
-    coords = [x for i in indices for x in scaled[i - 1]]
-    return relation.holds_at_scale(scale, coords)
+    row = [x for i in indices for x in scaled[i - 1]]
+    row.append(scale)
+    return (relation._decide or relation.decider())(row)
+
+
+def membership_reader(relation: SemiAlgebraicRelation, points: OrderedPointSet
+                      ) -> Callable[[tuple, int], int]:
+    """read(prefix, bits), with the spaces checked once, here.
+
+    read returns the bits c of the bitmask `bits` (bit c for point c) whose
+    tuple prefix + (c,) is in the relation.  It checks nothing: prefix must
+    be arity - 1 increasing indices of the points and every c in 1..n after
+    prefix[-1].  Its first call takes the scale (`OrderedPointSet.scaled`,
+    refused above MAX_BITS bits) and keeps one int row [*X_c, M] per point;
+    each call then gathers the prefix's coordinates once and reads the
+    decider on them and one row per bit."""
+    _check_spaces(relation, points)
+    scaled = rows = decide = None
+
+    def read(prefix: tuple, bits: int) -> int:
+        nonlocal scaled, rows, decide
+        if rows is None:
+            scale, scaled = points.scaled()
+            rows = [[*x, scale] for x in scaled]
+            decide = relation.decider()
+        head = [x for i in prefix for x in scaled[i - 1]]
+        found = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            # Bit c is point c, whose row is rows[c - 1].
+            if decide(head + rows[low.bit_length() - 2]):
+                found |= low
+        return found
+    return read
 
 
 SignVector = tuple  # tuple of -1 / 0 / +1, one entry per polynomial

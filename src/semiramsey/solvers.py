@@ -21,7 +21,8 @@ from .errors import (ArgumentError, BudgetExhaustedError, PreconditionError,
                      ResourceLimitError)
 from .poly import IntegerForm, MultivariatePolynomial
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
-                       eval_membership, milnor_thom_bound)
+                       check_tuple, eval_membership, membership_reader,
+                       milnor_thom_bound)
 from .rng import SeededRng
 
 
@@ -38,29 +39,30 @@ class HomogeneousResult:
 
 
 class MembershipOracle:
-    """Membership of index tuples of one point set in one relation.
+    """Membership of index tuples of one point set in one relation, for a
+    search that reads many of them.
 
     The point set and the relation must live in the same space; that is
-    checked once, here.  Membership is memoized once, per (k-1)-prefix as a
-    bitmask; `evaluations` counts the tuples evaluated.  polarity() is the
-    homogeneity check every solver certifies with.
+    checked once, here, and the scale on the first read (both by
+    `relation.membership_reader`).  above() then reads without a per-tuple
+    check: its callers pass only increasing tuples of the point set.
+    member() checks its tuple as eval_membership does (`check_tuple`).
+    Membership is memoized once, per (k-1)-prefix as a bitmask;
+    `evaluations` counts the tuples evaluated.  polarity() is the
+    homogeneity check every solver certifies with, and reads each k-tuple
+    through eval_membership, independently of the memo.
     """
 
     def __init__(self, points: OrderedPointSet,
                  relation: SemiAlgebraicRelation):
-        if relation.point_dim != points.dim:
-            raise ArgumentError(
-                f"relation lives in R^{relation.point_dim}, "
-                f"points in R^{points.dim}")
         self.points = points
         self.relation = relation
         self.masks: dict[tuple, tuple[int, int]] = {}
         self.evaluations = 0
+        self._read = membership_reader(relation, points)
 
     def member(self, indices: tuple) -> bool:
-        if not indices or not 1 <= indices[-1] <= len(self.points):
-            # No bit to read: eval_membership refuses every such tuple.
-            return eval_membership(self.relation, self.points, indices)
+        check_tuple(self.relation, self.points, indices)
         return bool(self.above(indices[:-1], 1 << indices[-1]))
 
     def above(self, prefix: tuple, within: int) -> int:
@@ -73,27 +75,23 @@ class MembershipOracle:
         todo = within & ~known
         if todo:
             self.evaluations += todo.bit_count()
-            relation, points = self.relation, self.points
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                if eval_membership(relation, points,
-                                   prefix + (low.bit_length() - 1,)):
-                    mask |= low
+            mask |= self._read(prefix, todo)
             self.masks[prefix] = (known | within, mask)
         return mask & within
 
     def polarity(self, subset: tuple):
         """("in" | "out", None) when all k-tuples of the increasing subset
         fall on one side (subsets smaller than k are "in"), else
-        (None, the first k-tuple on the other side from the first one)."""
-        tuples = itertools.combinations(subset, self.relation.arity)
+        (None, the first k-tuple on the other side from the first one).
+        Each k-tuple is read through eval_membership, not the memo."""
+        relation, points = self.relation, self.points
+        tuples = itertools.combinations(subset, relation.arity)
         first = next(tuples, None)
         if first is None:
             return "in", None
-        want = self.member(first)
+        want = eval_membership(relation, points, first)
         for tup in tuples:
-            if self.member(tup) != want:
+            if eval_membership(relation, points, tup) != want:
                 return None, tup
         return ("in" if want else "out"), None
 
@@ -125,11 +123,18 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     maximum in search order ("in" before "out") whatever the bound; only
     the counters depend on it.
 
+    Membership is read through one MembershipOracle, which checks the
+    point set, the relation and the scale once and then reads the
+    relation's decider directly.  The subset returned is certified through
+    MembershipOracle.polarity, which reads each of its k-tuples through the
+    checked eval_membership, independently of the search's reads.
+
     If the node budget runs out the best subset found so far is returned
     with stats["maximum"] set to False (it is still a certified homogeneous
     subset).  stats also counts the nodes visited (at most the budget), the
     popcount prunes ("prunes"), the colouring prunes ("colour_prunes") and
-    the distinct tuples evaluated ("evaluations", MembershipOracle's count).
+    the distinct tuples the search evaluated ("evaluations",
+    MembershipOracle's count, which leaves out the certification).
     """
     n = len(points)
     k = relation.arity

@@ -19,8 +19,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import ArgumentError, PreconditionError
-from .poly import (MultivariatePolynomial, Scalar, _cleared, _pseudo_divmod,
-                   derivative, univariate_coeffs, univariate_divmod)
+from .poly import (MultivariatePolynomial, Scalar, _cleared, _coef,
+                   _pseudo_divmod, derivative, univariate_coeffs,
+                   univariate_divmod)
 
 
 def _primitive(coeffs: list[int], sign: int = 1) -> list[int]:
@@ -124,8 +125,7 @@ def count_real_roots(g: MultivariatePolynomial, a: Fraction, b: Fraction,
     Requires a < b and g(a) != 0 != g(b).  Roots are counted without
     multiplicity, which is exactly what the Sturm chain delivers.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a, b = _coef(a), _coef(b)  # a Fraction endpoint is kept as it is
     if a >= b:
         raise ArgumentError(f"empty interval ({a}, {b})")
     if seq is None:

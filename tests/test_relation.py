@@ -3,6 +3,7 @@ degree-based sign-pattern bound."""
 
 from __future__ import annotations
 
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -243,6 +244,68 @@ def test_formula_nested_three_hundred_deep_matches_the_recursive_oracle():
             assert relation.holds_on_coords([a, b]) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def _xor(a: Formula, b: Formula) -> Formula:
+    return Formula.any_of([Formula.all_of([a, Formula.negation(b)]),
+                           Formula.all_of([Formula.negation(a), b])])
+
+
+def test_helpers_of_shared_and_deep_nodes_are_built_once():
+    """Over 2,000 shared nodes (twelve layers of 200 XORs of two random
+    nodes of the layer below, folded pairwise into one) and an unshared
+    chain nested deeper than _DEPTH: the decider defines no function per
+    call, and it agrees with the recursive walk on every pair of values."""
+    from semiramsey import relation as relation_module
+    rng = SeededRng(4)
+    layer = [Formula.leaf(i, cmp) for i in range(len(COMPILED_POLYS))
+             for cmp in COMPARISONS]
+    for _ in range(12):
+        layer = [_xor(rng.choice(layer), rng.choice(layer))
+                 for _ in range(200)]
+    while len(layer) > 1:
+        layer = [_xor(*layer[i:i + 2]) if i + 1 < len(layer) else layer[i]
+                 for i in range(0, len(layer), 2)]
+    chain = Formula.leaf(0, "gt")
+    for level in range(relation_module._DEPTH):
+        chain = Formula.negation(Formula.any_of([
+            Formula.leaf(level % len(COMPILED_POLYS), "ge"), chain]))
+    node = _xor(chain, layer[0])
+    parents: dict = {}
+    for parent in node.nodes():
+        for ch in parent.children:
+            parents[id(ch)] = parents.get(id(ch), 0) + 1
+    assert sum(n > 1 for n in parents.values()) >= 2000
+    relations = {part: SemiAlgebraicRelation(2, 1, COMPILED_POLYS, part)
+                 for part in (node, chain)}
+    for relation in relations.values():
+        assert not any(isinstance(c, types.CodeType)
+                       for c in relation.decider().__code__.co_consts)
+    verdicts = set()
+    for a in COMPILED_VALUES:
+        for b in COMPILED_VALUES:
+            def truth(atom):
+                value = oracle_eval.eval_fraction(
+                    COMPILED_POLYS[atom.poly_index].terms, [a, b])
+                return atom.holds((value > 0) - (value < 0))
+            for part, relation in relations.items():
+                expected = oracle_formula.evaluate(part, truth)
+                assert relation.holds_on_coords([a, b]) == expected
+                verdicts.add((part is node, expected))
+    assert verdicts == {(p, v) for p in (True, False) for v in (True, False)}
+
+
+def test_a_formula_without_helpers_memoizes_its_forms_in_locals():
+    """No shared node and none deeper than _DEPTH: decide keeps each form
+    in a local s<i>, not in a memo list, and calls no helper."""
+    from semiramsey.constructions import step_up
+    for relation in (base_construction(4).relation,
+                     step_up(base_construction(2)).relation):
+        code = relation.decider().__code__
+        used = sorted({a.poly_index for a in relation.formula.atoms()})
+        assert code.co_varnames == ("x", *[f"s{i}" for i in used])
+        assert "_read" not in code.co_names
+        assert not any(name.startswith("h") for name in code.co_names)
 
 
 def test_coefficients_beyond_the_decimal_digit_limit_are_read_exactly():

@@ -135,8 +135,9 @@ def _naive_max_homogeneous(points, relation) -> int:
     return best
 
 
-def _assert_matches_prefix_loop(points, relation):
-    result = max_homogeneous(points, relation)
+def _assert_matches_prefix_loop(points, relation, result=None):
+    if result is None:
+        result = max_homogeneous(points, relation)
     subset, polarity, maximum, nodes = oracle_bnb.max_homogeneous_prefix_loop(
         points, relation)
     assert (result.subset, result.polarity, result.stats["maximum"]) == (
@@ -194,19 +195,81 @@ def test_constant_relations_match_the_prefix_loop(arity):
 ], ids=["base-5", "step-up-base-2", "jittered5-s1", "jittered5-s7",
         "onedim-k4-2"])
 def test_constructions_match_the_prefix_loop(make, monkeypatch):
-    calls = []
+    from semiramsey import relation as relation_module
+    # Every read of the relation's decider, and whether it was made inside
+    # solvers.eval_membership (the certification) or directly (the search).
+    reads, certified = [], []
+    inside = False
+
+    def generate(formula, polys, _generate=relation_module._generate):
+        decide = _generate(formula, polys)
+
+        def read(x):
+            if not inside:
+                reads.append(tuple(x))
+            return decide(x)
+        return read
 
     def recorded(relation, points, indices):
-        calls.append(tuple(indices))
-        return eval_membership(relation, points, indices)
+        nonlocal inside
+        certified.append(tuple(indices))
+        inside = True
+        try:
+            return eval_membership(relation, points, indices)
+        finally:
+            inside = False
 
+    points, relation = make()
+    monkeypatch.setattr(relation_module, "_generate", generate)
     monkeypatch.setattr(solvers, "eval_membership", recorded)
-    result = _assert_matches_prefix_loop(*make())
+    result = max_homogeneous(points, relation)
+    # The search reads each tuple once and counts every read.
+    assert len(reads) == len(set(reads)) == result.stats["evaluations"] > 0
+    # The certificate reads exactly the k-tuples of the returned subset,
+    # each through the checked path.
+    assert certified == list(itertools.combinations(result.subset,
+                                                    relation.arity))
+    _assert_matches_prefix_loop(points, relation, result)
     # The colouring bound prunes on every one of these (arity 3 and 4).
     assert result.stats["colour_prunes"] > 0
-    # One max_homogeneous call, final certification included, evaluates
-    # each tuple once and counts every evaluation.
-    assert len(calls) == len(set(calls)) == result.stats["evaluations"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: jittered_base(5, 1),
+    lambda: _instance(step_up(base_construction(2))),
+    lambda: _instance(one_dim_k4_construction(2)),
+], ids=["jittered5-s1", "step-up-base-2", "onedim-k4-2"])
+def test_oracle_reads_equal_the_checked_path(make):
+    """Every (k-1)-prefix read through above() on all later points: each
+    bit equals eval_membership on its tuple."""
+    points, relation = make()
+    n, k = len(points), relation.arity
+    oracle = solvers.MembershipOracle(points, relation)
+    answers = set()
+    for prefix in itertools.combinations(range(1, n + 1), k - 1):
+        later = (1 << (n + 1)) - (1 << (prefix[-1] + 1))
+        mask = oracle.above(prefix, later)
+        for c in range(prefix[-1] + 1, n + 1):
+            want = eval_membership(relation, points, prefix + (c,))
+            assert bool(mask >> c & 1) == want, prefix + (c,)
+            answers.add(want)
+    assert answers == {True, False}
+    assert oracle.evaluations == math.comb(n, k)
+
+
+def test_member_checks_its_tuple_as_eval_membership_does():
+    points, relation = jittered_base(5, 1)
+    n = len(points)
+    oracle = solvers.MembershipOracle(points, relation)
+    for bad in [(0, 1, 2), (2, 1, 3), (1, 2, n + 1), (1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ArgumentError) as want:
+            eval_membership(relation, points, bad)
+        with pytest.raises(ArgumentError) as got:
+            oracle.member(bad)
+        assert str(got.value) == str(want.value)
+    assert oracle.evaluations == 0
+    for good in [(1, 2, 3), (1, 3, n)]:
+        assert oracle.member(good) == eval_membership(relation, points, good)
 
 
 def test_search_counters_are_deterministic():
