@@ -57,8 +57,9 @@ def _emit_error(exc: Exception) -> None:
 def _read_json(path: str, decode=lambda doc: doc):
     """Parse the JSON file at path ("-" is stdin) and decode it.
 
-    A malformed document raises ArgumentError (exit 2): exit 1 is reserved
-    for a property that fails.
+    A malformed document raises ArgumentError (exit 2), and so does one
+    nested too deeply to decode: exit 1 is reserved for a property that
+    fails.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -72,6 +73,9 @@ def _read_json(path: str, decode=lambda doc: doc):
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ArgumentError(
             f"malformed input {path}: {type(exc).__name__}: {exc}") from exc
+    except RecursionError as exc:
+        raise ArgumentError(
+            f"malformed input {path}: nested too deeply") from exc
 
 
 def _write(args, doc: dict, summary: dict) -> None:
@@ -182,8 +186,7 @@ def cmd_solve_brute(args) -> int:
 
 def cmd_solve_greedy(args) -> int:
     inst = _read_json(args.input, jsonio.instance_from_json)
-    res = solvers.erdos_rado_greedy(inst.points, inst.relation,
-                                    budget=args.budget)
+    res = solvers.erdos_rado_greedy(inst.points, inst.relation)
     return _write_result(args, res)
 
 
@@ -212,8 +215,7 @@ def cmd_solve_monotone(args) -> int:
 
 def cmd_solve_spencer(args) -> int:
     graph = _read_json(args.input, jsonio.hypergraph_from_json)
-    vertices, stats = solvers.spencer_independent_set(
-        graph, seed=args.seed, max_rounds=args.max_rounds)
+    vertices, stats = solvers.spencer_independent_set(graph, seed=args.seed)
     res = solvers.HomogeneousResult(
         subset=tuple(vertices), polarity="out", certified=True, stats=stats)
     return _write_result(args, res)
@@ -327,13 +329,13 @@ def cmd_verify_milnor_thom(args) -> int:
 
 
 def cmd_verify_sturm(args) -> int:
-    if args.trials < 0 or args.degree < 1:
-        raise ArgumentError("--trials must be at least 0 and --degree at least 1")
+    if args.trials < 0:
+        raise ArgumentError("--trials must be at least 0")
     rng = SeededRng(args.seed)
     witness = None
     for trial in range(args.trials):
         t_rng = rng.derive(f"poly-{trial}")
-        degree = t_rng.randint(1, args.degree)
+        degree = t_rng.randint(1, 8)
         coeffs = [Fraction(t_rng.randint(-9, 9)) for _ in range(degree)]
         coeffs.append(Fraction(t_rng.randint(1, 9)))
         g = from_univariate_coeffs(coeffs)
@@ -373,11 +375,11 @@ def _table(rows: list[dict], columns: list[str], fmt: str) -> str:
 
 
 def cmd_report_tower(args) -> int:
-    rows = [{"height": i, "value": constructions.tower(i, args.x)}
+    rows = [{"height": i, "value": constructions.tower(i, 2)}
             for i in range(1, args.height + 1)]
     if rows and rows[-1]["value"] >= 10 ** MAX_DIGITS:
         raise ResourceLimitError(
-            f"tower({args.height}, {args.x}) has more than {MAX_DIGITS} "
+            f"tower({args.height}, 2) has more than {MAX_DIGITS} "
             "decimal digits to print")
     sys.stdout.write(_table(rows, ["height", "value"], args.format))
     return EXIT_OK
@@ -489,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ssub.add_parser("greedy", help="class-refinement extraction")
     p.add_argument("--input", required=True)
-    common(p, budget=True, output=True)
+    common(p, output=True)
     p.set_defaults(func=cmd_solve_greedy)
 
     p = ssub.add_parser("monotone", help="longest monotone subsequence")
@@ -503,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("spencer", help="independent set in a 3-uniform "
                                         "hypergraph by random deletion")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-rounds", type=int, default=10 ** 4)
     common(p, seed=True, output=True)
     p.set_defaults(func=cmd_solve_spencer)
 
@@ -554,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("sturm", help="root-count additivity under "
                                       "interval splitting on random polynomials")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--degree", type=int, default=8)
     common(p, seed=True)
     p.set_defaults(func=cmd_verify_sturm)
 
@@ -563,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = rsub.add_parser("tower", help="iterated exponentials")
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--x", type=int, default=2)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_report_tower)
 

@@ -283,9 +283,10 @@ def step_up_points(base: ConstructionInstance) -> tuple[OrderedPointSet, Fractio
 
     Returns (points, eps1) where the output is eps1-increasing and every
     cross slope stays within eps of its base point under any perturbation of
-    the output points by at most eps1.  Requires every base coordinate to be
-    strictly positive (the copy anchored at the origin makes the output
-    itself unsuitable for further stepping-up without a translation).
+    the output points by at most eps1.  Requires the base's epsilon and
+    every base coordinate to be strictly positive (the copy anchored at the
+    origin makes the output itself unsuitable for further stepping-up
+    without a translation).
     Refuses before building when 2^N exceeds MAX_POINTS or the C(2^N, 2)
     output pairs the radius visits exceed MAX_PAIRS.
     """
@@ -300,6 +301,8 @@ def step_up_points(base: ConstructionInstance) -> tuple[OrderedPointSet, Fractio
     if pairs > MAX_PAIRS:
         raise ResourceLimitError(
             f"{pairs} output pairs for the stability radius exceeds cap {MAX_PAIRS}")
+    if eps is None:
+        raise PreconditionError("base instance has no epsilon to step up")
     violation = _eps_increasing_violation(pts, eps)
     if violation is not None:
         raise PreconditionError("base points are not eps-increasing",

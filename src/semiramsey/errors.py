@@ -55,6 +55,8 @@ class BudgetExhaustedError(ResourceLimitError):
 # second.  `report tower` refuses to print an integer of more than
 # MAX_DIGITS decimal digits, the interpreter's default int-to-str limit,
 # so its output does not depend on the Python version or its settings.
+# The deletion method (`spencer_independent_set`, `solve spencer`) gives up
+# after MAX_ROUNDS seeded rounds without a certified independent set.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6
 MAX_PAIRS = 10 ** 6
@@ -62,3 +64,4 @@ MAX_TUPLES = 10 ** 6
 MAX_DEGREE = 1000
 MAX_EXPANSION = 20_000
 MAX_DIGITS = 4300
+MAX_ROUNDS = 10 ** 4

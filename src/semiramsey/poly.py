@@ -9,9 +9,10 @@ variable, the scale L (`integer_form`): every value and sign is H read at
 (X, L), with X = L * x for a rational point x.  One compiled form
 (`_compile`) has two readers: at one point, a straight-line function
 generated on first use (`_straight_line`, `IntegerForm.kernel`) that the
-relation's decider, `eval` and `sign` call; at a whole point set,
-`_int_signs`, one column per power and per term (`IntegerForm.signs`).  `eval` and `sign` clear a point
-to (X, L); a point set scaled by M reads H with L fixed at M.
+relation's decider and `MultivariatePolynomial.eval` and `sign` call; at a
+whole point set, `_int_signs`, one column per power and per term
+(`IntegerForm.signs`).  `eval` and `sign` clear a point to (X, L); a point
+set scaled by M reads H with L fixed at M.
 Univariate division runs in integers too, through the one pseudo-division
 loop `_pseudo_divmod` that every Sturm chain uses.
 """
@@ -224,7 +225,7 @@ class MultivariatePolynomial:
             raise ArgumentError(
                 f"point has {len(point)} coordinates, polynomial has {self.num_vars} variables")
         xs, lcm = _cleared(point)
-        return self.integer_form().total([*xs, lcm]), lcm
+        return self.integer_form().kernel()([*xs, lcm]), lcm
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point: H(X, L) / (B * L^D)."""
@@ -315,7 +316,7 @@ def _straight_line(powers: tuple,
         lines.append(" t += m")
     lines.append(" return t")
     namespace = {f"c{j}": c for j, (c, _) in enumerate(terms)}
-    exec(compile("\n".join(lines), "<IntegerForm.total>", "exec"), namespace)
+    exec(compile("\n".join(lines), "<IntegerForm.kernel>", "exec"), namespace)
     return namespace["total"]
 
 
@@ -367,22 +368,13 @@ class IntegerForm:
             self._kernel = _straight_line(*(self._loop or self._compiled()))
         return self._kernel
 
-    def total(self, point: Sequence[int]) -> int:
-        """The value at an integer point."""
-        return (self._kernel or self.kernel())(point)
-
-    def sign(self, point: Sequence[int]) -> int:
-        """-1, 0 or 1: the sign of the value at an integer point."""
-        total = (self._kernel or self.kernel())(point)
-        return (total > 0) - (total < 0)
-
     def signs(self, points: Sequence[Sequence[int]]) -> list[int]:
-        """The sign at each integer point, in one pass over the set: equal
-        to [self.sign(x) for x in points], with no code generated.  For a
-        form read at few points this is the cheaper reader: generating the
-        kernel costs as much as reading 60 to 180 points by columns (105-
-        and 4-term forms), and the kernel then reads a point only 1.3 to 2
-        times faster."""
+        """The sign at each integer point, in one pass over the set: the
+        sign of self.kernel()(x) for each x in points, with no code
+        generated.  For a form read at few points this is the cheaper
+        reader: generating the kernel costs as much as reading 60 to 180
+        points by columns (105- and 4-term forms), and the kernel then
+        reads a point only 1.3 to 2 times faster."""
         powers, terms = self._loop or self._compiled()
         return _int_signs(powers, terms, points)
 

@@ -158,12 +158,7 @@ class SemiAlgebraicRelation:
         if len(coords) != self.arity * self.point_dim:
             raise ArgumentError("coordinate vector has the wrong length")
         xs, lcm = _cleared(coords)
-        return self.holds_at_scale(lcm, xs)
-
-    def holds_at_scale(self, scale: int, coords: Sequence[int]) -> bool:
-        """Evaluate at the rational point coords / scale, given the integer
-        coordinates of an index tuple (see OrderedPointSet.scaled)."""
-        return (self._decide or self.decider())([*coords, scale])
+        return (self._decide or self.decider())([*xs, lcm])
 
     def decider(self) -> Callable[[Sequence[int]], bool]:
         """The relation's decider decide([*X, L]), generated by `_generate`
@@ -325,11 +320,17 @@ def _check_spaces(relation: SemiAlgebraicRelation,
             f"relation lives in R^{relation.point_dim}, points in R^{points.dim}")
 
 
-def check_tuple(relation: SemiAlgebraicRelation, points: OrderedPointSet,
-                indices: Sequence[int]) -> None:
-    """Refuse (ArgumentError) what `eval_membership` refuses: a relation
-    and points in different spaces, or an index tuple that is not
-    `relation.arity` strictly increasing indices in 1..len(points)."""
+def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
+                    indices: Sequence[int]) -> bool:
+    """Whether the index tuple (1-based, strictly increasing) is in the
+    relation, decided by integer signs on the scaled point set.
+
+    This is the checked path: on every call it refuses (ArgumentError) a
+    relation and points in different spaces, and a tuple that is not
+    `relation.arity` strictly increasing indices in 1..len(points); the
+    scale is checked too.  A search that reads many tuples checks once
+    through `membership_reader` instead, and certifies its answer through
+    this function."""
     _check_spaces(relation, points)
     if len(indices) != relation.arity:
         raise ArgumentError(
@@ -340,18 +341,6 @@ def check_tuple(relation: SemiAlgebraicRelation, points: OrderedPointSet,
     # Increasing, so the first and the last index bound all of them.
     points._check_index(indices[0])
     points._check_index(indices[-1])
-
-
-def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
-                    indices: Sequence[int]) -> bool:
-    """Whether the index tuple (1-based, strictly increasing) is in the
-    relation, decided by integer signs on the scaled point set.
-
-    This is the checked path: the spaces and the tuple (`check_tuple`) and
-    the scale are checked on every call.  A search that reads many tuples
-    checks once through `membership_reader` instead, and certifies its
-    answer through this function."""
-    check_tuple(relation, points, indices)
     scale, scaled = points.scaled()
     row = [x for i in indices for x in scaled[i - 1]]
     row.append(scale)

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (ArgumentError, BudgetExhaustedError, PreconditionError,
-                     ResourceLimitError)
+from .errors import (MAX_ROUNDS, ArgumentError, BudgetExhaustedError,
+                     PreconditionError, ResourceLimitError)
 from .poly import IntegerForm, MultivariatePolynomial
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
-                       check_tuple, eval_membership, membership_reader,
-                       milnor_thom_bound)
+                       eval_membership, membership_reader, milnor_thom_bound)
 from .rng import SeededRng
 
 
@@ -46,7 +45,6 @@ class MembershipOracle:
     checked once, here, and the scale on the first read (both by
     `relation.membership_reader`).  above() then reads without a per-tuple
     check: its callers pass only increasing tuples of the point set.
-    member() checks its tuple as eval_membership does (`check_tuple`).
     Membership is memoized once, per (k-1)-prefix as a bitmask;
     `evaluations` counts the tuples evaluated.  polarity() is the
     homogeneity check every solver certifies with, and reads each k-tuple
@@ -60,10 +58,6 @@ class MembershipOracle:
         self.masks: dict[tuple, tuple[int, int]] = {}
         self.evaluations = 0
         self._read = membership_reader(relation, points)
-
-    def member(self, indices: tuple) -> bool:
-        check_tuple(self.relation, self.points, indices)
-        return bool(self.above(indices[:-1], 1 << indices[-1]))
 
     def above(self, prefix: tuple, within: int) -> int:
         """Bitmask with bit c set for each point index c in the bitmask
@@ -239,8 +233,8 @@ def homogeneous_check(points: OrderedPointSet, relation: SemiAlgebraicRelation,
 # -- greedy extraction --------------------------------------------------------
 
 
-def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
-                      budget: int = 10 ** 6) -> HomogeneousResult:
+def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation
+                      ) -> HomogeneousResult:
     """Greedy homogeneous-subset extraction for arity >= 3.
 
     One pass: seed the first k-2 points, then repeatedly take the smallest-
@@ -248,8 +242,9 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     polynomial restricted at (each (k-2)-subset of chosen points, q, .),
     keeping a largest class (ties to the one holding the smallest index).
     Fixing the last chosen point in the final slot then drops the arity by
-    one; at arity 2 an exact budgeted search finishes the job.  The returned
-    subset is re-certified exhaustively against the original relation.
+    one; at arity 2 the exact search (max_homogeneous, default budget)
+    finishes the job.  The returned subset is re-certified exhaustively
+    against the original relation.
 
     The pass runs on the scaled point set (OrderedPointSet.scaled) and the
     relation's integer forms, so every restriction and every sign is
@@ -262,15 +257,13 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         raise ArgumentError("greedy extraction needs arity at least 3")
     if len(points) < k:
         raise ArgumentError("need at least arity many points")
-    if budget < 0:
-        raise ArgumentError("budget must be at least 0")
 
     scale, scaled = points.scaled()
     stats = {"classes_per_level": [], "restrictions": 0, "sign_evaluations": 0}
     forms = [p.integer_form().restrict({p.num_vars: scale})
              for p in relation.polys]
     subset = _greedy_level(list(scaled), list(range(1, len(points) + 1)),
-                           forms, relation, k, budget, stats)
+                           forms, relation, k, stats)
     subset = tuple(sorted(subset))
 
     polarity, witness = oracle.polarity(subset)
@@ -287,7 +280,7 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation,
 
 
 def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
-                  relation: SemiAlgebraicRelation, k: int, budget: int,
+                  relation: SemiAlgebraicRelation, k: int,
                   stats: dict) -> list[int]:
     """One arity level of the greedy recursion on integer points, with
     `forms` the relation's integer forms with all but the first k slots
@@ -297,7 +290,7 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
         lower = SemiAlgebraicRelation(
             2, d, [MultivariatePolynomial(f.num_vars, f.terms) for f in forms],
             relation.formula)
-        res = max_homogeneous(OrderedPointSet(d, coords), lower, budget=budget)
+        res = max_homogeneous(OrderedPointSet(d, coords), lower)
         return [indices[i - 1] for i in res.subset]
 
     def restrict(form: IntegerForm, fixed: dict) -> IntegerForm:
@@ -369,7 +362,7 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
     inner = _greedy_level([coords[i] for i in rest],
                           [indices[i] for i in rest],
                           [restrict(f, fixed) for f in forms], relation,
-                          k - 1, budget, stats)
+                          k - 1, stats)
     return inner + [indices[last]]
 
 
@@ -569,18 +562,17 @@ class Hypergraph3:
         return not any(set(e) <= vs for e in self.edges)
 
 
-def spencer_independent_set(graph: Hypergraph3, seed: int = 0,
-                            max_rounds: int = 10 ** 4) -> tuple[list[int], dict]:
+def spencer_independent_set(graph: Hypergraph3,
+                            seed: int = 0) -> tuple[list[int], dict]:
     """Deletion-method independent set of size at least
     (2N/3) * sqrt(N / (3|E|)) for hypergraphs with |E| >= N/3.
 
     Samples vertices with probability sqrt(N / (3|E|)), deletes one vertex of
     every surviving edge, and retries with fresh seeded randomness until the
     exact integer comparison 27 * |S|^2 * |E| >= 4 * N^3 certifies the bound
-    (at most max_rounds attempts).  Returns (vertices, stats).
+    (at most MAX_ROUNDS attempts, else ResourceLimitError).  Returns
+    (vertices, stats).
     """
-    if max_rounds < 1:
-        raise ArgumentError("max_rounds must be at least 1")
     n = graph.n
     m = len(graph.edges)
     if m * 3 < n:
@@ -588,7 +580,7 @@ def spencer_independent_set(graph: Hypergraph3, seed: int = 0,
             f"needs at least N/3 edges, got {m} for N = {n}")
     p = math.sqrt(n / (3 * m))
     rng = SeededRng(seed)
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, MAX_ROUNDS + 1):
         sampled = {v for v in range(1, n + 1) if rng.random() < p}
         surviving = [e for e in graph.edges if set(e) <= sampled]
         for e in sorted(surviving):
@@ -600,7 +592,7 @@ def spencer_independent_set(graph: Hypergraph3, seed: int = 0,
             return result, {"rounds": round_no, "probability": p,
                             "bound_check": f"27*{len(result)}^2*{m} >= 4*{n}^3"}
     raise ResourceLimitError(
-        f"no round out of {max_rounds} met the deletion bound")
+        f"no round out of {MAX_ROUNDS} met the deletion bound")
 
 
 def is_Ks3_free(points: OrderedPointSet, relation: SemiAlgebraicRelation,
@@ -611,9 +603,10 @@ def is_Ks3_free(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         raise ArgumentError("clique freeness is for ternary relations")
     if s < 3:
         raise ArgumentError("clique size must be at least 3")
-    member = MembershipOracle(points, relation).member
+    above = MembershipOracle(points, relation).above
     for sub in itertools.combinations(range(1, len(points) + 1), s):
-        if all(member(t) for t in itertools.combinations(sub, 3)):
+        if all(above(t[:-1], 1 << t[-1])
+               for t in itertools.combinations(sub, 3)):
             return False, sub
     return True, None
 
@@ -623,9 +616,10 @@ def is_K4e_free(points: OrderedPointSet, relation: SemiAlgebraicRelation):
     (False, witness_quad)."""
     if relation.arity != 3:
         raise ArgumentError("this freeness notion is for ternary relations")
-    member = MembershipOracle(points, relation).member
+    above = MembershipOracle(points, relation).above
     for quad in itertools.combinations(range(1, len(points) + 1), 4):
-        if sum(member(t) for t in itertools.combinations(quad, 3)) > 2:
+        if sum(bool(above(t[:-1], 1 << t[-1]))
+               for t in itertools.combinations(quad, 3)) > 2:
             return False, quad
     return True, None
 

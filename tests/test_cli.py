@@ -285,8 +285,6 @@ def test_verify_milnor_thom(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "sturm", "--degree", "0"],
-    ["verify", "sturm", "--degree", "-2"],
     ["verify", "sturm", "--trials", "-1"],
     ["verify", "milnor-thom", "--trials", "-1"],
     ["verify", "milnor-thom", "--points", "-1"],
@@ -296,21 +294,15 @@ def test_verify_milnor_thom(capsys):
     ["verify", "stepup-consistency", "--n", "1", "--sample", "-1"],
     ["verify", "transitive-ramsey", "--s", "3", "--n", "3", "--budget", "-1"],
     ["solve", "brute", "--input", "{base2}", "--budget", "-1"],
-    ["solve", "greedy", "--input", "{base2}", "--budget", "-1"],
-    ["solve", "spencer", "--input", "{graph}", "--max-rounds", "0"],
     ["report", "hom", "--n", "2", "--budget", "-1"],
-], ids=["sturm-degree-0", "sturm-degree-negative", "sturm-trials-negative",
+], ids=["sturm-trials-negative",
         "milnor-thom-trials-negative", "milnor-thom-points-negative",
         "properties-ab-bits-negative", "properties-ab-bits-0",
         "eps-deep-samples-negative", "stepup-consistency-sample-negative",
         "transitive-ramsey-budget-negative", "brute-budget-negative",
-        "greedy-budget-negative", "spencer-max-rounds-0",
         "hom-budget-negative"])
-def test_verify_refuses_counts_out_of_range(capsys, tmp_path, base2_file,
-                                            argv):
-    graph = tmp_path / "graph.json"
-    graph.write_text(json.dumps({"n": 6, "edges": [[1, 2, 3], [4, 5, 6]]}))
-    argv = [a.format(base2=base2_file, graph=graph) for a in argv]
+def test_verify_refuses_counts_out_of_range(capsys, base2_file, argv):
+    argv = [a.format(base2=base2_file) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_USAGE == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "ArgumentError"
@@ -405,6 +397,41 @@ def test_malformed_input_is_usage_error(capsys, base2_file):
         code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ArgumentError"
+
+
+@pytest.mark.parametrize("command", [["solve", "brute"],
+                                     ["construct", "stepup"]],
+                         ids=["solve-brute", "construct-stepup"])
+@pytest.mark.parametrize("op, depth", [("and", 450), ("not", 2000)],
+                         ids=["and-450", "not-2000"])
+def test_deeply_nested_formula_is_usage_error(capsys, base2_file, command,
+                                              op, depth):
+    """450 nested ands overflow the formula decoder and a 2000-deep not
+    chain the JSON decoder: exit 2, not an internal error."""
+    with open(base2_file) as fh:
+        doc = json.load(fh)
+    inner = json.dumps(doc["relation"]["formula"])
+    doc["relation"]["formula"] = "@"
+    nested = (f'{{"op": "{op}", "args": [' * depth + inner + "]}" * depth)
+    with open(base2_file, "w") as fh:
+        fh.write(json.dumps(doc).replace('"@"', nested))
+    code, out, err = run(capsys, *command, "--input", base2_file)
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ArgumentError"
+    assert "nested too deeply" in error["message"]
+
+
+def test_stepping_up_an_instance_without_epsilon_is_usage_error(capsys,
+                                                                base2_file):
+    with open(base2_file) as fh:
+        doc = json.load(fh)
+    doc["epsilon"] = None
+    with open(base2_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "construct", "stepup", "--input", base2_file)
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "PreconditionError"
 
 
 def _float_exponent(doc):

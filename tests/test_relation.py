@@ -94,6 +94,18 @@ def test_out_of_range_index_rejected():
         eval_membership(inst.relation, inst.points, (1, 2, 5))
 
 
+def test_eval_membership_refuses_every_bad_tuple_by_argument_error():
+    """An index of 0, a decreasing tuple, an index past the points and
+    either wrong arity: ArgumentError saying so, never an IndexError or an
+    answer."""
+    inst = base_construction(2)
+    for bad, why in [((0, 1, 2), "out of range"), ((2, 1, 3), "increasing"),
+                     ((1, 2, 5), "out of range"), ((1, 2), "arity"),
+                     ((1, 2, 3, 4), "arity")]:
+        with pytest.raises(ArgumentError, match=why):
+            eval_membership(inst.relation, inst.points, bad)
+
+
 def test_dimension_mismatch_rejected():
     points = OrderedPointSet(2, [[0, 0], [1, 0], [0, 1]])
     inst = base_construction(2)
@@ -195,7 +207,7 @@ def test_compiled_decider_matches_the_recursive_oracle(seed, monkeypatch):
             1, [[c] for c in coords]).scaled()
         scaled = first + second
         for decide in (lambda: relation.holds_on_coords(coords),
-                       lambda: relation.holds_at_scale(scale, scaled)):
+                       lambda: relation.decider()([*scaled, scale])):
             reads.clear()
             assert decide() == expected
             # Each polynomial's sign is read at most once per call.
@@ -346,7 +358,7 @@ def test_decider_is_generated_on_the_first_read(monkeypatch):
                                      Formula.leaf(0, "gt"))
     assert calls == []
     assert relation.holds_on_coords([F(1), F(0)])
-    assert not relation.holds_at_scale(1, [0, 1])
+    assert not relation.decider()([0, 1, 1])
     assert calls == [relation.formula]
 
 

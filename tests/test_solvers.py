@@ -257,21 +257,6 @@ def test_oracle_reads_equal_the_checked_path(make):
     assert oracle.evaluations == math.comb(n, k)
 
 
-def test_member_checks_its_tuple_as_eval_membership_does():
-    points, relation = jittered_base(5, 1)
-    n = len(points)
-    oracle = solvers.MembershipOracle(points, relation)
-    for bad in [(0, 1, 2), (2, 1, 3), (1, 2, n + 1), (1, 2), (1, 2, 3, 4)]:
-        with pytest.raises(ArgumentError) as want:
-            eval_membership(relation, points, bad)
-        with pytest.raises(ArgumentError) as got:
-            oracle.member(bad)
-        assert str(got.value) == str(want.value)
-    assert oracle.evaluations == 0
-    for good in [(1, 2, 3), (1, 3, n)]:
-        assert oracle.member(good) == eval_membership(relation, points, good)
-
-
 def test_search_counters_are_deterministic():
     inst = base_construction(3)
     first = max_homogeneous(inst.points, inst.relation)
@@ -510,6 +495,17 @@ def test_deletion_on_a_single_edge():
     vertices, _ = spencer_independent_set(graph, seed=0)
     assert graph.is_independent(vertices)
     assert len(vertices) >= 2
+
+
+def test_deletion_gives_up_after_max_rounds(monkeypatch):
+    """Seed 1 meets the bound on the complete triple system only in its
+    fourth round: with MAX_ROUNDS at 3 it raises, at 4 it succeeds."""
+    graph = Hypergraph3.make(6, itertools.combinations(range(1, 7), 3))
+    monkeypatch.setattr(solvers, "MAX_ROUNDS", 3)
+    with pytest.raises(ResourceLimitError, match="no round out of 3"):
+        spencer_independent_set(graph, seed=1)
+    monkeypatch.setattr(solvers, "MAX_ROUNDS", 4)
+    assert spencer_independent_set(graph, seed=1)[1]["rounds"] == 4
 
 
 def test_deletion_requires_enough_edges():
