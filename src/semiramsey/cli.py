@@ -10,6 +10,7 @@ unexpected exception, reported as JSON on stderr with its traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -415,7 +416,11 @@ def cmd_report_hom(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, and `prog` is fixed, so every call of main
+    shares it."""
     parser = argparse.ArgumentParser(
         prog="semiramsey",
         description="Exact constructions, solvers and verifiers for "

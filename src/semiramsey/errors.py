@@ -57,6 +57,12 @@ class BudgetExhaustedError(ResourceLimitError):
 # so its output does not depend on the Python version or its settings.
 # The deletion method (`spencer_independent_set`, `solve spencer`) gives up
 # after MAX_ROUNDS seeded rounds without a certified independent set.
+# A decoded formula nested more than MAX_FORMULA_DEPTH levels deep is
+# refused as malformed input (ArgumentError): the JSON writers and
+# stepping up recurse over the formula, a few frames per level, and
+# stepping up nests it 3 levels deeper, so every accepted formula is
+# written back within the interpreter's recursion limit.  The
+# constructions nest at most 6 levels.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6
 MAX_PAIRS = 10 ** 6
@@ -65,3 +71,4 @@ MAX_DEGREE = 1000
 MAX_EXPANSION = 20_000
 MAX_DIGITS = 4300
 MAX_ROUNDS = 10 ** 4
+MAX_FORMULA_DEPTH = 100

@@ -11,7 +11,8 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .errors import ArgumentError, ResourceLimitError, MAX_DEGREE
+from .errors import (ArgumentError, ResourceLimitError, MAX_DEGREE,
+                     MAX_FORMULA_DEPTH)
 from .geometry import Arrangement, Hyperplane
 from .poly import MultivariatePolynomial
 from .relation import Formula, OrderedPointSet, SemiAlgebraicRelation
@@ -58,16 +59,23 @@ def formula_to_json(f: Formula) -> dict:
 
 
 def formula_from_json(data: dict) -> Formula:
-    op = data["op"]
-    if op == "atom":
-        return Formula.leaf(data["poly"], data["cmp"])
-    if op == "not":
-        return Formula.negation(formula_from_json(data["arg"]))
-    if op == "and":
-        return Formula.all_of(formula_from_json(c) for c in data["args"])
-    if op == "or":
-        return Formula.any_of(formula_from_json(c) for c in data["args"])
-    raise ArgumentError(f"unknown formula op {op!r}")
+    """The formula, refused (ArgumentError) when nested more than
+    MAX_FORMULA_DEPTH levels deep."""
+    def decode(node: dict, depth: int) -> Formula:
+        if depth > MAX_FORMULA_DEPTH:
+            raise ArgumentError(f"formula nested too deeply: more than "
+                                f"{MAX_FORMULA_DEPTH} levels")
+        op = node["op"]
+        if op == "atom":
+            return Formula.leaf(node["poly"], node["cmp"])
+        if op == "not":
+            return Formula.negation(decode(node["arg"], depth + 1))
+        if op == "and":
+            return Formula.all_of(decode(c, depth + 1) for c in node["args"])
+        if op == "or":
+            return Formula.any_of(decode(c, depth + 1) for c in node["args"])
+        raise ArgumentError(f"unknown formula op {op!r}")
+    return decode(data, 1)
 
 
 def relation_to_json(rel: SemiAlgebraicRelation) -> dict:

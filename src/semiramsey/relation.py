@@ -348,32 +348,44 @@ def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
 
 
 def membership_reader(relation: SemiAlgebraicRelation, points: OrderedPointSet
-                      ) -> Callable[[tuple, int], int]:
-    """read(prefix, bits), with the spaces checked once, here.
+                      ) -> Callable[[tuple, int, bool], int]:
+    """read(fixed, bits, first=False), with the spaces checked once, here.
 
     read returns the bits c of the bitmask `bits` (bit c for point c) whose
-    tuple prefix + (c,) is in the relation.  It checks nothing: prefix must
-    be arity - 1 increasing indices of the points and every c in 1..n after
-    prefix[-1].  Its first call takes the scale (`OrderedPointSet.scaled`,
-    refused above MAX_BITS bits) and keeps one int row [*X_c, M] per point;
-    each call then gathers the prefix's coordinates once and reads the
-    decider on them and one row per bit."""
+    tuple is in the relation, in one of two layouts: fixed + (c,), with
+    fixed a (k-1)-prefix and every c after fixed[-1], or, with first set,
+    (c,) + fixed, with fixed a (k-1)-suffix and every c before fixed[0].
+    It checks nothing: fixed must be arity - 1 increasing indices of the
+    points and every c in 1..n.  Its first call takes the scale
+    (`OrderedPointSet.scaled`, refused above MAX_BITS bits) and keeps two
+    int rows per point, [*X_c, M] to come last and [*X_c] to come first;
+    each call then gathers the fixed points' coordinates once and reads
+    the decider on them and one row per bit."""
     _check_spaces(relation, points)
-    scaled = rows = decide = None
+    scale = scaled = lasts = firsts = decide = None
 
-    def read(prefix: tuple, bits: int) -> int:
-        nonlocal scaled, rows, decide
-        if rows is None:
+    def read(fixed: tuple, bits: int, first: bool = False) -> int:
+        nonlocal scale, scaled, lasts, firsts, decide
+        if lasts is None:
             scale, scaled = points.scaled()
-            rows = [[*x, scale] for x in scaled]
+            lasts = [[*x, scale] for x in scaled]
+            firsts = [list(x) for x in scaled]
             decide = relation.decider()
-        head = [x for i in prefix for x in scaled[i - 1]]
+        coords = [x for i in fixed for x in scaled[i - 1]]
         found = 0
+        # Bit c is point c, whose rows are lasts[c - 1] and firsts[c - 1].
+        if first:
+            coords.append(scale)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                if decide(firsts[low.bit_length() - 2] + coords):
+                    found |= low
+            return found
         while bits:
             low = bits & -bits
             bits ^= low
-            # Bit c is point c, whose row is rows[c - 1].
-            if decide(head + rows[low.bit_length() - 2]):
+            if decide(coords + lasts[low.bit_length() - 2]):
                 found |= low
         return found
     return read

@@ -43,12 +43,16 @@ class MembershipOracle:
 
     The point set and the relation must live in the same space; that is
     checked once, here, and the scale on the first read (both by
-    `relation.membership_reader`).  above() then reads without a per-tuple
-    check: its callers pass only increasing tuples of the point set.
-    Membership is memoized once, per (k-1)-prefix as a bitmask;
-    `evaluations` counts the tuples evaluated.  polarity() is the
+    `relation.membership_reader`).  above() and below() then read without a
+    per-tuple check: their callers pass only increasing tuples of the point
+    set.  Membership is memoized in two layouts, each a bitmask per
+    (k-1)-tuple: per prefix, with the varying point last (above), and per
+    suffix, with the varying point first (below).  A tuple below() does not
+    know yet is looked up in the prefix memo before the decider is read,
+    so when every above() read comes first, as in max_homogeneous,
+    `evaluations` counts each distinct tuple once.  polarity() is the
     homogeneity check every solver certifies with, and reads each k-tuple
-    through eval_membership, independently of the memo.
+    through eval_membership, independently of the memos.
     """
 
     def __init__(self, points: OrderedPointSet,
@@ -56,6 +60,7 @@ class MembershipOracle:
         self.points = points
         self.relation = relation
         self.masks: dict[tuple, tuple[int, int]] = {}
+        self.suffix_masks: dict[tuple, tuple[int, int]] = {}
         self.evaluations = 0
         self._read = membership_reader(relation, points)
 
@@ -71,6 +76,40 @@ class MembershipOracle:
             self.evaluations += todo.bit_count()
             mask |= self._read(prefix, todo)
             self.masks[prefix] = (known | within, mask)
+        return mask & within
+
+    def below(self, suffix: tuple, within: int) -> int:
+        """Bitmask with bit c set for each point index c in the bitmask
+        `within` such that (c,) + suffix is in the relation; suffix has k-1
+        entries and `within` only indices before suffix[0].  The mask of
+        every suffix is kept with the bits it is known on, and a bit it
+        does not know is first looked up in the prefix memo of above(),
+        under the prefix (c,) + suffix[:-1] and the bit suffix[-1]."""
+        known, mask = self.suffix_masks.get(suffix, (0, 0))
+        todo = within & ~known
+        if todo:
+            masks = self.masks
+            if not suffix:  # arity 1: both memos are keyed by ()
+                prefix_known, prefix_mask = masks.get((), (0, 0))
+                unread = todo & ~prefix_known
+                mask |= todo & prefix_mask
+            else:
+                head, last = suffix[:-1], 1 << suffix[-1]
+                unread = 0
+                rest = todo
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    prefix_known, prefix_mask = masks.get(
+                        (low.bit_length() - 1,) + head, (0, 0))
+                    if not prefix_known & last:
+                        unread |= low
+                    elif prefix_mask & last:
+                        mask |= low
+            if unread:
+                self.evaluations += unread.bit_count()
+                mask |= self._read(suffix, unread, True)
+            self.suffix_masks[suffix] = (known | within, mask)
         return mask & within
 
     def polarity(self, subset: tuple):
@@ -94,32 +133,39 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
                     budget: int = 10 ** 6) -> HomogeneousResult:
     """Maximum homogeneous subset by branch and bound over both polarities.
 
-    The search runs once per polarity, "in" then "out", and grows an
-    increasing subset `current` one point at a time.  It carries its
-    candidates as an int bitmask (bit c for point c): the points after the
-    last one chosen that keep every k-tuple of `current` + (c,) on the
-    chosen side.  When v joins `current`, the later candidates are cut to
-    oracle.above(S + (v,), candidates), or to the rest of them for "out",
-    for each (k-2)-subset S of the earlier points; S + (v,) are the only
-    new (k-1)-prefixes.  Candidates are taken lowest bit first, and a branch
-    is pruned when |current| + popcount(candidates) cannot beat the best
-    subset found.
+    The search runs once per polarity, "in" then "out", each in its own
+    order: "in" grows an increasing subset `current` one point at a time,
+    lowest index first, and "out" a decreasing one, highest index first.
+    (Vertex order drives the bounds below, and on base(n), whose mirror
+    image swaps the sides up to ties, the short proof of each side runs in
+    that side's order.)  Each carries its candidates as an int bitmask (bit
+    c for point c): the points after the last one chosen, in search order,
+    that keep every k-tuple of `current` and c on the searched side.  When
+    v joins `current`, then for each (k-2)-subset S of the earlier points,
+    taken increasing, "in" cuts the candidates to
+    oracle.above(S + (v,), candidates) and "out" drops the bits of
+    oracle.below((v,) + S, candidates); these are the only new
+    (k-1)-tuples.  A branch is pruned when
+    |current| + popcount(candidates) cannot beat the best subset found.
 
     At arity k >= 2, a node with at least k-2 chosen points is first
     bounded by colouring (Carraghan-Pardalos; Tomita-Seki).  With T the
-    last k-2 of them, two candidates a < b are adjacent when T + (a, b) is
-    on the searched side, read through oracle.above(T + (a,), ...).  Every
-    homogeneous extension of `current` is a clique of that graph, so the
-    number of colours of a greedy colouring (lowest bit first) bounds it,
-    and the node is pruned when |current| plus that number cannot beat the
-    best subset found.  A valid bound only skips branches that cannot
-    strictly improve on the best subset, so the result is the first
-    maximum in search order ("in" before "out") whatever the bound; only
-    the counters depend on it.
+    last k-2 of them, two candidates a before b in search order are
+    adjacent when the k-tuple of T, a and b is on the searched side, read
+    through oracle.above(T + (a,), ...) or oracle.below((a,) + T, ...).
+    Every homogeneous extension of `current` is a clique of that graph, so
+    the number of colours of a greedy colouring (in search order) bounds
+    it, and the node is pruned when |current| plus that number cannot beat
+    the best subset found.  A valid bound only skips branches that cannot
+    strictly improve on the best subset, so each side's result is its
+    first maximum in its own search order whatever the bound, and the
+    larger side wins, "in" on a tie; only the counters depend on the
+    bound.  The node budget is shared: "out" gets what "in" left.
 
     Membership is read through one MembershipOracle, which checks the
     point set, the relation and the scale once and then reads the
-    relation's decider directly.  The subset returned is certified through
+    relation's decider directly, each tuple once: "out" first looks up
+    what "in" has read.  The subset returned is certified through
     MembershipOracle.polarity, which reads each of its k-tuples through the
     checked eval_membership, independently of the search's reads.
 
@@ -137,18 +183,22 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     if budget < 0:
         raise ArgumentError("budget must be at least 0")
     oracle = MembershipOracle(points, relation)
-    above = oracle.above
+    above, below = oracle.above, oracle.below
     nodes = prunes = colour_prunes = 0
     exhausted = False
 
     def search(want: bool) -> tuple:
+        """The first maximum on one side: "in" (want) takes the lowest
+        candidate first and reads prefixes through above(), "out" the
+        highest first and reads suffixes through below()."""
         nonlocal nodes, prunes, colour_prunes, exhausted
         best: tuple = ()
+        step = 1 if want else -1  # reads `current` in increasing order
 
         def colours(link: tuple, uncoloured: int, room: int) -> int:
             """Colours of the greedy colouring of the link graph of `link`
-            on the bitmask `uncoloured`, or room + 1 as soon as room
-            colour classes leave a point uncoloured."""
+            on the bitmask `uncoloured`, in search order, or room + 1 as
+            soon as room colour classes leave a point uncoloured."""
             used = 0
             while uncoloured:
                 if used == room:
@@ -156,26 +206,35 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
                 used += 1
                 free = uncoloured
                 while free:
-                    low = free & -free
-                    free ^= low
-                    uncoloured ^= low
-                    if free:
-                        mask = above(link + (low.bit_length() - 1,), free)
-                        free = free ^ mask if want else mask
+                    if want:
+                        bit = free & -free
+                        free ^= bit
+                        uncoloured ^= bit
+                        if free:
+                            free ^= above(link + (bit.bit_length() - 1,),
+                                          free)
+                    else:
+                        a = free.bit_length() - 1
+                        free ^= 1 << a
+                        uncoloured ^= 1 << a
+                        if free:
+                            free = below((a,) + link, free)
             return used
 
         def extend(current: list[int], candidates: int):
+            # current is in search order: increasing for "in", decreasing
+            # for "out".
             nonlocal best, nodes, prunes, colour_prunes, exhausted
             if nodes >= budget:
                 exhausted = True
                 return
             nodes += 1
             if len(current) > len(best):
-                best = tuple(current)
+                best = tuple(current[::step])
             room = len(best) - len(current)
             if (k > 1 and len(current) >= k - 2
                     and candidates.bit_count() > room
-                    and colours(tuple(current[len(current) - k + 2:]),
+                    and colours(tuple(current[len(current) - k + 2:][::step]),
                                 candidates, room) <= room):
                 colour_prunes += 1
                 return
@@ -185,16 +244,22 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
                     break
                 if exhausted:
                     return
-                low = candidates & -candidates
-                candidates ^= low
-                v = low.bit_length() - 1
+                if want:
+                    bit = candidates & -candidates
+                    v = bit.bit_length() - 1
+                else:
+                    v = candidates.bit_length() - 1
+                    bit = 1 << v
+                candidates ^= bit
                 child = candidates
                 if k > 1:
                     for s in itertools.combinations(current, k - 2):
                         if not child:
                             break
-                        mask = above(s + (v,), child)
-                        child = mask if want else child ^ mask
+                        if want:
+                            child = above(s + (v,), child)
+                        else:
+                            child ^= below((v,) + s[::-1], child)
                 extend(current + [v], child)
 
         candidates = (1 << (n + 1)) - 2

@@ -3,8 +3,9 @@
 This is the branch and bound that max_homogeneous ran before it carried
 its candidates as bitmasks: every candidate is checked against all
 (k-1)-subsets of the partial set, and the bound counts the unchecked
-candidates.  It memoizes eval_membership in its own dict and shares no
-code with the bitset search under test.
+candidates.  "in" is searched lowest index first and "out" highest index
+first, as the search under test does.  It memoizes eval_membership in its
+own dict and shares no code with the bitset search under test.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from semiramsey.relation import eval_membership
 
 
 def max_homogeneous_prefix_loop(points, relation, budget: int = 10 ** 6):
-    """(subset, polarity, maximum, nodes) of the largest homogeneous subset,
-    "in" searched first and preferred on ties."""
+    """(subset, polarity, maximum, nodes) of the largest homogeneous subset:
+    the first maximum of each side in its own order, "in" ascending and
+    searched first, "out" descending, with ties going to "in"."""
     n = len(points)
     k = relation.arity
     cache: dict[tuple, bool] = {}
@@ -47,13 +49,14 @@ def max_homogeneous_prefix_loop(points, relation, budget: int = 10 ** 6):
                 if exhausted:
                     return
                 if len(current) >= k - 1 and any(
-                        member(prefix + (cand,)) != want
-                        for prefix in itertools.combinations(current, k - 1)):
+                        member(tuple(sorted(rest + (cand,)))) != want
+                        for rest in itertools.combinations(current, k - 1)):
                     continue
                 extend(current + [cand], candidates[pos + 1:])
 
-        extend([], list(range(1, n + 1)))
-        return best
+        order = range(1, n + 1) if want else range(n, 0, -1)
+        extend([], list(order))
+        return tuple(sorted(best))
 
     best_in = search(True)
     best_out = search(False)

@@ -373,6 +373,32 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert mt1 == mt2
 
 
+def test_one_process_prints_what_fresh_processes_print(capsys):
+    """main builds its parser once per process: commands run one after the
+    other in this process, a refused option among them, print the same
+    bytes and exit codes as each does in a fresh process."""
+    commands = [["construct", "base", "--n", "2"],
+                ["verify", "sturm", "--trials", "5", "--seed", "1"],
+                ["report", "tower", "--height", "2", "--x", "3"],
+                ["construct", "base", "--n", "2"]]
+    in_process = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses with exit 2
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "semiramsey", *argv],
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_output_is_canonical_json(capsys):
     code, out, err = run(capsys, "construct", "base", "--n", "2")
     assert code == 0
@@ -402,12 +428,15 @@ def test_malformed_input_is_usage_error(capsys, base2_file):
 @pytest.mark.parametrize("command", [["solve", "brute"],
                                      ["construct", "stepup"]],
                          ids=["solve-brute", "construct-stepup"])
-@pytest.mark.parametrize("op, depth", [("and", 450), ("not", 2000)],
-                         ids=["and-450", "not-2000"])
+@pytest.mark.parametrize("op, depth", [("and", 300), ("and", 450),
+                                       ("not", 2000)],
+                         ids=["and-300", "and-450", "not-2000"])
 def test_deeply_nested_formula_is_usage_error(capsys, base2_file, command,
                                               op, depth):
-    """450 nested ands overflow the formula decoder and a 2000-deep not
-    chain the JSON decoder: exit 2, not an internal error."""
+    """Nested ands past MAX_FORMULA_DEPTH are refused by the formula
+    decoder (300 of them once decoded, and then failed to write the stepped
+    instance), and a 2000-deep not chain overflows the JSON decoder: exit
+    2, not an internal error."""
     with open(base2_file) as fh:
         doc = json.load(fh)
     inner = json.dumps(doc["relation"]["formula"])
@@ -420,6 +449,33 @@ def test_deeply_nested_formula_is_usage_error(capsys, base2_file, command,
     error = json.loads(err)["error"]
     assert error["type"] == "ArgumentError"
     assert "nested too deeply" in error["message"]
+
+
+def test_formula_at_the_depth_cap_is_stepped_up_and_written(capsys,
+                                                          base2_file,
+                                                          tmp_path):
+    """At MAX_FORMULA_DEPTH levels every writer still recurses safely:
+    stepping up (3 levels deeper) writes its instance, and reading that
+    back is refused with 2."""
+    from semiramsey.errors import MAX_FORMULA_DEPTH
+    with open(base2_file) as fh:
+        doc = json.load(fh)
+    formula = doc["relation"]["formula"]
+    assert formula["op"] == "and" and formula["args"][0]["op"] == "atom"
+    for _ in range(MAX_FORMULA_DEPTH - 2):
+        formula = {"op": "and", "args": [formula]}
+    doc["relation"]["formula"] = formula
+    with open(base2_file, "w") as fh:
+        json.dump(doc, fh)
+    stepped = str(tmp_path / "stepped.json")
+    for argv in (["solve", "brute", "--input", base2_file],
+                 ["construct", "stepup", "--input", base2_file,
+                  "--output", stepped]):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_OK and err == ""
+    code, out, err = run(capsys, "solve", "brute", "--input", stepped)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "nested too deeply" in json.loads(err)["error"]["message"]
 
 
 def test_stepping_up_an_instance_without_epsilon_is_usage_error(capsys,

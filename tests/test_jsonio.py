@@ -6,7 +6,8 @@ import pytest
 
 from semiramsey import jsonio
 from semiramsey.constructions import ConstructionInstance, base_construction
-from semiramsey.errors import ArgumentError, MAX_DEGREE, ResourceLimitError
+from semiramsey.errors import (ArgumentError, MAX_DEGREE, MAX_FORMULA_DEPTH,
+                               ResourceLimitError)
 from semiramsey.geometry import Arrangement, Hyperplane
 from semiramsey.poly import MultivariatePolynomial as Poly
 from semiramsey.relation import Formula, OrderedPointSet, SemiAlgebraicRelation
@@ -95,6 +96,20 @@ def test_relation_round_trip_preserves_membership():
 def test_formula_json_rejects_unknown_op():
     with pytest.raises(ArgumentError):
         jsonio.formula_from_json({"op": "xor", "args": []})
+
+
+def test_formula_json_depth_cap():
+    """A formula MAX_FORMULA_DEPTH levels deep decodes and writes back; one
+    level more is refused as malformed."""
+    data = {"op": "atom", "poly": 0, "cmp": "ge"}
+    for level in range(2, MAX_FORMULA_DEPTH + 2):
+        data = ({"op": "not", "arg": data} if level % 2
+                else {"op": "and", "args": [data]})
+        if level == MAX_FORMULA_DEPTH:
+            at_cap = data
+    assert jsonio.formula_to_json(jsonio.formula_from_json(at_cap)) == at_cap
+    with pytest.raises(ArgumentError, match="nested too deeply"):
+        jsonio.formula_from_json(data)
 
 
 def test_points_round_trip():

@@ -159,18 +159,10 @@ def test_branch_and_bound_matches_naive_search_on_random_instances():
         arity = t_rng.randint(1, 4)
         values = sorted(t_rng.sample(list(range(-20, 21)), n))
         points = integer_points(*values)
-        nv = arity
-        polys = [
-            sum((x(i, nv) * t_rng.randint(-2, 2) for i in range(nv)),
-                Poly.constant(nv, t_rng.randint(-4, 4)))
-            for _ in range(2)
-        ]
-        polys = [p if not p.is_zero() else Poly.constant(nv, 1) for p in polys]
-        formula = Formula.any_of([
+        relation = _random_relation(t_rng, arity, Formula.any_of([
             Formula.leaf(0, "ge"),
             Formula.all_of([Formula.leaf(1, "gt")]),
-        ])
-        relation = SemiAlgebraicRelation(arity, 1, polys, formula)
+        ]))
         result = _assert_matches_prefix_loop(points, relation)
         assert result.stats["maximum"]
         assert len(result.subset) == _naive_max_homogeneous(points, relation)
@@ -186,15 +178,49 @@ def test_constant_relations_match_the_prefix_loop(arity):
                                                     polarity)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: _instance(base_construction(5)),
-    lambda: _instance(step_up(base_construction(2))),
-    lambda: jittered_base(5, 1),
-    lambda: jittered_base(5, 7),
-    lambda: _instance(one_dim_k4_construction(2)),
+def _random_relation(t_rng, arity: int, formula) -> SemiAlgebraicRelation:
+    """Two seeded linear polynomials in `arity` variables under formula."""
+    polys = [
+        sum((x(i, arity) * t_rng.randint(-2, 2) for i in range(arity)),
+            Poly.constant(arity, t_rng.randint(-4, 4)))
+        for _ in range(2)
+    ]
+    polys = [p if not p.is_zero() else Poly.constant(arity, 1) for p in polys]
+    return SemiAlgebraicRelation(arity, 1, polys, formula)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_out_wins_match_the_prefix_loop(arity):
+    """Seeded instances where "out" is the larger side: the search finds
+    the reference's first maximum in descending order, and its size is the
+    naive maximum."""
+    rng = SeededRng(21)
+    out_wins = 0
+    for trial in range(30):
+        t_rng = rng.derive(f"out-{arity}-{trial}")
+        values = sorted(t_rng.sample(list(range(-20, 21)),
+                                     t_rng.randint(5, 8)))
+        points = integer_points(*values)
+        relation = _random_relation(t_rng, arity, Formula.all_of([
+            Formula.leaf(0, "gt"), Formula.leaf(1, "ge")]))
+        result = _assert_matches_prefix_loop(points, relation)
+        assert len(result.subset) == _naive_max_homogeneous(points, relation)
+        out_wins += result.polarity == "out"
+    assert out_wins >= 10
+
+
+@pytest.mark.parametrize("make, subset, polarity", [
+    (lambda: _instance(base_construction(5)), (1, 2, 3, 5, 9, 17), "in"),
+    (lambda: _instance(step_up(base_construction(2))),
+     (3, 4, 8, 12, 15, 16), "out"),
+    (lambda: jittered_base(5, 1), (1, 2, 3, 5, 9, 17), "in"),
+    (lambda: jittered_base(5, 7), (1, 2, 3, 5, 9, 17), "in"),
+    (lambda: _instance(one_dim_k4_construction(2)),
+     (3, 4, 8, 12, 15, 16), "out"),
 ], ids=["base-5", "step-up-base-2", "jittered5-s1", "jittered5-s7",
         "onedim-k4-2"])
-def test_constructions_match_the_prefix_loop(make, monkeypatch):
+def test_constructions_match_the_prefix_loop(make, subset, polarity,
+                                             monkeypatch):
     from semiramsey import relation as relation_module
     # Every read of the relation's decider, and whether it was made inside
     # solvers.eval_membership (the certification) or directly (the search).
@@ -223,7 +249,9 @@ def test_constructions_match_the_prefix_loop(make, monkeypatch):
     monkeypatch.setattr(relation_module, "_generate", generate)
     monkeypatch.setattr(solvers, "eval_membership", recorded)
     result = max_homogeneous(points, relation)
-    # The search reads each tuple once and counts every read.
+    assert (result.subset, result.polarity) == (subset, polarity)
+    # The search reads each tuple once, in either layout, and counts every
+    # read.
     assert len(reads) == len(set(reads)) == result.stats["evaluations"] > 0
     # The certificate reads exactly the k-tuples of the returned subset,
     # each through the checked path.
@@ -234,27 +262,50 @@ def test_constructions_match_the_prefix_loop(make, monkeypatch):
     assert result.stats["colour_prunes"] > 0
 
 
+def _sign_relation(arity: int) -> tuple:
+    """x_1 + ... + x_k > 0 on 7 integer points of both signs."""
+    poly = sum((x(i, arity) for i in range(arity)), Poly.constant(arity, 0))
+    return (integer_points(-9, -4, -1, 2, 3, 6, 10),
+            SemiAlgebraicRelation(arity, 1, [poly], Formula.leaf(0, "gt")))
+
+
 @pytest.mark.parametrize("make", [
+    lambda: _sign_relation(1),
+    lambda: _sign_relation(2),
     lambda: jittered_base(5, 1),
     lambda: _instance(step_up(base_construction(2))),
     lambda: _instance(one_dim_k4_construction(2)),
-], ids=["jittered5-s1", "step-up-base-2", "onedim-k4-2"])
+], ids=["arity-1", "arity-2", "jittered5-s1", "step-up-base-2",
+        "onedim-k4-2"])
 def test_oracle_reads_equal_the_checked_path(make):
-    """Every (k-1)-prefix read through above() on all later points: each
-    bit equals eval_membership on its tuple."""
+    """Every (k-1)-prefix read through above() on all later points, then
+    every (k-1)-suffix through below() on all earlier points (the empty
+    tuple at arity 1): each bit equals eval_membership on its tuple, and
+    below() reads nothing that above() has read.  A fresh oracle read only
+    through below() evaluates each tuple once too."""
     points, relation = make()
     n, k = len(points), relation.arity
+    every = (1 << (n + 1)) - 2
     oracle = solvers.MembershipOracle(points, relation)
+    below_only = solvers.MembershipOracle(points, relation)
     answers = set()
-    for prefix in itertools.combinations(range(1, n + 1), k - 1):
-        later = (1 << (n + 1)) - (1 << (prefix[-1] + 1))
-        mask = oracle.above(prefix, later)
-        for c in range(prefix[-1] + 1, n + 1):
-            want = eval_membership(relation, points, prefix + (c,))
-            assert bool(mask >> c & 1) == want, prefix + (c,)
-            answers.add(want)
+    for fixed in itertools.combinations(range(1, n + 1), k - 1):
+        later = every & -(2 << fixed[-1]) if fixed else every
+        earlier = every & ((1 << fixed[0]) - 1) if fixed else every
+        mask = oracle.above(fixed, later)
+        for c in range(1, n + 1):
+            if later >> c & 1:
+                want = eval_membership(relation, points, fixed + (c,))
+                assert bool(mask >> c & 1) == want, fixed + (c,)
+                answers.add(want)
+        for reader in (oracle, below_only):
+            mask = reader.below(fixed, earlier)
+            for c in range(1, n + 1):
+                if earlier >> c & 1:
+                    want = eval_membership(relation, points, (c,) + fixed)
+                    assert bool(mask >> c & 1) == want, (c,) + fixed
     assert answers == {True, False}
-    assert oracle.evaluations == math.comb(n, k)
+    assert oracle.evaluations == below_only.evaluations == math.comb(n, k)
 
 
 def test_search_counters_are_deterministic():
@@ -262,7 +313,7 @@ def test_search_counters_are_deterministic():
     first = max_homogeneous(inst.points, inst.relation)
     again = max_homogeneous(inst.points, inst.relation)
     assert first.stats == again.stats == {
-        "nodes": 29, "prunes": 8, "colour_prunes": 9, "evaluations": 53,
+        "nodes": 29, "prunes": 9, "colour_prunes": 9, "evaluations": 55,
         "maximum": True, "method": "branch-and-bound"}
     # Each evaluation is a distinct triple of the 8 points.
     assert first.stats["evaluations"] <= math.comb(8, 3)
