@@ -61,7 +61,9 @@ class BudgetExhaustedError(ResourceLimitError):
 # refused as malformed input (ArgumentError): the JSON writers and
 # stepping up recurse over the formula, a few frames per level, and
 # stepping up nests it 3 levels deeper, so every accepted formula is
-# written back within the interpreter's recursion limit.  The
+# written back within the interpreter's recursion limit.  Stepping up
+# refuses (ArgumentError) a base formula of more than MAX_FORMULA_DEPTH - 3
+# levels, so every instance it writes can be read back.  The
 # constructions nest at most 6 levels.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6

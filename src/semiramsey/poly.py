@@ -10,9 +10,11 @@ variable, the scale L (`integer_form`): every value and sign is H read at
 (`_compile`) has two readers: at one point, a straight-line function
 generated on first use (`_straight_line`, `IntegerForm.kernel`) that the
 relation's decider and `MultivariatePolynomial.eval` and `sign` call; at a
-whole point set, `_int_signs`, one column per power and per term
-(`IntegerForm.signs`).  `eval` and `sign` clear a point to (X, L); a point
-set scaled by M reads H with L fixed at M.
+whole point set, `_int_signs`, the one column reader, which reads a family
+of forms in one pass with one column per power and per term, the
+coordinate and power columns shared by the whole family
+(`IntegerForm.signs` is the one-form case).  `eval` and `sign` clear a
+point to (X, L); a point set scaled by M reads H with L fixed at M.
 Univariate division runs in integers too, through the one pseudo-division
 loop `_pseudo_divmod` that every Sturm chain uses.
 """
@@ -320,24 +322,36 @@ def _straight_line(powers: tuple,
     return namespace["total"]
 
 
-def _int_signs(powers: tuple, terms: tuple,
-               points: Sequence[Sequence[int]]) -> list[int]:
-    """The compiled form's reader at a point set: the sign of the form
-    at each point, with every power and every term built as a column over
-    all points by `map`, so the per-point loops run in C."""
+def _int_signs(forms: Sequence["IntegerForm"],
+               points: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The compiled forms' reader at a point set: for each form, the sign
+    of the form at each point.  Every power and every term is built as a
+    column over all points by `map`, so the per-point loops run in C; the
+    forms share the coordinate columns and each power column, which is
+    raised once for the whole family."""
     n = len(points)
     if not n:
-        return []
+        return [[] for _ in forms]
     columns = list(zip(*points))
-    table = [columns[v] if k == 1 else list(map(pow, columns[v], repeat(k, n)))
-             for v, k in powers]
-    totals = repeat(0, n)
-    for c, factors in terms:
-        column = repeat(c, n)
-        for j in factors:
-            column = map(mul, column, table[j])
-        totals = list(map(add, totals, column))
-    return [(t > 0) - (t < 0) for t in totals]
+    table: dict[tuple[int, int], Sequence[int]] = {}
+    out = []
+    for form in forms:
+        powers, terms = form._loop or form._compiled()
+        cols = []
+        for v, k in powers:
+            col = table.get((v, k))
+            if col is None:
+                col = table[v, k] = (columns[v] if k == 1 else
+                                     list(map(pow, columns[v], repeat(k, n))))
+            cols.append(col)
+        totals = repeat(0, n)
+        for c, factors in terms:
+            column = repeat(c, n)
+            for j in factors:
+                column = map(mul, column, cols[j])
+            totals = list(map(add, totals, column))
+        out.append([(t > 0) - (t < 0) for t in totals])
+    return out
 
 
 class IntegerForm:
@@ -371,12 +385,12 @@ class IntegerForm:
     def signs(self, points: Sequence[Sequence[int]]) -> list[int]:
         """The sign at each integer point, in one pass over the set: the
         sign of self.kernel()(x) for each x in points, with no code
-        generated.  For a form read at few points this is the cheaper
-        reader: generating the kernel costs as much as reading 60 to 180
-        points by columns (105- and 4-term forms), and the kernel then
-        reads a point only 1.3 to 2 times faster."""
-        powers, terms = self._loop or self._compiled()
-        return _int_signs(powers, terms, points)
+        generated (`_int_signs` of this one form).  For a form read at few
+        points this is the cheaper reader: generating the kernel costs as
+        much as reading 60 to 180 points by columns (105- and 4-term
+        forms), and the kernel then reads a point only 1.3 to 2 times
+        faster."""
+        return _int_signs((self,), points)[0]
 
     def restrict(self, fixed: Mapping[int, int]) -> "IntegerForm":
         """Substitute int values for some variables; the others are

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import MAX_BITS, ArgumentError, ResourceLimitError
-from .poly import MultivariatePolynomial, Scalar, _cleared
+from .poly import MultivariatePolynomial, Scalar, _cleared, _int_signs
 
 COMPARISONS = ("ge", "gt", "eq")
 
@@ -108,6 +108,23 @@ class Formula:
 
     def atoms(self) -> list[Atom]:
         return [node.atom for node in self.nodes() if node.op == "atom"]
+
+    def depth(self) -> int:
+        """Levels of the tree, counted as the JSON decoder counts them: an
+        atom, or an empty AND or OR, is one level."""
+        levels: dict[int, int] = {}
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if id(node) in levels:
+                continue
+            if not expanded:
+                stack.append((node, True))
+                stack.extend((ch, False) for ch in node.children)
+                continue
+            levels[id(node)] = 1 + max(
+                (levels[id(ch)] for ch in node.children), default=0)
+        return levels[id(self)]
 
     def max_poly_index(self) -> int:
         return max((a.poly_index for a in self.atoms()), default=-1)
@@ -297,19 +314,25 @@ class OrderedPointSet:
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(M, X), built on first use: M is the LCM of every coordinate
         denominator and X the points times M, as int tuples in index order.
+        A set of int coordinates has M = 1 and is its own X: the points
+        are kept, not copied.
 
         Raises ResourceLimitError when M has more than MAX_BITS bits.
         """
         if self._scaled is None:
-            ratios = [[x.as_integer_ratio() for x in p] for p in self.points]
+            points = self.points
+            if all(type(x) is int for p in points for x in p):
+                self._scaled = (1, points)
+                return self._scaled
             scale = 1
-            for d in {q for r in ratios for _, q in r}:
+            for d in {x.denominator for p in points for x in p}:
                 scale = math.lcm(scale, d)
                 if scale.bit_length() > MAX_BITS:
                     raise ResourceLimitError(
                         f"common denominator of the points exceeds {MAX_BITS} bits")
             self._scaled = (scale, tuple(
-                tuple([n * (scale // q) for n, q in r]) for r in ratios))
+                tuple([x.numerator * (scale // x.denominator) for x in p])
+                for p in points))
         return self._scaled
 
 
@@ -409,8 +432,8 @@ def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
 
     The coordinates are scaled to integers X once (`OrderedPointSet.scaled`:
     one LCM M), and each polynomial is read through its integer form with L
-    fixed at M * denominator, one column of signs per polynomial over all
-    points (`IntegerForm.signs`), so no value is formed.  M * denominator
+    fixed at M * denominator, the whole family in one pass of the column
+    reader (`poly._int_signs`), so no value is formed.  M * denominator
     is refused above MAX_BITS bits.  The points must have as many
     coordinates as every polynomial has variables.
     """
@@ -432,8 +455,8 @@ def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
     if scale.bit_length() > MAX_BITS:
         raise ResourceLimitError(
             f"common denominator of the points exceeds {MAX_BITS} bits")
-    return len(set(zip(*[p.integer_form().restrict({dim: scale}).signs(scaled)
-                         for p in polys])))
+    return len(set(zip(*_int_signs(
+        [p.integer_form().restrict({dim: scale}) for p in polys], scaled))))
 
 
 def milnor_thom_bound(max_degree: int, family_size: int, dim: int) -> int:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import (MAX_ROUNDS, ArgumentError, BudgetExhaustedError,
                      PreconditionError, ResourceLimitError)
-from .poly import IntegerForm, MultivariatePolynomial
+from .poly import IntegerForm, MultivariatePolynomial, _int_signs
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
                        eval_membership, membership_reader, milnor_thom_bound)
 from .rng import SeededRng
@@ -407,9 +407,10 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
                     restricted.append((form, truths))
         # One truth column per restricted form over all survivors, zipped
         # into the survivors' signatures; with no form, one class of ().
-        rows = [coords[w] for w in survivors]
-        columns = [list(map(truths.__getitem__, form.signs(rows)))
-                   for form, truths in restricted]
+        signs = _int_signs([form for form, _ in restricted],
+                           [coords[w] for w in survivors])
+        columns = [list(map(truths.__getitem__, column))
+                   for column, (_, truths) in zip(signs, restricted)]
         groups: dict[tuple, list[int]] = {}
         for w, sig in zip(survivors,
                           zip(*columns) if columns else itertools.repeat(())):
@@ -723,8 +724,8 @@ def find_bad_triples(points: OrderedPointSet, relation: SemiAlgebraicRelation):
                     if not any(e[0] for e in restricted.terms):
                         continue
                     family.append(restricted)
-            for f in family:
-                for c, s in enumerate(f.signs(scaled)):
+            for column in _int_signs(family, scaled):
+                for c, s in enumerate(column):
                     if not s and c != a and c != b:
                         bad.add(tuple(sorted((a + 1, b + 1, c + 1))))
     return sorted(bad), skipped

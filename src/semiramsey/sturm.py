@@ -1,15 +1,18 @@
 """Sturm sequences and exact real-root counting for univariate polynomials.
 
-A chain is kept as primitive int coefficient lists (`SturmSequence.ints`):
-g cleared of denominators and divided by its content, its derivative, then
-one list per step of the integer pseudo-remainder sequence
-(`poly._pseudo_divmod`), each step divided by its content and signed so
-that every list is a positive multiple of the canonical rational member
-g_i = -rem(g_{i-2}, g_{i-1}).  A positive multiple has the member's sign
-everywhere, so root counts read each list's sign at an endpoint p/q by one
-homogeneous Horner sum over ints, sum c_i * p^i * q^(d - i), and never form
-a value.  The canonical rational members are built from `univariate_divmod`
-only when the sequence is indexed or iterated.
+A chain is built in ints by one builder, `sturm_chain`, from the int
+coefficients of g: g divided by its content, its derivative, then one list
+per step of the integer pseudo-remainder sequence (`poly._pseudo_divmod`),
+each step divided by its content and signed so that every list is a
+positive multiple of the canonical rational member
+g_i = -rem(g_{i-2}, g_{i-1}).  `sturm_sequence(g)` clears the denominators
+of a rational g once and calls the builder; a caller that already holds
+int coefficients calls it directly.  A positive multiple has the member's
+sign everywhere, so the chain's one reader, `SturmSequence.sign_changes_at`,
+counts its sign changes at a rational x = p/q by one homogeneous Horner sum
+per list over ints, sum c_i * p^i * q^(d - i), and never forms a value; a
+root count is two such reads.  The canonical rational members are built
+from `univariate_divmod` only when the sequence is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -20,26 +23,14 @@ from fractions import Fraction
 
 from .errors import ArgumentError, PreconditionError
 from .poly import (MultivariatePolynomial, Scalar, _cleared, _coef,
-                   _pseudo_divmod, derivative, univariate_coeffs,
-                   univariate_divmod)
+                   _pseudo_divmod, derivative, from_univariate_coeffs,
+                   univariate_coeffs, univariate_divmod)
 
 
-def _primitive(coeffs: list[int], sign: int = 1) -> list[int]:
+def _primitive(coeffs: Sequence[int], sign: int = 1) -> list[int]:
     """coeffs divided by sign * their content (sign is 1 or -1)."""
     content = sign * math.gcd(*coeffs)
     return [c // content for c in coeffs]
-
-
-def _sign(coeffs: Sequence[int], p: int, q: int) -> int:
-    """-1, 0 or 1: the sign at p/q (q > 0) of the polynomial with these
-    coefficients (index = power), read off sum c_i * p^i * q^(d - i),
-    which is q^d > 0 times its value, by one Horner pass over ints."""
-    total = 0
-    qk = 1
-    for c in reversed(coeffs):
-        total = total * p + c * qk
-        qk *= q
-    return (total > 0) - (total < 0)
 
 
 class SturmSequence(Sequence):
@@ -48,14 +39,16 @@ class SturmSequence(Sequence):
     `ints` holds the chain as primitive int coefficient lists, each a
     positive multiple of its member; signs are read from these alone.
     Indexing or iterating gives the canonical rational members, built on
-    first access and kept.
+    first access and kept; g itself is built from the coefficients the
+    chain was made from unless `sturm_sequence` was given it.
     """
 
-    __slots__ = ("ints", "_members")
+    __slots__ = ("ints", "_coeffs", "_members")
 
-    def __init__(self, g: MultivariatePolynomial, ints: list[list[int]]):
+    def __init__(self, ints: list[list[int]], coeffs: Sequence[int]):
         self.ints = ints
-        self._members = [g]
+        self._coeffs = coeffs
+        self._members: list[MultivariatePolynomial] = []
 
     def __len__(self) -> int:
         return len(self.ints)
@@ -69,37 +62,53 @@ class SturmSequence(Sequence):
         index %= n
         members = self._members
         while len(members) <= index:
-            if len(members) == 1:
+            if not members:
+                members.append(from_univariate_coeffs(self._coeffs))
+            elif len(members) == 1:
                 members.append(derivative(members[0]))
             else:
                 members.append(-univariate_divmod(members[-2], members[-1])[1])
         return members[index]
 
-    def sign_at(self, x: Scalar) -> int:
-        """-1, 0 or 1: the sign of g at the rational x."""
+    def sign_changes_at(self, x: Scalar) -> int | None:
+        """The number of sign changes of the chain at the rational x (an
+        int or a Fraction), zeros ignored, or None where g(x) = 0.
+
+        Each list's sign at x = p/q (q > 0) is that of
+        sum c_i * p^i * q^(d - i), q^d > 0 times its member's value, read
+        by one Horner pass over ints.
+        """
         p, q = x.as_integer_ratio()
-        return _sign(self.ints[0], p, q)
+        changes, last = -1, None  # the first sign counts as no change
+        for coeffs in self.ints:
+            total = 0
+            qk = 1
+            for c in reversed(coeffs):
+                total = total * p + c * qk
+                qk *= q
+            if total:
+                positive = total > 0
+                if positive is not last:
+                    changes += 1
+                    last = positive
+            elif last is None:  # the first list is g
+                return None
+        return changes
 
-    def signs_at(self, x: Scalar) -> list[int]:
-        """The sign of every member at the rational x, in chain order."""
-        p, q = x.as_integer_ratio()
-        return [_sign(c, p, q) for c in self.ints]
 
-
-def sturm_sequence(g: MultivariatePolynomial) -> SturmSequence:
-    """Sturm chain of g, stopping before the first identically-zero
-    remainder.
+def sturm_chain(coeffs: Sequence[int]) -> SturmSequence:
+    """Sturm chain of the polynomial sum coeffs[i] * x^i, for int
+    coefficients with a nonzero last entry, stopping before the first
+    identically-zero remainder.
 
     Each step takes the pseudo-remainder s * a = Q * b + R of the last two
     lists; with a and b positive multiples of g_{i-2} and g_{i-1}, R is
     s times a positive multiple of rem(g_{i-2}, g_{i-1}), so -R (for s > 0)
     or R (for s < 0), divided by its content, is a positive multiple of g_i.
     """
-    if g.num_vars != 1:
-        raise ArgumentError("sturm_sequence expects a univariate polynomial")
-    if g.is_zero():
-        raise ArgumentError("sturm_sequence of the zero polynomial is undefined")
-    first = _primitive(_cleared(univariate_coeffs(g))[0])
+    if not coeffs or not coeffs[-1]:
+        raise ArgumentError("sturm_chain needs a nonzero last coefficient")
+    first = _primitive(coeffs)
     ints = [first]
     if len(first) > 1:
         ints.append(_primitive([i * c for i, c in enumerate(first)][1:]))
@@ -108,7 +117,19 @@ def sturm_sequence(g: MultivariatePolynomial) -> SturmSequence:
             if not rem:
                 break
             ints.append(_primitive(rem, -1 if s > 0 else 1))
-    return SturmSequence(g, ints)
+    return SturmSequence(ints, coeffs)
+
+
+def sturm_sequence(g: MultivariatePolynomial) -> SturmSequence:
+    """Sturm chain of the univariate g (`sturm_chain` of its coefficients
+    cleared of denominators), whose first member is g itself."""
+    if g.num_vars != 1:
+        raise ArgumentError("sturm_sequence expects a univariate polynomial")
+    if g.is_zero():
+        raise ArgumentError("sturm_sequence of the zero polynomial is undefined")
+    seq = sturm_chain(_cleared(univariate_coeffs(g))[0])
+    seq._members.append(g)
+    return seq
 
 
 def sign_changes(values: Sequence[Scalar]) -> int:
@@ -123,17 +144,18 @@ def count_real_roots(g: MultivariatePolynomial, a: Fraction, b: Fraction,
     """Number of distinct real roots of g in the open interval (a, b).
 
     Requires a < b and g(a) != 0 != g(b).  Roots are counted without
-    multiplicity, which is exactly what the Sturm chain delivers.
+    multiplicity, which is exactly what the Sturm chain delivers: the
+    difference of its sign changes at a and at b.
     """
     a, b = _coef(a), _coef(b)  # a Fraction endpoint is kept as it is
     if a >= b:
         raise ArgumentError(f"empty interval ({a}, {b})")
     if seq is None:
         seq = sturm_sequence(g)
-    at_a = seq.signs_at(a)
-    at_b = seq.signs_at(b)
-    if at_a[0] == 0:  # the first member is g
+    at_a = seq.sign_changes_at(a)
+    if at_a is None:
         raise PreconditionError(f"g({a}) = 0: endpoint must not be a root", witness=a)
-    if at_b[0] == 0:
+    at_b = seq.sign_changes_at(b)
+    if at_b is None:
         raise PreconditionError(f"g({b}) = 0: endpoint must not be a root", witness=b)
-    return sign_changes(at_a) - sign_changes(at_b)
+    return at_a - at_b

@@ -8,10 +8,13 @@ subprocess to cover the module entry point.
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
-from semiramsey import cli, jsonio
+import oracle_roots
+from semiramsey import (SeededRng, cli, count_real_roots,
+                        from_univariate_coeffs, jsonio, sturm_sequence)
 from semiramsey.cli import main
 
 
@@ -274,7 +277,43 @@ def test_verify_transitive_ramsey_fails_below_threshold(capsys):
 def test_verify_sturm(capsys):
     code, doc, err = run_json(capsys, "verify", "sturm", "--trials", "40")
     assert code == 0 and err == ""
-    assert doc == {"ok": True, "trials": 40}
+    assert doc == {"ok": True, "trials": 40, "stats": {
+        "chain_members": 247, "sign_reads": 123, "roots": 59}}
+
+
+def test_verifier_counters_are_pinned_and_roots_are_counted_twice(capsys):
+    """The work counts of both verifiers at --trials 40 --seed 1.  The
+    trials of `verify sturm` are replayed from the same draws: `roots` is
+    the sum of count_real_roots on the Fraction polynomial, and of the
+    independent oracle, over the intervals the verifier reads, and
+    `chain_members` the sum of the chain lengths of sturm_sequence."""
+    code, doc, err = run_json(capsys, "verify", "sturm", "--trials", "40",
+                              "--seed", "1")
+    assert code == 0 and err == ""
+    assert doc["stats"] == {"chain_members": 213, "sign_reads": 121,
+                            "roots": 63}
+    rng = SeededRng(1)
+    members = ours = oracle = 0
+    for trial in range(40):
+        t_rng = rng.derive(f"poly-{trial}")
+        degree = t_rng.randint(1, 8)
+        coeffs = [F(t_rng.randint(-9, 9)) for _ in range(degree)]
+        coeffs.append(F(t_rng.randint(1, 9)))
+        g = from_univariate_coeffs(coeffs)
+        a, b = F(-100), F(100)
+        while g.sign([a]) == 0:
+            a -= 1
+        while g.sign([b]) == 0:
+            b += 1
+        members += len(sturm_sequence(g))
+        ours += count_real_roots(g, a, b)
+        oracle += oracle_roots.count_distinct_roots(coeffs, a, b)
+    assert (members, ours, oracle) == (213, 63, 63)
+    code, doc, err = run_json(capsys, "verify", "milnor-thom", "--trials",
+                              "40", "--points", "50", "--seed", "1")
+    assert code == 0 and err == ""
+    assert doc["stats"] == {"families": 40, "sign_evaluations": 8550,
+                            "sign_vectors": 379}
 
 
 def test_verify_milnor_thom(capsys):
@@ -451,31 +490,42 @@ def test_deeply_nested_formula_is_usage_error(capsys, base2_file, command,
     assert "nested too deeply" in error["message"]
 
 
-def test_formula_at_the_depth_cap_is_stepped_up_and_written(capsys,
-                                                          base2_file,
-                                                          tmp_path):
-    """At MAX_FORMULA_DEPTH levels every writer still recurses safely:
-    stepping up (3 levels deeper) writes its instance, and reading that
-    back is refused with 2."""
+def test_stepping_up_past_the_depth_cap_is_refused(capsys, base2_file,
+                                                  tmp_path):
+    """Stepping up nests the base formula 3 levels deeper.  A base of
+    MAX_FORMULA_DEPTH levels is read and solved, but stepping it up is
+    refused with 2 and nothing is written; at MAX_FORMULA_DEPTH - 3 levels
+    the stepped instance (at the cap) is written and reads back."""
     from semiramsey.errors import MAX_FORMULA_DEPTH
     with open(base2_file) as fh:
         doc = json.load(fh)
     formula = doc["relation"]["formula"]
     assert formula["op"] == "and" and formula["args"][0]["op"] == "atom"
-    for _ in range(MAX_FORMULA_DEPTH - 2):
-        formula = {"op": "and", "args": [formula]}
-    doc["relation"]["formula"] = formula
-    with open(base2_file, "w") as fh:
-        json.dump(doc, fh)
-    stepped = str(tmp_path / "stepped.json")
-    for argv in (["solve", "brute", "--input", base2_file],
-                 ["construct", "stepup", "--input", base2_file,
-                  "--output", stepped]):
-        code, out, err = run(capsys, *argv)
+    for levels, written in ((MAX_FORMULA_DEPTH, False),
+                            (MAX_FORMULA_DEPTH - 2, False),
+                            (MAX_FORMULA_DEPTH - 3, True)):
+        nested = formula
+        for _ in range(levels - 2):
+            nested = {"op": "and", "args": [nested]}
+        doc["relation"]["formula"] = nested
+        with open(base2_file, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
         assert code == cli.EXIT_OK and err == ""
-    code, out, err = run(capsys, "solve", "brute", "--input", stepped)
-    assert code == cli.EXIT_USAGE and out == ""
-    assert "nested too deeply" in json.loads(err)["error"]["message"]
+        stepped = tmp_path / f"stepped-{levels}.json"
+        code, out, err = run(capsys, "construct", "stepup", "--input",
+                             base2_file, "--output", str(stepped))
+        if written:
+            assert code == cli.EXIT_OK and err == ""
+            code, out, err = run(capsys, "solve", "brute",
+                                 "--input", str(stepped))
+            assert code == cli.EXIT_OK and err == ""
+            continue
+        assert code == cli.EXIT_USAGE and out == ""
+        assert not stepped.exists()
+        error = json.loads(err)["error"]
+        assert error["type"] == "ArgumentError"
+        assert "nested too deeply" in error["message"]
 
 
 def test_stepping_up_an_instance_without_epsilon_is_usage_error(capsys,
@@ -571,4 +621,5 @@ def test_package_entry_point_subprocess():
          "verify", "sturm", "--trials", "5", "--seed", "1"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
-    assert json.loads(proc.stdout) == {"ok": True, "trials": 5}
+    assert json.loads(proc.stdout) == {"ok": True, "trials": 5, "stats": {
+        "chain_members": 30, "sign_reads": 15, "roots": 11}}

@@ -24,7 +24,7 @@ from semiramsey import (
     univariate_coeffs,
     univariate_divmod,
 )
-from semiramsey.poly import IntegerForm
+from semiramsey.poly import IntegerForm, _int_signs
 
 
 def x(i: int, n: int) -> Poly:
@@ -446,6 +446,23 @@ def test_column_signs_equal_per_point_signs(seed):
     assert IntegerForm(2, {}).signs([[1, 2], [0, 0]]) == [0, 0]
     assert IntegerForm(0, {(): -3}).signs([[], []]) == [-1, -1]
     assert IntegerForm(1, {(1,): 1}).signs([]) == []
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_family_reader_equals_each_form_alone(seed):
+    """_int_signs reads a family that shares power columns, with a zero
+    and a constant form among them, as each form reads alone; an empty
+    point set gives one empty column per form."""
+    rng = SeededRng(seed)
+    family = [form for form in seeded_forms(seed) if form.num_vars == 2]
+    family += [IntegerForm(2, {}), IntegerForm(2, {(0, 0): -5}),
+               IntegerForm(2, {(2, 0): 1, (0, 2): 1, (0, 0): -25})]
+    for size in (0, 1, 7):
+        rows = [[rng.randint(-5, 5), rng.randint(-5, 5)] for _ in range(size)]
+        assert _int_signs(family, rows) == [
+            [sign(form.kernel()(x)) for x in rows] for form in family]
+    assert _int_signs([], [[1, 2]]) == []
+    assert _int_signs(family, []) == [[] for _ in family]
 
 
 def test_form_of_twenty_thousand_terms_reads_as_its_columns():

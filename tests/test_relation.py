@@ -123,6 +123,25 @@ def test_point_set_keeps_int_coordinates_and_refuses_other_types():
             OrderedPointSet(2, [[1, 2], [3, bad]])
 
 
+def test_scaled_keeps_an_int_point_set_and_rescales_a_mixed_one():
+    """An all-int set is its own X at M = 1, not a copy; a set with a
+    Fraction (even one of denominator 1) is rescaled to int tuples as
+    before, and a common denominator above MAX_BITS bits is refused."""
+    ints = OrderedPointSet(2, [[3, -1], (0, 2 ** 80)])
+    scale, scaled = ints.scaled()
+    assert scale == 1 and scaled is ints.points
+    assert OrderedPointSet(1, []).scaled() == (1, ())
+    for points, want in [
+            ([[1, F(1, 2)], (3, F(4))], (2, ((2, 1), (6, 8)))),
+            ([[F(3)], [-2]], (1, ((3,), (-2,)))),
+            ([[F(-1, 6)], [F(3, 4)], [5]], (12, ((-2,), (9,), (60,))))]:
+        scale, scaled = OrderedPointSet(len(points[0]), points).scaled()
+        assert (scale, scaled) == want
+        assert all(type(c) is int for p in scaled for c in p)
+    with pytest.raises(ResourceLimitError):
+        OrderedPointSet(1, [[F(1, 2 ** MAX_BITS)], [1]]).scaled()
+
+
 def test_membership_ignores_points_outside_the_tuple():
     relation = base_construction(2).relation
     small = OrderedPointSet(1, [[1], [2], [3]])

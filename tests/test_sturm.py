@@ -232,3 +232,44 @@ def test_pseudo_division_leaves_its_inputs_unchanged(b):
     assert (a, b) == (a_before, b_before)
     assert len(r) < len(b)
     assert oracle_roots.add(oracle_roots.mul(q, b), r) == [s * c for c in a]
+
+
+# -- the int builder and the sign-change reader --------------------------------
+
+
+@pytest.mark.parametrize("coeffs", [
+    [F(5)], [F(-3, 7)], [F(2, 3), F(-4, 9)], [6, 4], [F(1, 2), F(3, 4), F(-5, 6)],
+    [6, 0, -12, 0, 6], [F(-3, 4), 0, F(9, 2), F(1, 8)], [0, 0, 4],
+], ids=["deg0", "deg0-fraction", "deg1-fractions", "deg1-content-2",
+        "deg2-fractions", "content-6", "deg3-fractions", "x-squared-times-4"])
+def test_int_builder_equals_the_sequence_of_g(coeffs):
+    """sturm_chain on the cleared coefficients of g gives the chain that
+    sturm_sequence(g) gives, and its rational members are those of g up to
+    the factor d > 0 by which the coefficients were cleared."""
+    g = from_univariate_coeffs(coeffs)
+    seq = sturm_sequence(g)
+    ints, d = sturm._cleared(univariate_coeffs(g))
+    built = sturm.sturm_chain(ints)
+    assert built.ints == seq.ints
+    assert coeff_lists(built) == [[d * c for c in m] for m in coeff_lists(seq)]
+    assert univariate_coeffs(built[0]) == ints
+
+
+def test_int_builder_refuses_a_zero_lead():
+    for coeffs in ([], [0], [3, 0]):
+        with pytest.raises(ArgumentError):
+            sturm.sturm_chain(coeffs)
+
+
+@given(rational_polys(),
+       st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=9),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_sign_change_reader_counts_the_members_signs(coeffs, xs):
+    """At int and Fraction points the reader gives the sign changes of the
+    canonical members' signs there, and None exactly at the roots of g."""
+    seq = sturm_sequence(from_univariate_coeffs(coeffs))
+    for x in xs + [int(x) for x in xs]:
+        signs = [m.sign([x]) for m in seq]
+        got = seq.sign_changes_at(x)
+        assert got == (None if signs[0] == 0 else sign_changes(signs))
