@@ -21,7 +21,7 @@ from .errors import (ArgumentError, BudgetExhaustedError,
                      ResourceLimitError, MAX_DIGITS, MAX_TUPLES)
 from .relation import (count_distinct_sign_vectors, eval_membership,
                        milnor_thom_bound)
-from .poly import MultivariatePolynomial
+from .poly import MultivariatePolynomial, _sum_terms
 from .rng import SeededRng
 from .sturm import count_real_roots, sturm_chain, sturm_sequence
 
@@ -310,27 +310,31 @@ def cmd_verify_milnor_thom(args) -> int:
         degree = t_rng.randint(1, 3)
         polys = []
         for _ in range(family_size):
-            terms = {}
+            pairs = []
             for _ in range(t_rng.randint(1, 6)):
                 e = [0] * dim
-                for _ in range(degree):
-                    e[t_rng.randint(0, dim - 1)] += 1
-                terms[tuple(e)] = terms.get(tuple(e), 0) + t_rng.randint(-5, 5)
-            p = MultivariatePolynomial(dim, terms)
-            if not p.is_zero() and p.degree() >= 1:
-                polys.append(p)
+                for v in t_rng.randints(0, dim - 1, degree):
+                    e[v] += 1
+                pairs.append((tuple(e), t_rng.randint(-5, 5)))
+            # The verifier's own int term map, summed and wrapped unchecked.
+            # Every term has total degree `degree` >= 1, so a nonzero sum
+            # has that degree.
+            terms = _sum_terms(pairs)
+            if terms:
+                polys.append(MultivariatePolynomial._from_terms(dim, terms))
         if len(polys) < dim:
             continue
         # The grid of rng.fraction(-10, 10), (20 k - 10 * 2^16) / 2^16, kept
-        # as integer numerators over the one denominator 2^16.
-        rows = [[20 * t_rng.randint(0, 1 << 16) - (10 << 16)
-                 for _ in range(dim)] for _ in range(args.points)]
+        # as integer numerators over the one denominator 2^16, drawn in one
+        # call and cut into rows.
+        grid = t_rng.randints(0, 1 << 16, args.points * dim)
+        rows = [[20 * k - (10 << 16) for k in grid[at:at + dim]]
+                for at in range(0, len(grid), dim)]
         got = count_distinct_sign_vectors(polys, rows, denominator=1 << 16)
         families += 1
         evaluations += len(polys) * len(rows)
         vectors += got
-        bound = milnor_thom_bound(max(p.degree() for p in polys),
-                                  len(polys), dim)
+        bound = milnor_thom_bound(degree, len(polys), dim)
         if got > bound:
             witness = {"trial": trial, "sign_vectors": got, "bound": bound}
             break
@@ -349,10 +353,11 @@ def cmd_verify_sturm(args) -> int:
     for trial in range(args.trials):
         t_rng = rng.derive(f"poly-{trial}")
         degree = t_rng.randint(1, 8)
-        coeffs = [t_rng.randint(-9, 9) for _ in range(degree)]
+        coeffs = t_rng.randints(-9, 9, degree)
         coeffs.append(t_rng.randint(1, 9))
         seq = sturm_chain(coeffs)
-        members += len(seq)
+        ints = seq.ints
+        members += len(ints)
         # Each point is read once: the root counts on (a, b), (a, mid) and
         # (mid, b) are differences of the three reads.
         a, b = -100, 100
@@ -368,14 +373,27 @@ def cmd_verify_sturm(args) -> int:
         at_mid = seq.sign_changes_at(mid)
         reads += 3
         if at_mid is None:
-            mid += Fraction(1, 257)
-            at_mid = seq.sign_changes_at(mid)
+            at_mid = seq.sign_changes_at(mid + Fraction(1, 257))
             reads += 1
-            if at_mid is None:
-                continue
-        split = (at_a - at_mid) + (at_mid - at_b)
-        if split != total:
-            witness = {"trial": trial, "total": total, "split": split}
+        # By Cauchy's bound (|c_i| <= 9, lead >= 1) every root of g lies in
+        # (-10, 10), inside (a, b).  So the total is also the count of all
+        # real roots, V(-inf) - V(+inf), read from the members' leading
+        # coefficients and degrees: two neighbours whose degrees differ by
+        # an odd number change sign at one of -inf and +inf, at -inf when
+        # their leads have one sign, and other neighbours at both or
+        # neither.  The total is at most deg g, and has the parity of deg g
+        # when the chain ends in a constant (g square-free).
+        real = 0
+        prev = ints[0]
+        for m in ints[1:]:
+            if (len(prev) + len(m)) % 2:
+                real += 1 if (prev[-1] > 0) is (m[-1] > 0) else -1
+            prev = m
+        if not (real == total and total <= degree
+                and (len(ints[-1]) > 1 or (degree - total) % 2 == 0)
+                and (at_mid is None or at_a >= at_mid >= at_b)):
+            witness = {"trial": trial, "degree": degree, "real_roots": real,
+                       "reads": [at_a, at_mid, at_b]}
             break
     return _verdict(witness, trials=args.trials, stats={
         "chain_members": members, "sign_reads": reads, "roots": roots})

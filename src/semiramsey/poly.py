@@ -87,7 +87,9 @@ class MultivariatePolynomial:
         """Wrap a term map without copying or checking it.
 
         A term map sends exponent tuples of length num_vars (nonnegative
-        ints) to nonzero Fraction coefficients; `_sum_terms` builds one.
+        ints) to nonzero Fraction coefficients, or nonzero ints where the
+        caller drew them as ints (`verify milnor-thom`); `_sum_terms`
+        builds one.
         """
         return cls.__new__(cls)._set(num_vars, terms)
 

@@ -1,9 +1,12 @@
 """Deterministic seeded randomness.
 
 Every randomized routine in the package draws from SeededRng, a small
-counter-based generator (splitmix64).  Identical seeds give identical
-streams on every platform and Python version, which keeps CLI runs
-byte-for-byte reproducible.
+counter-based generator (splitmix64, one step in `_mix`).  Identical seeds
+give identical streams on every platform and Python version, which keeps
+CLI runs byte-for-byte reproducible.  Every draw is an int or an exact
+Fraction; nothing here returns a float.  A caller that needs many draws
+from one range takes them in one `randints` call, which yields the same
+stream as that many `randint` calls.
 """
 
 from __future__ import annotations
@@ -37,11 +40,6 @@ class SeededRng:
             h = _mix(h ^ ch)
         return SeededRng(h)
 
-    def random(self) -> float:
-        """Float in [0, 1); only used for probabilistic sampling, never for
-        exact comparisons."""
-        return self.next_u64() / (1 << 64)
-
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection-sampled (no modulo bias)."""
         if hi < lo:
@@ -52,6 +50,26 @@ class SeededRng:
             u = self.next_u64()
             if u < limit:
                 return lo + u % span
+
+    def randints(self, lo: int, hi: int, count: int) -> list[int]:
+        """`count` uniform integers in [lo, hi] in one loop: the list that
+        many `randint(lo, hi)` calls return, with the state left where
+        they leave it."""
+        if hi < lo:
+            raise ValueError("empty range")
+        span = hi - lo + 1
+        limit = (1 << 64) - ((1 << 64) % span)
+        state = self._state
+        out = []
+        for _ in range(count):
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & _MASK
+                u = _mix(state)
+                if u < limit:
+                    break
+            out.append(lo + u % span)
+        self._state = state
+        return out
 
     def fraction(self, lo: int | Fraction, hi: int | Fraction,
                  denominator: int = 1 << 16) -> Fraction:

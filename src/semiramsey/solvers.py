@@ -633,21 +633,24 @@ def spencer_independent_set(graph: Hypergraph3,
     """Deletion-method independent set of size at least
     (2N/3) * sqrt(N / (3|E|)) for hypergraphs with |E| >= N/3.
 
-    Samples vertices with probability sqrt(N / (3|E|)), deletes one vertex of
-    every surviving edge, and retries with fresh seeded randomness until the
-    exact integer comparison 27 * |S|^2 * |E| >= 4 * N^3 certifies the bound
-    (at most MAX_ROUNDS attempts, else ResourceLimitError).  Returns
-    (vertices, stats).
+    Samples vertices with probability p = sqrt(N / (3|E|)), deletes one
+    vertex of every surviving edge, and retries with fresh seeded randomness
+    until the exact integer comparison 27 * |S|^2 * |E| >= 4 * N^3
+    certifies the bound (at most MAX_ROUNDS attempts, else
+    ResourceLimitError).  A vertex is sampled when u / 2^64 < p for a drawn
+    u = next_u64(), decided exactly in ints as 3|E| * u^2 < N * 2^128.
+    Returns (vertices, stats); stats give p^2 = N / (3|E|) as a Fraction.
     """
     n = graph.n
     m = len(graph.edges)
     if m * 3 < n:
         raise PreconditionError(
             f"needs at least N/3 edges, got {m} for N = {n}")
-    p = math.sqrt(n / (3 * m))
+    threshold = n << 128
     rng = SeededRng(seed)
     for round_no in range(1, MAX_ROUNDS + 1):
-        sampled = {v for v in range(1, n + 1) if rng.random() < p}
+        sampled = {v for v in range(1, n + 1)
+                   if 3 * m * rng.next_u64() ** 2 < threshold}
         surviving = [e for e in graph.edges if set(e) <= sampled]
         for e in sorted(surviving):
             if set(e) <= sampled:
@@ -655,7 +658,8 @@ def spencer_independent_set(graph: Hypergraph3,
         result = sorted(sampled)
         assert graph.is_independent(result)
         if 27 * len(result) ** 2 * m >= 4 * n ** 3:
-            return result, {"rounds": round_no, "probability": p,
+            return result, {"rounds": round_no,
+                            "probability_squared": Fraction(n, 3 * m),
                             "bound_check": f"27*{len(result)}^2*{m} >= 4*{n}^3"}
     raise ResourceLimitError(
         f"no round out of {MAX_ROUNDS} met the deletion bound")

@@ -16,6 +16,7 @@ import oracle_roots
 from semiramsey import (SeededRng, cli, count_real_roots,
                         from_univariate_coeffs, jsonio, sturm_sequence)
 from semiramsey.cli import main
+from semiramsey.sturm import SturmSequence, sturm_chain
 
 
 def run(capsys, *argv):
@@ -180,6 +181,9 @@ def test_solve_spencer(capsys, tmp_path):
     assert code == 0 and err == ""
     assert len(doc["subset"]) >= 4
     assert doc["polarity"] == "out"
+    # p = sqrt(6 / (3 * 2)) = 1 is given exactly, as p^2.
+    assert doc["stats"] == {"rounds": 1, "probability_squared": "1",
+                            "bound_check": "27*4^2*2 >= 4*6^3"}
 
 
 @pytest.mark.parametrize("graph", [
@@ -314,6 +318,59 @@ def test_verifier_counters_are_pinned_and_roots_are_counted_twice(capsys):
     assert code == 0 and err == ""
     assert doc["stats"] == {"families": 40, "sign_evaluations": 8550,
                             "sign_vectors": 379}
+
+
+def _negated(coeffs):
+    return [-c for c in coeffs]
+
+
+def _times(coeffs, factor):
+    out = [0] * (len(coeffs) + len(factor) - 1)
+    for i, c in enumerate(coeffs):
+        for j, f in enumerate(factor):
+            out[i + j] += c * f
+    return out
+
+
+# Wrong chains, each built from the true chain's lists (`ints`) or from
+# wrong coefficients.  On every one of them the split at the midpoint adds
+# up to the total, as it must (both are differences of the same three
+# reads); each is caught by one of the other checks.
+_WRONG_CHAINS = {
+    # caught by the reads' order, at_a >= at_mid >= at_b
+    "last-member-dropped": lambda ints, coeffs: ints[:-1] or ints,
+    "derivative-dropped": lambda ints, coeffs: ints[:1] + ints[2:],
+    "derivative-negated": lambda ints, coeffs: [
+        ints[0], _negated(ints[1]), *ints[2:]],
+    "third-member-negated": lambda ints, coeffs: [
+        *ints[:2], *map(_negated, ints[2:3]), *ints[3:]],  # if it has one
+    # a member whose root 200 is beyond b = 100 (caught at +-inf only)
+    "member-past-b-appended": lambda ints, coeffs: [*ints, [-200, 1]],
+    # the chain of g': roots of the wrong parity (caught by the parity only)
+    "chain-of-derivative": lambda ints, coeffs: sturm_chain(
+        [i * c for i, c in enumerate(coeffs)][1:]).ints,
+    # the chain of (x^2 - 1) * g: more roots than deg g where g has all
+    # its roots real, as every g of degree 1 has (caught by the degree only)
+    "chain-of-x2-minus-1-times-g": lambda ints, coeffs: sturm_chain(
+        _times(coeffs, [-1, 0, 1])).ints,
+}
+
+
+@pytest.mark.parametrize("mutant", _WRONG_CHAINS.values(),
+                         ids=_WRONG_CHAINS.keys())
+def test_verify_sturm_refuses_a_wrong_chain(capsys, monkeypatch, mutant):
+    """The split of the total at the midpoint is a difference of the same
+    three reads; the checks against the root count at +-inf, the degree
+    of g, its parity and the reads' order find a wrong chain."""
+    def wrong_chain(coeffs):
+        return SturmSequence(mutant(sturm_chain(coeffs).ints, coeffs), coeffs)
+
+    monkeypatch.setattr(cli, "sturm_chain", wrong_chain)
+    code, doc, err = run_json(capsys, "verify", "sturm", "--trials", "200",
+                              "--seed", "1")
+    assert code == cli.EXIT_FAIL == 1 and err == ""
+    assert doc["ok"] is False
+    assert set(doc["witness"]) == {"trial", "degree", "real_roots", "reads"}
 
 
 def test_verify_milnor_thom(capsys):

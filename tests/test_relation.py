@@ -481,13 +481,29 @@ def test_count_distinct_sign_vectors_equals_oracle(seed):
             for points in (grid, ints, mixed, grid + ints + mixed):
                 assert (count_distinct_sign_vectors(family, points)
                         == oracle_sign_vector_count(family, points))
+        # Int rows over a denominator, as `verify milnor-thom` reads its
+        # grid: only a family that is not homogeneous tells the scale L of
+        # the integer form apart, so the shifted one is read this way too.
+        # The draws come from a derived stream, so the families drawn above
+        # stay those of the seed.
+        d_rng = rng.derive(f"denominator-{families}")
+        denominator = d_rng.randint(1, 1 << 16)
+        rows = [d_rng.randints(-3 * denominator, 3 * denominator, dim)
+                for _ in range(20)]
+        points = [[F(v, denominator) for v in row] for row in rows]
+        for family in (polys, shifted):
+            assert (count_distinct_sign_vectors(family, rows,
+                                                denominator=denominator)
+                    == oracle_sign_vector_count(family, points))
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_integer_grid_count_equals_fraction_grid_count(seed):
     """The trials of `verify milnor-thom` replayed: the grid drawn as
     integer numerators over 2^16 counts as the same draws taken as
-    rng.fraction(-10, 10) points, and as the oracle."""
+    rng.fraction(-10, 10) points, and as the oracle.  The draws here are
+    one `randint` call each, the stream that the verifier's batched
+    `randints` calls must reproduce."""
     rng = SeededRng(seed)
     families = 0
     for trial in range(200):

@@ -47,3 +47,37 @@ def test_first_draws_of_seed_one_are_pinned():
     rng = SeededRng(1)
     assert [rng.fraction(-1, 1) for _ in range(3)] == [
         F(-1967, 16384), F(-10865, 32768), F(-3951, 4096)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (5, 5),                      # span 1
+    (-5, 5),                     # span 11
+    (0, 1 << 16),                # span 2^16 + 1, the grid of `verify milnor-thom`
+    (0, (1 << 63) + (1 << 62)),  # span near 2^63: about 1 draw in 4 rejected
+    (-(1 << 63), 0),             # span 2^63 + 1: about 1 draw in 2 rejected
+])
+@pytest.mark.parametrize("count", [0, 1, 7, 300])
+def test_randints_equals_that_many_randint_calls(lo, hi, count):
+    batched, twin = SeededRng(5), SeededRng(5)
+    assert batched.randints(lo, hi, count) == [
+        twin.randint(lo, hi) for _ in range(count)]
+    assert batched.next_u64() == twin.next_u64()
+
+
+def test_the_wide_spans_reject_draws():
+    """The two widest spans above reject a quarter and a half of the raw
+    draws, so the batch is compared where it must skip draws."""
+    for span, share in (((1 << 63) + (1 << 62) + 1, 4), ((1 << 63) + 1, 2)):
+        limit = (1 << 64) - ((1 << 64) % span)
+        rng = SeededRng(5)
+        rejected = sum(rng.next_u64() >= limit for _ in range(2000))
+        assert abs(rejected * share - 2000) < 400
+
+
+def test_randints_refuses_an_empty_range():
+    rng = SeededRng(1)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randints(3, 2, 4)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randints(3, 2, 0)
+    assert rng.next_u64() == SeededRng(1).next_u64()

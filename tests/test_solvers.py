@@ -559,6 +559,47 @@ def test_deletion_gives_up_after_max_rounds(monkeypatch):
     assert spencer_independent_set(graph, seed=1)[1]["rounds"] == 4
 
 
+def _deletion_oracle(graph, seed):
+    """The deletion method with each vertex sampled when u / 2^64 < p,
+    decided on Fractions as (u / 2^64)^2 < p^2 = N / (3|E|)."""
+    n, m = graph.n, len(graph.edges)
+    rng = SeededRng(seed)
+    for round_no in itertools.count(1):
+        sampled = {v for v in range(1, n + 1)
+                   if F(rng.next_u64(), 1 << 64) ** 2 < F(n, 3 * m)}
+        for e in sorted(e for e in graph.edges if set(e) <= sampled):
+            if set(e) <= sampled:
+                sampled.discard(max(e))
+        if 27 * len(sampled) ** 2 * m >= 4 * n ** 3:
+            return sorted(sampled), round_no
+
+
+def _seeded_hypergraph(seed):
+    rng = SeededRng(seed)
+    n = rng.randint(6, 40)
+    edges = {tuple(sorted(rng.sample(range(1, n + 1), 3)))
+             for _ in range(rng.randint(-(-n // 3), 3 * n))}
+    return Hypergraph3.make(n, edges)
+
+
+@pytest.mark.parametrize("graph", [
+    Hypergraph3.make(6, [(1, 2, 3), (4, 5, 6)]),
+    Hypergraph3.make(6, itertools.combinations(range(1, 7), 3)),
+    Hypergraph3.make(3, [(1, 2, 3)]),
+    *map(_seeded_hypergraph, (1, 7, 23)),
+], ids=["two-edges", "complete-6", "single-edge", "seeded-1", "seeded-7",
+        "seeded-23"])
+def test_deletion_samples_with_probability_exactly_sqrt_n_over_3m(graph):
+    """The int comparison 3|E| * u^2 < N * 2^128 picks what the exact
+    rational test u / 2^64 < sqrt(N / (3|E|)) picks, and the stats give
+    p^2 exactly."""
+    m = len(graph.edges)
+    for seed in range(20):
+        vertices, stats = spencer_independent_set(graph, seed=seed)
+        assert (vertices, stats["rounds"]) == _deletion_oracle(graph, seed)
+        assert stats["probability_squared"] == F(graph.n, 3 * m)
+
+
 def test_deletion_requires_enough_edges():
     graph = Hypergraph3.make(6, [(1, 2, 3)])
     with pytest.raises(PreconditionError):
