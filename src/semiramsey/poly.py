@@ -15,6 +15,12 @@ of forms in one pass with one column per power and per term, the
 coordinate and power columns shared by the whole family
 (`IntegerForm.signs` is the one-form case).  `eval` and `sign` clear a
 point to (X, L); a point set scaled by M reads H with L fixed at M.
+Restricting a form at int values gives another.  A one-off restriction
+(L fixed at M once per polynomial, the greedy's arity drop) goes through
+`IntegerForm.restrict`; a form restricted at the same variables at many
+points (the greedy's class split, the bad-triple scan) goes through one
+plan (`IntegerForm.plan`), whose reads hand each restricted form its
+compiled table, so it is never compiled itself.
 Univariate division runs in integers too, through the one pseudo-division
 loop `_pseudo_divmod` that every Sturm chain uses.
 """
@@ -399,6 +405,52 @@ class IntegerForm:
         re-indexed in order, as in MultivariatePolynomial.restrict."""
         return IntegerForm(self.num_vars - len(fixed),
                            _substitute(self.terms, fixed, self.num_vars))
+
+    def plan(self, fixed: Sequence[int]) -> Callable[[Sequence[int]], "IntegerForm"]:
+        """read(values), this form restricted at the variables `fixed`
+        (distinct indices) set to `values` in that order: the same form as
+        self.restrict(dict(zip(fixed, values))), for one form restricted at
+        many points.
+
+        The terms are grouped once by their exponents in the kept
+        variables, each group with one table of the fixed variables'
+        powers, and the kept monomials compiled once into the (powers,
+        terms) table of the two readers.  A read raises each fixed power
+        once, sums one coefficient per kept monomial and hands the
+        restricted form that table with its nonzero coefficients, so the
+        form is never compiled.
+        """
+        keep = sorted(set(range(self.num_vars)).difference(fixed))
+        groups: dict[tuple[int, ...], list] = {}
+        for e, c in self.terms.items():
+            groups.setdefault(tuple([e[i] for i in keep]), []).append(
+                (c, [(j, e[v]) for j, v in enumerate(fixed) if e[v]]))
+        fixed_powers = sorted({f for group in groups.values()
+                               for _, fs in group for f in fs})
+        index = {f: j for j, f in enumerate(fixed_powers)}
+        powers, slots = _compile(dict.fromkeys(groups, 1))
+        rows = [(key, factors, [(c, [index[f] for f in fs]) for c, fs in group])
+                for (key, group), (_, factors) in zip(groups.items(), slots)]
+        num_vars = len(keep)
+
+        def read(values: Sequence[int]) -> IntegerForm:
+            table = [values[j] ** k for j, k in fixed_powers]
+            terms = {}
+            loop = []
+            for key, factors, group in rows:
+                total = 0
+                for c, fs in group:
+                    for j in fs:
+                        c *= table[j]
+                    total += c
+                if total:
+                    terms[key] = total
+                    loop.append((total, factors))
+            form = IntegerForm(num_vars, terms)
+            form._loop = (powers, tuple(loop))
+            return form
+
+        return read
 
 
 # -- univariate helpers (used by the Sturm machinery) -------------------

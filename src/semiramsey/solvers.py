@@ -313,8 +313,10 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation
 
     The pass runs on the scaled point set (OrderedPointSet.scaled) and the
     relation's integer forms, so every restriction and every sign is
-    computed in ints.  stats counts the restrictions and the sign
-    evaluations of the class splits.
+    computed in ints.  Each level restricts a polynomial through one plan
+    (IntegerForm.plan) read once per (subset, q).  stats counts the
+    restrictions (the plan reads, plus the forms fixed each time the arity
+    drops) and the sign evaluations of the class splits.
     """
     oracle = MembershipOracle(points, relation)
     k = relation.arity
@@ -358,26 +360,9 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
         res = max_homogeneous(OrderedPointSet(d, coords), lower)
         return [indices[i - 1] for i in res.subset]
 
-    def restrict(form: IntegerForm, fixed: dict) -> IntegerForm:
-        stats["restrictions"] += 1
-        return form.restrict(fixed)
-
     chosen: list[int] = list(range(k - 2))       # positions into coords
     survivors = list(range(k - 2, len(coords)))
     level_log: list[int] = []
-
-    # cache[(poly, prefix-positions)] = form with the first k-2 slots fixed,
-    # leaving the last two slots (2d variables) free
-    prefix_cache: dict[tuple, IntegerForm] = {}
-
-    def prefix_restricted(pi: int, prefix: tuple) -> IntegerForm:
-        key = (pi, prefix)
-        got = prefix_cache.get(key)
-        if got is None:
-            fixed = {slot * d + c: v for slot, pos in enumerate(prefix)
-                     for c, v in enumerate(coords[pos])}
-            got = prefix_cache[key] = restrict(forms[pi], fixed)
-        return got
 
     # The distinct atoms grouped by polynomial, in (poly_index, cmp) order,
     # with their truth values indexed by sign: truths[s] for s in 0, 1, -1.
@@ -388,6 +373,10 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
     truths_by_poly = {pi: tuple(tuple(a.holds(s) for a in atoms)
                                 for s in (0, 1, -1))
                       for pi, atoms in atoms_by_poly.items()}
+    # One restriction plan per polynomial with an atom: its first k-1
+    # slots fixed, read at each ((k-2)-subset of chosen, q), leaving w.
+    plans = [(forms[pi].plan(range((k - 1) * d)), truths)
+             for pi, truths in truths_by_poly.items()]
 
     while survivors:
         q = survivors.pop(0)
@@ -399,12 +388,13 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
         # without variables has one sign for every w and splits no class,
         # so it is left out.
         restricted: list[tuple[IntegerForm, tuple]] = []
-        fixed = dict(enumerate(coords[q]))
         for prefix in itertools.combinations(chosen[:-1], k - 2):
-            for pi, truths in truths_by_poly.items():
-                form = restrict(prefix_restricted(pi, prefix), fixed)
+            values = [v for pos in (*prefix, q) for v in coords[pos]]
+            for read, truths in plans:
+                form = read(values)
                 if any(any(e) for e in form.terms):
                     restricted.append((form, truths))
+            stats["restrictions"] += len(plans)
         # One truth column per restricted form over all survivors, zipped
         # into the survivors' signatures; with no form, one class of ().
         signs = _int_signs([form for form, _ in restricted],
@@ -425,9 +415,10 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
     last = chosen[-1]
     rest = chosen[:-1]
     fixed = {(k - 1) * d + c: v for c, v in enumerate(coords[last])}
+    stats["restrictions"] += len(forms)
     inner = _greedy_level([coords[i] for i in rest],
                           [indices[i] for i in rest],
-                          [restrict(f, fixed) for f in forms], relation,
+                          [f.restrict(fixed) for f in forms], relation,
                           k - 1, stats)
     return inner + [indices[last]]
 
@@ -704,7 +695,8 @@ def find_bad_triples(points: OrderedPointSet, relation: SemiAlgebraicRelation):
     univariate polynomial vanishes at a third point.  Returns
     (sorted_bad_triples, skipped_zero_restrictions).  The integer forms
     are pinned at L = M of the scaled points (OrderedPointSet.scaled), and
-    x -> x/M keeps zero polynomials, degrees and signs.
+    x -> x/M keeps zero polynomials, degrees and signs; each form has one
+    restriction plan (IntegerForm.plan) per slot pair, read at every pair.
     """
     if relation.arity != 3 or relation.point_dim != 1:
         raise ArgumentError("bad triples are defined for ternary relations on the line")
@@ -715,19 +707,19 @@ def find_bad_triples(points: OrderedPointSet, relation: SemiAlgebraicRelation):
     bad: set[tuple] = set()
     skipped: list[tuple] = []
     slot_pairs = (((1, 2), 0), ((0, 2), 1), ((0, 1), 2))  # fixed slots, free slot
+    plans = [(pi, form.plan(fixed_slots), free) for pi, form in enumerate(forms)
+             for fixed_slots, free in slot_pairs]
     for a in range(n):
         for b in range(a + 1, n):
             family = []
-            for pi, form in enumerate(forms):
-                for fixed_slots, free in slot_pairs:
-                    restricted = form.restrict({fixed_slots[0]: vals[a],
-                                                fixed_slots[1]: vals[b]})
-                    if not restricted.terms:
-                        skipped.append((a + 1, b + 1, pi, free))
-                        continue
-                    if not any(e[0] for e in restricted.terms):
-                        continue
-                    family.append(restricted)
+            for pi, read, free in plans:
+                restricted = read((vals[a], vals[b]))
+                if not restricted.terms:
+                    skipped.append((a + 1, b + 1, pi, free))
+                    continue
+                if not any(e[0] for e in restricted.terms):
+                    continue
+                family.append(restricted)
             for column in _int_signs(family, scaled):
                 for c, s in enumerate(column):
                     if not s and c != a and c != b:

@@ -465,6 +465,83 @@ def test_family_reader_equals_each_form_alone(seed):
     assert _int_signs(family, []) == [[] for _ in family]
 
 
+# Small values make cancellations in a read common; 2^70 keeps big ints in.
+plan_values = st.integers(-3, 3) | st.sampled_from([2 ** 70, -(2 ** 70) + 1])
+
+
+@st.composite
+def int_forms(draw):
+    """Int forms in 0..4 variables, the zero form among them, with
+    coefficients up to about 2^200."""
+    n = draw(st.integers(0, 4))
+    exponents = st.tuples(*[st.integers(0, 3) for _ in range(n)])
+    coefficient = st.integers(-5, 5).filter(bool) | st.sampled_from(
+        [2 ** 200, -(2 ** 200) + 7])
+    return IntegerForm(n, draw(st.dictionaries(exponents, coefficient,
+                                               max_size=8)))
+
+
+def times_root(form: IntegerForm, var: int, value: int) -> IntegerForm:
+    """form * (x_var - value): it vanishes identically once x_var = value."""
+    pairs = []
+    for e, c in form.terms.items():
+        pairs.append((e[:var] + (e[var] + 1,) + e[var + 1:], c))
+        pairs.append((e, -value * c))
+    terms: dict = {}
+    for e, c in pairs:
+        terms[e] = terms.get(e, 0) + c
+    return IntegerForm(form.num_vars, {e: c for e, c in terms.items() if c})
+
+
+@st.composite
+def plan_cases(draw):
+    """(form, fixed, values, rows): a form, fixed variables in any order
+    (a prefix or not), int values for them, and rows for the kept
+    variables.  Half the forms with a fixed variable are multiplied by
+    x_j - v for its first one, so that their read vanishes identically."""
+    form = draw(int_forms())
+    n = form.num_vars
+    fixed = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    values = [draw(plan_values) for _ in fixed]
+    if fixed and draw(st.booleans()):
+        form = times_root(form, fixed[0], values[0])
+    rows = draw(st.lists(st.lists(plan_values, min_size=n - len(fixed),
+                                  max_size=n - len(fixed)), max_size=4))
+    return form, fixed, values, rows
+
+
+@given(plan_cases())
+@example((IntegerForm(3, {}), [1], [2], [[1, 1]]))        # zero form
+@example((IntegerForm(3, {(2, 0, 1): 4, (0, 1, 0): -1}), [0, 1], [3, -2],
+          [[1], [0], [-1]]))                               # a prefix
+@example((IntegerForm(3, {(2, 0, 1): 4, (0, 1, 3): -1}), [2, 0], [-1, 2],
+          [[1], [5]]))                                     # not a prefix
+@example((IntegerForm(3, {(0, 2, 0): 5, (0, 0, 1): 2}), [0], [7],
+          [[1, -3], [0, 0]]))                              # x0 does not occur
+@example((IntegerForm(2, {(1, 1): 1, (0, 1): -2}), [0], [2],
+          [[1], [-4]]))                                    # the read vanishes
+@example((IntegerForm(2, {(1, 1): 1, (0, 1): -2, (0, 2): 3}), [0], [2],
+          [[1], [-4]]))                                    # one monomial does
+@settings(max_examples=300, deadline=None)
+def test_plan_read_equals_restrict(case):
+    """A plan read is IntegerForm.restrict (`_substitute`) term map by term
+    map, and its restricted form, never compiled, reads the signs that
+    restrict + `_compile` reads, and the values of the whole form."""
+    form, fixed, values, rows = case
+    at = dict(zip(fixed, values))
+    planned, restricted = form.plan(fixed)(values), form.restrict(at)
+    assert planned.num_vars == restricted.num_vars == form.num_vars - len(at)
+    assert planned.terms == restricted.terms
+    assert all(type(c) is int for c in planned.terms.values())
+    assert restricted._loop is None
+    assert _int_signs([planned], rows) == _int_signs([restricted], rows)
+    rest = [i for i in range(form.num_vars) if i not in at]
+    for row in rows:
+        full = {**at, **dict(zip(rest, row))}
+        assert planned.kernel()(row) == form.kernel()(
+            [full[i] for i in range(form.num_vars)])
+
+
 def test_form_of_twenty_thousand_terms_reads_as_its_columns():
     """One term c * x0^i * x1^j per i <= 200, j < 100 but no constant, so
     the origin is a zero; per point reads equal the column signs."""
