@@ -194,13 +194,6 @@ class Hyperplane:
         """The point (a_1, ..., a_d, b) in R^{d+1} used by one_sided_relation."""
         return self.a + (self.b,)
 
-    def proportional_to(self, other: "Hyperplane") -> bool:
-        """Same hyperplane as a set (coefficient vectors parallel, same b ratio)."""
-        u, v = self.a + (self.b,), other.a + (other.b,)
-        k = next((i for i, x in enumerate(u) if x), None)
-        return (len(u) == len(v) and k is not None and v[k] != 0
-                and all(x * v[k] == y * u[k] for x, y in zip(u, v)))
-
 
 class Arrangement:
     """Ordered list of hyperplanes in a common dimension."""

@@ -125,10 +125,6 @@ def instance_from_json(data: dict) -> ConstructionInstance:
     )
 
 
-def hypergraph_to_json(graph: Hypergraph3) -> dict:
-    return {"n": graph.n, "edges": sorted(list(e) for e in graph.edges)}
-
-
 def hypergraph_from_json(data: dict) -> Hypergraph3:
     return Hypergraph3.make(data["n"], data["edges"])
 
@@ -141,12 +137,6 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 def hyperplane_from_json(data: dict) -> Hyperplane:
     return Hyperplane.make([fraction_from_json(c) for c in data["a"]],
                            fraction_from_json(data["b"]))
-
-
-def arrangement_to_json(arr: Arrangement) -> dict:
-    return {"dim": arr.dim,
-            "hyperplanes": [hyperplane_to_json(arr.hyperplane(i))
-                            for i in range(1, len(arr) + 1)]}
 
 
 def arrangement_from_json(data: dict) -> Arrangement:
@@ -163,25 +153,10 @@ def result_to_json(res: HomogeneousResult) -> dict:
     }
 
 
-def result_from_json(data: dict) -> HomogeneousResult:
-    return HomogeneousResult(
-        subset=tuple(data["subset"]),
-        polarity=data["polarity"],
-        certified=data["certified"],
-        stats=data.get("stats", {}),
-    )
-
-
 def coloring_to_json(col: TransitiveColoring) -> dict:
     return {"n": col.n,
             "triples": [{"t": list(t), "color": c}
                         for t, c in sorted(col.colors.items())]}
-
-
-def coloring_from_json(data: dict) -> TransitiveColoring:
-    return TransitiveColoring(
-        data["n"],
-        {tuple(row["t"]): row["color"] for row in data["triples"]})
 
 
 def jsonable(value: Any) -> Any:

@@ -15,11 +15,12 @@ of forms in one pass with one column per power and per term, the
 coordinate and power columns shared by the whole family
 (`IntegerForm.signs` is the one-form case).  `eval` and `sign` clear a
 point to (X, L); a point set scaled by M reads H with L fixed at M.
-Restricting a form at int values gives another.  A one-off restriction
-(L fixed at M once per polynomial, the greedy's arity drop) goes through
-`IntegerForm.restrict`; a form restricted at the same variables at many
-points (the greedy's class split, the bad-triple scan) goes through one
-plan (`IntegerForm.plan`), whose reads hand each restricted form its
+Restricting a form at int values gives another.  Every substitution
+runs through one restriction plan (`_plan`), whose arithmetic does not
+depend on the coefficient type: `IntegerForm.plan` reads one plan at many
+points (the greedy's class split, the bad-triple scan), and both
+`restrict` methods read a plan once (L fixed at M, the greedy's arity
+drop; a rational term map).  A read hands the restricted form its
 compiled table, so it is never compiled itself.
 Univariate division runs in integers too, through the one pseudo-division
 loop `_pseudo_divmod` that every Sturm chain uses.
@@ -126,11 +127,6 @@ class MultivariatePolynomial:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, index: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[index] for e in self.terms)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultivariatePolynomial)
@@ -259,25 +255,52 @@ class MultivariatePolynomial:
         for i in fixed:
             if not 0 <= i < self.num_vars:
                 raise ArgumentError(f"fixed variable {i} out of range")
+        num_vars, read = _plan(self.terms, self.num_vars, list(fixed))
         return MultivariatePolynomial._from_terms(
-            self.num_vars - len(fixed),
-            _substitute(self.terms, {i: _coef(v) for i, v in fixed.items()},
-                        self.num_vars))
+            num_vars, read([_coef(v) for v in fixed.values()])[0])
 
 
-def _substitute(terms: dict, fixed: Mapping[int, Scalar], num_vars: int) -> dict:
-    """Term map of `terms` with each variable of `fixed` replaced by its
-    value, the other variables kept in order.  Coefficients and values are
-    Fractions or ints alike."""
-    keep = [i for i in range(num_vars) if i not in fixed]
-    pairs = []
+def _plan(terms: dict, num_vars: int, fixed: Sequence[int]) -> tuple:
+    """(number of kept variables, read): read(values) gives the term map
+    `terms` restricted at the variables `fixed` (distinct indices, in any
+    order) set to `values` in that order, the other variables kept in
+    order, with the (powers, terms) table of the two readers for its
+    nonzero coefficients.  Coefficients and values are ints or Fractions
+    alike.
+
+    The terms are grouped once by their exponents in the kept variables,
+    each group with one table of the fixed variables' powers, and the kept
+    monomials compiled once (`_compile`).  A read raises each fixed power
+    once and sums one coefficient per kept monomial.
+    """
+    keep = sorted(set(range(num_vars)).difference(fixed))
+    groups: dict[tuple[int, ...], list] = {}
     for e, c in terms.items():
-        for i, v in fixed.items():
-            k = e[i]
-            if k:
-                c = c * v ** k
-        pairs.append((tuple(e[i] for i in keep), c))
-    return _sum_terms(pairs)
+        groups.setdefault(tuple([e[i] for i in keep]), []).append(
+            (c, [(j, e[v]) for j, v in enumerate(fixed) if e[v]]))
+    fixed_powers = sorted({f for group in groups.values()
+                           for _, fs in group for f in fs})
+    index = {f: j for j, f in enumerate(fixed_powers)}
+    powers, slots = _compile(dict.fromkeys(groups, 1))
+    rows = [(key, factors, [(c, [index[f] for f in fs]) for c, fs in group])
+            for (key, group), (_, factors) in zip(groups.items(), slots)]
+
+    def read(values: Sequence[Scalar]) -> tuple[dict, tuple]:
+        table = [values[j] ** k for j, k in fixed_powers]
+        restricted = {}
+        loop = []
+        for key, factors, group in rows:
+            total = 0
+            for c, fs in group:
+                for j in fs:
+                    c *= table[j]
+                total += c
+            if total:
+                restricted[key] = total
+                loop.append((total, factors))
+        return restricted, (powers, tuple(loop))
+
+    return len(keep), read
 
 
 def _compile(terms: dict) -> tuple:
@@ -402,52 +425,21 @@ class IntegerForm:
 
     def restrict(self, fixed: Mapping[int, int]) -> "IntegerForm":
         """Substitute int values for some variables; the others are
-        re-indexed in order, as in MultivariatePolynomial.restrict."""
-        return IntegerForm(self.num_vars - len(fixed),
-                           _substitute(self.terms, fixed, self.num_vars))
+        re-indexed in order, as in MultivariatePolynomial.restrict.  One
+        read of `plan`."""
+        return self.plan(list(fixed))(list(fixed.values()))
 
     def plan(self, fixed: Sequence[int]) -> Callable[[Sequence[int]], "IntegerForm"]:
         """read(values), this form restricted at the variables `fixed`
-        (distinct indices) set to `values` in that order: the same form as
-        self.restrict(dict(zip(fixed, values))), for one form restricted at
-        many points.
-
-        The terms are grouped once by their exponents in the kept
-        variables, each group with one table of the fixed variables'
-        powers, and the kept monomials compiled once into the (powers,
-        terms) table of the two readers.  A read raises each fixed power
-        once, sums one coefficient per kept monomial and hands the
-        restricted form that table with its nonzero coefficients, so the
-        form is never compiled.
-        """
-        keep = sorted(set(range(self.num_vars)).difference(fixed))
-        groups: dict[tuple[int, ...], list] = {}
-        for e, c in self.terms.items():
-            groups.setdefault(tuple([e[i] for i in keep]), []).append(
-                (c, [(j, e[v]) for j, v in enumerate(fixed) if e[v]]))
-        fixed_powers = sorted({f for group in groups.values()
-                               for _, fs in group for f in fs})
-        index = {f: j for j, f in enumerate(fixed_powers)}
-        powers, slots = _compile(dict.fromkeys(groups, 1))
-        rows = [(key, factors, [(c, [index[f] for f in fs]) for c, fs in group])
-                for (key, group), (_, factors) in zip(groups.items(), slots)]
-        num_vars = len(keep)
+        (distinct indices) set to `values` in that order, for one form
+        restricted at many points: one `_plan`, whose reads hand each
+        restricted form its compiled table, so it is never compiled."""
+        num_vars, read_terms = _plan(self.terms, self.num_vars, fixed)
 
         def read(values: Sequence[int]) -> IntegerForm:
-            table = [values[j] ** k for j, k in fixed_powers]
-            terms = {}
-            loop = []
-            for key, factors, group in rows:
-                total = 0
-                for c, fs in group:
-                    for j in fs:
-                        c *= table[j]
-                    total += c
-                if total:
-                    terms[key] = total
-                    loop.append((total, factors))
+            terms, loop = read_terms(values)
             form = IntegerForm(num_vars, terms)
-            form._loop = (powers, tuple(loop))
+            form._loop = loop
             return form
 
         return read

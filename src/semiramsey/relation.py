@@ -431,11 +431,12 @@ def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
     int).
 
     The coordinates are scaled to integers X once (`OrderedPointSet.scaled`:
-    one LCM M), and each polynomial is read through its integer form with L
-    fixed at M * denominator, the whole family in one pass of the column
-    reader (`poly._int_signs`), so no value is formed.  M * denominator
-    is refused above MAX_BITS bits.  The points must have as many
-    coordinates as every polynomial has variables.
+    one LCM M), and the polynomials' integer forms H are read at the rows
+    [*X, M * denominator], as `eval_membership` reads them, the whole
+    family in one pass of the column reader (`poly._int_signs`), so no
+    value is formed and no form is restricted.  M * denominator is refused
+    above MAX_BITS bits.  The points must have as many coordinates as every
+    polynomial has variables.
     """
     if type(denominator) is not int or denominator < 1:
         raise ArgumentError(
@@ -455,8 +456,8 @@ def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
     if scale.bit_length() > MAX_BITS:
         raise ResourceLimitError(
             f"common denominator of the points exceeds {MAX_BITS} bits")
-    return len(set(zip(*_int_signs(
-        [p.integer_form().restrict({dim: scale}) for p in polys], scaled))))
+    return len(set(zip(*_int_signs([p.integer_form() for p in polys],
+                                   [[*x, scale] for x in scaled]))))
 
 
 def milnor_thom_bound(max_degree: int, family_size: int, dim: int) -> int:

@@ -81,9 +81,6 @@ class SeededRng:
         return Fraction(ln * hd * denominator + (hn * ld - ln * hd) * k,
                         ld * hd * denominator)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i)

@@ -21,7 +21,7 @@ from .errors import (MAX_ROUNDS, ArgumentError, BudgetExhaustedError,
                      PreconditionError, ResourceLimitError)
 from .poly import IntegerForm, MultivariatePolynomial, _int_signs
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
-                       eval_membership, membership_reader, milnor_thom_bound)
+                       eval_membership, membership_reader)
 from .rng import SeededRng
 
 
@@ -421,21 +421,6 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
                           [f.restrict(fixed) for f in forms], relation,
                           k - 1, stats)
     return inner + [indices[last]]
-
-
-def greedy_class_bound_check(relation: SemiAlgebraicRelation,
-                             classes_at_step: int, chosen: int) -> bool | None:
-    """Compare an observed class count at a greedy step against the sign-
-    pattern bound for the restricted family (None when the bound's
-    hypotheses do not apply)."""
-    k = relation.arity
-    d = relation.point_dim
-    t = len(relation.polys)
-    family = t * math.comb(chosen, k - 2)
-    deg = max((p.degree() for p in relation.polys), default=0)
-    if d < 2 or family < d or deg < 1:
-        return None
-    return classes_at_step <= milnor_thom_bound(deg, family, d)
 
 
 # -- monotone subsequences ----------------------------------------------------

@@ -1,9 +1,10 @@
-"""Reference polynomial evaluation for the test suite.
+"""Reference polynomial evaluation and substitution for the test suite.
 
-This is the Fraction loop that MultivariatePolynomial.eval ran before it
-cleared denominators: every term is multiplied out and summed as an exact
-Fraction.  It reads only a polynomial's term map and shares no code with
-the integer kernel under test.
+`eval_fraction` is the Fraction loop that MultivariatePolynomial.eval ran
+before it cleared denominators: every term is multiplied out and summed
+as an exact Fraction.  `substitute` is the term-by-term loop that both
+`restrict` methods ran before the restriction plan.  Both read only a term
+map and share no code with the package under test.
 """
 
 from __future__ import annotations
@@ -23,3 +24,19 @@ def eval_fraction(terms: dict, point) -> Fraction:
                 v *= x ** k
         total += v
     return total
+
+
+def substitute(terms: dict, fixed: dict, num_vars: int) -> dict:
+    """Term map of terms with each variable of fixed replaced by its value
+    and the other variables kept in order: each term multiplied out in
+    turn, equal exponents summed, zero sums dropped.  Coefficients and
+    values are ints or Fractions alike."""
+    keep = [i for i in range(num_vars) if i not in fixed]
+    out: dict = {}
+    for e, c in terms.items():
+        for i, v in fixed.items():
+            if e[i]:
+                c = c * v ** e[i]
+        key = tuple(e[i] for i in keep)
+        out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}

@@ -201,7 +201,7 @@ def test_criterion_08_milnor_thom_empirical():
     while families < 100:
         trial += 1
         t_rng = rng.derive(f"family-{trial}")
-        d = t_rng.choice([2, 3])
+        d = [2, 3][t_rng.randint(0, 1)]
         r = t_rng.randint(d, 6)
         polys = []
         while len(polys) < r:

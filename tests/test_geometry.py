@@ -41,6 +41,14 @@ def line(a1, a2, b) -> Hyperplane:
     return Hyperplane.make([F(a1), F(a2)], F(b))
 
 
+def proportional_to(h: Hyperplane, other: Hyperplane) -> bool:
+    """Same hyperplane as a set: (a, b) vectors of equal length, parallel."""
+    u, v = h.a + (h.b,), other.a + (other.b,)
+    k = next((i for i, x in enumerate(u) if x), None)
+    return (len(u) == len(v) and k is not None and v[k] != 0
+            and all(x * v[k] == y * u[k] for x, y in zip(u, v)))
+
+
 # -- determinants -----------------------------------------------------------------
 
 
@@ -287,7 +295,7 @@ def test_projection_onto_axis_plane():
     assert projected.dim == 2
     member = projected.hyperplane(1)
     # x1 + x2 = 1 in the chart, up to scaling.
-    assert member.proportional_to(line(1, 1, 1))
+    assert proportional_to(member, line(1, 1, 1))
     # The pivot here IS the floor, so the floor has no chart image.
     assert floor_image is None
 
@@ -298,13 +306,13 @@ def test_projection_floor_image_of_tilted_pivot():
     # Chart drops x3 (largest tied coefficient wins): floor x3 = 0 maps to
     # -x1 = -2, i.e. the line x1 = 2.
     assert floor_image is not None
-    assert floor_image.proportional_to(line(1, 0, 2))
+    assert proportional_to(floor_image, line(1, 0, 2))
 
 
 def test_projection_onto_tilted_plane():
     arr = Arrangement(3, [plane(1, 1, 1, 3), plane(0, 0, 1, 1)])
     projected, _ = project_onto_hyperplane(arr, 1)
-    assert projected.hyperplane(1).proportional_to(line(-1, -1, -2))
+    assert proportional_to(projected.hyperplane(1), line(-1, -1, -2))
 
 
 def test_projection_rejects_parallel_member():
@@ -514,9 +522,9 @@ def test_is_one_sided_solves_each_subset_once(monkeypatch):
 
 
 def test_proportional_to_rejects_other_hyperplanes():
-    assert line(1, 1, 1).proportional_to(line(-2, -2, -2))
-    assert line(0, 3, 0).proportional_to(line(0, -1, 0))
-    assert not line(1, 1, 1).proportional_to(line(1, 1, 2))
-    assert not line(1, 0, 1).proportional_to(line(1, 1, 1))
-    assert not line(1, 2, 0).proportional_to(line(2, 1, 0))
-    assert not line(1, 1, 0).proportional_to(plane(1, 1, 0, 0))
+    assert proportional_to(line(1, 1, 1), line(-2, -2, -2))
+    assert proportional_to(line(0, 3, 0), line(0, -1, 0))
+    assert not proportional_to(line(1, 1, 1), line(1, 1, 2))
+    assert not proportional_to(line(1, 0, 1), line(1, 1, 1))
+    assert not proportional_to(line(1, 2, 0), line(2, 1, 0))
+    assert not proportional_to(line(1, 1, 0), plane(1, 1, 0, 0))

@@ -8,10 +8,10 @@ from semiramsey import jsonio
 from semiramsey.constructions import ConstructionInstance, base_construction
 from semiramsey.errors import (ArgumentError, MAX_DEGREE, MAX_FORMULA_DEPTH,
                                ResourceLimitError)
-from semiramsey.geometry import Arrangement, Hyperplane
+from semiramsey.geometry import Hyperplane
 from semiramsey.poly import MultivariatePolynomial as Poly
 from semiramsey.relation import Formula, OrderedPointSet, SemiAlgebraicRelation
-from semiramsey.solvers import HomogeneousResult, Hypergraph3, TransitiveColoring
+from semiramsey.solvers import HomogeneousResult, TransitiveColoring
 
 
 # -- rationals ------------------------------------------------------------
@@ -156,11 +156,10 @@ def test_instance_with_high_degree_polynomial_is_refused():
 
 
 def test_hypergraph_round_trip_normalizes_edges():
-    graph = Hypergraph3.make(6, [(4, 5, 6), (1, 2, 3)])
-    data = jsonio.hypergraph_to_json(graph)
-    assert data == {"n": 6, "edges": [[1, 2, 3], [4, 5, 6]]}
-    again = jsonio.hypergraph_from_json(data)
-    assert again.n == 6 and again.edges == graph.edges
+    graph = jsonio.hypergraph_from_json(
+        {"n": 6, "edges": [[4, 5, 6], [3, 1, 2], [1, 2, 3]]})
+    assert graph.n == 6
+    assert graph.edges == frozenset({(1, 2, 3), (4, 5, 6)})
 
 
 def test_hyperplane_round_trip():
@@ -170,34 +169,37 @@ def test_hyperplane_round_trip():
 
 
 def test_arrangement_round_trip():
-    arr = Arrangement(2, [Hyperplane.make([F(1), F(0)], F(2)),
-                          Hyperplane.make([F(0), F(1)], F(-1))])
-    data = jsonio.arrangement_to_json(arr)
-    again = jsonio.arrangement_from_json(data)
-    assert again.dim == 2
-    assert [again.hyperplane(i) for i in (1, 2)] == \
-        [arr.hyperplane(i) for i in (1, 2)]
+    arr = jsonio.arrangement_from_json(
+        {"dim": 2, "hyperplanes": [{"a": ["1", "0"], "b": "2"},
+                                   {"a": [0, "1/2"], "b": "-1"}]})
+    assert arr.dim == 2
+    assert [arr.hyperplane(i) for i in (1, 2)] == [
+        Hyperplane.make([F(1), F(0)], F(2)),
+        Hyperplane.make([F(0), F(1, 2)], F(-1))]
 
 
 # -- solver results ----------------------------------------------------------
 
 
-def test_result_round_trip():
+def test_result_to_json_is_a_literal_dict():
     res = HomogeneousResult(subset=(1, 2, 3), polarity="in", certified=True,
-                            stats={"nodes": 17, "maximum": True, "method": "branch-and-bound"})
-    again = jsonio.result_from_json(jsonio.result_to_json(res))
-    assert again.subset == (1, 2, 3)
-    assert again.polarity == "in"
-    assert again.certified is True
-    assert again.stats["nodes"] == 17
+                            stats={"nodes": 17, "maximum": True,
+                                   "method": "branch-and-bound",
+                                   "ratio": F(1, 3), "levels": [(1, 2)]})
+    assert jsonio.result_to_json(res) == {
+        "subset": [1, 2, 3], "polarity": "in", "certified": True,
+        "stats": {"nodes": 17, "maximum": True, "method": "branch-and-bound",
+                  "ratio": "1/3", "levels": [[1, 2]]}}
 
 
-def test_coloring_round_trip():
-    col = TransitiveColoring(4, {(1, 2, 3): "red", (1, 2, 4): "blue",
-                                 (1, 3, 4): "red", (2, 3, 4): "red"})
-    again = jsonio.coloring_from_json(jsonio.coloring_to_json(col))
-    assert again.n == 4
-    assert again.colors == col.colors
+def test_coloring_to_json_is_a_literal_dict():
+    col = TransitiveColoring(4, {(2, 3, 4): "red", (1, 2, 4): "blue",
+                                 (1, 3, 4): "red", (1, 2, 3): "red"})
+    assert jsonio.coloring_to_json(col) == {
+        "n": 4, "triples": [{"t": [1, 2, 3], "color": "red"},
+                            {"t": [1, 2, 4], "color": "blue"},
+                            {"t": [1, 3, 4], "color": "red"},
+                            {"t": [2, 3, 4], "color": "red"}]}
 
 
 # -- canonical dumps ----------------------------------------------------------

@@ -114,8 +114,6 @@ def test_equality_and_hash_are_structural():
 def test_degree_and_degree_in():
     p = x(0, 2) ** 3 * x(1, 2) + x(1, 2) ** 2
     assert p.degree() == 4
-    assert p.degree_in(0) == 3
-    assert p.degree_in(1) == 2
 
 
 def test_power_matches_repeated_multiplication():
@@ -417,12 +415,13 @@ def seeded_forms(seed: int) -> list[IntegerForm]:
     coefficients near 2^200, some forms with no terms at all."""
     rng = SeededRng(seed)
     forms = []
+    big = [0, 2 ** 200, -2 ** 200 + 1]
     for _ in range(40):
         n = rng.randint(0, 3)
         terms = {}
         for _ in range(rng.randint(0, 6)):
             e = tuple(rng.randint(0, 3) * rng.randint(0, 1) for _ in range(n))
-            c = rng.randint(-5, 5) + rng.choice([0, 2 ** 200, -2 ** 200 + 1])
+            c = rng.randint(-5, 5) + big[rng.randint(0, len(big) - 1)]
             terms[e] = terms.get(e, 0) + c
         forms.append(IntegerForm(n, {e: c for e, c in terms.items() if c}))
     return forms
@@ -440,7 +439,7 @@ def test_column_signs_equal_per_point_signs(seed):
     for form in special + seeded_forms(seed):
         n = form.num_vars
         for size in (0, 1, 2, 9):
-            rows = [[rng.randint(-4, 4) * rng.choice([1, 2 ** 70])
+            rows = [[rng.randint(-4, 4) * [1, 2 ** 70][rng.randint(0, 1)]
                      for _ in range(n)] for _ in range(size)]
             assert form.signs(rows) == [sign(form.kernel()(x)) for x in rows]
     assert IntegerForm(2, {}).signs([[1, 2], [0, 0]]) == [0, 0]
@@ -524,17 +523,20 @@ def plan_cases(draw):
           [[1], [-4]]))                                    # one monomial does
 @settings(max_examples=300, deadline=None)
 def test_plan_read_equals_restrict(case):
-    """A plan read is IntegerForm.restrict (`_substitute`) term map by term
-    map, and its restricted form, never compiled, reads the signs that
-    restrict + `_compile` reads, and the values of the whole form."""
+    """A plan read, IntegerForm.restrict and MultivariatePolynomial.restrict
+    each give the substitution oracle's term map; the planned form, never
+    compiled, reads the signs that the oracle's form reads after
+    `_compile`, and the values of the whole form."""
     form, fixed, values, rows = case
     at = dict(zip(fixed, values))
+    want = oracle_eval.substitute(form.terms, at, form.num_vars)
     planned, restricted = form.plan(fixed)(values), form.restrict(at)
     assert planned.num_vars == restricted.num_vars == form.num_vars - len(at)
-    assert planned.terms == restricted.terms
+    assert planned.terms == restricted.terms == want
     assert all(type(c) is int for c in planned.terms.values())
-    assert restricted._loop is None
-    assert _int_signs([planned], rows) == _int_signs([restricted], rows)
+    assert Poly(form.num_vars, form.terms).restrict(at).terms == want
+    assert _int_signs([planned], rows) == _int_signs(
+        [IntegerForm(planned.num_vars, want)], rows)
     rest = [i for i in range(form.num_vars) if i not in at]
     for row in rows:
         full = {**at, **dict(zip(rest, row))}
@@ -542,11 +544,40 @@ def test_plan_read_equals_restrict(case):
             [full[i] for i in range(form.num_vars)])
 
 
+@st.composite
+def restrict_cases(draw):
+    """(p, fixed): a Fraction polynomial and Fraction values for some of its
+    variables, the keys in any order."""
+    p = draw(polynomials(max_vars=4))
+    order = draw(st.permutations(range(p.num_vars)))
+    size = draw(st.integers(0, p.num_vars))
+    return p, {i: draw(rationals) for i in order[:size]}
+
+
+@given(restrict_cases())
+@example((Poly(3, {(0, 2, 1): F(3, 2), (0, 0, 0): F(-1, 3)}),
+          {0: F(5, 7)}))                                 # x0 does not occur
+@example((Poly(3, {(2, 1, 1): F(1, 2), (1, 0, 2): F(-4, 3), (0, 1, 0): F(2)}),
+          {2: F(-1, 2), 0: F(3, 4)}))                    # keys out of order
+@example((Poly(2, {(2, 1): F(4, 9), (0, 1): F(-1)}),
+          {0: F(3, 2)}))                                 # cancels to zero
+@settings(max_examples=150, deadline=None)
+def test_poly_restrict_equals_the_substitution_oracle(case):
+    """MultivariatePolynomial.restrict at Fraction values, over Fraction
+    coefficients, is the oracle's term map in the kept variables."""
+    p, fixed = case
+    restricted = p.restrict(fixed)
+    assert restricted.num_vars == p.num_vars - len(fixed)
+    assert restricted.terms == oracle_eval.substitute(p.terms, fixed,
+                                                       p.num_vars)
+    assert all(type(c) is F and c for c in restricted.terms.values())
+
+
 def test_form_of_twenty_thousand_terms_reads_as_its_columns():
     """One term c * x0^i * x1^j per i <= 200, j < 100 but no constant, so
     the origin is a zero; per point reads equal the column signs."""
     rng = SeededRng(5)
-    form = IntegerForm(2, {(i, j): rng.choice([-1, 1]) * rng.randint(1, 2 ** 40)
+    form = IntegerForm(2, {(i, j): [-1, 1][rng.randint(0, 1)] * rng.randint(1, 2 ** 40)
                            for i in range(201) for j in range(100) if i or j})
     assert len(form.terms) > 20_000
     rows = [[0, 0]] + [[rng.randint(-3, 3), rng.randint(-3, 3)]

@@ -171,11 +171,12 @@ def random_formula(rng: SeededRng, depth: int, pool: list) -> Formula:
     into `pool` and may be picked again as a child, so subtrees are shared;
     AND and OR get 0 to 3 children."""
     if pool and rng.randint(0, 3) == 0:
-        return rng.choice(pool)
-    op = "atom" if depth == 0 else rng.choice(["atom", "and", "or", "not"])
+        return pool[rng.randint(0, len(pool) - 1)]
+    op = ("atom" if depth == 0
+          else ["atom", "and", "or", "not"][rng.randint(0, 3)])
     if op == "atom":
         node = Formula.leaf(rng.randint(0, len(COMPILED_POLYS) - 1),
-                            rng.choice(["ge", "gt", "eq"]))
+                            ["ge", "gt", "eq"][rng.randint(0, 2)])
     elif op == "not":
         node = Formula.negation(random_formula(rng, depth - 1, pool))
     else:
@@ -209,10 +210,12 @@ def test_compiled_decider_matches_the_recursive_oracle(seed, monkeypatch):
     seen_signs: set = set()
     seen_ops: set = set()
     shared = 0
+    last = len(COMPILED_VALUES) - 1
     for _ in range(300):
         formula = random_formula(rng, 4, [])
         relation = SemiAlgebraicRelation(2, 1, COMPILED_POLYS, formula)
-        coords = [rng.choice(COMPILED_VALUES), rng.choice(COMPILED_VALUES)]
+        coords = [COMPILED_VALUES[rng.randint(0, last)],
+                  COMPILED_VALUES[rng.randint(0, last)]]
 
         def truth(atom):
             value = oracle_eval.eval_fraction(
@@ -259,7 +262,7 @@ def test_formula_nested_three_hundred_deep_matches_the_recursive_oracle():
 
     def leaf():
         return Formula.leaf(rng.randint(0, len(COMPILED_POLYS) - 1),
-                            rng.choice(["ge", "gt", "eq"]))
+                            ["ge", "gt", "eq"][rng.randint(0, 2)])
     node = leaf()
     for _ in range(150):
         node = Formula.all_of([leaf(), Formula.any_of([leaf(), node])])
@@ -292,8 +295,9 @@ def test_helpers_of_shared_and_deep_nodes_are_built_once():
     layer = [Formula.leaf(i, cmp) for i in range(len(COMPILED_POLYS))
              for cmp in COMPARISONS]
     for _ in range(12):
-        layer = [_xor(rng.choice(layer), rng.choice(layer))
-                 for _ in range(200)]
+        last = len(layer) - 1
+        layer = [_xor(layer[rng.randint(0, last)],
+                      layer[rng.randint(0, last)]) for _ in range(200)]
     while len(layer) > 1:
         layer = [_xor(*layer[i:i + 2]) if i + 1 < len(layer) else layer[i]
                  for i in range(0, len(layer), 2)]
