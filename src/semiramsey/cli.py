@@ -200,12 +200,12 @@ def cmd_solve_monotone(args) -> int:
     if (args.values is None) == (args.input is None):
         raise ArgumentError("give exactly one of --values or --input")
     if args.values is not None:
-        raw = [v for v in args.values.split(",") if v.strip()]
+        raw = [v.strip() for v in args.values.split(",") if v.strip()]
     else:
         raw = _read_json(args.input)
         if not isinstance(raw, list):
             raise ArgumentError("--input must hold a JSON array of rationals")
-    values = [jsonio.fraction_from_json(str(v).strip()) for v in raw]
+    values = [jsonio.fraction_from_json(v) for v in raw]
     sub = solvers.longest_monotone_subsequence(values)
     increasing = len(sub) < 2 or sub[0] < sub[1]
     positions = sorted(values.index(v) + 1 for v in sub)
@@ -449,6 +449,8 @@ def cmd_report_hom(args) -> int:
                      "hom": len(res.subset), "maximum": res.stats["maximum"]})
     sys.stdout.write(_table(rows, ["instance", "points", "hom", "maximum"],
                             args.format))
+    if not all(row["maximum"] for row in rows):
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 

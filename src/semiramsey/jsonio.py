@@ -1,18 +1,20 @@
 """Canonical JSON encoding for every object the command line exchanges.
 
-Rationals are encoded as exact strings ("3", "-1/2"), never floats.  dumps
-is deterministic: keys sorted, compact separators, one trailing newline, so
-equal objects serialize to identical bytes.
+Rationals are encoded as exact strings ("3", "-1/2"), never floats, and
+decoded from those strings or JSON ints alone.  dumps is deterministic:
+keys sorted, compact separators, one trailing newline, so equal objects
+serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
 from .errors import (ArgumentError, ResourceLimitError, MAX_DEGREE,
-                     MAX_FORMULA_DEPTH)
+                     MAX_DIGITS, MAX_FORMULA_DEPTH)
 from .geometry import Arrangement, Hyperplane
 from .poly import MultivariatePolynomial
 from .relation import Formula, OrderedPointSet, SemiAlgebraicRelation
@@ -20,19 +22,35 @@ from .constructions import ConstructionInstance
 from .solvers import Hypergraph3, HomogeneousResult, TransitiveColoring
 
 
+_RATIONAL = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?"
+                       % (MAX_DIGITS, MAX_DIGITS))
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
+
 def fraction_to_json(value) -> str:
-    return str(Fraction(value))
+    """"p" or "p/q", refused (ResourceLimitError) if p or q has more than
+    MAX_DIGITS digits, so that every interpreter prints it alike."""
+    value = Fraction(value)
+    if max(abs(value.numerator), value.denominator) >= _DIGIT_LIMIT:
+        raise ResourceLimitError(
+            f"a rational of more than {MAX_DIGITS} decimal digits to print")
+    return str(value)
 
 
 def fraction_from_json(data) -> Fraction:
-    if isinstance(data, bool):
-        raise ArgumentError(f"not a rational: {data!r}")
-    if isinstance(data, (int, str)):
-        try:
+    """The rational of a JSON int or of a string "p" or "p/q" as written,
+    in ASCII digits, p and q of at most MAX_DIGITS digits and q > 0; all
+    else (exponents, decimals, "_", whitespace, "+") is an ArgumentError."""
+    if type(data) is int:
+        if abs(data) < _DIGIT_LIMIT:
             return Fraction(data)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ArgumentError(f"not a rational: {data!r}") from exc
-    raise ArgumentError(f"not a rational: {data!r}")
+        raise ArgumentError(f"an int of more than {MAX_DIGITS} digits")
+    match = _RATIONAL.fullmatch(data) if type(data) is str else None
+    if match is not None:
+        denominator = int(match[2] or 1)
+        if denominator:
+            return Fraction(int(match[1]), denominator)
+    raise ArgumentError(f"not a rational: {data!r:.60}")
 
 
 def poly_to_json(p: MultivariatePolynomial) -> dict:

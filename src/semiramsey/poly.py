@@ -9,12 +9,11 @@ variable, the scale L (`integer_form`): every value and sign is H read at
 (X, L), with X = L * x for a rational point x.  One compiled form
 (`_compile`) has two readers: at one point, a straight-line function
 generated on first use (`_straight_line`, `IntegerForm.kernel`) that the
-relation's decider and `MultivariatePolynomial.eval` and `sign` call; at a
-whole point set, `_int_signs`, the one column reader, which reads a family
-of forms in one pass with one column per power and per term, the
-coordinate and power columns shared by the whole family
-(`IntegerForm.signs` is the one-form case).  `eval` and `sign` clear a
-point to (X, L); a point set scaled by M reads H with L fixed at M.
+relation's decider and `MultivariatePolynomial.eval` call; at a whole
+point set, `_int_signs`, the one column reader, which reads a family of
+forms in one pass with one column per power and per term, the coordinate
+and power columns shared by the whole family.  `eval` clears a point to
+(X, L); a point set scaled by M reads H with L fixed at M.
 Restricting a form at int values gives another.  Every substitution
 runs through one restriction plan (`_plan`), whose arithmetic does not
 depend on the coefficient type: `IntegerForm.plan` reads one plan at many
@@ -225,25 +224,15 @@ class MultivariatePolynomial:
                 for e, c in self.terms.items()}))
         return self._int_form[2]
 
-    def _total(self, point: Sequence[Scalar]) -> tuple[int, int]:
-        """(H(X, L), L) at a rational point, with X, L = _cleared(point)."""
+    def eval(self, point: Sequence[Scalar]) -> Fraction:
+        """Exact value at a rational point: H(X, L) / (B * L^D)."""
         if len(point) != self.num_vars:
             raise ArgumentError(
                 f"point has {len(point)} coordinates, polynomial has {self.num_vars} variables")
         xs, lcm = _cleared(point)
-        return self.integer_form().kernel()([*xs, lcm]), lcm
-
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point: H(X, L) / (B * L^D)."""
-        total, lcm = self._total(point)
+        total = self.integer_form().kernel()([*xs, lcm])
         scale, degree = self._int_form[:2]
         return Fraction(total, scale * lcm ** degree)
-
-    def sign(self, point: Sequence[Scalar]) -> int:
-        """-1, 0 or 1: the sign of the value at a rational point, read off
-        H(X, L) without forming the value (B * L^D > 0)."""
-        total = self._total(point)[0]
-        return (total > 0) - (total < 0)
 
     def restrict(self, fixed: Mapping[int, Scalar]) -> "MultivariatePolynomial":
         """Substitute values for a subset of variables.
@@ -359,7 +348,11 @@ def _int_signs(forms: Sequence["IntegerForm"],
     of the form at each point.  Every power and every term is built as a
     column over all points by `map`, so the per-point loops run in C; the
     forms share the coordinate columns and each power column, which is
-    raised once for the whole family."""
+    raised once for the whole family.  No code is generated, so for a form
+    read at few points this is the cheaper reader: generating the kernel
+    costs as much as reading 60 to 180 points by columns (105- and 4-term
+    forms), and the kernel then reads a point only 1.3 to 2 times
+    faster."""
     n = len(points)
     if not n:
         return [[] for _ in forms]
@@ -413,16 +406,6 @@ class IntegerForm:
             self._kernel = _straight_line(*(self._loop or self._compiled()))
         return self._kernel
 
-    def signs(self, points: Sequence[Sequence[int]]) -> list[int]:
-        """The sign at each integer point, in one pass over the set: the
-        sign of self.kernel()(x) for each x in points, with no code
-        generated (`_int_signs` of this one form).  For a form read at few
-        points this is the cheaper reader: generating the kernel costs as
-        much as reading 60 to 180 points by columns (105- and 4-term
-        forms), and the kernel then reads a point only 1.3 to 2 times
-        faster."""
-        return _int_signs((self,), points)[0]
-
     def restrict(self, fixed: Mapping[int, int]) -> "IntegerForm":
         """Substitute int values for some variables; the others are
         re-indexed in order, as in MultivariatePolynomial.restrict.  One
@@ -462,17 +445,6 @@ def univariate_coeffs(p: MultivariatePolynomial) -> list[Fraction]:
 def from_univariate_coeffs(coeffs: Sequence[Scalar]) -> MultivariatePolynomial:
     return MultivariatePolynomial._from_terms(
         1, _sum_terms(((i,), _coef(c)) for i, c in enumerate(coeffs)))
-
-
-def derivative(p: MultivariatePolynomial, index: int = 0) -> MultivariatePolynomial:
-    pairs = []
-    for e, c in p.terms.items():
-        k = e[index]
-        if k:
-            ne = list(e)
-            ne[index] = k - 1
-            pairs.append((tuple(ne), c * k))
-    return MultivariatePolynomial._from_terms(p.num_vars, _sum_terms(pairs))
 
 
 def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):

@@ -414,15 +414,6 @@ def membership_reader(relation: SemiAlgebraicRelation, points: OrderedPointSet
     return read
 
 
-SignVector = tuple  # tuple of -1 / 0 / +1, one entry per polynomial
-
-
-def sign_vector(polys: Sequence[MultivariatePolynomial],
-                point: Sequence[Scalar]) -> SignVector:
-    """Componentwise sign of a polynomial family at a point."""
-    return tuple([p.sign(point) for p in polys])
-
-
 def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
                                 points: Iterable[Sequence[Scalar]],
                                 denominator: int = 1) -> int:

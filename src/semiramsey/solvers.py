@@ -399,7 +399,7 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
         # into the survivors' signatures; with no form, one class of ().
         signs = _int_signs([form for form, _ in restricted],
                            [coords[w] for w in survivors])
-        columns = [list(map(truths.__getitem__, column))
+        columns = [[truths[s] for s in column]
                    for column, (_, truths) in zip(signs, restricted)]
         groups: dict[tuple, list[int]] = {}
         for w, sig in zip(survivors,

@@ -11,8 +11,7 @@ int coefficients calls it directly.  A positive multiple has the member's
 sign everywhere, so the chain's one reader, `SturmSequence.sign_changes_at`,
 counts its sign changes at a rational x = p/q by one homogeneous Horner sum
 per list over ints, sum c_i * p^i * q^(d - i), and never forms a value; a
-root count is two such reads.  The canonical rational members are built
-from `univariate_divmod` only when the sequence is indexed or iterated.
+root count is two such reads.  No rational member is ever built.
 """
 
 from __future__ import annotations
@@ -23,8 +22,11 @@ from fractions import Fraction
 
 from .errors import ArgumentError, PreconditionError
 from .poly import (MultivariatePolynomial, Scalar, _cleared, _coef,
-                   _pseudo_divmod, derivative, from_univariate_coeffs,
-                   univariate_coeffs, univariate_divmod)
+                   _pseudo_divmod, univariate_coeffs, univariate_divmod)
+
+# univariate_divmod is exported only for perfbench/tracing.py to patch.
+__all__ = ["SturmSequence", "count_real_roots", "sturm_chain",
+           "sturm_sequence", "univariate_divmod"]
 
 
 def _primitive(coeffs: Sequence[int], sign: int = 1) -> list[int]:
@@ -33,42 +35,17 @@ def _primitive(coeffs: Sequence[int], sign: int = 1) -> list[int]:
     return [c // content for c in coeffs]
 
 
-class SturmSequence(Sequence):
+class SturmSequence:
     """Canonical Sturm chain of g: g0 = g, g1 = g', g_i = -rem(g_{i-2}, g_{i-1}).
 
     `ints` holds the chain as primitive int coefficient lists, each a
     positive multiple of its member; signs are read from these alone.
-    Indexing or iterating gives the canonical rational members, built on
-    first access and kept; g itself is built from the coefficients the
-    chain was made from unless `sturm_sequence` was given it.
     """
 
-    __slots__ = ("ints", "_coeffs", "_members")
+    __slots__ = ("ints",)
 
-    def __init__(self, ints: list[list[int]], coeffs: Sequence[int]):
+    def __init__(self, ints: list[list[int]]):
         self.ints = ints
-        self._coeffs = coeffs
-        self._members: list[MultivariatePolynomial] = []
-
-    def __len__(self) -> int:
-        return len(self.ints)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self.ints)))]
-        n = len(self.ints)
-        if not -n <= index < n:
-            raise IndexError("Sturm sequence index out of range")
-        index %= n
-        members = self._members
-        while len(members) <= index:
-            if not members:
-                members.append(from_univariate_coeffs(self._coeffs))
-            elif len(members) == 1:
-                members.append(derivative(members[0]))
-            else:
-                members.append(-univariate_divmod(members[-2], members[-1])[1])
-        return members[index]
 
     def sign_changes_at(self, x: Scalar) -> int | None:
         """The number of sign changes of the chain at the rational x (an
@@ -117,41 +94,32 @@ def sturm_chain(coeffs: Sequence[int]) -> SturmSequence:
             if not rem:
                 break
             ints.append(_primitive(rem, -1 if s > 0 else 1))
-    return SturmSequence(ints, coeffs)
+    return SturmSequence(ints)
 
 
 def sturm_sequence(g: MultivariatePolynomial) -> SturmSequence:
-    """Sturm chain of the univariate g (`sturm_chain` of its coefficients
-    cleared of denominators), whose first member is g itself."""
+    """Sturm chain of the univariate g: `sturm_chain` of its coefficients
+    cleared of denominators."""
     if g.num_vars != 1:
         raise ArgumentError("sturm_sequence expects a univariate polynomial")
     if g.is_zero():
         raise ArgumentError("sturm_sequence of the zero polynomial is undefined")
-    seq = sturm_chain(_cleared(univariate_coeffs(g))[0])
-    seq._members.append(g)
-    return seq
+    return sturm_chain(_cleared(univariate_coeffs(g))[0])
 
 
-def sign_changes(values: Sequence[Scalar]) -> int:
-    """Sign changes in a sequence of ints or Fractions (such as the signs
-    -1, 0, 1), zeros ignored."""
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(g: MultivariatePolynomial, a: Fraction, b: Fraction,
-                     seq: SturmSequence | None = None) -> int:
+def count_real_roots(g: MultivariatePolynomial, a: Fraction,
+                     b: Fraction) -> int:
     """Number of distinct real roots of g in the open interval (a, b).
 
     Requires a < b and g(a) != 0 != g(b).  Roots are counted without
     multiplicity, which is exactly what the Sturm chain delivers: the
-    difference of its sign changes at a and at b.
+    difference of its sign changes at a and at b.  To count on many
+    intervals, read one `sturm_sequence(g)` at their endpoints instead.
     """
     a, b = _coef(a), _coef(b)  # a Fraction endpoint is kept as it is
     if a >= b:
         raise ArgumentError(f"empty interval ({a}, {b})")
-    if seq is None:
-        seq = sturm_sequence(g)
+    seq = sturm_sequence(g)
     at_a = seq.sign_changes_at(a)
     if at_a is None:
         raise PreconditionError(f"g({a}) = 0: endpoint must not be a root", witness=a)

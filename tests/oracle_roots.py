@@ -99,6 +99,18 @@ def squarefree_part(p: list[Fraction]) -> list[Fraction]:
     return quo
 
 
+def canonical_chain(coeffs) -> list[list[Fraction]]:
+    """The canonical Sturm chain of the nonzero polynomial with these
+    coefficients (ints or Fractions): g, then g', then
+    -rem(g_{i-2}, g_{i-1}), up to the first zero remainder."""
+    chain = [strip([Fraction(c) for c in coeffs])]
+    member = derivative(chain[0])
+    while member:
+        chain.append(member)
+        member = [-c for c in poly_divmod(chain[-2], chain[-1])[1]]
+    return chain
+
+
 def sign_variations(c: list[Fraction]) -> int:
     signs = [1 if v > 0 else -1 for v in c if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

@@ -66,6 +66,23 @@ def test_construct_stepup_from_file_matches_direct(capsys, tmp_path):
     assert from_file == direct
 
 
+def test_construct_stepup_refuses_points_too_long_to_print(capsys, base2_file):
+    """base(2) with each point moved by 1 / q, q of 2,001 digits: the
+    stepped-up points have more than MAX_DIGITS digits, and are refused
+    before any is printed (exit 3) on every interpreter, where Python
+    3.11's int-to-str limit once made this an internal error (exit 5)."""
+    with open(base2_file) as fh:
+        doc = json.load(fh)
+    q = 10 ** 2000 + 1
+    doc["points"]["points"] = [[str(F(x) + F(1, q + i))]
+                               for i, (x,) in enumerate(doc["points"]["points"])]
+    with open(base2_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "construct", "stepup", "--input", base2_file)
+    assert code == cli.EXIT_RESOURCE == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+
+
 def test_construct_stepup_rejects_conflicting_sources(capsys, tmp_path):
     some = tmp_path / "x.json"
     some.write_text("{}")
@@ -170,6 +187,26 @@ def test_solve_monotone_values(capsys):
     assert doc["stats"]["length"] == 3
     assert doc["stats"]["direction"] == "increasing"
     assert len(doc["subset"]) == 3
+
+
+@pytest.mark.parametrize("values", ["1e-1000000,1", "1,2.5", "1,+2", "1,0x10"])
+def test_solve_monotone_refuses_what_is_not_a_rational_string(capsys, values):
+    """Exponent notation once decoded 1e-1000000 to a million-digit
+    denominator and then failed to print it (exit 5)."""
+    code, out, err = run(capsys, "solve", "monotone", "--values", values)
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
+
+
+def test_solve_monotone_input_reads_ints_and_strings(capsys, tmp_path):
+    path = tmp_path / "values.json"
+    path.write_text('[3, "1/2", -4, "7"]')
+    code, doc, err = run_json(capsys, "solve", "monotone", "--input", str(path))
+    assert code == 0 and err == ""
+    assert doc["stats"]["values"] == ["3", "1/2", "-4"]
+    path.write_text('[1, 2.5]')
+    code, out, err = run(capsys, "solve", "monotone", "--input", str(path))
+    assert code == 2 and json.loads(err)["error"]["type"] == "ArgumentError"
 
 
 def test_solve_spencer(capsys, tmp_path):
@@ -305,11 +342,11 @@ def test_verifier_counters_are_pinned_and_roots_are_counted_twice(capsys):
         coeffs.append(F(t_rng.randint(1, 9)))
         g = from_univariate_coeffs(coeffs)
         a, b = F(-100), F(100)
-        while g.sign([a]) == 0:
+        while g.eval([a]) == 0:
             a -= 1
-        while g.sign([b]) == 0:
+        while g.eval([b]) == 0:
             b += 1
-        members += len(sturm_sequence(g))
+        members += len(sturm_sequence(g).ints)
         ours += count_real_roots(g, a, b)
         oracle += oracle_roots.count_distinct_roots(coeffs, a, b)
     assert (members, ours, oracle) == (213, 63, 63)
@@ -363,7 +400,7 @@ def test_verify_sturm_refuses_a_wrong_chain(capsys, monkeypatch, mutant):
     three reads; the checks against the root count at +-inf, the degree
     of g, its parity and the reads' order find a wrong chain."""
     def wrong_chain(coeffs):
-        return SturmSequence(mutant(sturm_chain(coeffs).ints, coeffs), coeffs)
+        return SturmSequence(mutant(sturm_chain(coeffs).ints, coeffs))
 
     monkeypatch.setattr(cli, "sturm_chain", wrong_chain)
     code, doc, err = run_json(capsys, "verify", "sturm", "--trials", "200",
@@ -447,6 +484,18 @@ def test_report_hom(capsys):
     assert rows == [
         {"instance": "base-2", "points": 4, "hom": 3, "maximum": True},
         {"instance": "base-3", "points": 8, "hom": 4, "maximum": True}]
+
+
+def test_report_hom_budget_exhaustion_is_inconclusive(capsys):
+    """The table is printed, and a row that is not maximum gives exit 4,
+    as the same search through `solve brute` does."""
+    code, rows, err = run_json(capsys, "report", "hom", "--n", "2", "3",
+                               "--budget", "1")
+    assert code == cli.EXIT_INCONCLUSIVE == 4 and err == ""
+    assert [row["maximum"] for row in rows] == [False, False]
+    code, _, _ = run(capsys, "report", "hom", "--n", "3", "--budget", "1",
+                     "--format", "text")
+    assert code == 4
 
 
 def test_report_hom_requires_some_input(capsys):

