@@ -118,10 +118,17 @@ def points_to_json(points: OrderedPointSet) -> dict:
                        for i in range(1, len(points) + 1)]}
 
 
+def _array(data, what: str) -> list:
+    """data, refused (ArgumentError) unless it is a JSON array."""
+    if type(data) is not list:
+        raise ArgumentError(f"{what} must be an array, not {data!r:.60}")
+    return data
+
+
 def points_from_json(data: dict) -> OrderedPointSet:
     return OrderedPointSet(
-        data["dim"],
-        [[fraction_from_json(c) for c in row] for row in data["points"]])
+        data["dim"], [[fraction_from_json(c) for c in _array(row, "a point")]
+                      for row in _array(data["points"], "points")])
 
 
 def instance_to_json(inst: ConstructionInstance) -> dict:
@@ -153,8 +160,9 @@ def hyperplane_to_json(h: Hyperplane) -> dict:
 
 
 def hyperplane_from_json(data: dict) -> Hyperplane:
-    return Hyperplane.make([fraction_from_json(c) for c in data["a"]],
-                           fraction_from_json(data["b"]))
+    return Hyperplane.make(
+        [fraction_from_json(c) for c in _array(data["a"], "a hyperplane's a")],
+        fraction_from_json(data["b"]))
 
 
 def arrangement_from_json(data: dict) -> Arrangement:

@@ -11,13 +11,12 @@ function (`_generate`): its formula as a short-circuit expression over the
 straight-line kernels of its polynomials' integer forms
 (`IntegerForm.kernel`).  Both are generated on the first read.
 `eval_membership` checks every tuple it reads; a search that reads many
-checks once, through `membership_reader`.
+checks once and reads the decider itself (`solvers.MembershipOracle`).
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,14 +180,14 @@ class SemiAlgebraicRelation:
         """The relation's decider decide([*X, L]), generated by `_generate`
         on the first call: membership at the rational point X / L, given
         the integer coordinates X of a whole tuple and L > 0.  It checks
-        nothing; `eval_membership` and `membership_reader` check first."""
+        nothing; `eval_membership` and `solvers.MembershipOracle` check first."""
         if self._decide is None:
             self._decide = _generate(self.formula, self.polys)
         return self._decide
 
 
-# Deepest nesting of one generated expression: a deeper node is decided by
-# a helper function of its own (CPython refuses 200 nested parentheses).
+# Deepest nesting of one generated expression: a deeper node becomes a
+# statement of its own (CPython refuses 200 nested parentheses).
 _DEPTH = 32
 
 _COMPARE = {"ge": ">=", "gt": ">", "eq": "=="}
@@ -197,28 +196,25 @@ _COMPARE = {"ge": ">=", "gt": ">", "eq": "=="}
 def _generate(formula: Formula, polys: Sequence[MultivariatePolynomial]
               ) -> Callable[[Sequence[int]], bool]:
     """The formula as one generated function decide(x), reading polynomial
-    i through the kernel of its integer form at the integer point
+    i through the kernel k<i> of its integer form at the integer point
     x = (X, L).
 
     AND and OR are Python's short-circuit `and` and `or`, NOT is `not`, and
-    each form is read at most once per call.  Every node is written out
-    once, and the kernels are names bound in the generated globals: the
-    source holds only names, operators, ints, None, True and False.
+    the form of polynomial i is read at most once per call: it is memoized
+    in the local s<i>.  Every node is written out once, and the kernels
+    are names bound in the generated globals: the source holds only names,
+    operators, ints, None, True and False.
 
-    A node with more than one parent, and one that would nest deeper than
-    _DEPTH, becomes a helper h<j>(x, m), defined once next to decide.  With
-    helpers, every memo lives in one list m that decide makes per call and
-    passes on: m[i] for the form of polynomial i, read through `_read`, and
-    one slot after the forms per shared node, which is so decided at most
-    once per call.  Without them, the form of polynomial i is memoized in
-    the local s<i>, which reads faster than a list slot.
+    An atom is written inline at each of its parents.  Any other node with
+    more than one parent, or one that would nest deeper than _DEPTH,
+    becomes one statement n<j> = ... before the return, in post-order: it
+    is decided once per call, whether or not the expression that reads it
+    gets that far.  Reads are pure, so only the read count changes.
     """
     parents = Counter(id(ch) for node in formula.nodes() for ch in node.children)
-    # id(node) -> (expression, its nesting depth); "@i@" stands for the
-    # memoized read of form i until the memos are chosen.
+    # id(node) -> (expression, its nesting depth)
     done: dict[int, tuple[str, int]] = {}
-    helpers: list[str] = []
-    slots = len(polys)
+    statements: list[str] = []
     stack = [(formula, False)]
     while stack:
         node, expanded = stack.pop()
@@ -229,8 +225,9 @@ def _generate(formula: Formula, polys: Sequence[MultivariatePolynomial]
             stack.extend((ch, False) for ch in node.children)
             continue
         if node.op == "atom":
-            done[id(node)] = (
-                f"(@{node.atom.poly_index}@ {_COMPARE[node.atom.cmp]} 0)", 4)
+            i = node.atom.poly_index
+            done[id(node)] = (f"((s{i} if s{i} is not None else (s{i} := k{i}(x)))"
+                              f" {_COMPARE[node.atom.cmp]} 0)", 4)
             continue
         kids = [done[id(ch)] for ch in node.children]
         if node.op == "not":
@@ -241,36 +238,17 @@ def _generate(formula: Formula, polys: Sequence[MultivariatePolynomial]
             depth = 1 + max(d for _, d in kids)
         else:
             expr, depth = ("True" if node.op == "and" else "False"), 0
-        j = len(helpers)
-        if parents[id(node)] > 1:
-            helpers.append(f"def h{j}(x, m):\n m[{slots}] = v = {expr}\n return v")
-            expr = f"(m[{slots}] if m[{slots}] is not None else h{j}(x, m))"
-            slots, depth = slots + 1, 2
-        elif depth > _DEPTH:
-            helpers.append(f"def h{j}(x, m):\n return {expr}")
-            expr, depth = f"h{j}(x, m)", 2
+        if parents[id(node)] > 1 or depth > _DEPTH:
+            statements.append(f" n{len(statements)} = {expr}")
+            expr, depth = f"n{len(statements) - 1}", 0
         done[id(node)] = (expr, depth)
     used = sorted({a.poly_index for a in formula.atoms()})
-    lines = helpers + ["def decide(x):"]
-    if helpers:
-        lines.append(f" m = [None] * {slots}")
-        read = r"(m[\1] if m[\1] is not None else _read(m, \1, k\1, x))"
-    else:
-        if used:
-            lines.append(" " + " = ".join(f"s{i}" for i in used) + " = None")
-        read = r"(s\1 if s\1 is not None else (s\1 := k\1(x)))"
-    lines.append(f" return {done[id(formula)][0]}")
-    source = re.sub(r"@(\d+)@", read, "\n".join(lines))
+    memos = [" " + " = ".join(f"s{i}" for i in used) + " = None"] if used else []
+    source = "\n".join(["def decide(x):", *memos, *statements,
+                        f" return {done[id(formula)][0]}"])
     namespace = {f"k{i}": polys[i].integer_form().kernel() for i in used}
-    namespace["_read"] = _read
     exec(compile(source, "<SemiAlgebraicRelation.decide>", "exec"), namespace)
     return namespace["decide"]
-
-
-def _read(memo: list, i: int, kernel: Callable, x: Sequence[int]) -> int:
-    """kernel(x), kept as memo[i] (decide's form read)."""
-    memo[i] = total = kernel(x)
-    return total
 
 
 class OrderedPointSet:
@@ -351,9 +329,9 @@ def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
     This is the checked path: on every call it refuses (ArgumentError) a
     relation and points in different spaces, and a tuple that is not
     `relation.arity` strictly increasing indices in 1..len(points); the
-    scale is checked too.  A search that reads many tuples checks once
-    through `membership_reader` instead, and certifies its answer through
-    this function."""
+    scale is checked too.  A search that reads many tuples checks once,
+    at `solvers.MembershipOracle`, which then reads the decider itself,
+    and certifies its answer through this function."""
     _check_spaces(relation, points)
     if len(indices) != relation.arity:
         raise ArgumentError(
@@ -368,50 +346,6 @@ def eval_membership(relation: SemiAlgebraicRelation, points: OrderedPointSet,
     row = [x for i in indices for x in scaled[i - 1]]
     row.append(scale)
     return (relation._decide or relation.decider())(row)
-
-
-def membership_reader(relation: SemiAlgebraicRelation, points: OrderedPointSet
-                      ) -> Callable[[tuple, int, bool], int]:
-    """read(fixed, bits, first=False), with the spaces checked once, here.
-
-    read returns the bits c of the bitmask `bits` (bit c for point c) whose
-    tuple is in the relation, in one of two layouts: fixed + (c,), with
-    fixed a (k-1)-prefix and every c after fixed[-1], or, with first set,
-    (c,) + fixed, with fixed a (k-1)-suffix and every c before fixed[0].
-    It checks nothing: fixed must be arity - 1 increasing indices of the
-    points and every c in 1..n.  Its first call takes the scale
-    (`OrderedPointSet.scaled`, refused above MAX_BITS bits) and keeps two
-    int rows per point, [*X_c, M] to come last and [*X_c] to come first;
-    each call then gathers the fixed points' coordinates once and reads
-    the decider on them and one row per bit."""
-    _check_spaces(relation, points)
-    scale = scaled = lasts = firsts = decide = None
-
-    def read(fixed: tuple, bits: int, first: bool = False) -> int:
-        nonlocal scale, scaled, lasts, firsts, decide
-        if lasts is None:
-            scale, scaled = points.scaled()
-            lasts = [[*x, scale] for x in scaled]
-            firsts = [list(x) for x in scaled]
-            decide = relation.decider()
-        coords = [x for i in fixed for x in scaled[i - 1]]
-        found = 0
-        # Bit c is point c, whose rows are lasts[c - 1] and firsts[c - 1].
-        if first:
-            coords.append(scale)
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                if decide(firsts[low.bit_length() - 2] + coords):
-                    found |= low
-            return found
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            if decide(coords + lasts[low.bit_length() - 2]):
-                found |= low
-        return found
-    return read
 
 
 def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],

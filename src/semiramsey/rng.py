@@ -71,15 +71,14 @@ class SeededRng:
         self._state = state
         return out
 
-    def fraction(self, lo: int | Fraction, hi: int | Fraction,
-                 denominator: int = 1 << 16) -> Fraction:
-        """Exact rational sample from [lo, hi] on a uniform grid: the value
-        lo + (hi - lo) * k / denominator, formed as a single Fraction."""
-        k = self.randint(0, denominator)
+    def fraction(self, lo: int | Fraction, hi: int | Fraction) -> Fraction:
+        """Exact rational sample from [lo, hi] on the uniform grid of 2^16
+        steps: lo + (hi - lo) * k / 2^16, formed as a single Fraction."""
+        k = self.randint(0, 1 << 16)
         ln, ld = lo.as_integer_ratio()
         hn, hd = hi.as_integer_ratio()
-        return Fraction(ln * hd * denominator + (hn * ld - ln * hd) * k,
-                        ld * hd * denominator)
+        return Fraction((ln * hd << 16) + (hn * ld - ln * hd) * k,
+                        ld * hd << 16)
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):

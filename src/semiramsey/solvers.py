@@ -21,7 +21,7 @@ from .errors import (MAX_ROUNDS, ArgumentError, BudgetExhaustedError,
                      PreconditionError, ResourceLimitError)
 from .poly import IntegerForm, MultivariatePolynomial, _int_signs
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
-                       eval_membership, membership_reader)
+                       _check_spaces, eval_membership)
 from .rng import SeededRng
 
 
@@ -42,27 +42,37 @@ class MembershipOracle:
     search that reads many of them.
 
     The point set and the relation must live in the same space; that is
-    checked once, here, and the scale on the first read (both by
-    `relation.membership_reader`).  above() and below() then read without a
-    per-tuple check: their callers pass only increasing tuples of the point
-    set.  Membership is memoized in two layouts, each a bitmask per
-    (k-1)-tuple: per prefix, with the varying point last (above), and per
-    suffix, with the varying point first (below).  A tuple below() does not
-    know yet is looked up in the prefix memo before the decider is read,
-    so when every above() read comes first, as in max_homogeneous,
-    `evaluations` counts each distinct tuple once.  polarity() is the
-    homogeneity check every solver certifies with, and reads each k-tuple
-    through eval_membership, independently of the memos.
+    checked once, here.  above() and below() then read the relation's
+    decider without a per-tuple check: their callers pass only increasing
+    tuples of the point set.  Membership is memoized in two layouts, each
+    a bitmask per (k-1)-tuple: per prefix, with the varying point last
+    (above), and per suffix, with the varying point first (below).  A
+    tuple below() does not know yet is looked up in the prefix memo before
+    the decider is read, so when every above() read comes first, as in
+    max_homogeneous, `evaluations` counts each distinct tuple once.
+    polarity() is the homogeneity check every solver certifies with, and
+    reads each k-tuple through eval_membership, independently of the memos.
     """
 
     def __init__(self, points: OrderedPointSet,
                  relation: SemiAlgebraicRelation):
+        _check_spaces(relation, points)
         self.points = points
         self.relation = relation
         self.masks: dict[tuple, tuple[int, int]] = {}
         self.suffix_masks: dict[tuple, tuple[int, int]] = {}
         self.evaluations = 0
-        self._read = membership_reader(relation, points)
+        self._layout = None
+
+    def _first_read(self) -> tuple:
+        """(decide, M, rows [*X_c, M], rows [*X_c]) of the points X_c / M,
+        taken on the first read and kept (`OrderedPointSet.scaled` refuses
+        M above MAX_BITS bits).  Bit c of a mask is point c, at row c - 1."""
+        scale, scaled = self.points.scaled()
+        self._layout = (self.relation.decider(), scale,
+                        [[*x, scale] for x in scaled],
+                        [list(x) for x in scaled])
+        return self._layout
 
     def above(self, prefix: tuple, within: int) -> int:
         """Bitmask with bit c set for each point index c in the bitmask
@@ -74,7 +84,13 @@ class MembershipOracle:
         todo = within & ~known
         if todo:
             self.evaluations += todo.bit_count()
-            mask |= self._read(prefix, todo)
+            decide, _, lasts, firsts = self._layout or self._first_read()
+            coords = [x for i in prefix for x in firsts[i - 1]]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                if decide(coords + lasts[low.bit_length() - 2]):
+                    mask |= low
             self.masks[prefix] = (known | within, mask)
         return mask & within
 
@@ -108,7 +124,13 @@ class MembershipOracle:
                         mask |= low
             if unread:
                 self.evaluations += unread.bit_count()
-                mask |= self._read(suffix, unread, True)
+                decide, scale, _, firsts = self._layout or self._first_read()
+                coords = [x for i in suffix for x in firsts[i - 1]] + [scale]
+                while unread:
+                    low = unread & -unread
+                    unread ^= low
+                    if decide(firsts[low.bit_length() - 2] + coords):
+                        mask |= low
             self.suffix_masks[suffix] = (known | within, mask)
         return mask & within
 

@@ -189,6 +189,44 @@ def test_solve_monotone_values(capsys):
     assert len(doc["subset"]) == 3
 
 
+ARRANGEMENT = {"dim": 2, "hyperplanes": [{"a": ["1", "0"], "b": "2"},
+                                         {"a": [0, "1/2"], "b": "-1"}]}
+
+
+@pytest.mark.parametrize("command, where, bad", [
+    (("solve", "brute"), ("points", "points"), "1234"),
+    (("solve", "brute"), ("points", "points"), {str(i): 0 for i in range(4)}),
+    (("solve", "brute"), ("points", "points", 0), "1"),
+    (("solve", "brute"), ("points", "points", 0), {"1": 0}),
+    (("construct", "one-sided", "--dim", "2"), ("hyperplanes", 0, "a"), "10"),
+    (("construct", "one-sided", "--dim", "2"), ("hyperplanes", 0, "a"),
+     {"1": 0, "0": 0}),
+], ids=["points-string", "points-object", "row-string", "row-object",
+        "a-string", "a-object"])
+def test_a_string_or_an_object_in_place_of_an_array_is_refused(
+        capsys, tmp_path, base2_file, command, where, bad):
+    """A point set, one of its points and a hyperplane's normal must be
+    JSON arrays: a string or an object there was once read entry by entry
+    (characters, keys) as if it were one, and the command exited 0."""
+    if command[0] == "solve":
+        with open(base2_file) as fh:
+            good = json.load(fh)
+    else:
+        good = json.loads(json.dumps(ARRANGEMENT))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(good))
+    code, _, err = run(capsys, *command, "--input", str(path))
+    assert code == 0 and err == ""
+    target = good
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = bad
+    path.write_text(json.dumps(good))
+    code, out, err = run(capsys, *command, "--input", str(path))
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
+
+
 @pytest.mark.parametrize("values", ["1e-1000000,1", "1,2.5", "1,+2", "1,0x10"])
 def test_solve_monotone_refuses_what_is_not_a_rational_string(capsys, values):
     """Exponent notation once decoded 1e-1000000 to a million-digit

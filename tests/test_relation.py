@@ -287,8 +287,9 @@ def _xor(a: Formula, b: Formula) -> Formula:
 def test_helpers_of_shared_and_deep_nodes_are_built_once():
     """Over 2,000 shared nodes (twelve layers of 200 XORs of two random
     nodes of the layer below, folded pairwise into one) and an unshared
-    chain nested deeper than _DEPTH: the decider defines no function per
-    call, and it agrees with the recursive walk on every pair of values."""
+    chain nested deeper than _DEPTH: each such node is a statement n<j> of
+    the decider, which defines no function per call, and the decider
+    agrees with the recursive walk on every pair of values."""
     from semiramsey import relation as relation_module
     rng = SeededRng(4)
     layer = [Formula.leaf(i, cmp) for i in range(len(COMPILED_POLYS))
@@ -312,9 +313,11 @@ def test_helpers_of_shared_and_deep_nodes_are_built_once():
     assert sum(n > 1 for n in parents.values()) >= 2000
     relations = {part: SemiAlgebraicRelation(2, 1, COMPILED_POLYS, part)
                  for part in (node, chain)}
-    for relation in relations.values():
-        assert not any(isinstance(c, types.CodeType)
-                       for c in relation.decider().__code__.co_consts)
+    for part, relation in relations.items():
+        code = relation.decider().__code__
+        assert not any(isinstance(c, types.CodeType) for c in code.co_consts)
+        statements = sum(name[0] == "n" for name in code.co_varnames)
+        assert statements >= (2000 if part is node else 1)
     verdicts = set()
     for a in COMPILED_VALUES:
         for b in COMPILED_VALUES:
@@ -330,16 +333,23 @@ def test_helpers_of_shared_and_deep_nodes_are_built_once():
 
 
 def test_a_formula_without_helpers_memoizes_its_forms_in_locals():
-    """No shared node and none deeper than _DEPTH: decide keeps each form
-    in a local s<i>, not in a memo list, and calls no helper."""
-    from semiramsey.constructions import step_up
+    """No shared node other than an atom and none deeper than _DEPTH, as
+    in each construction here: decide is one return expression that keeps
+    each form in a local s<i>, with no statement n<j>, and reads nothing
+    but the kernels k<i>."""
+    from semiramsey.constructions import (frankl_wilson_graph,
+                                          one_dim_k4_relation, step_up)
+    from semiramsey.geometry import one_sided_relation
     for relation in (base_construction(4).relation,
-                     step_up(base_construction(2)).relation):
+                     step_up(base_construction(2)).relation,
+                     one_dim_k4_relation(),
+                     frankl_wilson_graph(3, 2)[1],
+                     order_type_relation(2),
+                     one_sided_relation(3)):
         code = relation.decider().__code__
         used = sorted({a.poly_index for a in relation.formula.atoms()})
         assert code.co_varnames == ("x", *[f"s{i}" for i in used])
-        assert "_read" not in code.co_names
-        assert not any(name.startswith("h") for name in code.co_names)
+        assert set(code.co_names) == {f"k{i}" for i in used}
 
 
 def test_coefficients_beyond_the_decimal_digit_limit_are_read_exactly():
@@ -469,6 +479,13 @@ def oracle_sign_vector_count(polys, points) -> int:
         for pt in points})
 
 
+def _grid_point(rng: SeededRng, lo: F, hi: F) -> F:
+    """lo + (hi - lo) * k / d, with d drawn from 1..40 and then k from
+    0..d: a point of a grid coarser than that of `SeededRng.fraction`."""
+    d = rng.randint(1, 40)
+    return lo + (hi - lo) * F(rng.randint(0, d), d)
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_count_distinct_sign_vectors_equals_oracle(seed):
     rng = SeededRng(seed)
@@ -481,8 +498,8 @@ def test_count_distinct_sign_vectors_equals_oracle(seed):
         dim = polys[0].num_vars
         grid = [[rng.fraction(-10, 10) for _ in range(dim)] for _ in range(20)]
         ints = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(20)]
-        mixed = [[rng.fraction(F(-2), F(3, 2), denominator=rng.randint(1, 40))
-                  for _ in range(dim)] for _ in range(20)]
+        mixed = [[_grid_point(rng, F(-2), F(3, 2)) for _ in range(dim)]
+                 for _ in range(20)]
         # The drawn polynomials are homogeneous; shifted ones are not.
         shifted = [p + F(rng.randint(-9, 9), rng.randint(1, 5)) for p in polys]
         for family in (polys, shifted):

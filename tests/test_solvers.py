@@ -70,9 +70,11 @@ def jittered_base(n: int, seed: int) -> tuple:
     [-1/10, 1/10], each with its own denominator."""
     rng = SeededRng(seed)
     inst = base_construction(n)
-    points = [[inst.points.point(i)[0] + rng.fraction(
-        F(-1, 10), F(1, 10), denominator=rng.randint(2, 97))]
-        for i in range(1, len(inst.points) + 1)]
+    points = []
+    for i in range(1, len(inst.points) + 1):
+        d = rng.randint(2, 97)
+        offset = F(-1, 10) + F(1, 5) * F(rng.randint(0, d), d)
+        points.append([inst.points.point(i)[0] + offset])
     return OrderedPointSet(1, points), inst.relation
 
 
