@@ -9,33 +9,31 @@ import pytest
 from semiramsey import SeededRng
 
 
-# The grid is fixed at 2^16 steps; each row names it as the third value.
-@pytest.mark.parametrize("lo, hi, steps", [
+# The grid is fixed at 2^16 steps; the third value of each row seeds both
+# streams.
+@pytest.mark.parametrize("lo, hi, seed", [
     (0, 1, 1 << 16),
     (-10, 10, 1 << 16),
     (F(-1, 10), F(1, 10), 1 << 16),
+    (F(-7, 3), F(-1, 6), 97),
+    (-5, F(-9, 4), 1),
+    (F(2, 5), 3, 12),
 ])
-def test_fraction_equals_grid_point_of_twin_stream(lo, hi, steps):
-    rng, twin = SeededRng(11), SeededRng(11)
+def test_fraction_equals_grid_point_of_twin_stream(lo, hi, seed):
+    rng, twin = SeededRng(seed), SeededRng(seed)
     for _ in range(200):
         value = rng.fraction(lo, hi)
-        k = twin.randint(0, steps)
-        assert value == lo + (hi - lo) * F(k, steps)
+        k = twin.randint(0, 1 << 16)
+        assert value == lo + (hi - lo) * F(k, 1 << 16)
         assert type(value) is F
     assert rng.next_u64() == twin.next_u64()
 
 
 def test_fraction_default_grid_is_two_to_the_sixteen():
-    """Endpoints that are negative, or an int beside a Fraction, are read
-    on the same grid of 2^16 steps."""
-    for lo, hi in ((F(-1), F(1)), (F(-7, 3), F(-1, 6)), (-5, F(-9, 4)),
-                   (F(2, 5), 3)):
-        rng, twin = SeededRng(3), SeededRng(3)
-        for _ in range(50):
-            k = twin.randint(0, 1 << 16)
-            value = rng.fraction(lo, hi)
-            assert value == lo + (hi - lo) * F(k, 1 << 16)
-            assert type(value) is F
+    rng, twin = SeededRng(3), SeededRng(3)
+    for _ in range(50):
+        k = twin.randint(0, 1 << 16)
+        assert rng.fraction(F(-1), F(1)) == -1 + 2 * F(k, 1 << 16)
 
 
 def test_first_draws_of_seed_one_are_pinned():
