@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (ArgumentError, DegenerateInputError, PreconditionError,
-                     ResourceLimitError, MAX_BITS, MAX_FORMULA_DEPTH, MAX_PAIRS,
-                     MAX_POINTS)
+                     ResourceLimitError, MAX_BITS, MAX_FORMULA_DEPTH,
+                     MAX_LITERALS, MAX_PAIRS, MAX_POINTS)
 from .poly import MultivariatePolynomial, Scalar, _coef
 from .relation import (Formula, OrderedPointSet, SemiAlgebraicRelation,
                        eval_membership)
@@ -668,7 +668,8 @@ def frankl_wilson_graph(m: int, p: int):
     Returns (points, relation, adjacency) where adjacency is the
     combinatorial edge predicate on 1-based vertex indices and the relation
     is the semi-algebraic encoding by coordinate equalities.  Neither cliques
-    nor independent sets exceed binomial(m, p - 1).
+    nor independent sets exceed binomial(m, p - 1).  More than MAX_POINTS
+    vertices or MAX_LITERALS literals are refused before anything is built.
     """
     if not _is_prime(p):
         raise ArgumentError(f"{p} is not prime")
@@ -678,6 +679,12 @@ def frankl_wilson_graph(m: int, p: int):
     count = math.comb(m, r)
     if count > MAX_POINTS:
         raise ResourceLimitError(f"binomial({m},{r}) vertices exceeds cap {MAX_POINTS}")
+    # r^2 literals per matching of each size s: r^2 * sum of C(r, s)^2.
+    # r^2 is compared first, so no large binomial is formed.
+    if r * r > MAX_LITERALS or r * r * sum(
+            math.comb(r, s) ** 2 for s in range(p - 1, r + 1, p)) > MAX_LITERALS:
+        raise ResourceLimitError(
+            f"the relation for p = {p} has more than {MAX_LITERALS} literals")
     subsets = list(itertools.combinations(range(1, m + 1), r))
     points = OrderedPointSet(r, subsets)
 

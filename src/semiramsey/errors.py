@@ -64,7 +64,9 @@ class BudgetExhaustedError(ResourceLimitError):
 # written back within the interpreter's recursion limit.  Stepping up
 # refuses (ArgumentError) a base formula of more than MAX_FORMULA_DEPTH - 3
 # levels, so every instance it writes can be read back.  The
-# constructions nest at most 6 levels.
+# constructions nest at most 6 levels.  `frankl_wilson_graph` counts its
+# relation's literals before building any and refuses more than
+# MAX_LITERALS: p = 3 has 250,944, p = 5 about 3.2 * 10^15.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6
 MAX_PAIRS = 10 ** 6
@@ -74,3 +76,4 @@ MAX_EXPANSION = 20_000
 MAX_DIGITS = 4300
 MAX_ROUNDS = 10 ** 4
 MAX_FORMULA_DEPTH = 100
+MAX_LITERALS = 10 ** 6

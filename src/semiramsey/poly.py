@@ -1,26 +1,26 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is a map from exponent vectors (one integer per variable) to
-nonzero Fraction coefficients.  Variables are 0-based: x0, x1, ...  All
-arithmetic is exact; nothing in this module ever touches floats.
+nonzero coefficients: Fractions, or ints for an integer form.  Variables
+are 0-based: x0, x1, ...  All arithmetic is exact; nothing in this module
+ever touches floats.
 
 Each polynomial has one integer form, its homogenization H in one more
-variable, the scale L (`integer_form`): every value and sign is H read at
-(X, L), with X = L * x for a rational point x.  One compiled form
-(`_compile`) has two readers: at one point, a straight-line function
-generated on first use (`_straight_line`, `IntegerForm.kernel`) that the
-relation's decider and `MultivariatePolynomial.eval` call; at a whole
-point set, `_int_signs`, the one column reader, which reads a family of
-forms in one pass with one column per power and per term, the coordinate
-and power columns shared by the whole family.  `eval` clears a point to
+variable, the scale L (`integer_form`), an int-coefficient polynomial:
+every value and sign is H read at (X, L), with X = L * x for a rational
+point x.  One compiled form (`_compile`) has two readers: at one point, a
+straight-line function generated on first use (`_straight_line`,
+`kernel`) that the relation's decider and `eval` call; at a whole point
+set, `_int_signs`, the one column reader, which reads a family of forms
+in one pass with one column per power and per term, the coordinate and
+power columns shared by the whole family.  `eval` clears a point to
 (X, L); a point set scaled by M reads H with L fixed at M.
-Restricting a form at int values gives another.  Every substitution
-runs through one restriction plan (`_plan`), whose arithmetic does not
-depend on the coefficient type: `IntegerForm.plan` reads one plan at many
-points (the greedy's class split, the bad-triple scan), and both
-`restrict` methods read a plan once (L fixed at M, the greedy's arity
-drop; a rational term map).  A read hands the restricted form its
-compiled table, so it is never compiled itself.
+Every substitution runs through one restriction plan (`_plan`), whose
+arithmetic does not depend on the coefficient type, so an integer form
+restricted at ints is another: `plan` reads one plan at many points (the
+greedy's class split, the bad-triple scan), `restrict` reads it once (L
+fixed at M, the greedy's arity drop; rational values).  A read hands the
+restricted polynomial its compiled table, so it is never compiled.
 Univariate division runs in integers too, through the one pseudo-division
 loop `_pseudo_divmod` that every Sturm chain uses.
 """
@@ -64,7 +64,7 @@ def _sum_terms(pairs: Iterable) -> dict:
 class MultivariatePolynomial:
     """Immutable sparse polynomial in a fixed number of variables."""
 
-    __slots__ = ("num_vars", "terms", "_hash", "_int_form")
+    __slots__ = ("num_vars", "terms", "_hash", "_int_form", "_loop", "_kernel")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, Scalar] | Iterable = ()):
         if type(num_vars) is not int or num_vars < 0:
@@ -86,6 +86,8 @@ class MultivariatePolynomial:
         self.terms = terms
         self._hash = None
         self._int_form = None
+        self._loop = None
+        self._kernel = None
         return self
 
     @classmethod
@@ -93,9 +95,9 @@ class MultivariatePolynomial:
         """Wrap a term map without copying or checking it.
 
         A term map sends exponent tuples of length num_vars (nonnegative
-        ints) to nonzero Fraction coefficients, or nonzero ints where the
-        caller drew them as ints (`verify milnor-thom`); `_sum_terms`
-        builds one.
+        ints) to nonzero Fraction coefficients, or to nonzero ints for an
+        integer form (`integer_form`, its restrictions at ints, and the
+        forms `verify milnor-thom` draws); `_sum_terms` builds one.
         """
         return cls.__new__(cls)._set(num_vars, terms)
 
@@ -207,11 +209,11 @@ class MultivariatePolynomial:
 
     # -- evaluation and restriction -------------------------------------
 
-    def integer_form(self) -> "IntegerForm":
+    def integer_form(self) -> "MultivariatePolynomial":
         """H, built on first use and kept with B and D in `_int_form`: B is
         the positive LCM of the coefficient denominators, D the degree (0
         for the zero polynomial) and H the homogenization
-        sum c*B * X^e * L^(D - |e|), an IntegerForm in num_vars + 1
+        sum c*B * X^e * L^(D - |e|), with int coefficients, in num_vars + 1
         variables whose last one is the scale L.  H(X, L) = B * L^D *
         self(X / L) has the sign of self at X / L for every integer point X
         and L > 0; `restrict({num_vars: M})` fixes L at M for a point set
@@ -219,7 +221,7 @@ class MultivariatePolynomial:
         if self._int_form is None:
             scale = math.lcm(*[c.denominator for c in self.terms.values()])
             degree = max(self.degree(), 0)
-            self._int_form = (scale, degree, IntegerForm(self.num_vars + 1, {
+            self._int_form = (scale, degree, self._from_terms(self.num_vars + 1, {
                 e + (degree - sum(e),): c.numerator * (scale // c.denominator)
                 for e, c in self.terms.items()}))
         return self._int_form[2]
@@ -234,19 +236,46 @@ class MultivariatePolynomial:
         scale, degree = self._int_form[:2]
         return Fraction(total, scale * lcm ** degree)
 
+    def _compiled(self) -> tuple:
+        self._loop = _compile(self.terms)
+        return self._loop
+
+    def kernel(self) -> Callable[[Sequence[int]], int]:
+        """total(x), an integer form's value at an integer point x as
+        generated code (`_straight_line`), built on first use."""
+        if self._kernel is None:
+            self._kernel = _straight_line(*(self._loop or self._compiled()))
+        return self._kernel
+
     def restrict(self, fixed: Mapping[int, Scalar]) -> "MultivariatePolynomial":
-        """Substitute values for a subset of variables.
+        """Substitute int or Fraction values for a subset of variables.
 
         The surviving variables are re-indexed in increasing order of their
         old index, e.g. fixing x0 and x2 of a 3-variable polynomial leaves a
-        univariate polynomial in the old x1.
+        univariate polynomial in the old x1.  One read of `plan`; the values
+        are kept as given, so an integer form restricted at ints is one too.
         """
-        for i in fixed:
+        for i, v in fixed.items():
             if not 0 <= i < self.num_vars:
                 raise ArgumentError(f"fixed variable {i} out of range")
-        num_vars, read = _plan(self.terms, self.num_vars, list(fixed))
-        return MultivariatePolynomial._from_terms(
-            num_vars, read([_coef(v) for v in fixed.values()])[0])
+            if type(v) is not int and not isinstance(v, Fraction):
+                raise ArgumentError(f"value {v!r} of x{i} is not an int or a Fraction")
+        return self.plan(list(fixed))(list(fixed.values()))
+
+    def plan(self, fixed: Sequence[int]
+             ) -> Callable[[Sequence[Scalar]], "MultivariatePolynomial"]:
+        """read(values), unchecked: this polynomial restricted at the
+        variables `fixed` (distinct indices) set to `values` in that order.
+        One `_plan`, read at many points."""
+        num_vars, read_terms = _plan(self.terms, self.num_vars, fixed)
+
+        def read(values: Sequence[Scalar]) -> MultivariatePolynomial:
+            terms, loop = read_terms(values)
+            form = MultivariatePolynomial._from_terms(num_vars, terms)
+            form._loop = loop
+            return form
+
+        return read
 
 
 def _plan(terms: dict, num_vars: int, fixed: Sequence[int]) -> tuple:
@@ -338,11 +367,11 @@ def _straight_line(powers: tuple,
         lines.append(" t += m")
     lines.append(" return t")
     namespace = {f"c{j}": c for j, (c, _) in enumerate(terms)}
-    exec(compile("\n".join(lines), "<IntegerForm.kernel>", "exec"), namespace)
+    exec(compile("\n".join(lines), "<MultivariatePolynomial.kernel>", "exec"), namespace)
     return namespace["total"]
 
 
-def _int_signs(forms: Sequence["IntegerForm"],
+def _int_signs(forms: Sequence[MultivariatePolynomial],
                points: Sequence[Sequence[int]]) -> list[list[int]]:
     """The compiled forms' reader at a point set: for each form, the sign
     of the form at each point.  Every power and every term is built as a
@@ -376,56 +405,6 @@ def _int_signs(forms: Sequence["IntegerForm"],
             totals = list(map(add, totals, column))
         out.append([(t > 0) - (t < 0) for t in totals])
     return out
-
-
-class IntegerForm:
-    """Polynomial with int coefficients, read at integer points.
-
-    A polynomial's homogenization is one (`integer_form`); its sign at
-    (X, L) is the polynomial's sign at X / L.  Restricting a form at integer
-    values gives another, with no Fraction.
-    """
-
-    __slots__ = ("num_vars", "terms", "_loop", "_kernel")
-
-    def __init__(self, num_vars: int, terms: dict):
-        """`terms` maps exponent tuples of length num_vars to nonzero ints."""
-        self.num_vars = num_vars
-        self.terms = terms
-        self._loop = None
-        self._kernel = None
-
-    def _compiled(self) -> tuple:
-        self._loop = _compile(self.terms)
-        return self._loop
-
-    def kernel(self) -> Callable[[Sequence[int]], int]:
-        """total(x), the value at an integer point x as generated code
-        (`_straight_line`), built on first use."""
-        if self._kernel is None:
-            self._kernel = _straight_line(*(self._loop or self._compiled()))
-        return self._kernel
-
-    def restrict(self, fixed: Mapping[int, int]) -> "IntegerForm":
-        """Substitute int values for some variables; the others are
-        re-indexed in order, as in MultivariatePolynomial.restrict.  One
-        read of `plan`."""
-        return self.plan(list(fixed))(list(fixed.values()))
-
-    def plan(self, fixed: Sequence[int]) -> Callable[[Sequence[int]], "IntegerForm"]:
-        """read(values), this form restricted at the variables `fixed`
-        (distinct indices) set to `values` in that order, for one form
-        restricted at many points: one `_plan`, whose reads hand each
-        restricted form its compiled table, so it is never compiled."""
-        num_vars, read_terms = _plan(self.terms, self.num_vars, fixed)
-
-        def read(values: Sequence[int]) -> IntegerForm:
-            terms, loop = read_terms(values)
-            form = IntegerForm(num_vars, terms)
-            form._loop = loop
-            return form
-
-        return read
 
 
 # -- univariate helpers (used by the Sturm machinery) -------------------

@@ -9,7 +9,7 @@ matching the convention that point sets are ordered.
 A relation reads a tuple at one integer point (X, L) through one generated
 function (`_generate`): its formula as a short-circuit expression over the
 straight-line kernels of its polynomials' integer forms
-(`IntegerForm.kernel`).  Both are generated on the first read.
+(`MultivariatePolynomial.kernel`).  Both are generated on the first read.
 `eval_membership` checks every tuple it reads; a search that reads many
 checks once and reads the decider itself (`solvers.MembershipOracle`).
 """

@@ -5,8 +5,8 @@ its candidate sets kept as int bitmasks.
 erdos_rado_greedy is the recursive class-refinement extraction: it seeds
 k-2 points, repeatedly keeps the largest membership-signature class, and
 recurses at one lower arity with the last chosen point fixed in the
-relation's integer forms, certifying the final subset against the original
-relation.
+relation's integer forms (at arity 2, the exact search's polynomials),
+certifying the final subset against the original relation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import (MAX_ROUNDS, ArgumentError, BudgetExhaustedError,
                      PreconditionError, ResourceLimitError)
-from .poly import IntegerForm, MultivariatePolynomial, _int_signs
+from .poly import MultivariatePolynomial, _int_signs
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
                        _check_spaces, eval_membership)
 from .rng import SeededRng
@@ -336,9 +336,9 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation
     The pass runs on the scaled point set (OrderedPointSet.scaled) and the
     relation's integer forms, so every restriction and every sign is
     computed in ints.  Each level restricts a polynomial through one plan
-    (IntegerForm.plan) read once per (subset, q).  stats counts the
-    restrictions (the plan reads, plus the forms fixed each time the arity
-    drops) and the sign evaluations of the class splits.
+    (MultivariatePolynomial.plan) read once per (subset, q).  stats counts
+    the restrictions (the plan reads, plus the forms fixed each time the
+    arity drops) and the sign evaluations of the class splits.
     """
     oracle = MembershipOracle(points, relation)
     k = relation.arity
@@ -368,7 +368,8 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation
     )
 
 
-def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
+def _greedy_level(coords: list, indices: list[int],
+                  forms: list[MultivariatePolynomial],
                   relation: SemiAlgebraicRelation, k: int,
                   stats: dict) -> list[int]:
     """One arity level of the greedy recursion on integer points, with
@@ -376,9 +377,7 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
     fixed; returns original indices."""
     d = relation.point_dim
     if k == 2:
-        lower = SemiAlgebraicRelation(
-            2, d, [MultivariatePolynomial(f.num_vars, f.terms) for f in forms],
-            relation.formula)
+        lower = SemiAlgebraicRelation(2, d, forms, relation.formula)
         res = max_homogeneous(OrderedPointSet(d, coords), lower)
         return [indices[i - 1] for i in res.subset]
 
@@ -409,7 +408,7 @@ def _greedy_level(coords: list, indices: list[int], forms: list[IntegerForm],
         # restricted at ((k-2)-subset of earlier chosen, q, w).  A form
         # without variables has one sign for every w and splits no class,
         # so it is left out.
-        restricted: list[tuple[IntegerForm, tuple]] = []
+        restricted: list[tuple[MultivariatePolynomial, tuple]] = []
         for prefix in itertools.combinations(chosen[:-1], k - 2):
             values = [v for pos in (*prefix, q) for v in coords[pos]]
             for read, truths in plans:
@@ -703,7 +702,8 @@ def find_bad_triples(points: OrderedPointSet, relation: SemiAlgebraicRelation):
     (sorted_bad_triples, skipped_zero_restrictions).  The integer forms
     are pinned at L = M of the scaled points (OrderedPointSet.scaled), and
     x -> x/M keeps zero polynomials, degrees and signs; each form has one
-    restriction plan (IntegerForm.plan) per slot pair, read at every pair.
+    restriction plan (MultivariatePolynomial.plan) per slot pair, read at
+    every pair.
     """
     if relation.arity != 3 or relation.point_dim != 1:
         raise ArgumentError("bad triples are defined for ternary relations on the line")

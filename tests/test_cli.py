@@ -301,7 +301,8 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys):
     # The point caps are fixed, so the constructions above them are refused
     # before anything is built.  onedim-k4 and properties-ab visit every
     # point pair, so they are refused above MAX_PAIRS pairs, with exponents
-    # compared before any power of two is formed.
+    # compared before any power of two is formed.  frankl-wilson at p = 5
+    # has one vertex but is refused by its literal count (MAX_LITERALS).
     for argv in (("verify", "stepup-consistency", "--n", "3"),
                  ("verify", "stepup-consistency", "--n", "4"),
                  ("verify", "stepup-consistency", "--n", "4", "--sample", "1"),
@@ -309,6 +310,7 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys):
                  ("construct", "base", "--n", "21"),
                  ("construct", "onedim-k4", "--n", "5"),
                  ("construct", "frankl-wilson", "--m", "200", "--p", "2"),
+                 ("construct", "frankl-wilson", "--m", "24", "--p", "5"),
                  ("construct", "onedim-k4", "--n", "4"),
                  ("construct", "onedim-k4", "--n", "40"),
                  ("construct", "onedim-k4", "--n", "1000000000"),

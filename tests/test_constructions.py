@@ -483,6 +483,12 @@ def test_frankl_wilson_rejects_small_ground_set():
         frankl_wilson_graph(2, 2)
 
 
+def test_frankl_wilson_refuses_too_many_literals_before_building():
+    # One vertex, C(24, 24), but about 5.6 * 10^12 matching patterns.
+    with pytest.raises(ResourceLimitError, match="literals"):
+        frankl_wilson_graph(24, 5)
+
+
 # -- stability verifiers ---------------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from semiramsey import (
     univariate_coeffs,
     univariate_divmod,
 )
-from semiramsey.poly import IntegerForm, _int_signs
+from semiramsey.poly import _int_signs
 
 
 def x(i: int, n: int) -> Poly:
@@ -88,6 +88,23 @@ def test_restrict_keeps_constant_term():
 def test_restrict_out_of_range_variable_rejected(midpoint_gap):
     with pytest.raises(ArgumentError):
         midpoint_gap.restrict({3: 1})
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1"])
+def test_restrict_refuses_a_value_not_an_int_or_a_fraction(midpoint_gap,
+                                                            value):
+    # OrderedPointSet's rule: a float, a bool or a str is not converted.
+    with pytest.raises(ArgumentError):
+        midpoint_gap.restrict({0: value})
+
+
+def test_integer_form_restricted_at_ints_stays_int():
+    p = Poly(2, {(2, 0): F(1, 2), (0, 1): F(-2, 3), (1, 1): F(5), (0, 0): F(7)})
+    form = p.integer_form()
+    for restricted in (form.restrict({2: 6}), form.restrict({0: -3, 2: 6}),
+                       form.plan([2, 0])([6, -3])):
+        assert restricted.terms
+        assert all(type(c) is int for c in restricted.terms.values())
 
 
 def test_restrict_everything_leaves_constant(midpoint_gap):
@@ -409,7 +426,7 @@ def test_integer_form_is_homogenization_at_scale(p, scale, data):
     assert_matches_oracle(p, point)
 
 
-def seeded_forms(seed: int) -> list[IntegerForm]:
+def seeded_forms(seed: int) -> list[Poly]:
     """Random int forms in 0..3 variables, some terms constant, some
     coefficients near 2^200, some forms with no terms at all."""
     rng = SeededRng(seed)
@@ -422,19 +439,21 @@ def seeded_forms(seed: int) -> list[IntegerForm]:
             e = tuple(rng.randint(0, 3) * rng.randint(0, 1) for _ in range(n))
             c = rng.randint(-5, 5) + big[rng.randint(0, len(big) - 1)]
             terms[e] = terms.get(e, 0) + c
-        forms.append(IntegerForm(n, {e: c for e, c in terms.items() if c}))
+        forms.append(
+            Poly._from_terms(n, {e: c for e, c in terms.items() if c}))
     return forms
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_column_signs_equal_per_point_signs(seed):
     rng = SeededRng(seed)
-    special = [IntegerForm(2, {}), IntegerForm(0, {}), IntegerForm(0, {(): -3}),
-               IntegerForm(2, {(0, 0): 7, (1, 1): -1}),
-               IntegerForm(1, {(1,): 2 ** 200, (0,): -(2 ** 200) + 1}),
+    special = [Poly._from_terms(2, {}), Poly._from_terms(0, {}),
+               Poly._from_terms(0, {(): -3}),
+               Poly._from_terms(2, {(0, 0): 7, (1, 1): -1}),
+               Poly._from_terms(1, {(1,): 2 ** 200, (0,): -(2 ** 200) + 1}),
                # Coefficients of 4,633, 3,967 and 3,529 decimal digits.
-               IntegerForm(2, {(1, 1): 35 ** 3000, (1, 0): -(21 ** 3000),
-                               (0, 0): 15 ** 3000})]
+               Poly._from_terms(2, {(1, 1): 35 ** 3000, (1, 0): -(21 ** 3000),
+                                    (0, 0): 15 ** 3000})]
     for form in special + seeded_forms(seed):
         n = form.num_vars
         for size in (0, 1, 2, 9):
@@ -442,9 +461,9 @@ def test_column_signs_equal_per_point_signs(seed):
                      for _ in range(n)] for _ in range(size)]
             assert (_int_signs((form,), rows)[0]
                     == [sign(form.kernel()(x)) for x in rows])
-    assert _int_signs((IntegerForm(2, {}),), [[1, 2], [0, 0]]) == [[0, 0]]
-    assert _int_signs((IntegerForm(0, {(): -3}),), [[], []]) == [[-1, -1]]
-    assert _int_signs((IntegerForm(1, {(1,): 1}),), []) == [[]]
+    assert _int_signs((Poly._from_terms(2, {}),), [[1, 2], [0, 0]]) == [[0, 0]]
+    assert _int_signs((Poly._from_terms(0, {(): -3}),), [[], []]) == [[-1, -1]]
+    assert _int_signs((Poly._from_terms(1, {(1,): 1}),), []) == [[]]
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -454,8 +473,8 @@ def test_family_reader_equals_each_form_alone(seed):
     point set gives one empty column per form."""
     rng = SeededRng(seed)
     family = [form for form in seeded_forms(seed) if form.num_vars == 2]
-    family += [IntegerForm(2, {}), IntegerForm(2, {(0, 0): -5}),
-               IntegerForm(2, {(2, 0): 1, (0, 2): 1, (0, 0): -25})]
+    family += [Poly._from_terms(2, {}), Poly._from_terms(2, {(0, 0): -5}),
+               Poly._from_terms(2, {(2, 0): 1, (0, 2): 1, (0, 0): -25})]
     for size in (0, 1, 7):
         rows = [[rng.randint(-5, 5), rng.randint(-5, 5)] for _ in range(size)]
         assert _int_signs(family, rows) == [
@@ -476,11 +495,11 @@ def int_forms(draw):
     exponents = st.tuples(*[st.integers(0, 3) for _ in range(n)])
     coefficient = st.integers(-5, 5).filter(bool) | st.sampled_from(
         [2 ** 200, -(2 ** 200) + 7])
-    return IntegerForm(n, draw(st.dictionaries(exponents, coefficient,
-                                               max_size=8)))
+    return Poly._from_terms(n, draw(st.dictionaries(exponents, coefficient,
+                                                    max_size=8)))
 
 
-def times_root(form: IntegerForm, var: int, value: int) -> IntegerForm:
+def times_root(form: Poly, var: int, value: int) -> Poly:
     """form * (x_var - value): it vanishes identically once x_var = value."""
     pairs = []
     for e, c in form.terms.items():
@@ -489,7 +508,8 @@ def times_root(form: IntegerForm, var: int, value: int) -> IntegerForm:
     terms: dict = {}
     for e, c in pairs:
         terms[e] = terms.get(e, 0) + c
-    return IntegerForm(form.num_vars, {e: c for e, c in terms.items() if c})
+    return Poly._from_terms(form.num_vars,
+                            {e: c for e, c in terms.items() if c})
 
 
 @st.composite
@@ -510,21 +530,21 @@ def plan_cases(draw):
 
 
 @given(plan_cases())
-@example((IntegerForm(3, {}), [1], [2], [[1, 1]]))        # zero form
-@example((IntegerForm(3, {(2, 0, 1): 4, (0, 1, 0): -1}), [0, 1], [3, -2],
-          [[1], [0], [-1]]))                               # a prefix
-@example((IntegerForm(3, {(2, 0, 1): 4, (0, 1, 3): -1}), [2, 0], [-1, 2],
-          [[1], [5]]))                                     # not a prefix
-@example((IntegerForm(3, {(0, 2, 0): 5, (0, 0, 1): 2}), [0], [7],
+@example((Poly._from_terms(3, {}), [1], [2], [[1, 1]]))   # zero form
+@example((Poly._from_terms(3, {(2, 0, 1): 4, (0, 1, 0): -1}), [0, 1],
+          [3, -2], [[1], [0], [-1]]))                      # a prefix
+@example((Poly._from_terms(3, {(2, 0, 1): 4, (0, 1, 3): -1}), [2, 0],
+          [-1, 2], [[1], [5]]))                            # not a prefix
+@example((Poly._from_terms(3, {(0, 2, 0): 5, (0, 0, 1): 2}), [0], [7],
           [[1, -3], [0, 0]]))                              # x0 does not occur
-@example((IntegerForm(2, {(1, 1): 1, (0, 1): -2}), [0], [2],
+@example((Poly._from_terms(2, {(1, 1): 1, (0, 1): -2}), [0], [2],
           [[1], [-4]]))                                    # the read vanishes
-@example((IntegerForm(2, {(1, 1): 1, (0, 1): -2, (0, 2): 3}), [0], [2],
-          [[1], [-4]]))                                    # one monomial does
+@example((Poly._from_terms(2, {(1, 1): 1, (0, 1): -2, (0, 2): 3}), [0],
+          [2], [[1], [-4]]))                               # one monomial does
 @settings(max_examples=300, deadline=None)
 def test_plan_read_equals_restrict(case):
-    """A plan read, IntegerForm.restrict and MultivariatePolynomial.restrict
-    each give the substitution oracle's term map; the planned form, never
+    """A plan read, restrict on the int form and restrict on its Fraction
+    copy each give the substitution oracle's term map; the planned form, never
     compiled, reads the signs that the oracle's form reads after
     `_compile`, and the values of the whole form."""
     form, fixed, values, rows = case
@@ -536,7 +556,7 @@ def test_plan_read_equals_restrict(case):
     assert all(type(c) is int for c in planned.terms.values())
     assert Poly(form.num_vars, form.terms).restrict(at).terms == want
     assert _int_signs([planned], rows) == _int_signs(
-        [IntegerForm(planned.num_vars, want)], rows)
+        [Poly._from_terms(planned.num_vars, want)], rows)
     rest = [i for i in range(form.num_vars) if i not in at]
     for row in rows:
         full = {**at, **dict(zip(rest, row))}
@@ -577,8 +597,9 @@ def test_form_of_twenty_thousand_terms_reads_as_its_columns():
     """One term c * x0^i * x1^j per i <= 200, j < 100 but no constant, so
     the origin is a zero; per point reads equal the column signs."""
     rng = SeededRng(5)
-    form = IntegerForm(2, {(i, j): [-1, 1][rng.randint(0, 1)] * rng.randint(1, 2 ** 40)
-                           for i in range(201) for j in range(100) if i or j})
+    form = Poly._from_terms(2, {
+        (i, j): [-1, 1][rng.randint(0, 1)] * rng.randint(1, 2 ** 40)
+        for i in range(201) for j in range(100) if i or j})
     assert len(form.terms) > 20_000
     rows = [[0, 0]] + [[rng.randint(-3, 3), rng.randint(-3, 3)]
                        for _ in range(11)]

@@ -27,7 +27,6 @@ from semiramsey import (
     order_type_relation,
 )
 from semiramsey.errors import MAX_BITS
-from semiramsey.poly import IntegerForm
 from semiramsey.relation import COMPARISONS
 
 
@@ -196,14 +195,14 @@ def test_compiled_decider_matches_the_recursive_oracle(seed, monkeypatch):
     reads: list = []
     read_any = False
 
-    def counted_kernel(self, _kernel=IntegerForm.kernel):
+    def counted_kernel(self, _kernel=Poly.kernel):
         total = _kernel(self)
 
         def read(point):
             reads.append(id(self))
             return total(point)
         return read
-    monkeypatch.setattr(IntegerForm, "kernel", counted_kernel)
+    monkeypatch.setattr(Poly, "kernel", counted_kernel)
 
     rng = SeededRng(seed)
     seen_signs: set = set()
