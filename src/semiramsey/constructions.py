@@ -149,6 +149,17 @@ def delta_index(a: int, b: int, bits: int) -> int:
     return ((a - 1) ^ (b - 1)).bit_length()
 
 
+def _delta_blocks(count: int):
+    """Yield (delta, lo, mid, hi) for each aligned block [lo, hi) of 2^delta
+    indices in 0..count - 1, count a power of two, mid its midpoint.  The
+    pairs i < j with bitlen(i ^ j) = delta are exactly i in [lo, mid) and j
+    in [mid, hi) of one block, so every pair lies in exactly one."""
+    for delta in range(1, count.bit_length()):
+        size = 1 << delta
+        for lo in range(0, count, size):
+            yield delta, lo, lo + size // 2, lo + size
+
+
 def verify_delta_properties(bits: int, delta=delta_index):
     """Exhaustively check, over all of 1..2^bits:
 
@@ -289,7 +300,7 @@ def step_up_points(base: ConstructionInstance) -> tuple[OrderedPointSet, Fractio
     origin makes the output itself unsuitable for further stepping-up
     without a translation).
     Refuses before building when 2^N exceeds MAX_POINTS or the C(2^N, 2)
-    output pairs the radius visits exceed MAX_PAIRS.
+    output pairs exceed MAX_PAIRS, the bound on the output size.
     """
     pts = base.points
     eps = base.epsilon
@@ -298,10 +309,8 @@ def step_up_points(base: ConstructionInstance) -> tuple[OrderedPointSet, Fractio
         raise ArgumentError("base must have at least one point")
     if 2 ** n > MAX_POINTS:
         raise ResourceLimitError(f"2^{n} output points exceeds cap {MAX_POINTS}")
-    pairs = math.comb(2 ** n, 2)
-    if pairs > MAX_PAIRS:
-        raise ResourceLimitError(
-            f"{pairs} output pairs for the stability radius exceeds cap {MAX_PAIRS}")
+    if _pairs_exceed_cap(n):
+        raise ResourceLimitError(f"2^{n} output points have over {MAX_PAIRS} pairs")
     if eps is None:
         raise PreconditionError("base instance has no epsilon to step up")
     violation = _eps_increasing_violation(pts, eps)
@@ -357,38 +366,31 @@ def _stepped_stability_radius(out: OrderedPointSet, base_pts: OrderedPointSet,
     P(hd + hn) <= hn*amp - hd*num, and (num - P)/(amp + P) >= ln/ld, that is
     P(ld + ln) <= ld*num - ln*amp.  Where ld + ln <= 0, so t - eps <= -1,
     the last holds for every P: amp and num are positive (every output
-    slope is), which keeps (num - P)/(amp + P) above -1.  The recursive
-    copies repeat differences, so only the distinct constraints are kept.
+    slope is), which keeps (num - P)/(amp + P) above -1.  Each right side
+    is f(X_j) - f(X_i) for a linear f, so on the pairs of a delta block
+    its least value is min f on the upper half - max f on the lower half.
     """
     n_out = len(out)
     dim2 = out.dim
     m, pts = out.scaled()
     gap = min(pts[i + 1][c] - pts[i][c]
               for i in range(n_out - 1) for c in range(dim2))
-    # The slope window t - eps .. t + eps of each base coordinate as
-    # numerator/denominator pairs (denominators positive).
-    window = {(delta, c): ((t + eps).as_integer_ratio()
-                           + (t - eps).as_integer_ratio())
-              for delta in range(1, n_out.bit_length())
-              for c, t in enumerate(base_pts.point(delta))}
-    constraints = set()
-    for i in range(n_out):
-        lo = pts[i]
-        for j in range(i + 1, n_out):
-            hi = pts[j]
-            delta = (i ^ j).bit_length()
-            for c in range(0, dim2, 2):
-                constraints.add((hi[c] - lo[c], hi[c + 1] - lo[c + 1])
-                                + window[delta, c // 2])
-
-    # Base coordinates are positive, so hd + hn > 0.
-    loose = min(itertools.chain(
-        (Fraction(hn * amp - hd * num, hd + hn)
-         for amp, num, hn, hd, _, _ in constraints),
-        (Fraction(ld * num - ln * amp, ld + ln)
-         for amp, num, _, _, ln, ld in constraints if ld + ln > 0)))
+    bounds = []
+    for delta, lo, mid, hi in _delta_blocks(n_out):
+        block, half = pts[lo:hi], mid - lo
+        # The slope window t - eps .. t + eps of each base coordinate as
+        # numerator/denominator pairs (denominators positive).  Base
+        # coordinates are positive, so hd + hn > 0.
+        for c, t in enumerate(base_pts.point(delta)):
+            hn, hd = (t + eps).as_integer_ratio()
+            ln, ld = (t - eps).as_integer_ratio()
+            f = [hn * p[2 * c] - hd * p[2 * c + 1] for p in block]
+            bounds.append(Fraction(min(f[half:]) - max(f[:half]), hd + hn))
+            if ld + ln > 0:
+                g = [ld * p[2 * c + 1] - ln * p[2 * c] for p in block]
+                bounds.append(Fraction(min(g[half:]) - max(g[:half]), ld + ln))
     return min(Fraction(1), _dyadic_floor(Fraction(gap, 2 * m), strict=True),
-               _dyadic_floor(loose / (2 * m), strict=False))
+               _dyadic_floor(min(bounds) / (2 * m), strict=False))
 
 
 # -- stepping-up: relation --------------------------------------------------
@@ -599,7 +601,8 @@ def one_dim_k4_construction(n: int) -> ConstructionInstance:
     step_up_membership_rule(base(n), tuple): the relation is the
     stepped-up base relation on these points, so the stepping-up lemma
     gives no homogeneous subset of size 2n + 3 (hom <= 2n + 2).  The
-    digit check visits all C(2^(2^n), 2) pairs, so n >= 4 is refused; at
+    digit check reads two pairs per delta block.  MAX_PAIRS bounds the
+    output size by its C(2^(2^n), 2) pairs, so n >= 4 is refused; at
     n <= 3 the coordinates stay below 10^8.
     """
     if n < 1:
@@ -608,20 +611,21 @@ def one_dim_k4_construction(n: int) -> ConstructionInstance:
         raise ResourceLimitError(
             f"the pairs of 2^(2^{n}) points exceed cap {MAX_PAIRS}")
     digits = 2 ** n
-    values = sorted(1 + sum(10 ** i for i in range(digits) if pattern >> i & 1)
-                    for pattern in range(2 ** digits))
+    # Increasing in pattern order, so points a < b first differ at decimal
+    # digit i = bitlen(a ^ b) - 1: in the delta block with delta = i + 1.
+    values = [1 + sum(10 ** i for i in range(digits) if pattern >> i & 1)
+              for pattern in range(2 ** digits)]
     # Exact check: for p > q with highest differing digit i,
-    # 10^(10i - 1) < (p - q)^10 < 10^(10i + 1).
-    for ai in range(len(values)):
-        for bi in range(ai + 1, len(values)):
-            diff = values[bi] - values[ai]
-            i = _top_digit(values[bi] - 1, values[ai] - 1, digits)
-            tenth = diff ** 10
+    # 10^(10i - 1) < (p - q)^10 < 10^(10i + 1), which each block's least
+    # and largest difference settle for all its pairs.
+    for delta, lo, mid, hi in _delta_blocks(len(values)):
+        i = delta - 1
+        for a, b in ((values[mid - 1], values[mid]), (values[lo], values[hi - 1])):
+            tenth = (b - a) ** 10
             if not (10 ** (10 * i) < tenth * 10 and tenth < 10 ** (10 * i + 1)):
                 raise PreconditionError(
-                    f"difference of points {values[ai]} and {values[bi]} is "
-                    f"not within a tenth of digit position {i}",
-                    witness=(values[ai], values[bi]))
+                    f"difference of points {a} and {b} is not within a "
+                    f"tenth of digit position {i}", witness=(a, b))
     points = OrderedPointSet(1, [(v,) for v in values])
     return ConstructionInstance(
         points=points,
@@ -639,14 +643,6 @@ def _pairs_exceed_cap(exponent: int) -> bool:
     """Whether 2^exponent points have more than MAX_PAIRS pairs, decided
     with no power of two above 2^(MAX_PAIRS.bit_length()) formed."""
     return exponent > MAX_PAIRS.bit_length() or math.comb(2 ** exponent, 2) > MAX_PAIRS
-
-
-def _top_digit(a: int, b: int, digits: int) -> int:
-    """Highest decimal digit position where a and b differ."""
-    for i in range(digits - 1, -1, -1):
-        if (a // 10 ** i) % 10 != (b // 10 ** i) % 10:
-            return i
-    raise ArgumentError("values do not differ")
 
 
 # -- Frankl-Wilson graph ------------------------------------------------------
@@ -671,20 +667,23 @@ def frankl_wilson_graph(m: int, p: int):
     nor independent sets exceed binomial(m, p - 1).  More than MAX_POINTS
     vertices or MAX_LITERALS literals are refused before anything is built.
     """
-    if not _is_prime(p):
-        raise ArgumentError(f"{p} is not prime")
     r = p * p - 1
     if m < r:
         raise ArgumentError(f"need m >= p^2 - 1 = {r}")
-    count = math.comb(m, r)
-    if count > MAX_POINTS:
-        raise ResourceLimitError(f"binomial({m},{r}) vertices exceeds cap {MAX_POINTS}")
     # r^2 literals per matching of each size s: r^2 * sum of C(r, s)^2.
-    # r^2 is compared first, so no large binomial is formed.
-    if r * r > MAX_LITERALS or r * r * sum(
-            math.comb(r, s) ** 2 for s in range(p - 1, r + 1, p)) > MAX_LITERALS:
-        raise ResourceLimitError(
-            f"the relation for p = {p} has more than {MAX_LITERALS} literals")
+    # r^2 is compared first, so no large binomial is formed and no p above
+    # 31 is tried for primality.
+    too_many = f"the relation for p = {p} has more than {MAX_LITERALS} literals"
+    if r * r > MAX_LITERALS:
+        raise ResourceLimitError(too_many)
+    if not _is_prime(p):
+        raise ArgumentError(f"{p} is not prime")
+    # C(m, r) >= m for 0 < r < m, so a far larger m is refused unformed.
+    if m > r + MAX_POINTS or math.comb(m, r) > MAX_POINTS:
+        raise ResourceLimitError(f"binomial({m},{r}) vertices exceeds cap {MAX_POINTS}")
+    if r * r * sum(math.comb(r, s) ** 2
+                   for s in range(p - 1, r + 1, p)) > MAX_LITERALS:
+        raise ResourceLimitError(too_many)
     subsets = list(itertools.combinations(range(1, m + 1), r))
     points = OrderedPointSet(r, subsets)
 

@@ -41,15 +41,14 @@ class BudgetExhaustedError(ResourceLimitError):
 # than MAX_POINTS, and tower() refuses to produce integers wider than
 # MAX_BITS bits.  A point set whose common denominator has more than
 # MAX_BITS bits cannot be scaled to integers (OrderedPointSet.scaled).
-# Stepping up refuses an output with more than MAX_PAIRS point pairs,
-# because its stability radius visits every pair; so do the digit check of
-# `one_dim_k4_construction` (n >= 4) and the delta table of
-# `verify_delta_properties` (N >= 11), which also visit every pair.  Their
-# exponents are compared before any power of two is formed.  An exhaustive
-# `verify stepup-consistency` refuses more than MAX_TUPLES tuples.  Decoded
-# polynomials of total degree above MAX_DEGREE are refused, because
-# evaluating one raises its coordinates to that power; the constructions
-# emit degree at most 6.  The geometry relations refuse to expand more
+# Stepping up and `one_dim_k4_construction` (n >= 4) refuse, as a bound on
+# output size, more than MAX_PAIRS point pairs (they read two per delta
+# block); only the delta table of `verify_delta_properties` (N >= 11) visits
+# every pair.  Exponents are compared before any power of two is formed.  An
+# exhaustive `verify stepup-consistency` refuses more than MAX_TUPLES tuples.
+# Decoded polynomials of total degree above MAX_DEGREE are refused, because
+# evaluating one raises its coordinates to that power; the constructions emit
+# degree at most 6.  The geometry relations refuse to expand more
 # than MAX_EXPANSION monomial products ((d+1)! for the order type in R^d,
 # (d!)^2 for one-sidedness), so every accepted dimension builds in under a
 # second.  `report tower` refuses to print an integer of more than

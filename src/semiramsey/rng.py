@@ -41,20 +41,14 @@ class SeededRng:
         return SeededRng(h)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], rejection-sampled (no modulo bias)."""
-        if hi < lo:
-            raise ValueError("empty range")
-        span = hi - lo + 1
-        limit = (1 << 64) - ((1 << 64) % span)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return lo + u % span
+        """Uniform integer in [lo, hi]: the one draw of `randints`."""
+        return self.randints(lo, hi, 1)[0]
 
     def randints(self, lo: int, hi: int, count: int) -> list[int]:
-        """`count` uniform integers in [lo, hi] in one loop: the list that
-        many `randint(lo, hi)` calls return, with the state left where
-        they leave it."""
+        """`count` uniform integers in [lo, hi] in one loop, each
+        rejection-sampled from the `next_u64` stream (no modulo bias): the
+        list that many `randint(lo, hi)` calls return, with the state left
+        where they leave it."""
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1

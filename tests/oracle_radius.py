@@ -1,10 +1,11 @@
 """Reference stability radius for stepped-up point sets, for the test suite.
 
 This is the all-pairs Fraction computation that step_up_points ran before
-its radius moved to deduplicated integer constraints: for every output pair
-i < j and coordinate pair c it bounds the perturbation analytically, then
-checks dyadic candidates exactly on corner perturbations.  It shares no
-code with the package under test.
+its radius moved to integer bounds read at the two extremes of each delta
+block: for every output pair i < j and coordinate pair c it bounds the
+perturbation analytically, then checks dyadic candidates exactly on corner
+perturbations.  It visits every pair and shares no code with the package
+under test.
 """
 
 from __future__ import annotations

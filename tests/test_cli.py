@@ -297,12 +297,17 @@ def test_verify_stepup_consistency_small(capsys):
 def test_verify_stepup_consistency_hits_resource_cap(capsys):
     # The caps are checked before stepping up, so even --n 4 (65,536 points)
     # is refused at once: without --sample by the tuple count, with it (and
-    # in construct) by the C(65536, 2) point pairs of the stability radius.
-    # The point caps are fixed, so the constructions above them are refused
-    # before anything is built.  onedim-k4 and properties-ab visit every
-    # point pair, so they are refused above MAX_PAIRS pairs, with exponents
-    # compared before any power of two is formed.  frankl-wilson at p = 5
-    # has one vertex but is refused by its literal count (MAX_LITERALS).
+    # in construct) by its C(65536, 2) point pairs, the bound on the output
+    # size.  The point caps are fixed, so the constructions above them are
+    # refused before anything is built.  properties-ab visits every point
+    # pair, and the pairs of onedim-k4 bound its output size, so both are
+    # refused above MAX_PAIRS pairs, with exponents compared before any
+    # power of two is formed.  frankl-wilson at p = 5 has one vertex but is
+    # refused by its literal count (MAX_LITERALS), and so is every p above
+    # 31, before its primality is tested: the prime 2^61 - 1 is refused at
+    # once, here with exit 3 and with exit 2 below, where m < p^2 - 1.  An m
+    # of 4,001 digits is refused by the vertex count before C(m, r) is formed.
+    big_p = str(2 ** 61 - 1)
     for argv in (("verify", "stepup-consistency", "--n", "3"),
                  ("verify", "stepup-consistency", "--n", "4"),
                  ("verify", "stepup-consistency", "--n", "4", "--sample", "1"),
@@ -311,6 +316,10 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys):
                  ("construct", "onedim-k4", "--n", "5"),
                  ("construct", "frankl-wilson", "--m", "200", "--p", "2"),
                  ("construct", "frankl-wilson", "--m", "24", "--p", "5"),
+                 ("construct", "frankl-wilson", "--m", str(10 ** 40),
+                  "--p", big_p),
+                 ("construct", "frankl-wilson", "--m", str(10 ** 4000),
+                  "--p", "31"),
                  ("construct", "onedim-k4", "--n", "4"),
                  ("construct", "onedim-k4", "--n", "40"),
                  ("construct", "onedim-k4", "--n", "1000000000"),
@@ -322,6 +331,10 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys):
         assert code == 3, argv
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+    code, out, err = run(capsys, "construct", "frankl-wilson", "--m", "1",
+                         "--p", big_p)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
 
 
 def test_verify_stepup_consistency_sampled(capsys):

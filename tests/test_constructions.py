@@ -187,6 +187,18 @@ def test_delta_properties_report_the_smallest_shared_value():
     assert verify_delta_properties(3, delta=wrong) == (False, ("A", (3, 4, 5)))
 
 
+@pytest.mark.parametrize("count", [2 ** k for k in range(9)])
+def test_delta_blocks_hold_each_pair_once_at_its_delta(count):
+    seen = {}
+    for delta, lo, mid, hi in constructions._delta_blocks(count):
+        for i in range(lo, mid):
+            for j in range(mid, hi):
+                assert (i, j) not in seen
+                seen[i, j] = delta
+    assert seen == {(i, j): (i ^ j).bit_length()
+                    for i, j in itertools.combinations(range(count), 2)}
+
+
 # -- slope -----------------------------------------------------------------------
 
 
@@ -259,10 +271,17 @@ def test_step_up_pair_cap_refuses_before_building():
         step_up_points(base_construction(4))
 
 
-def perturbed_base(seed: int) -> ConstructionInstance:
-    """Four points near 1..4, each moved by a seeded multiple of 1/100."""
+def perturbed_base(seed: int, n: int = 4, d: int = 1,
+                   eps: F = F(1, 10)) -> ConstructionInstance:
+    """n points near (i, ..., i) in R^d, i = 1..n, each coordinate moved by
+    a seeded multiple of 1/100.  Consecutive points stay 82/100 apart, so
+    any eps below 41/100 keeps them eps-increasing."""
     rng = random.Random(seed)
-    return tiny_instance([i + F(rng.randint(-9, 9), 100) for i in range(1, 5)])
+    points = OrderedPointSet(d, [[i + F(rng.randint(-9, 9), 100)
+                                  for _ in range(d)] for i in range(1, n + 1)])
+    relation = base_relation() if d == 1 else step_up_relation(base_relation())
+    return ConstructionInstance(points=points, relation=relation, epsilon=eps,
+                                provenance={"kind": "test"})
 
 
 def two_dim_base() -> ConstructionInstance:
@@ -281,12 +300,56 @@ def two_dim_base() -> ConstructionInstance:
     # eps = 4 around t = 1 reaches 1 + t - eps <= 0 in the radius and
     # 1 + a - eps/2 <= 0 in the box radius.
     lambda: tiny_instance([1, 10], eps=F(4)),
-], ids=["base1", "base2", "base3", "perturbed-seed7", "two-dim", "wide-eps"])
+    # Seeded bases of 1 to 7 points in R^1 and R^2 over a range of eps.
+    *[lambda args=args: perturbed_base(*args) for args in [
+        (1, 1, 1, F(1, 100)), (2, 3, 1, F(2, 5)), (3, 6, 1, F(1, 20)),
+        (4, 7, 1, F(3, 10)), (5, 2, 2, F(1, 10)), (6, 3, 2, F(2, 5)),
+        (8, 5, 2, F(1, 50)), (9, 6, 2, F(1, 4))]],
+], ids=["base1", "base2", "base3", "perturbed-seed7", "two-dim", "wide-eps",
+        "seed1-n1-d1", "seed2-n3-d1", "seed3-n6-d1", "seed4-n7-d1",
+        "seed5-n2-d2", "seed6-n3-d2", "seed8-n5-d2", "seed9-n6-d2"])
 def test_stability_radius_matches_all_pairs_oracle(make_base):
     base = make_base()
     points, eps1 = step_up_points(base)
     assert eps1 == oracle_radius.stepped_stability_radius(
         points.points, base.points.points, base.epsilon)
+
+
+def hugging_set(seed: int, bits: int, d: int):
+    """2^bits points in R^{2d} from the origin by seeded steps with x-step in
+    [1, 2] and slope in [101/100, 59/20] per coordinate pair, so every pair
+    slope, a weighted mean of step slopes, lies in [1, 3]; eps = 3/2.  Each
+    delta below bits has target 2, a window that holds them all.  The top
+    delta's window hugs the top block's pair slopes 1/100 away: from below
+    for an even seed, so the g bound binds, from above for an odd one, so
+    the f bound binds.  Unlike a stepped-up block, whose halves are
+    shrunken copies, this block's extreme pairs are far from its others,
+    so reading the wrong pairs moves the radius by more than a factor 2."""
+    rng = random.Random(seed)
+    points = [[F(0)] * (2 * d)]
+    for _ in range(2 ** bits - 1):
+        point = list(points[-1])
+        for c in range(0, 2 * d, 2):
+            dx = F(rng.randint(100, 200), 100)
+            point[c] += dx
+            point[c + 1] += dx * F(rng.randint(101, 295), 100)
+        points.append(point)
+    eps, mid = F(3, 2), 2 ** (bits - 1)
+    top = []
+    for c in range(0, 2 * d, 2):
+        slopes = [(q[c + 1] - p[c + 1]) / (q[c] - p[c])
+                  for p in points[:mid] for q in points[mid:]]
+        top.append(min(slopes) + eps - F(1, 100) if seed % 2 == 0
+                   else max(slopes) - eps + F(1, 100))
+    targets = [[F(2)] * d] * (bits - 1) + [top]
+    return OrderedPointSet(2 * d, points), OrderedPointSet(d, targets), eps
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_stability_radius_matches_oracle_where_a_block_binds(seed):
+    out, targets, eps = hugging_set(seed, 3 + seed % 2, 1 + seed // 8)
+    assert constructions._stepped_stability_radius(out, targets, eps) == \
+        oracle_radius.stepped_stability_radius(out.points, targets.points, eps)
 
 
 def _cross_balls_ok(anchor, eps, r) -> bool:
@@ -406,6 +469,24 @@ def test_onedim_membership_by_difference_shape():
     assert relation.holds_on_coords([F(0), F(1), F(3), F(7)])
     # Differences (2, 1, 1): no strict pattern applies.
     assert not relation.holds_on_coords([F(0), F(2), F(3), F(4)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_onedim_points_are_in_pattern_order_with_top_digit_at_delta(n):
+    """The digit check's premise: point k (0-based) minus 1, read in
+    decimal, is k in binary, the points increase, and points a < b first
+    differ at decimal digit bitlen(a ^ b) - 1."""
+    digits = 2 ** n
+
+    def top_digit(a: int, b: int) -> int:
+        return next(i for i in reversed(range(digits))
+                    if a // 10 ** i % 10 != b // 10 ** i % 10)
+
+    values = [int(p[0]) - 1 for p in one_dim_k4_construction(n).points.points]
+    assert [int(str(v), 2) for v in values] == list(range(2 ** digits))
+    assert values == sorted(values)
+    for a, b in itertools.combinations(range(len(values)), 2):
+        assert top_digit(values[a], values[b]) == (a ^ b).bit_length() - 1
 
 
 def test_onedim_base_ten_passes_digit_closeness_at_n2():

@@ -60,10 +60,22 @@ def test_first_draws_of_seed_one_are_pinned():
 ])
 @pytest.mark.parametrize("count", [0, 1, 7, 300])
 def test_randints_equals_that_many_randint_calls(lo, hi, count):
-    batched, twin = SeededRng(5), SeededRng(5)
-    assert batched.randints(lo, hi, count) == [
-        twin.randint(lo, hi) for _ in range(count)]
-    assert batched.next_u64() == twin.next_u64()
+    batched, single, twin = SeededRng(5), SeededRng(5), SeededRng(5)
+    want = [_rejection_draw(twin, lo, hi) for _ in range(count)]
+    assert batched.randints(lo, hi, count) == want
+    assert [single.randint(lo, hi) for _ in range(count)] == want
+    assert batched.next_u64() == single.next_u64() == twin.next_u64()
+
+
+def _rejection_draw(rng: SeededRng, lo: int, hi: int) -> int:
+    """The reference draw: raw `next_u64` values at or above the largest
+    multiple of the span are rejected, the first kept one is reduced."""
+    span = hi - lo + 1
+    limit = (1 << 64) - ((1 << 64) % span)
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return lo + u % span
 
 
 def test_the_wide_spans_reject_draws():
@@ -82,4 +94,6 @@ def test_randints_refuses_an_empty_range():
         rng.randints(3, 2, 4)
     with pytest.raises(ValueError, match="empty range"):
         rng.randints(3, 2, 0)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randint(3, 2)
     assert rng.next_u64() == SeededRng(1).next_u64()
