@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import constructions, geometry, jsonio, solvers
 from .errors import (ArgumentError, BudgetExhaustedError,
-                     ResourceLimitError, MAX_DIGITS, MAX_TUPLES)
+                     ResourceLimitError, MAX_DIGITS, MAX_POINTS, MAX_TUPLES)
 from .relation import (count_distinct_sign_vectors, eval_membership,
                        milnor_thom_bound)
 from .poly import MultivariatePolynomial, _sum_terms
@@ -299,8 +299,10 @@ def cmd_verify_transitive_ramsey(args) -> int:
 def cmd_verify_milnor_thom(args) -> int:
     if args.trials < 0 or args.points < 0:
         raise ArgumentError("--trials and --points must be at least 0")
+    if args.points > MAX_POINTS:
+        raise ResourceLimitError(f"--points exceeds cap {MAX_POINTS}")
     rng = SeededRng(args.seed)
-    worst = Fraction(0)
+    worst = Fraction(0)  # a Fraction, so that --trials 0 prints "0"
     witness = None
     families = evaluations = vectors = 0
     for trial in range(args.trials):
@@ -426,6 +428,8 @@ def cmd_report_tower(args) -> int:
 
 
 def cmd_report_clique_thresholds(args) -> int:
+    if max(args.max_s - 2, 0) * max(args.max_n - 2, 0) > MAX_TUPLES:
+        raise ResourceLimitError(f"more than {MAX_TUPLES} rows to report")
     rows = [{"s": s, "n": n,
              "threshold": solvers.transitive_ramsey_number(s, n)}
             for s in range(3, args.max_s + 1)

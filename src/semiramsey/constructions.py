@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import (ArgumentError, DegenerateInputError, PreconditionError,
                      ResourceLimitError, MAX_BITS, MAX_FORMULA_DEPTH,
-                     MAX_LITERALS, MAX_PAIRS, MAX_POINTS)
+                     MAX_LITERALS, MAX_PAIRS, MAX_POINTS, MAX_TUPLES)
 from .poly import MultivariatePolynomial, Scalar, _coef
 from .relation import (Formula, OrderedPointSet, SemiAlgebraicRelation,
                        eval_membership)
@@ -237,15 +237,16 @@ def slope(p: Sequence[Scalar], q: Sequence[Scalar]) -> tuple[Fraction, ...]:
         raise ArgumentError("slope of points with different dimensions")
     if len(p) % 2 or not p:
         raise ArgumentError("slope needs an even-dimensional space")
-    p = [_coef(v) for v in p]
-    q = [_coef(v) for v in q]
+    for v in (*p, *q):
+        _coef(v)
     out = []
     for i in range(0, len(p), 2):
         dx = q[i] - p[i]
         if dx == 0:
             raise DegenerateInputError(
                 f"vanishing x-difference in coordinate pair {i // 2}")
-        out.append((q[i + 1] - p[i + 1]) / dx)
+        # Fraction(dy): with int points, int / int would be a float.
+        out.append(Fraction(q[i + 1] - p[i + 1]) / dx)
     return tuple(out)
 
 
@@ -256,6 +257,7 @@ def _dyadic_floor(bound: Fraction, strict: bool) -> Fraction:
     if bound <= 0:
         raise ArgumentError("no positive dyadic below a nonpositive bound")
     p, q = bound.as_integer_ratio()
+    # Fraction(2): the exponent may be negative.
     value = Fraction(2) ** (p.bit_length() - q.bit_length())
     if value > bound or (strict and value == bound):
         value /= 2
@@ -328,13 +330,11 @@ def step_up_points(base: ConstructionInstance) -> tuple[OrderedPointSet, Fractio
     def build(m: int) -> list[tuple[Fraction, ...]]:
         if m == 1:
             first = pts.point(1)
-            q2 = tuple(itertools.chain.from_iterable(
-                (Fraction(1), a) for a in first))
-            return [(Fraction(0),) * (2 * d), q2]
+            q2 = tuple(itertools.chain.from_iterable((1, a) for a in first))
+            return [(0,) * (2 * d), q2]
         prev = build(m - 1)
         anchor_pt = pts.point(m)
-        center = tuple(itertools.chain.from_iterable(
-            (Fraction(1), a) for a in anchor_pt))
+        center = tuple(itertools.chain.from_iterable((1, a) for a in anchor_pt))
         radius = _cross_ball_radius(anchor_pt, eps)
         lo = [min(p[c] for p in prev) for c in range(2 * d)]
         span = max(max(p[c] for p in prev) - lo[c] for c in range(2 * d))
@@ -389,7 +389,7 @@ def _stepped_stability_radius(out: OrderedPointSet, base_pts: OrderedPointSet,
             if ld + ln > 0:
                 g = [ld * p[2 * c + 1] - ln * p[2 * c] for p in block]
                 bounds.append(Fraction(min(g[half:]) - max(g[:half]), ld + ln))
-    return min(Fraction(1), _dyadic_floor(Fraction(gap, 2 * m), strict=True),
+    return min(1, _dyadic_floor(Fraction(gap, 2 * m), strict=True),
                _dyadic_floor(min(bounds) / (2 * m), strict=False))
 
 
@@ -734,8 +734,7 @@ def _frankl_wilson_relation(r: int, p: int) -> SemiAlgebraicRelation:
 def _eps_increasing_violation(points: OrderedPointSet, eps: Fraction):
     """First (index, coordinate) whose consecutive gap is not above 2*eps,
     or None when the set is eps-increasing."""
-    eps = _coef(eps)
-    if eps <= 0:
+    if _coef(eps) <= 0:
         raise ArgumentError("eps must be positive")
     for i in range(1, len(points)):
         lo = points.points[i - 1]
@@ -765,6 +764,7 @@ def verify_eps_deep_sampled(instance: ConstructionInstance,
     points at once.  Returns (True, None) or (False, witness) where the
     witness holds the tuple, the perturbed coordinates and both memberships.
     This samples; it can refute deepness but never fully certify it.
+    More than MAX_TUPLES tuples are refused before the first is read.
     """
     if samples_per_tuple < 0:
         raise ArgumentError("samples_per_tuple must be at least 0")
@@ -774,6 +774,8 @@ def verify_eps_deep_sampled(instance: ConstructionInstance,
     rel = instance.relation
     pts = instance.points
     k = rel.arity
+    if math.comb(len(pts), k) > MAX_TUPLES:
+        raise ResourceLimitError(f"over {MAX_TUPLES} tuples of {k} points")
     d = pts.dim
     rng = SeededRng(seed)
     corners = list(itertools.product((-eps, eps), repeat=d))

@@ -45,7 +45,10 @@ class BudgetExhaustedError(ResourceLimitError):
 # output size, more than MAX_PAIRS point pairs (they read two per delta
 # block); only the delta table of `verify_delta_properties` (N >= 11) visits
 # every pair.  Exponents are compared before any power of two is formed.  An
-# exhaustive `verify stepup-consistency` refuses more than MAX_TUPLES tuples.
+# exhaustive `verify stepup-consistency` and `verify eps-deep` refuse more
+# than MAX_TUPLES tuples, `verify_transitive_ramsey` more than MAX_TUPLES
+# triples and `report transitive` more than MAX_TUPLES rows, each before the
+# first is built; `verify milnor-thom` refuses --points above MAX_POINTS.
 # Decoded polynomials of total degree above MAX_DEGREE are refused, because
 # evaluating one raises its coordinates to that power; the constructions emit
 # degree at most 6.  The geometry relations refuse to expand more

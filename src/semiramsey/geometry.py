@@ -96,7 +96,7 @@ def _sym_det(nv: int, rows: list[list[int | None]]) -> MultivariatePolynomial:
                 if row[col] is not None:
                     e[row[col]] += 1
             inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            yield tuple(e), Fraction((-1) ** inversions)
+            yield tuple(e), (-1) ** inversions
 
     return MultivariatePolynomial._from_terms(nv, _sum_terms(signed_monomials()))
 
@@ -172,7 +172,7 @@ def general_position_points(points: OrderedPointSet):
 class Hyperplane:
     """Affine hyperplane sum_i a[i] * x_i = b in R^d."""
     a: tuple
-    b: Fraction
+    b: Scalar
 
     @classmethod
     def make(cls, a: Sequence[Scalar], b: Scalar) -> "Hyperplane":
@@ -185,12 +185,12 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.a)
 
-    def side(self, point: Sequence[Scalar]) -> Fraction:
+    def side(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.dim:
             raise ArgumentError("point/hyperplane dimension mismatch")
-        return sum((c * _coef(x) for c, x in zip(self.a, point)), Fraction(0)) - self.b
+        return sum(c * _coef(x) for c, x in zip(self.a, point)) - self.b
 
-    def representation_point(self) -> tuple[Fraction, ...]:
+    def representation_point(self) -> tuple[Scalar, ...]:
         """The point (a_1, ..., a_d, b) in R^{d+1} used by one_sided_relation."""
         return self.a + (self.b,)
 

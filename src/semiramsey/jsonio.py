@@ -16,7 +16,7 @@ from typing import Any
 from .errors import (ArgumentError, ResourceLimitError, MAX_DEGREE,
                      MAX_DIGITS, MAX_FORMULA_DEPTH)
 from .geometry import Arrangement, Hyperplane
-from .poly import MultivariatePolynomial
+from .poly import MultivariatePolynomial, Scalar
 from .relation import Formula, OrderedPointSet, SemiAlgebraicRelation
 from .constructions import ConstructionInstance
 from .solvers import Hypergraph3, HomogeneousResult, TransitiveColoring
@@ -27,10 +27,9 @@ _RATIONAL = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?"
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 
-def fraction_to_json(value) -> str:
+def fraction_to_json(value: Scalar) -> str:
     """"p" or "p/q", refused (ResourceLimitError) if p or q has more than
     MAX_DIGITS digits, so that every interpreter prints it alike."""
-    value = Fraction(value)
     if max(abs(value.numerator), value.denominator) >= _DIGIT_LIMIT:
         raise ResourceLimitError(
             f"a rational of more than {MAX_DIGITS} decimal digits to print")
@@ -43,7 +42,7 @@ def fraction_from_json(data) -> Fraction:
     else (exponents, decimals, "_", whitespace, "+") is an ArgumentError."""
     if type(data) is int:
         if abs(data) < _DIGIT_LIMIT:
-            return Fraction(data)
+            return Fraction(data)  # so that a decoded value prints as "3"
         raise ArgumentError(f"an int of more than {MAX_DIGITS} digits")
     match = _RATIONAL.fullmatch(data) if type(data) is str else None
     if match is not None:
@@ -200,9 +199,9 @@ def jsonable(value: Any) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic serialization: sorted keys, compact separators,
-    trailing newline."""
-    return json.dumps(jsonable(obj), sort_keys=True,
+    """Deterministic serialization in one pass: sorted keys, compact
+    separators, trailing newline, Fractions written by `jsonable`."""
+    return json.dumps(obj, default=jsonable, sort_keys=True,
                       separators=(",", ":")) + "\n"
 
 

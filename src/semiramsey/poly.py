@@ -1,7 +1,7 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is a map from exponent vectors (one integer per variable) to
-nonzero coefficients: Fractions, or ints for an integer form.  Variables
+nonzero coefficients: ints or Fractions, as given.  Variables
 are 0-based: x0, x1, ...  All arithmetic is exact; nothing in this module
 ever touches floats.
 
@@ -38,18 +38,22 @@ from .errors import ArgumentError
 Scalar = Union[int, Fraction]
 
 
-def _coef(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _coef(value: Scalar) -> Scalar:
+    """value, an int or a Fraction, as given; any other type (a bool, a
+    float, a str) is refused with ArgumentError, never converted."""
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    raise ArgumentError(f"{value!r} is not an int or a Fraction")
 
 
 def _sum_terms(pairs: Iterable) -> dict:
-    """Term map of the sum of (exponent tuple, Fraction) pairs.
+    """Term map of the sum of (exponent tuple, coefficient) pairs.
 
     Coefficients of equal exponent tuples are summed and sums of 0 are
     dropped.  The first coefficient of an exponent is stored as it is, so
-    a term that occurs once costs no Fraction addition.
+    a term that occurs once costs no addition.
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], Scalar] = {}
     for e, c in pairs:
         acc = terms.get(e)
         if acc is not None:
@@ -95,9 +99,8 @@ class MultivariatePolynomial:
         """Wrap a term map without copying or checking it.
 
         A term map sends exponent tuples of length num_vars (nonnegative
-        ints) to nonzero Fraction coefficients, or to nonzero ints for an
-        integer form (`integer_form`, its restrictions at ints, and the
-        forms `verify milnor-thom` draws); `_sum_terms` builds one.
+        ints) to nonzero coefficients, ints or Fractions, as given;
+        `_sum_terms` builds one.
         """
         return cls.__new__(cls)._set(num_vars, terms)
 
@@ -105,9 +108,6 @@ class MultivariatePolynomial:
 
     @classmethod
     def constant(cls, num_vars: int, value: Scalar) -> "MultivariatePolynomial":
-        value = _coef(value)
-        if value == 0:
-            return cls(num_vars)
         return cls(num_vars, {(0,) * num_vars: value})
 
     @classmethod
@@ -116,7 +116,7 @@ class MultivariatePolynomial:
             raise ArgumentError(f"variable index {index} out of range for {num_vars} vars")
         e = [0] * num_vars
         e[index] = 1
-        return cls(num_vars, {tuple(e): Fraction(1)})
+        return cls(num_vars, {tuple(e): 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -155,15 +155,17 @@ class MultivariatePolynomial:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_same_space(self, other: "MultivariatePolynomial"):
+    def _operand(self, other) -> "MultivariatePolynomial":
+        """other in this polynomial's space; a scalar (`_coef`) is a constant."""
+        if not isinstance(other, MultivariatePolynomial):
+            return MultivariatePolynomial.constant(self.num_vars, other)
         if self.num_vars != other.num_vars:
             raise ArgumentError(
                 f"mixing polynomials in {self.num_vars} and {other.num_vars} variables")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultivariatePolynomial.constant(self.num_vars, other)
-        self._check_same_space(other)
+        other = self._operand(other)
         return MultivariatePolynomial._from_terms(
             self.num_vars,
             _sum_terms(chain(self.terms.items(), other.terms.items())))
@@ -175,19 +177,13 @@ class MultivariatePolynomial:
             self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coef(other)
-            if c == 0:
-                return MultivariatePolynomial._from_terms(self.num_vars, {})
-            return MultivariatePolynomial._from_terms(
-                self.num_vars, {e: k * c for e, k in self.terms.items()})
-        self._check_same_space(other)
+        other = self._operand(other)
         return MultivariatePolynomial._from_terms(self.num_vars, _sum_terms(
             (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
             for e1, c1 in self.terms.items()
@@ -255,12 +251,10 @@ class MultivariatePolynomial:
         univariate polynomial in the old x1.  One read of `plan`; the values
         are kept as given, so an integer form restricted at ints is one too.
         """
-        for i, v in fixed.items():
+        for i in fixed:
             if not 0 <= i < self.num_vars:
                 raise ArgumentError(f"fixed variable {i} out of range")
-            if type(v) is not int and not isinstance(v, Fraction):
-                raise ArgumentError(f"value {v!r} of x{i} is not an int or a Fraction")
-        return self.plan(list(fixed))(list(fixed.values()))
+        return self.plan(list(fixed))([_coef(v) for v in fixed.values()])
 
     def plan(self, fixed: Sequence[int]
              ) -> Callable[[Sequence[Scalar]], "MultivariatePolynomial"]:
@@ -410,20 +404,18 @@ def _int_signs(forms: Sequence[MultivariatePolynomial],
 # -- univariate helpers (used by the Sturm machinery) -------------------
 
 
-def univariate_coeffs(p: MultivariatePolynomial) -> list[Fraction]:
+def univariate_coeffs(p: MultivariatePolynomial) -> list[Scalar]:
     """Dense coefficient list c[0] + c[1] x + ... for a 1-variable polynomial."""
     if p.num_vars != 1:
         raise ArgumentError("expected a univariate polynomial")
-    deg = p.degree()
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs = [0] * (p.degree() + 1)
     for (e,), c in p.terms.items():
         coeffs[e] = c
     return coeffs
 
 
 def from_univariate_coeffs(coeffs: Sequence[Scalar]) -> MultivariatePolynomial:
-    return MultivariatePolynomial._from_terms(
-        1, _sum_terms(((i,), _coef(c)) for i, c in enumerate(coeffs)))
+    return MultivariatePolynomial(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):

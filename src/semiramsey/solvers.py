@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (MAX_ROUNDS, ArgumentError, BudgetExhaustedError,
-                     PreconditionError, ResourceLimitError)
-from .poly import MultivariatePolynomial, _int_signs
+from .errors import (MAX_ROUNDS, MAX_TUPLES, ArgumentError,
+                     BudgetExhaustedError, PreconditionError, ResourceLimitError)
+from .poly import MultivariatePolynomial, _coef, _int_signs
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
                        _check_spaces, eval_membership)
 from .rng import SeededRng
@@ -451,10 +451,10 @@ def longest_monotone_subsequence(values: Sequence) -> list:
     """Longest strictly increasing or strictly decreasing subsequence
     (the longer of the two) by exact dynamic programming.
 
-    Entries must be distinct.  Always at least ceil(sqrt(len(values))) long.
+    Entries must be distinct ints or Fractions.  Always at least
+    ceil(sqrt(len(values))) long.
     """
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v)
-            for v in values]
+    vals = [_coef(v) for v in values]
     if len(set(vals)) != len(vals):
         raise ArgumentError("entries must be distinct")
     if not vals:
@@ -530,7 +530,8 @@ def verify_transitive_ramsey(s: int, n: int, N: int,
     colorings with early pruning of completed monochromatic cliques.
 
     Returns (True, None) or (False, witness_coloring).  Raises
-    BudgetExhaustedError when the node budget runs out (inconclusive).
+    BudgetExhaustedError when the node budget runs out (inconclusive), and
+    ResourceLimitError, before listing any, for more than MAX_TUPLES triples.
     """
     if s < 3 or n < 3:
         raise ArgumentError("both clique sizes must be at least 3")
@@ -538,6 +539,8 @@ def verify_transitive_ramsey(s: int, n: int, N: int,
         raise ArgumentError("N must be positive")
     if budget < 0:
         raise ArgumentError("budget must be at least 0")
+    if math.comb(N, 3) > MAX_TUPLES:
+        raise ResourceLimitError(f"C({N}, 3) triples exceed cap {MAX_TUPLES}")
     triples = list(itertools.combinations(range(1, N + 1), 3))
     colors: dict[tuple, str] = {}
     nodes = 0

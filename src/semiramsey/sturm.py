@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .errors import ArgumentError, PreconditionError
 from .poly import (MultivariatePolynomial, Scalar, _cleared, _coef,
@@ -107,8 +106,7 @@ def sturm_sequence(g: MultivariatePolynomial) -> SturmSequence:
     return sturm_chain(_cleared(univariate_coeffs(g))[0])
 
 
-def count_real_roots(g: MultivariatePolynomial, a: Fraction,
-                     b: Fraction) -> int:
+def count_real_roots(g: MultivariatePolynomial, a: Scalar, b: Scalar) -> int:
     """Number of distinct real roots of g in the open interval (a, b).
 
     Requires a < b and g(a) != 0 != g(b).  Roots are counted without
@@ -116,8 +114,7 @@ def count_real_roots(g: MultivariatePolynomial, a: Fraction,
     difference of its sign changes at a and at b.  To count on many
     intervals, read one `sturm_sequence(g)` at their endpoints instead.
     """
-    a, b = _coef(a), _coef(b)  # a Fraction endpoint is kept as it is
-    if a >= b:
+    if _coef(a) >= _coef(b):
         raise ArgumentError(f"empty interval ({a}, {b})")
     seq = sturm_sequence(g)
     at_a = seq.sign_changes_at(a)

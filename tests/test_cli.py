@@ -294,7 +294,7 @@ def test_verify_stepup_consistency_small(capsys):
     assert doc["ok"] is True and doc["tuples_checked"] == 1
 
 
-def test_verify_stepup_consistency_hits_resource_cap(capsys):
+def test_verify_stepup_consistency_hits_resource_cap(capsys, tmp_path):
     # The caps are checked before stepping up, so even --n 4 (65,536 points)
     # is refused at once: without --sample by the tuple count, with it (and
     # in construct) by its C(65536, 2) point pairs, the bound on the output
@@ -307,7 +307,15 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys):
     # 31, before its primality is tested: the prime 2^61 - 1 is refused at
     # once, here with exit 3 and with exit 2 below, where m < p^2 - 1.  An m
     # of 4,001 digits is refused by the vertex count before C(m, r) is formed.
+    # transitive-ramsey refuses more than MAX_TUPLES triples (C(N, 3), with
+    # N the threshold C(76, 38) + 1 when --points is not given) and eps-deep
+    # more than MAX_TUPLES tuples (C(4096, 3) on base(12)), each before the
+    # first; report transitive refuses more than MAX_TUPLES rows, and
+    # milnor-thom a --points above MAX_POINTS, before anything is drawn.
     big_p = str(2 ** 61 - 1)
+    base12 = str(tmp_path / "base12.json")
+    assert run(capsys, "construct", "base", "--n", "12",
+               "--output", base12)[0] == 0
     for argv in (("verify", "stepup-consistency", "--n", "3"),
                  ("verify", "stepup-consistency", "--n", "4"),
                  ("verify", "stepup-consistency", "--n", "4", "--sample", "1"),
@@ -326,7 +334,15 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys):
                  ("construct", "base", "--n", "100000000"),
                  ("verify", "properties-ab", "--N", "11"),
                  ("verify", "properties-ab", "--N", "40"),
-                 ("verify", "properties-ab", "--N", "1000000000")):
+                 ("verify", "properties-ab", "--N", "1000000000"),
+                 ("verify", "transitive-ramsey", "--s", "3", "--n", "3",
+                  "--points", "100000"),
+                 ("verify", "transitive-ramsey", "--s", "40", "--n", "40"),
+                 ("verify", "eps-deep", "--input", base12, "--samples", "0"),
+                 ("report", "transitive", "--max-s", "30000",
+                  "--max-n", "30000"),
+                 ("verify", "milnor-thom", "--points", "1000000000",
+                  "--trials", "1")):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert out == ""

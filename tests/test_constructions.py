@@ -206,6 +206,10 @@ def test_slope_examples():
     assert slope((0, 0), (1, 5)) == (F(5),)
     assert slope((0, 0, 0, 0), (1, 2, 1, 3)) == (F(2), F(3))
     assert slope((0, 1), (2, 1)) == (F(0),)
+    # Int points give Fractions, never floats: 1 / 2 is not 0.5.
+    for p, q in (((0, 0), (1, 1)), ((0, 0, 0, 0), (2, 1, 3, 2))):
+        assert all(type(s) is F for s in slope(p, q))
+    assert slope((0, 0), (2, 1)) == (F(1, 2),)
 
 
 def test_slope_zero_run_rejected():

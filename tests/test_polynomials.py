@@ -14,12 +14,19 @@ from semiramsey import (
     ArgumentError,
     Atom,
     Formula,
+    Hyperplane,
     MultivariatePolynomial as Poly,
     OrderedPointSet,
     SeededRng,
     SemiAlgebraicRelation,
+    base_relation,
+    count_real_roots,
     eval_membership,
     from_univariate_coeffs,
+    longest_monotone_subsequence,
+    orientation_polynomial,
+    slope,
+    step_up_relation,
     univariate_coeffs,
     univariate_divmod,
 )
@@ -90,12 +97,38 @@ def test_restrict_out_of_range_variable_rejected(midpoint_gap):
         midpoint_gap.restrict({3: 1})
 
 
-@pytest.mark.parametrize("value", [0.5, True, "1"])
-def test_restrict_refuses_a_value_not_an_int_or_a_fraction(midpoint_gap,
-                                                            value):
-    # OrderedPointSet's rule: a float, a bool or a str is not converted.
+# Every entry point that takes a rational in, each with a value to put in
+# its place.  `restrict` keeps the bare value as its test id.
+RATIONAL_ENTRIES = {
+    "restrict": lambda v: (x(0, 3) + x(2, 3)).restrict({0: v}),
+    "MultivariatePolynomial": lambda v: Poly(1, {(1,): v}),
+    "constant": lambda v: Poly.constant(1, v),
+    "add": lambda v: x(0, 1) + v,
+    "sub": lambda v: x(0, 1) - v,
+    "mul": lambda v: x(0, 1) * v,
+    "from_univariate_coeffs": lambda v: from_univariate_coeffs([1, v]),
+    "OrderedPointSet": lambda v: OrderedPointSet(2, [(1, v)]),
+    "Hyperplane.make": lambda v: Hyperplane.make([1, v], 0),
+    "Hyperplane.make-b": lambda v: Hyperplane.make([1, 1], v),
+    "Hyperplane.side": lambda v: Hyperplane.make([1, 1], 0).side([1, v]),
+    "slope": lambda v: slope((0, 0), (1, v)),
+    "count_real_roots": lambda v: count_real_roots(
+        from_univariate_coeffs([-2, 0, 1]), v, 3),
+    "longest_monotone_subsequence":
+        lambda v: longest_monotone_subsequence([2, v]),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{value}" if entry == "restrict"
+                 else f"{entry}-{value}")
+    for entry in RATIONAL_ENTRIES for value in (0.5, True, "1")])
+def test_restrict_refuses_a_value_not_an_int_or_a_fraction(entry, value):
+    # One rule for a rational (poly._coef, and OrderedPointSet inline): an
+    # int or a Fraction as given; a float, a bool or a str is refused, never
+    # converted.
     with pytest.raises(ArgumentError):
-        midpoint_gap.restrict({0: value})
+        RATIONAL_ENTRIES[entry](value)
 
 
 def test_integer_form_restricted_at_ints_stays_int():
@@ -251,7 +284,7 @@ def test_divmod_and_derivative_equal_list_oracle(a, b, exact):
 
 def assert_canonical(q: Poly) -> None:
     for e, c in q.terms.items():
-        assert type(c) is F and c != 0
+        assert type(c) in (int, F) and c != 0
         assert type(e) is tuple and len(e) == q.num_vars
         assert all(type(k) is int and k >= 0 for k in e)
     rebuilt = Poly(q.num_vars, q.terms)
@@ -273,6 +306,21 @@ def test_producers_return_canonical_term_maps(data, a, b):
         outputs.extend(univariate_divmod(u, v))
     for out in outputs:
         assert_canonical(out)
+
+
+def test_built_relations_are_int_unless_a_coefficient_is_not_an_integer():
+    # Built in int arithmetic: a polynomial holds Fractions only when one of
+    # its coefficients is not an integer (the base atom's 1/2, stepped up),
+    # and each equals, hash included, its copy with Fraction coefficients.
+    polys = [*step_up_relation(base_relation()).polys,
+             orientation_polynomial(2)]
+    for p in polys:
+        assert_canonical(p)
+        fractions = [c for c in p.terms.values() if type(c) is F]
+        assert not fractions or any(c.denominator != 1 for c in fractions)
+        as_fractions = Poly(p.num_vars, {e: F(c) for e, c in p.terms.items()})
+        assert p == as_fractions and hash(p) == hash(as_fractions)
+    assert {type(c) for p in polys for c in p.terms.values()} == {int, F}
 
 
 # -- integer kernel against the Fraction oracle ----------------------------------
