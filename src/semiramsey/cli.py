@@ -248,12 +248,15 @@ def cmd_verify_stepup_consistency(args) -> int:
             raise ResourceLimitError(
                 f"{total} tuples to check; pass --sample to subsample")
         tuples = itertools.combinations(range(1, n_pts + 1), k)
+    elif args.sample > MAX_TUPLES:
+        raise ResourceLimitError(
+            f"--sample {args.sample} exceeds cap {MAX_TUPLES} tuples")
     inst = constructions.step_up(base)
     if args.sample is not None:
         rng = SeededRng(args.seed)
         pool = list(range(1, n_pts + 1))
-        tuples = [tuple(sorted(rng.sample(pool, k)))
-                  for _ in range(args.sample)]
+        tuples = (tuple(sorted(rng.sample(pool, k)))
+                  for _ in range(args.sample))
     checked = 0
     witness = None
     for t in tuples:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (ArgumentError, DegenerateInputError, PreconditionError,
-                     ResourceLimitError, MAX_BITS, MAX_FORMULA_DEPTH,
-                     MAX_LITERALS, MAX_PAIRS, MAX_POINTS, MAX_TUPLES)
-from .poly import MultivariatePolynomial, Scalar, _coef
+from .errors import (ArgumentError, PreconditionError, ResourceLimitError,
+                     MAX_BITS, MAX_FORMULA_DEPTH, MAX_LITERALS, MAX_PAIRS,
+                     MAX_POINTS, MAX_TUPLES)
+from .poly import MultivariatePolynomial, _coef
 from .relation import (Formula, OrderedPointSet, SemiAlgebraicRelation,
                        eval_membership)
 from .rng import SeededRng
@@ -228,26 +228,6 @@ def verify_delta_properties(bits: int, delta=delta_index):
 
 
 # -- stepping-up: points ----------------------------------------------------
-
-
-def slope(p: Sequence[Scalar], q: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """Componentwise slope of two points of R^{2d} read as d (x, y) pairs:
-    coordinate i is (y'_i - y_i) / (x'_i - x_i)."""
-    if len(p) != len(q):
-        raise ArgumentError("slope of points with different dimensions")
-    if len(p) % 2 or not p:
-        raise ArgumentError("slope needs an even-dimensional space")
-    for v in (*p, *q):
-        _coef(v)
-    out = []
-    for i in range(0, len(p), 2):
-        dx = q[i] - p[i]
-        if dx == 0:
-            raise DegenerateInputError(
-                f"vanishing x-difference in coordinate pair {i // 2}")
-        # Fraction(dy): with int points, int / int would be a float.
-        out.append(Fraction(q[i + 1] - p[i + 1]) / dx)
-    return tuple(out)
 
 
 def _dyadic_floor(bound: Fraction, strict: bool) -> Fraction:
@@ -745,13 +725,6 @@ def _eps_increasing_violation(points: OrderedPointSet, eps: Fraction):
     return None
 
 
-def verify_eps_increasing(points: OrderedPointSet, eps: Fraction) -> bool:
-    """Whether consecutive points exceed each other by more than 2*eps in
-    every coordinate, so that arbitrary perturbations within closed eps-balls
-    (max norm) preserve strict coordinatewise order."""
-    return _eps_increasing_violation(points, eps) is None
-
-
 def verify_eps_deep_sampled(instance: ConstructionInstance,
                             samples_per_tuple: int = 20,
                             seed: int = 0):
@@ -764,7 +737,8 @@ def verify_eps_deep_sampled(instance: ConstructionInstance,
     points at once.  Returns (True, None) or (False, witness) where the
     witness holds the tuple, the perturbed coordinates and both memberships.
     This samples; it can refute deepness but never fully certify it.
-    More than MAX_TUPLES tuples are refused before the first is read.
+    Reading C(n, k) * (k * 2^d + samples_per_tuple) perturbed tuples, for
+    n points in R^d, is refused above MAX_TUPLES before the first is read.
     """
     if samples_per_tuple < 0:
         raise ArgumentError("samples_per_tuple must be at least 0")
@@ -774,25 +748,31 @@ def verify_eps_deep_sampled(instance: ConstructionInstance,
     rel = instance.relation
     pts = instance.points
     k = rel.arity
-    if math.comb(len(pts), k) > MAX_TUPLES:
-        raise ResourceLimitError(f"over {MAX_TUPLES} tuples of {k} points")
     d = pts.dim
+    tuples = math.comb(len(pts), k)
+    # 2^d > MAX_TUPLES from this d on: compare before forming the power.
+    if tuples and (d >= MAX_TUPLES.bit_length()
+                   or tuples * (k * 2 ** d + samples_per_tuple) > MAX_TUPLES):
+        raise ResourceLimitError(
+            f"{tuples} tuples of {k} points in R^{d}, each read at "
+            f"{k} * 2^{d} corners and {samples_per_tuple} samples, exceed "
+            f"{MAX_TUPLES} reads")
     rng = SeededRng(seed)
-    corners = list(itertools.product((-eps, eps), repeat=d))
-    for indices in itertools.combinations(range(1, len(pts) + 1), k):
-        coords = pts.coords_for(indices)
-        original = rel.holds_on_coords(coords)
-        trials = []
+
+    def trials(coords):
         for slot in range(k):
-            for corner in corners:
+            for corner in itertools.product((-eps, eps), repeat=d):
                 perturbed = list(coords)
                 for c in range(d):
                     perturbed[slot * d + c] += corner[c]
-                trials.append(perturbed)
+                yield perturbed
         for _ in range(samples_per_tuple):
-            perturbed = [v + rng.fraction(-eps, eps) for v in coords]
-            trials.append(perturbed)
-        for perturbed in trials:
+            yield [v + rng.fraction(-eps, eps) for v in coords]
+
+    for indices in itertools.combinations(range(1, len(pts) + 1), k):
+        coords = pts.coords_for(indices)
+        original = rel.holds_on_coords(coords)
+        for perturbed in trials(coords):
             if rel.holds_on_coords(perturbed) != original:
                 return False, {
                     "indices": indices,

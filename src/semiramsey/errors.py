@@ -43,12 +43,16 @@ class BudgetExhaustedError(ResourceLimitError):
 # MAX_BITS bits cannot be scaled to integers (OrderedPointSet.scaled).
 # Stepping up and `one_dim_k4_construction` (n >= 4) refuse, as a bound on
 # output size, more than MAX_PAIRS point pairs (they read two per delta
-# block); only the delta table of `verify_delta_properties` (N >= 11) visits
-# every pair.  Exponents are compared before any power of two is formed.  An
-# exhaustive `verify stepup-consistency` and `verify eps-deep` refuse more
-# than MAX_TUPLES tuples, `verify_transitive_ramsey` more than MAX_TUPLES
-# triples and `report transitive` more than MAX_TUPLES rows, each before the
-# first is built; `verify milnor-thom` refuses --points above MAX_POINTS.
+# block); among them only the delta table of `verify_delta_properties`
+# (N >= 11) visits every pair.  `longest_monotone_subsequence` (`solve
+# monotone`) compares every pair of its values and refuses more than
+# MAX_PAIRS pairs.  Exponents are compared before any power of two is formed.
+# `verify stepup-consistency` refuses more than MAX_TUPLES tuples, exhaustive
+# or as its --sample, `verify eps-deep` more than MAX_TUPLES perturbed reads
+# (C(n, k) * (k * 2^d + samples) for n points in R^d),
+# `verify_transitive_ramsey` more than MAX_TUPLES triples and `report
+# transitive` more than MAX_TUPLES rows, each before the first is built;
+# `verify milnor-thom` refuses --points above MAX_POINTS.
 # Decoded polynomials of total degree above MAX_DEGREE are refused, because
 # evaluating one raises its coordinates to that power; the constructions emit
 # degree at most 6.  The geometry relations refuse to expand more

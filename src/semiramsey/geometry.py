@@ -1,7 +1,8 @@
 """Exact computational geometry: orientations, hyperplane arrangements,
-one-sided tuples and convex position, all over the rationals.  `det`,
-`orientation` (decided in ints) and the Cramer solve behind
-`hyperplane_intersection` share one fraction-free integer elimination.
+one-sided tuples and convex position, all over the rationals.  The
+orientation table behind general and convex position (decided in ints)
+and the Cramer solve behind `hyperplane_intersection` share one
+fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -45,17 +46,6 @@ def _eliminate(rows: list[list[int]]) -> int:
                     row[j] = (p * row[j] - f * pivot_row[j]) // prev
         prev = p
     return prev
-
-
-def det(matrix: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Exact determinant: the elimination's determinant of the rows
-    cleared to ints, divided by the product of the row scales."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ArgumentError("determinant of a non-square matrix")
-    cleared = [_cleared(row) for row in matrix]
-    return Fraction(_eliminate([r for r, _ in cleared]),
-                    math.prod(s for _, s in cleared))
 
 
 def solve_linear_system(a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction]:
@@ -102,21 +92,6 @@ def _sym_det(nv: int, rows: list[list[int | None]]) -> MultivariatePolynomial:
 
 
 # -- point orientation ----------------------------------------------------
-
-
-def orientation(points: Sequence[Sequence[Scalar]]) -> int:
-    """Sign of det of the (d+1)x(d+1) matrix whose j-th column is (1, p_j).
-
-    Takes exactly d+1 points in R^d; returns -1, 0 or +1.
-    """
-    d = len(points) - 1
-    if d < 1 or any(len(p) != d for p in points):
-        raise ArgumentError(
-            f"orientation needs d+1 points in R^d for some d >= 1, got {d + 1} points "
-            f"of dimensions {sorted({len(p) for p in points})}")
-    # Row j is (1, p_j) times the positive LCM of p_j's denominators.
-    v = _eliminate([_cleared((1, *p))[0] for p in points])
-    return (v > 0) - (v < 0)
 
 
 def orientation_polynomial(dim: int) -> MultivariatePolynomial:
@@ -185,11 +160,6 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.a)
 
-    def side(self, point: Sequence[Scalar]) -> Scalar:
-        if len(point) != self.dim:
-            raise ArgumentError("point/hyperplane dimension mismatch")
-        return sum(c * _coef(x) for c, x in zip(self.a, point)) - self.b
-
     def representation_point(self) -> tuple[Scalar, ...]:
         """The point (a_1, ..., a_d, b) in R^{d+1} used by one_sided_relation."""
         return self.a + (self.b,)
@@ -231,27 +201,21 @@ def hyperplane_intersection(hyperplanes: Sequence[Hyperplane]) -> tuple[Fraction
                                      [h.b for h in hyperplanes]))
 
 
-def _vertex_walk(arr: Arrangement):
-    """(vertices, None) with vertices = {vertex: d-subset} in combinations
-    order, or (None, witness) at the first d-subset that meets in no single
-    point or in the same point as an earlier one."""
+def general_position_hyperplanes(arr: Arrangement):
+    """Every d-subset meets in a single point and those points are pairwise
+    distinct.  Returns (True, None) or (False, witness): the first d-subset,
+    in combinations order, that meets in no single point, or the pair of
+    d-subsets that meet in the same point."""
     vertices = {}
     for combo in itertools.combinations(range(1, len(arr) + 1), arr.dim):
         try:
             v = hyperplane_intersection([arr.hyperplane(i) for i in combo])
         except DegenerateInputError:
-            return None, combo
+            return False, combo
         if v in vertices:
-            return None, (vertices[v], combo)
+            return False, (vertices[v], combo)
         vertices[v] = combo
-    return vertices, None
-
-
-def general_position_hyperplanes(arr: Arrangement):
-    """Every d-subset meets in a single point and those points are pairwise
-    distinct.  Returns (True, None) or (False, witness)."""
-    vertices, witness = _vertex_walk(arr)
-    return vertices is not None, witness
+    return True, None
 
 
 def one_sided_relation(dim: int) -> SemiAlgebraicRelation:
@@ -274,62 +238,6 @@ def one_sided_relation(dim: int) -> SemiAlgebraicRelation:
     numer_rows = [row[:-1] + [i * (d + 1) + d] for i, row in enumerate(coeff_rows)]
     p = _sym_det(nv, numer_rows) * _sym_det(nv, coeff_rows)
     return SemiAlgebraicRelation(d, d + 1, [p], Formula.leaf(0, "gt"))
-
-
-def is_one_sided(arr: Arrangement):
-    """Whether all arrangement vertices lie strictly on one side of the
-    hyperplane x_d = 0.
-
-    Requires the arrangement in general position.  Returns (True, sign) or
-    (False, witness_combo).
-    """
-    vertices, witness = _vertex_walk(arr)
-    if vertices is None:
-        raise PreconditionError("arrangement not in general position", witness=witness)
-    seen_sign = 0
-    for v, combo in vertices.items():
-        s = (v[-1] > 0) - (v[-1] < 0)
-        if s == 0 or s == -seen_sign:
-            return False, combo
-        seen_sign = s
-    return True, seen_sign
-
-
-def project_onto_hyperplane(arr: Arrangement, pivot_index: int):
-    """Central-chart projection of an arrangement into a pivot hyperplane.
-
-    Each member h is replaced by h intersected with the pivot, written in the
-    chart that drops the coordinate axis of the pivot's largest-|coefficient|
-    entry (ties: higher index).  Returns (projected arrangement in R^{d-1},
-    image of the hyperplane x_d = 0).  Members parallel to the pivot are
-    degenerate and rejected; when the floor x_d = 0 itself is parallel to
-    the pivot its image is None instead of a chart hyperplane.
-    """
-    d = arr.dim
-    if d < 3:
-        raise ArgumentError("projection needs ambient dimension at least 3")
-    pivot = arr.hyperplane(pivot_index)
-    drop = max(range(d), key=lambda i: (abs(pivot.a[i]), i))
-    cm = pivot.a[drop]
-
-    def image_of(h: Hyperplane) -> Hyperplane | None:
-        coeffs = [h.a[i] * cm - h.a[drop] * pivot.a[i] for i in range(d) if i != drop]
-        rhs = h.b * cm - h.a[drop] * pivot.b
-        if all(c == 0 for c in coeffs):
-            return None
-        return Hyperplane.make(coeffs, rhs)
-
-    members = []
-    for i, h in enumerate(arr.hyperplanes, start=1):
-        if i == pivot_index:
-            continue
-        image = image_of(h)
-        if image is None:
-            raise DegenerateInputError(
-                "member parallel to the pivot has no hyperplane image in the chart")
-        members.append(image)
-    floor_image = image_of(Hyperplane.make([0] * (d - 1) + [1], 0))
-    return Arrangement(d - 1, members), floor_image
 
 
 def is_convex_position(points: OrderedPointSet) -> bool:

@@ -153,11 +153,6 @@ def hypergraph_from_json(data: dict) -> Hypergraph3:
     return Hypergraph3.make(data["n"], data["edges"])
 
 
-def hyperplane_to_json(h: Hyperplane) -> dict:
-    return {"a": [fraction_to_json(c) for c in h.a],
-            "b": fraction_to_json(h.b)}
-
-
 def hyperplane_from_json(data: dict) -> Hyperplane:
     return Hyperplane.make(
         [fraction_from_json(c) for c in _array(data["a"], "a hyperplane's a")],

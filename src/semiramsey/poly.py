@@ -18,7 +18,7 @@ power columns shared by the whole family.  `eval` clears a point to
 Every substitution runs through one restriction plan (`_plan`), whose
 arithmetic does not depend on the coefficient type, so an integer form
 restricted at ints is another: `plan` reads one plan at many points (the
-greedy's class split, the bad-triple scan), `restrict` reads it once (L
+greedy's class split), `restrict` reads it once (L
 fixed at M, the greedy's arity drop; rational values).  A read hands the
 restricted polynomial its compiled table, so it is never compiled.
 Univariate division runs in integers too, through the one pseudo-division

@@ -1,4 +1,4 @@
-"""Homogeneous-subset solvers and hypergraph routines.
+"""Homogeneous-subset solvers and the combinatorial checks beside them.
 
 max_homogeneous is an exact branch-and-bound over both polarities, with
 its candidate sets kept as int bitmasks.
@@ -7,6 +7,10 @@ k-2 points, repeatedly keeps the largest membership-signature class, and
 recurses at one lower arity with the last chosen point fixed in the
 relation's integer forms (at arity 2, the exact search's polynomials),
 certifying the final subset against the original relation.
+The rest are the side results the CLI and the acceptance checks read: the
+longest monotone subsequence (Erdos-Szekeres), transitive-coloring Ramsey
+thresholds with their exhaustive verification, and deletion-method
+independent sets in 3-uniform hypergraphs.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (MAX_ROUNDS, MAX_TUPLES, ArgumentError,
+from .errors import (MAX_PAIRS, MAX_ROUNDS, MAX_TUPLES, ArgumentError,
                      BudgetExhaustedError, PreconditionError, ResourceLimitError)
 from .poly import MultivariatePolynomial, _coef, _int_signs
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
@@ -452,8 +456,12 @@ def longest_monotone_subsequence(values: Sequence) -> list:
     (the longer of the two) by exact dynamic programming.
 
     Entries must be distinct ints or Fractions.  Always at least
-    ceil(sqrt(len(values))) long.
+    ceil(sqrt(len(values))) long.  The DP compares every pair, so more than
+    MAX_PAIRS pairs are refused before the first comparison.
     """
+    if math.comb(len(values), 2) > MAX_PAIRS:
+        raise ResourceLimitError(
+            f"C({len(values)}, 2) pairs of values exceed cap {MAX_PAIRS}")
     vals = [_coef(v) for v in values]
     if len(set(vals)) != len(vals):
         raise ArgumentError("entries must be distinct")
@@ -494,16 +502,6 @@ class TransitiveColoring:
 
     def color(self, triple) -> str:
         return self.colors[tuple(sorted(triple))]
-
-    def is_transitive(self) -> bool:
-        for quad in itertools.combinations(range(1, self.n + 1), 4):
-            i1, i2, i3, i4 = quad
-            c = self.colors.get((i1, i2, i3))
-            if c is not None and c == self.colors.get((i2, i3, i4)):
-                if (self.colors.get((i1, i2, i4)) != c
-                        or self.colors.get((i1, i3, i4)) != c):
-                    return False
-        return True
 
     def monochromatic_subset(self, size: int, color: str):
         need = math.comb(size, 3)
@@ -663,75 +661,3 @@ def spencer_independent_set(graph: Hypergraph3,
                             "bound_check": f"27*{len(result)}^2*{m} >= 4*{n}^3"}
     raise ResourceLimitError(
         f"no round out of {MAX_ROUNDS} met the deletion bound")
-
-
-def is_Ks3_free(points: OrderedPointSet, relation: SemiAlgebraicRelation,
-                s: int):
-    """No s points with all triples in the relation.  (True, None) or
-    (False, witness_subset)."""
-    if relation.arity != 3:
-        raise ArgumentError("clique freeness is for ternary relations")
-    if s < 3:
-        raise ArgumentError("clique size must be at least 3")
-    above = MembershipOracle(points, relation).above
-    for sub in itertools.combinations(range(1, len(points) + 1), s):
-        if all(above(t[:-1], 1 << t[-1])
-               for t in itertools.combinations(sub, 3)):
-            return False, sub
-    return True, None
-
-
-def is_K4e_free(points: OrderedPointSet, relation: SemiAlgebraicRelation):
-    """Every 4 points induce at most two member triples.  (True, None) or
-    (False, witness_quad)."""
-    if relation.arity != 3:
-        raise ArgumentError("this freeness notion is for ternary relations")
-    above = MembershipOracle(points, relation).above
-    for quad in itertools.combinations(range(1, len(points) + 1), 4):
-        if sum(bool(above(t[:-1], 1 << t[-1]))
-               for t in itertools.combinations(quad, 3)) > 2:
-            return False, quad
-    return True, None
-
-
-def find_bad_triples(points: OrderedPointSet, relation: SemiAlgebraicRelation):
-    """Index triples where a defining polynomial, restricted through two of
-    the points, vanishes at the third.
-
-    For each index pair a < b, each atom polynomial is pinned at (p_a, p_b)
-    in each of the three slot pairs; identically-zero restrictions impose no
-    roots and are skipped but reported.  A triple is bad when any surviving
-    univariate polynomial vanishes at a third point.  Returns
-    (sorted_bad_triples, skipped_zero_restrictions).  The integer forms
-    are pinned at L = M of the scaled points (OrderedPointSet.scaled), and
-    x -> x/M keeps zero polynomials, degrees and signs; each form has one
-    restriction plan (MultivariatePolynomial.plan) per slot pair, read at
-    every pair.
-    """
-    if relation.arity != 3 or relation.point_dim != 1:
-        raise ArgumentError("bad triples are defined for ternary relations on the line")
-    n = len(points)
-    scale, scaled = points.scaled()
-    vals = [x for x, in scaled]
-    forms = [p.integer_form().restrict({3: scale}) for p in relation.polys]
-    bad: set[tuple] = set()
-    skipped: list[tuple] = []
-    slot_pairs = (((1, 2), 0), ((0, 2), 1), ((0, 1), 2))  # fixed slots, free slot
-    plans = [(pi, form.plan(fixed_slots), free) for pi, form in enumerate(forms)
-             for fixed_slots, free in slot_pairs]
-    for a in range(n):
-        for b in range(a + 1, n):
-            family = []
-            for pi, read, free in plans:
-                restricted = read((vals[a], vals[b]))
-                if not restricted.terms:
-                    skipped.append((a + 1, b + 1, pi, free))
-                    continue
-                if not any(e[0] for e in restricted.terms):
-                    continue
-                family.append(restricted)
-            for column in _int_signs(family, scaled):
-                for c, s in enumerate(column):
-                    if not s and c != a and c != b:
-                        bad.add(tuple(sorted((a + 1, b + 1, c + 1))))
-    return sorted(bad), skipped

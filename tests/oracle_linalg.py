@@ -5,7 +5,10 @@ moved to one fraction-free integer elimination: a determinant by Gaussian
 elimination, a Gauss-Jordan solver, the orientation sign read from that
 determinant, and the convex-position test that checks general position
 first and then evaluates three orientations per (point, triangle) pair.
-They share no code with the module under test.
+Beside them is the direct vertex sign that one_sided_relation decides as
+one polynomial sign: every vertex of an arrangement solved for, and the
+signs of their last coordinates compared.  They share no code with the
+module under test.
 """
 
 from __future__ import annotations
@@ -89,3 +92,32 @@ def is_convex_position(points) -> bool:
             if orientation([a, b, qp]) == orientation([b, c, qp]) == orientation([c, a, qp]):
                 return False
     return True
+
+
+def is_one_sided(arr):
+    """Whether every vertex of an arrangement lies strictly on one side of
+    the hyperplane x_d = 0: (True, that side's sign), or (False, the first
+    d-subset, in combinations order, whose vertex is on x_d = 0 or on the
+    other side).  PreconditionError, with the witness of
+    general_position_hyperplanes, when the arrangement is not in general
+    position."""
+    vertices = {}
+    for combo in itertools.combinations(range(1, len(arr) + 1), arr.dim):
+        planes = [arr.hyperplane(i) for i in combo]
+        try:
+            v = tuple(solve_linear_system([h.a for h in planes],
+                                          [h.b for h in planes]))
+        except DegenerateInputError:
+            raise PreconditionError("arrangement not in general position",
+                                    witness=combo) from None
+        if v in vertices:
+            raise PreconditionError("arrangement not in general position",
+                                    witness=(vertices[v], combo))
+        vertices[v] = combo
+    seen_sign = 0
+    for v, combo in vertices.items():
+        s = (v[-1] > 0) - (v[-1] < 0)
+        if s == 0 or s == -seen_sign:
+            return False, combo
+        seen_sign = s
+    return True, seen_sign

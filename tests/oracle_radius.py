@@ -5,12 +5,33 @@ its radius moved to integer bounds read at the two extremes of each delta
 block: for every output pair i < j and coordinate pair c it bounds the
 perturbation analytically, then checks dyadic candidates exactly on corner
 perturbations.  It visits every pair and shares no code with the package
-under test.
+under test.  Beside it is the componentwise slope of two stepped points,
+which the tests hold against each pair's delta target.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from semiramsey.errors import ArgumentError, DegenerateInputError
+
+
+def slope(p, q) -> tuple[Fraction, ...]:
+    """Componentwise slope of two points of R^{2d} read as d (x, y) pairs:
+    coordinate i is (y'_i - y_i) / (x'_i - x_i)."""
+    if len(p) != len(q):
+        raise ArgumentError("slope of points with different dimensions")
+    if len(p) % 2 or not p:
+        raise ArgumentError("slope needs an even-dimensional space")
+    out = []
+    for i in range(0, len(p), 2):
+        dx = q[i] - p[i]
+        if dx == 0:
+            raise DegenerateInputError(
+                f"vanishing x-difference in coordinate pair {i // 2}")
+        # Fraction(dy): with int points, int / int would be a float.
+        out.append(Fraction(q[i + 1] - p[i + 1]) / dx)
+    return tuple(out)
 
 
 def stepped_stability_radius(out, base_points, eps: Fraction) -> Fraction:

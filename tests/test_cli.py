@@ -13,8 +13,10 @@ from fractions import Fraction as F
 import pytest
 
 import oracle_roots
-from semiramsey import (SeededRng, cli, count_real_roots,
-                        from_univariate_coeffs, jsonio, sturm_sequence)
+from semiramsey import (ConstructionInstance, Formula, OrderedPointSet,
+                        SemiAlgebraicRelation, SeededRng, cli,
+                        count_real_roots, from_univariate_coeffs, jsonio,
+                        sturm_sequence)
 from semiramsey.cli import main
 from semiramsey.sturm import SturmSequence, sturm_chain
 
@@ -351,6 +353,33 @@ def test_verify_stepup_consistency_hits_resource_cap(capsys, tmp_path):
                          "--p", big_p)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "ArgumentError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "stepup-consistency", "--n", "2", "--sample", "1000000000"],
+    ["verify", "eps-deep", "--input", "{base2}", "--samples", "1000000000"],
+    ["verify", "eps-deep", "--input", "{wide}"],
+    ["solve", "monotone", "--input", "{values}"],
+], ids=["stepup-consistency-sample", "eps-deep-samples", "eps-deep-wide",
+        "monotone-input"])
+def test_reads_without_a_bound_are_refused_before_the_first(
+        capsys, tmp_path, base2_file, argv):
+    """A --sample of stepup-consistency above MAX_TUPLES, eps-deep's
+    C(n, k) * (k * 2^d + samples) perturbed reads above MAX_TUPLES (with d
+    compared before 2^d is formed: 2 points in R^40) and a monotone input of
+    10^5 values, more than MAX_PAIRS pairs, are each refused at once, with
+    exit 3."""
+    wide = tmp_path / "wide.json"
+    wide.write_text(jsonio.dumps(jsonio.instance_to_json(ConstructionInstance(
+        OrderedPointSet(40, [[0] * 40, [1] * 40]),
+        SemiAlgebraicRelation(2, 40, [], Formula.all_of([])),
+        F(1, 10), {"kind": "test"}))))
+    values = tmp_path / "values.json"
+    values.write_text(json.dumps(list(range(10 ** 5))))
+    argv = [a.format(base2=base2_file, wide=wide, values=values) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "ResourceLimitError"
 
 
 def test_verify_stepup_consistency_sampled(capsys):

@@ -32,7 +32,6 @@ from semiramsey import (
     max_homogeneous,
     one_dim_k4_construction,
     one_dim_k4_relation,
-    slope,
     step_up,
     step_up_membership_rule,
     step_up_points,
@@ -40,7 +39,6 @@ from semiramsey import (
     tower,
     verify_delta_properties,
     verify_eps_deep_sampled,
-    verify_eps_increasing,
 )
 
 
@@ -199,27 +197,27 @@ def test_delta_blocks_hold_each_pair_once_at_its_delta(count):
                     for i, j in itertools.combinations(range(count), 2)}
 
 
-# -- slope -----------------------------------------------------------------------
+# -- slope (tests/oracle_radius.py) -----------------------------------------------------------------------
 
 
 def test_slope_examples():
-    assert slope((0, 0), (1, 5)) == (F(5),)
-    assert slope((0, 0, 0, 0), (1, 2, 1, 3)) == (F(2), F(3))
-    assert slope((0, 1), (2, 1)) == (F(0),)
+    assert oracle_radius.slope((0, 0), (1, 5)) == (F(5),)
+    assert oracle_radius.slope((0, 0, 0, 0), (1, 2, 1, 3)) == (F(2), F(3))
+    assert oracle_radius.slope((0, 1), (2, 1)) == (F(0),)
     # Int points give Fractions, never floats: 1 / 2 is not 0.5.
     for p, q in (((0, 0), (1, 1)), ((0, 0, 0, 0), (2, 1, 3, 2))):
-        assert all(type(s) is F for s in slope(p, q))
-    assert slope((0, 0), (2, 1)) == (F(1, 2),)
+        assert all(type(s) is F for s in oracle_radius.slope(p, q))
+    assert oracle_radius.slope((0, 0), (2, 1)) == (F(1, 2),)
 
 
 def test_slope_zero_run_rejected():
     with pytest.raises(DegenerateInputError):
-        slope((1, 0), (1, 5))
+        oracle_radius.slope((1, 0), (1, 5))
 
 
 def test_slope_odd_dimension_rejected():
     with pytest.raises(ArgumentError):
-        slope((1, 2, 3), (4, 5, 6))
+        oracle_radius.slope((1, 2, 3), (4, 5, 6))
 
 
 # -- stepping up: points ----------------------------------------------------------
@@ -236,7 +234,7 @@ def test_two_point_base_slopes_land_near_base_values():
     points, _ = step_up_points(base)
     assert len(points) == 4
     for i, j in itertools.combinations(range(1, 5), 2):
-        s = slope(points.point(i), points.point(j))[0]
+        s = oracle_radius.slope(points.point(i), points.point(j))[0]
         target = F(delta_index(i, j, 2))
         assert abs(s - target) < F(1, 20)
 
@@ -246,10 +244,10 @@ def test_all_slopes_respect_delta_targets_at_three_levels():
     points, eps1 = step_up_points(base)
     assert len(points) == 8
     for i, j in itertools.combinations(range(1, 9), 2):
-        s = slope(points.point(i), points.point(j))[0]
+        s = oracle_radius.slope(points.point(i), points.point(j))[0]
         target = F(delta_index(i, j, 3))
         assert abs(s - target) < F(1, 20), (i, j, s)
-    assert verify_eps_increasing(points, eps1)
+    assert constructions._eps_increasing_violation(points, eps1) is None
 
 
 def test_step_up_requires_eps_increasing_base():
@@ -578,12 +576,11 @@ def test_frankl_wilson_refuses_too_many_literals_before_building():
 
 
 def test_eps_increasing_examples():
-    assert verify_eps_increasing(OrderedPointSet(1, [[1], [2], [3], [4]]),
-                                 F(1, 10))
-    assert not verify_eps_increasing(OrderedPointSet(2, [[0, 0], [1, 1]]),
-                                     F(1, 2))
-    assert not verify_eps_increasing(OrderedPointSet(2, [[0, 0], [1, 0]]),
-                                     F(1, 100))
+    # The first (index, coordinate) whose gap is not above 2 * eps.
+    violation = constructions._eps_increasing_violation
+    assert violation(OrderedPointSet(1, [[1], [2], [3], [4]]), F(1, 10)) is None
+    assert violation(OrderedPointSet(2, [[0, 0], [1, 1]]), F(1, 2)) == (1, 0)
+    assert violation(OrderedPointSet(2, [[0, 0], [1, 0]]), F(1, 100)) == (1, 1)
 
 
 def test_eps_deep_holds_for_base_at_its_stated_radius():
@@ -603,6 +600,17 @@ def test_eps_deep_refuses_an_instance_without_epsilon():
     unstated = dataclasses.replace(base_construction(2), epsilon=None)
     with pytest.raises(ArgumentError):
         verify_eps_deep_sampled(unstated, samples_per_tuple=8, seed=1)
+
+
+def test_eps_deep_counts_its_reads_before_the_first(monkeypatch):
+    # base(2): C(4, 3) tuples, each read at 3 * 2^1 corners and the samples.
+    monkeypatch.setattr(constructions, "MAX_TUPLES", 100)
+    ok, _ = verify_eps_deep_sampled(base_construction(2),
+                                    samples_per_tuple=19, seed=1)
+    assert ok
+    with pytest.raises(ResourceLimitError):
+        verify_eps_deep_sampled(base_construction(2), samples_per_tuple=20,
+                                seed=1)
 
 
 def test_eps_deep_boundary_atom_fails():

@@ -1,5 +1,5 @@
 """Exact geometric predicates: orientations, order types, hyperplane
-arrangements, one-sidedness, projection charts and convex position."""
+arrangements, one-sidedness and convex position."""
 
 from __future__ import annotations
 
@@ -19,48 +19,43 @@ from semiramsey import (
     PreconditionError,
     ResourceLimitError,
     SeededRng,
-    det,
     eval_membership,
     general_position_hyperplanes,
     general_position_points,
     hyperplane_intersection,
     is_convex_position,
-    is_one_sided,
     max_homogeneous,
     one_sided_relation,
     order_type_relation,
-    orientation,
-    project_onto_hyperplane,
     solve_linear_system,
 )
 from semiramsey import geometry
 from semiramsey.errors import MAX_BITS
+from semiramsey.poly import _cleared
 
 
 def line(a1, a2, b) -> Hyperplane:
     return Hyperplane.make([F(a1), F(a2)], F(b))
 
 
-def proportional_to(h: Hyperplane, other: Hyperplane) -> bool:
-    """Same hyperplane as a set: (a, b) vectors of equal length, parallel."""
-    u, v = h.a + (h.b,), other.a + (other.b,)
-    k = next((i for i, x in enumerate(u) if x), None)
-    return (len(u) == len(v) and k is not None and v[k] != 0
-            and all(x * v[k] == y * u[k] for x, y in zip(u, v)))
+def orientation(points) -> int:
+    """Orientation sign of d+1 points in R^d, read from the orientation
+    table behind general and convex position (0 when they are degenerate)."""
+    table, _ = geometry._orientation_table(
+        OrderedPointSet(len(points[0]), points))
+    return 0 if table is None else table[tuple(range(1, len(points) + 1))]
 
 
 # -- determinants -----------------------------------------------------------------
 
 
 def test_det_small_cases():
-    assert det([[2]]) == 2
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
-    assert det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
-
-
-def test_det_exact_fractions():
-    assert det([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]) == F(1, 14) - F(1, 15)
+    # The determinant of the integer elimination, with a row swap and a
+    # singular matrix among them.
+    assert geometry._eliminate([[2]]) == 2
+    assert geometry._eliminate([[1, 2], [3, 4]]) == -2
+    assert geometry._eliminate([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+    assert geometry._eliminate([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
 
 
 def test_solve_linear_system_exact():
@@ -114,7 +109,7 @@ def test_order_type_relation_matches_orientation():
     for t in itertools.combinations(range(1, 5), 3):
         coords = [points.point(i) for i in t]
         assert (eval_membership(relation, points, t)
-                == (orientation(coords) == 1)), t
+                == (oracle_linalg.orientation(coords) == 1)), t
 
 
 def test_one_dimensional_order_type_is_the_order():
@@ -152,13 +147,14 @@ def test_orientation_table_matches_per_tuple_orientation(dim):
               for _ in range(7)]
     combos = list(itertools.combinations(range(1, 8), dim + 1))
     table, _ = geometry._orientation_table(OrderedPointSet(dim, coords))
-    assert table == {t: orientation([coords[i - 1] for i in t]) for t in combos}
+    assert table == {t: oracle_linalg.orientation([coords[i - 1] for i in t])
+                     for t in combos}
     assert set(table.values()) == {-1, 1}
     # A repeated point: the walk stops at the first subset of orientation 0.
     coords.append(coords[2])
     first_zero = next(
         t for t in itertools.combinations(range(1, 9), dim + 1)
-        if orientation([coords[i - 1] for i in t]) == 0)
+        if oracle_linalg.orientation([coords[i - 1] for i in t]) == 0)
     assert geometry._orientation_table(OrderedPointSet(dim, coords)) == \
         (None, first_zero)
 
@@ -229,30 +225,58 @@ def test_vertex_on_the_floor_is_a_non_member():
 
 def test_is_one_sided_positive_triple():
     arr = Arrangement(2, [line(-1, 1, 1), line(1, 1, 3), line(0, 1, 1)])
-    assert is_one_sided(arr) == (True, 1)
+    assert oracle_linalg.is_one_sided(arr) == (True, 1)
 
 
 def test_is_one_sided_mixed_signs():
     arr = Arrangement(2, [line(-1, 1, 1), line(1, 1, -3), line(0, 1, 1)])
-    ok, witness = is_one_sided(arr)
+    ok, witness = oracle_linalg.is_one_sided(arr)
     assert not ok and witness is not None
 
 
 def test_is_one_sided_single_vertex():
     arr = Arrangement(2, [line(1, 0, 0), line(0, 1, -2)])
-    assert is_one_sided(arr) == (True, -1)
+    assert oracle_linalg.is_one_sided(arr) == (True, -1)
 
 
 def test_is_one_sided_boundary_vertex_flagged():
     arr = Arrangement(2, [line(-1, 1, 1), line(1, 1, -1)])
-    ok, witness = is_one_sided(arr)
+    ok, witness = oracle_linalg.is_one_sided(arr)
     assert not ok and witness == (1, 2)
 
 
 def test_is_one_sided_requires_general_position():
     arr = Arrangement(2, [line(0, 1, 0), line(0, 1, 1)])
     with pytest.raises(PreconditionError):
-        is_one_sided(arr)
+        oracle_linalg.is_one_sided(arr)
+
+
+def test_one_sided_relation_agrees_with_the_vertex_sign_oracle():
+    """An arrangement in general position has every vertex above x_d = 0
+    exactly when all its d-tuples are in one_sided_relation, and every
+    vertex below only if none is."""
+    rng = SeededRng(654)
+    relations = {2: one_sided_relation(2), 3: one_sided_relation(3)}
+    seen = set()
+    for trial in range(40):
+        t_rng = rng.derive(f"sided-{trial}")
+        d = 2 + trial % 2
+        planes = []
+        while len(planes) < d + 1:
+            coeffs = [t_rng.randint(-5, 5) for _ in range(d)]
+            if any(coeffs):
+                planes.append(Hyperplane.make(coeffs, t_rng.randint(-5, 5)))
+        arr = Arrangement(d, planes)
+        if not general_position_hyperplanes(arr)[0]:
+            continue
+        ok, side = oracle_linalg.is_one_sided(arr)
+        reps = arr.representation_points()
+        members = [eval_membership(relations[d], reps, combo)
+                   for combo in itertools.combinations(range(1, d + 2), d)]
+        assert (ok and side == 1) == all(members), trial
+        assert not (ok and side == -1 and any(members)), trial
+        seen.add(side if ok else 0)
+    assert seen == {1, -1, 0}
 
 
 def test_one_sided_relation_agrees_with_direct_intersection():
@@ -280,86 +304,6 @@ def test_one_sided_relation_agrees_with_direct_intersection():
                 expected = False
             assert (eval_membership(relation, reps, combo)
                     == expected), (trial, combo)
-
-
-# -- projection charts ------------------------------------------------------------------------
-
-
-def plane(a1, a2, a3, b) -> Hyperplane:
-    return Hyperplane.make([F(a1), F(a2), F(a3)], F(b))
-
-
-def test_projection_onto_axis_plane():
-    arr = Arrangement(3, [plane(0, 0, 1, 0), plane(1, 1, 1, 1)])
-    projected, floor_image = project_onto_hyperplane(arr, 1)
-    assert projected.dim == 2
-    member = projected.hyperplane(1)
-    # x1 + x2 = 1 in the chart, up to scaling.
-    assert proportional_to(member, line(1, 1, 1))
-    # The pivot here IS the floor, so the floor has no chart image.
-    assert floor_image is None
-
-
-def test_projection_floor_image_of_tilted_pivot():
-    arr = Arrangement(3, [plane(1, 0, 1, 2), plane(0, 1, 1, 1)])
-    projected, floor_image = project_onto_hyperplane(arr, 1)
-    # Chart drops x3 (largest tied coefficient wins): floor x3 = 0 maps to
-    # -x1 = -2, i.e. the line x1 = 2.
-    assert floor_image is not None
-    assert proportional_to(floor_image, line(1, 0, 2))
-
-
-def test_projection_onto_tilted_plane():
-    arr = Arrangement(3, [plane(1, 1, 1, 3), plane(0, 0, 1, 1)])
-    projected, _ = project_onto_hyperplane(arr, 1)
-    assert proportional_to(projected.hyperplane(1), line(-1, -1, -2))
-
-
-def test_projection_rejects_parallel_member():
-    arr = Arrangement(3, [plane(0, 0, 1, 0), plane(0, 0, 1, 5)])
-    with pytest.raises(DegenerateInputError):
-        project_onto_hyperplane(arr, 1)
-
-
-def test_projection_needs_three_dimensions():
-    arr = Arrangement(2, [line(1, 0, 0), line(0, 1, 0)])
-    with pytest.raises(ArgumentError):
-        project_onto_hyperplane(arr, 1)
-
-
-def test_projection_preserves_sidedness_exactly():
-    """Chart-side values equal ambient-side values times the pivot's dropped
-    coefficient, so one-sidedness questions transfer between the spaces."""
-    rng = SeededRng(77)
-    for trial in range(10):
-        t_rng = rng.derive(f"proj-{trial}")
-        planes = []
-        while len(planes) < 4:
-            coeffs = [F(t_rng.randint(-4, 4)) for _ in range(3)]
-            if all(c == 0 for c in coeffs):
-                continue
-            planes.append(Hyperplane.make(coeffs, F(t_rng.randint(-4, 4))))
-        arr = Arrangement(3, planes)
-        pivot = arr.hyperplane(1)
-        drop = max(range(3), key=lambda i: (abs(pivot.a[i]), i))
-        cm = pivot.a[drop]
-        try:
-            projected, floor_image = project_onto_hyperplane(arr, 1)
-        except DegenerateInputError:
-            continue
-        if floor_image is None:
-            continue
-        members = [arr.hyperplane(i) for i in range(2, 5)]
-        for i, j in itertools.combinations(range(3), 2):
-            try:
-                vertex = hyperplane_intersection(
-                    [members[i], members[j], pivot])
-            except DegenerateInputError:
-                continue
-            chart_vertex = tuple(v for k, v in enumerate(vertex) if k != drop)
-            ambient_floor_side = vertex[2]
-            chart_floor_side = floor_image.side(chart_vertex)
-            assert chart_floor_side == cm * ambient_floor_side, (trial, i, j)
 
 
 # -- convex position ----------------------------------------------------------------------------
@@ -445,7 +389,9 @@ def point_tuples(draw):
 @settings(max_examples=300, deadline=None)
 def test_det_and_solve_match_fraction_oracle(system):
     a, b = system
-    assert det(a) == oracle_linalg.det(a)
+    rows = [_cleared(row)[0] for row in a]
+    want = oracle_linalg.det(rows)
+    assert geometry._eliminate(rows) == want
     try:
         expected = oracle_linalg.solve_linear_system(a, b)
     except DegenerateInputError:
@@ -508,7 +454,7 @@ def test_convex_position_reads_each_triple_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 56  # C(8, 3)
 
 
-def test_is_one_sided_solves_each_subset_once(monkeypatch):
+def test_general_position_hyperplanes_solves_each_subset_once(monkeypatch):
     calls = []
 
     def counting(hyperplanes):
@@ -517,14 +463,5 @@ def test_is_one_sided_solves_each_subset_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "hyperplane_intersection", counting)
     arr = Arrangement(2, [line(-1, 1, 1), line(1, 1, 3), line(0, 1, 1), line(1, 2, 9)])
-    assert is_one_sided(arr) == (True, 1)
+    assert general_position_hyperplanes(arr) == (True, None)
     assert len(calls) == len(set(calls)) == 6  # C(4, 2)
-
-
-def test_proportional_to_rejects_other_hyperplanes():
-    assert proportional_to(line(1, 1, 1), line(-2, -2, -2))
-    assert proportional_to(line(0, 3, 0), line(0, -1, 0))
-    assert not proportional_to(line(1, 1, 1), line(1, 1, 2))
-    assert not proportional_to(line(1, 0, 1), line(1, 1, 1))
-    assert not proportional_to(line(1, 2, 0), line(2, 1, 0))
-    assert not proportional_to(line(1, 1, 0), plane(1, 1, 0, 0))

@@ -25,7 +25,6 @@ from semiramsey import (
     from_univariate_coeffs,
     longest_monotone_subsequence,
     orientation_polynomial,
-    slope,
     step_up_relation,
     univariate_coeffs,
     univariate_divmod,
@@ -110,8 +109,6 @@ RATIONAL_ENTRIES = {
     "OrderedPointSet": lambda v: OrderedPointSet(2, [(1, v)]),
     "Hyperplane.make": lambda v: Hyperplane.make([1, v], 0),
     "Hyperplane.make-b": lambda v: Hyperplane.make([1, 1], v),
-    "Hyperplane.side": lambda v: Hyperplane.make([1, 1], 0).side([1, v]),
-    "slope": lambda v: slope((0, 0), (1, v)),
     "count_real_roots": lambda v: count_real_roots(
         from_univariate_coeffs([-2, 0, 1]), v, 3),
     "longest_monotone_subsequence":

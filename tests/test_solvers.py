@@ -1,5 +1,5 @@
 """Homogeneous-subset solvers, monotone subsequences, transitive colorings,
-random deletion, and the freeness predicates."""
+random deletion, and the clique freeness of the base relation."""
 
 from __future__ import annotations
 
@@ -26,10 +26,7 @@ from semiramsey import (
     base_relation,
     erdos_rado_greedy,
     eval_membership,
-    find_bad_triples,
     homogeneous_check,
-    is_K4e_free,
-    is_Ks3_free,
     longest_monotone_subsequence,
     max_homogeneous,
     milnor_thom_bound,
@@ -41,9 +38,9 @@ from semiramsey import (
 )
 from semiramsey import solvers
 
-import oracle_bad_triples
 import oracle_bnb
 import oracle_greedy
+import oracle_triples
 
 
 def x(i: int, n: int) -> Poly:
@@ -340,8 +337,6 @@ def test_point_and_relation_dimension_mismatch_rejected():
     points = OrderedPointSet(2, [(1, 1), (2, 2)])
     with pytest.raises(ArgumentError):
         max_homogeneous(points, base_relation())
-    with pytest.raises(ArgumentError):
-        is_Ks3_free(points, base_relation(), 3)
 
 
 # -- greedy extraction --------------------------------------------------------------
@@ -468,6 +463,14 @@ def test_monotone_extremal_square():
     assert len(longest_monotone_subsequence([2, 1, 4, 3])) == 2
 
 
+def test_monotone_refuses_more_than_max_pairs_pairs():
+    # C(1415, 2) = 1,000,405 > MAX_PAIRS = C(1415, 2) - 405: refused before
+    # the quadratic DP; C(1414, 2) = 998,991 is read.
+    with pytest.raises(ResourceLimitError):
+        longest_monotone_subsequence(range(1415))
+    assert len(longest_monotone_subsequence(range(1414))) == 1414
+
+
 def test_monotone_rejects_duplicates():
     with pytest.raises(ArgumentError):
         longest_monotone_subsequence([1, 2, 1])
@@ -516,7 +519,7 @@ def test_verification_at_and_below_threshold():
     assert verify_transitive_ramsey(4, 3, 4)[0]
     holds, witness = verify_transitive_ramsey(4, 3, 3)
     assert not holds
-    assert witness.is_transitive()
+    assert oracle_triples.is_transitive(witness)
     assert witness.monochromatic_subset(4, "red") is None
     assert witness.monochromatic_subset(3, "blue") is None
 
@@ -529,12 +532,12 @@ def test_verification_budget_exhaustion():
 def test_transitive_coloring_predicate():
     triples = list(itertools.combinations(range(1, 5), 3))
     all_red = TransitiveColoring(4, {t: "red" for t in triples})
-    assert all_red.is_transitive()
+    assert oracle_triples.is_transitive(all_red)
     assert all_red.monochromatic_subset(4, "red") == (1, 2, 3, 4)
 
     broken = dict.fromkeys(triples, "red")
     broken[(1, 2, 4)] = "blue"  # (1,2,3) and (2,3,4) red force (1,2,4) red
-    assert not TransitiveColoring(4, broken).is_transitive()
+    assert not oracle_triples.is_transitive(TransitiveColoring(4, broken))
 
 
 # -- random deletion ---------------------------------------------------------------------
@@ -632,108 +635,35 @@ def test_hypergraph_validation():
     assert (1, 2, 3) in normalized.edges
 
 
-# -- freeness predicates -------------------------------------------------------------------
+# -- clique freeness (tests/oracle_triples.py) ----------------------------------------------
 
 
 def test_ks3_freeness_of_empty_relation():
     points = integer_points(1, 2, 3, 4)
-    assert is_Ks3_free(points, never_relation(3), 3) == (True, None)
+    assert oracle_triples.is_Ks3_free(points, never_relation(3), 3) == (
+        True, None)
 
 
 def test_base_relation_contains_an_in_triangle():
     inst = base_construction(2)
-    free, witness = is_Ks3_free(inst.points, inst.relation, 3)
+    free, witness = oracle_triples.is_Ks3_free(inst.points, inst.relation, 3)
     assert not free and witness == (1, 2, 3)
 
 
 def test_base_relation_is_k43_free():
     inst = base_construction(2)
-    assert is_Ks3_free(inst.points, inst.relation, 4) == (True, None)
+    assert oracle_triples.is_Ks3_free(inst.points, inst.relation, 4) == (
+        True, None)
 
 
 def test_k4e_freeness():
     points = integer_points(1, 2, 3, 4, 5)
-    assert is_K4e_free(points, never_relation(3)) == (True, None)
-    free, witness = is_K4e_free(points, always_relation(3))
+    assert oracle_triples.is_K4e_free(points, never_relation(3)) == (True, None)
+    free, witness = oracle_triples.is_K4e_free(points, always_relation(3))
     assert not free and witness == (1, 2, 3, 4)
 
 
 def test_base_relation_is_not_k4e_free():
     inst = base_construction(2)
-    free, witness = is_K4e_free(inst.points, inst.relation)
+    free, witness = oracle_triples.is_K4e_free(inst.points, inst.relation)
     assert not free and witness == (1, 2, 3, 4)
-
-
-# -- bad triples ------------------------------------------------------------------------------
-
-
-def test_base_relation_has_no_bad_triples_on_small_points():
-    points = integer_points(1, 2, 3)
-    bad, skipped = find_bad_triples(points, base_construction(2).relation)
-    assert bad == []
-    assert skipped == []
-
-
-def test_root_at_a_point_is_a_bad_triple():
-    nv = 3
-    relation = SemiAlgebraicRelation(
-        3, 1, [x(1, nv) - Poly.constant(nv, 2)], Formula.leaf(0, "ge"))
-    bad, _ = find_bad_triples(integer_points(1, 2, 3), relation)
-    assert (1, 2, 3) in bad
-
-
-def test_constant_atoms_yield_no_bad_triples():
-    relation = SemiAlgebraicRelation(
-        3, 1, [Poly.constant(3, 5)], Formula.leaf(0, "ge"))
-    bad, skipped = find_bad_triples(integer_points(1, 2, 3), relation)
-    assert bad == [] and skipped == []
-
-
-def test_identically_zero_restrictions_are_flagged_not_counted():
-    nv = 3
-    vanishing = (x(0, nv) - Poly.constant(nv, 1)) * (x(1, nv) - Poly.constant(nv, 2))
-    relation = SemiAlgebraicRelation(3, 1, [vanishing], Formula.leaf(0, "ge"))
-    bad, skipped = find_bad_triples(integer_points(1, 2, 3), relation)
-    assert skipped  # fixing x1 = 1 or x2 = 2 kills the product entirely
-    for entry in skipped:
-        assert len(entry) == 4
-
-
-def test_find_bad_triples_matches_the_fraction_oracle():
-    """On seeded rational points, with polynomials that vanish at some of
-    the points (so some restrictions are identically zero and some third
-    points are roots), random ones and a constant."""
-    nv = 3
-    skipped_seen = bad_seen = 0
-    for seed in range(12):
-        rng = SeededRng(seed)
-        vals = [F(rng.randint(-12, 12), [1, 2, 3, 7, 12][rng.randint(0, 4)])
-                for _ in range(rng.randint(3, 7))]
-        points = OrderedPointSet(1, [[v] for v in vals])
-        last = len(vals) - 1
-        i, j = rng.randint(0, 2), rng.randint(0, 2)
-        polys = [
-            (x(i, nv) - vals[rng.randint(0, last)])
-            * (x(j, nv) - vals[rng.randint(0, last)]),
-            x(rng.randint(0, 2), nv) - vals[rng.randint(0, last)],
-            Poly.constant(nv, F(rng.randint(1, 5), rng.randint(1, 5))),
-            Poly(nv, {tuple(rng.randint(0, 2) for _ in range(nv)):
-                      F(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(4)}),
-        ]
-        relation = SemiAlgebraicRelation(
-            3, 1, polys, Formula.all_of([Formula.leaf(k, "ge")
-                                         for k in range(len(polys))]))
-        bad, skipped = find_bad_triples(points, relation)
-        assert (bad, skipped) == oracle_bad_triples.find_bad_triples_fraction(
-            points, relation), seed
-        skipped_seen += len(skipped)
-        bad_seen += len(bad)
-    assert skipped_seen and bad_seen
-
-
-def test_bad_triples_need_one_dimensional_points():
-    square = OrderedPointSet(2, [[0, 0], [1, 0], [0, 1]])
-    with pytest.raises(ArgumentError):
-        find_bad_triples(square, SemiAlgebraicRelation(
-            3, 2, [], Formula.all_of([])))
