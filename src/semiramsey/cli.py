@@ -4,7 +4,8 @@ Everything prints canonical JSON (or an aligned text table for report
 --format text).  Exit codes: 0 success/verified, 1 property fails with a
 witness, 2 bad arguments or violated preconditions, 3 resource limit hit,
 4 search gave up inconclusively (budget exhausted), 5 internal error (an
-unexpected exception, reported as JSON on stderr with its traceback).
+unexpected exception, a failed certificate among them, reported as JSON
+on stderr with its traceback).  Only `construct` takes --output.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from .relation import (count_distinct_sign_vectors, eval_membership,
                        milnor_thom_bound)
 from .poly import MultivariatePolynomial, _sum_terms
 from .rng import SeededRng
-from .sturm import count_real_roots, sturm_chain, sturm_sequence
+from .sturm import count_real_roots, sturm_sequence
 
-# No command calls count_real_roots or sturm_sequence, but both stay
-# exported: the benchmark's tracer (perfbench/tracing.py) patches them
-# through these names, and its tests require them.
-__all__ = ["main", "count_real_roots", "sturm_sequence"]
+# No command calls count_real_roots, but it stays exported: the tests of
+# the benchmark's tracer (perfbench/test_perfbench.py) patch it here.
+__all__ = ["main", "count_real_roots"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,37 +84,30 @@ def _read_json(path: str, decode=lambda doc: doc):
             f"malformed input {path}: nested too deeply") from exc
 
 
-def _write(args, doc: dict, summary: dict) -> None:
-    """Write the document to --output (stdout by default).
+def _write_instance(args, inst: constructions.ConstructionInstance) -> int:
+    """Write the instance to --output (stdout by default).
 
-    With a real output file the summary goes to stdout instead, so the file
+    With a real output file a summary goes to stdout instead, so the file
     stays byte-deterministic and scripts still get something to read.
     """
+    doc = jsonio.instance_to_json(inst)
     if args.output in (None, "-"):
         _emit(doc)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps(doc))
-        _emit(summary)
-
-
-def _write_instance(args, inst: constructions.ConstructionInstance) -> int:
+        return EXIT_OK
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(jsonio.dumps(doc))
     eps = inst.epsilon
-    _write(args, jsonio.instance_to_json(inst), {
-        "points": len(inst.points), "dim": inst.points.dim,
-        "arity": inst.relation.arity,
-        "complexity": inst.relation.complexity(),
-        "epsilon": None if eps is None else jsonio.fraction_to_json(eps)})
+    _emit({"points": len(inst.points), "dim": inst.points.dim,
+           "arity": inst.relation.arity,
+           "complexity": inst.relation.complexity(),
+           "epsilon": None if eps is None else jsonio.fraction_to_json(eps)})
     return EXIT_OK
 
 
-def _write_result(args, res: solvers.HomogeneousResult) -> int:
-    _write(args, jsonio.result_to_json(res),
-           {"size": len(res.subset), "polarity": res.polarity,
-            "certified": res.certified})
-    if not res.certified or res.stats.get("maximum") is False:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+def _write_result(res: solvers.HomogeneousResult) -> int:
+    """Emit the result; exit 4 when its search ran out of budget."""
+    _emit(jsonio.result_to_json(res))
+    return EXIT_INCONCLUSIVE if res.stats.get("maximum") is False else EXIT_OK
 
 
 # -- construct ----------------------------------------------------------------
@@ -187,13 +180,13 @@ def cmd_solve_brute(args) -> int:
     inst = _read_json(args.input, jsonio.instance_from_json)
     res = solvers.max_homogeneous(inst.points, inst.relation,
                                   budget=args.budget)
-    return _write_result(args, res)
+    return _write_result(res)
 
 
 def cmd_solve_greedy(args) -> int:
     inst = _read_json(args.input, jsonio.instance_from_json)
     res = solvers.erdos_rado_greedy(inst.points, inst.relation)
-    return _write_result(args, res)
+    return _write_result(res)
 
 
 def cmd_solve_monotone(args) -> int:
@@ -216,7 +209,7 @@ def cmd_solve_monotone(args) -> int:
         stats={"direction": "increasing" if increasing else "decreasing",
                "length": len(sub),
                "values": [jsonio.fraction_to_json(v) for v in sub]})
-    return _write_result(args, res)
+    return _write_result(res)
 
 
 def cmd_solve_spencer(args) -> int:
@@ -224,7 +217,7 @@ def cmd_solve_spencer(args) -> int:
     vertices, stats = solvers.spencer_independent_set(graph, seed=args.seed)
     res = solvers.HomogeneousResult(
         subset=tuple(vertices), polarity="out", certified=True, stats=stats)
-    return _write_result(args, res)
+    return _write_result(res)
 
 
 # -- verify -------------------------------------------------------------------
@@ -360,7 +353,7 @@ def cmd_verify_sturm(args) -> int:
         degree = t_rng.randint(1, 8)
         coeffs = t_rng.randints(-9, 9, degree)
         coeffs.append(t_rng.randint(1, 9))
-        seq = sturm_chain(coeffs)
+        seq = sturm_sequence(coeffs)
         ints = seq.ints
         members += len(ints)
         # Each point is read once: the root counts on (a, b), (a, mid) and
@@ -539,12 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ssub.add_parser("brute", help="exact maximum by branch and bound")
     p.add_argument("--input", required=True)
-    common(p, budget=True, output=True)
+    common(p, budget=True)
     p.set_defaults(func=cmd_solve_brute)
 
     p = ssub.add_parser("greedy", help="class-refinement extraction")
     p.add_argument("--input", required=True)
-    common(p, output=True)
     p.set_defaults(func=cmd_solve_greedy)
 
     p = ssub.add_parser("monotone", help="longest monotone subsequence")
@@ -552,13 +544,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rationals")
     p.add_argument("--input", default=None,
                    help="JSON file holding an array of rationals")
-    common(p, output=True)
     p.set_defaults(func=cmd_solve_monotone)
 
     p = ssub.add_parser("spencer", help="independent set in a 3-uniform "
                                         "hypergraph by random deletion")
     p.add_argument("--input", required=True)
-    common(p, seed=True, output=True)
+    common(p, seed=True)
     p.set_defaults(func=cmd_solve_spencer)
 
     verify = sub.add_parser("verify", help="check stated properties, "
@@ -567,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("properties-ab", help="position-of-highest-"
                                               "differing-bit properties")
-    p.add_argument("--N", "--bits", dest="bits", type=int, required=True,
+    p.add_argument("--N", dest="bits", type=int, required=True,
                    help="check all pairs/triples from {1, ..., 2^N}")
     p.set_defaults(func=cmd_verify_properties_ab)
 

@@ -21,8 +21,8 @@ restricted at ints is another: `plan` reads one plan at many points (the
 greedy's class split), `restrict` reads it once (L
 fixed at M, the greedy's arity drop; rational values).  A read hands the
 restricted polynomial its compiled table, so it is never compiled.
-Univariate division runs in integers too, through the one pseudo-division
-loop `_pseudo_divmod` that every Sturm chain uses.
+Univariate division is integer pseudo-division on int coefficient lists,
+`univariate_divmod`, the one division loop; every Sturm chain step is one.
 """
 
 from __future__ import annotations
@@ -418,31 +418,12 @@ def from_univariate_coeffs(coeffs: Sequence[Scalar]) -> MultivariatePolynomial:
     return MultivariatePolynomial(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
-def univariate_divmod(a: MultivariatePolynomial, b: MultivariatePolynomial):
-    """Exact Euclidean division of univariate polynomials: a = q*b + r.
+def univariate_divmod(a: Sequence[int],
+                      b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of int coefficient lists (index = power, b with a
+    nonzero last entry): (Q, R, s) with s * a = Q * b + R, deg R < deg b.
 
-    The denominators are cleared once, A = a * da and Bz = b * db, and
-    `_pseudo_divmod` gives s * A = Q * Bz + R in integers.  Then
-    q = Q * db / (s * da) and r = R / (s * da), one Fraction per
-    coefficient; as Euclidean division is unique, these are the quotient
-    and remainder over Q.
-    """
-    if a.num_vars != 1 or b.num_vars != 1:
-        raise ArgumentError("expected univariate polynomials")
-    if b.is_zero():
-        raise ArgumentError("division by the zero polynomial")
-    ra, da = _cleared(univariate_coeffs(a))
-    rb, db = _cleared(univariate_coeffs(b))
-    q, r, s = _pseudo_divmod(ra, rb)
-    return _from_ints(q, db, s * da), _from_ints(r, 1, s * da)
-
-
-def _pseudo_divmod(a: Sequence[int],
-                   b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """(Q, R, s) with s * a = Q * b + R and deg R < deg b, for int
-    coefficient lists (index = power, b with a nonzero last entry).
-
-    The one integer division loop: each step multiplies s by lead(b) / gcd,
+    The one division loop: each step multiplies s by lead(b) / gcd,
     so s is a nonzero int whose sign may be either.  R has no trailing
     zeros (it is [] when b divides a), and neither input is modified.
     """
@@ -472,9 +453,3 @@ def _cleared(values: Sequence[Scalar]) -> tuple[list[int], int]:
     ratios = [v.as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
-
-
-def _from_ints(coeffs: list[int], num: int, den: int) -> MultivariatePolynomial:
-    """The univariate polynomial sum coeffs[i] * num / den * x^i."""
-    return MultivariatePolynomial._from_terms(1, {
-        (i,): Fraction(c * num, den) for i, c in enumerate(coeffs) if c})

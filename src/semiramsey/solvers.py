@@ -193,7 +193,9 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     relation's decider directly, each tuple once: "out" first looks up
     what "in" has read.  The subset returned is certified through
     MembershipOracle.polarity, which reads each of its k-tuples through the
-    checked eval_membership, independently of the search's reads.
+    checked eval_membership, independently of the search's reads; a
+    certificate that disagrees with the search raises AssertionError, as in
+    erdos_rado_greedy (a bug, never a verdict).
 
     If the node budget runs out the best subset found so far is returned
     with stats["maximum"] set to False (it is still a certified homogeneous
@@ -301,11 +303,15 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
         subset, polarity = best_in, "in"
     else:
         subset, polarity = best_out, "out"
-    certified = oracle.polarity(subset)[0] == polarity
+    read, witness = oracle.polarity(subset)
+    if read != polarity:
+        raise AssertionError(
+            f"branch and bound produced a subset whose certificate reads "
+            f"{read}, not {polarity}, witness {witness}")
     return HomogeneousResult(
         subset=subset,
         polarity=polarity,
-        certified=certified,
+        certified=True,
         stats={"nodes": nodes, "prunes": prunes,
                "colour_prunes": colour_prunes,
                "evaluations": oracle.evaluations, "maximum": not exhausted,

@@ -1,17 +1,16 @@
 """Sturm sequences and exact real-root counting for univariate polynomials.
 
-A chain is built in ints by one builder, `sturm_chain`, from the int
+A chain is built in ints by one builder, `sturm_sequence`, from the int
 coefficients of g: g divided by its content, its derivative, then one list
-per step of the integer pseudo-remainder sequence (`poly._pseudo_divmod`),
+per step of the integer pseudo-remainder sequence (`poly.univariate_divmod`),
 each step divided by its content and signed so that every list is a
 positive multiple of the canonical rational member
-g_i = -rem(g_{i-2}, g_{i-1}).  `sturm_sequence(g)` clears the denominators
-of a rational g once and calls the builder; a caller that already holds
-int coefficients calls it directly.  A positive multiple has the member's
-sign everywhere, so the chain's one reader, `SturmSequence.sign_changes_at`,
+g_i = -rem(g_{i-2}, g_{i-1}).  A positive multiple has the member's sign
+everywhere, so the chain's one reader, `SturmSequence.sign_changes_at`,
 counts its sign changes at a rational x = p/q by one homogeneous Horner sum
 per list over ints, sum c_i * p^i * q^(d - i), and never forms a value; a
-root count is two such reads.  No rational member is ever built.
+root count is two such reads.  No rational member is ever built: the one
+rational entry, `count_real_roots`, clears the denominators of g once.
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ from collections.abc import Sequence
 
 from .errors import ArgumentError, PreconditionError
 from .poly import (MultivariatePolynomial, Scalar, _cleared, _coef,
-                   _pseudo_divmod, univariate_coeffs, univariate_divmod)
-
-# univariate_divmod is exported only for perfbench/tracing.py to patch.
-__all__ = ["SturmSequence", "count_real_roots", "sturm_chain",
-           "sturm_sequence", "univariate_divmod"]
+                   univariate_coeffs, univariate_divmod)
 
 
 def _primitive(coeffs: Sequence[int], sign: int = 1) -> list[int]:
@@ -72,7 +67,7 @@ class SturmSequence:
         return changes
 
 
-def sturm_chain(coeffs: Sequence[int]) -> SturmSequence:
+def sturm_sequence(coeffs: Sequence[int]) -> SturmSequence:
     """Sturm chain of the polynomial sum coeffs[i] * x^i, for int
     coefficients with a nonzero last entry, stopping before the first
     identically-zero remainder.
@@ -83,27 +78,17 @@ def sturm_chain(coeffs: Sequence[int]) -> SturmSequence:
     or R (for s < 0), divided by its content, is a positive multiple of g_i.
     """
     if not coeffs or not coeffs[-1]:
-        raise ArgumentError("sturm_chain needs a nonzero last coefficient")
+        raise ArgumentError("sturm_sequence needs a nonzero last coefficient")
     first = _primitive(coeffs)
     ints = [first]
     if len(first) > 1:
         ints.append(_primitive([i * c for i, c in enumerate(first)][1:]))
         while True:
-            _, rem, s = _pseudo_divmod(ints[-2], ints[-1])
+            _, rem, s = univariate_divmod(ints[-2], ints[-1])
             if not rem:
                 break
             ints.append(_primitive(rem, -1 if s > 0 else 1))
     return SturmSequence(ints)
-
-
-def sturm_sequence(g: MultivariatePolynomial) -> SturmSequence:
-    """Sturm chain of the univariate g: `sturm_chain` of its coefficients
-    cleared of denominators."""
-    if g.num_vars != 1:
-        raise ArgumentError("sturm_sequence expects a univariate polynomial")
-    if g.is_zero():
-        raise ArgumentError("sturm_sequence of the zero polynomial is undefined")
-    return sturm_chain(_cleared(univariate_coeffs(g))[0])
 
 
 def count_real_roots(g: MultivariatePolynomial, a: Scalar, b: Scalar) -> int:
@@ -112,11 +97,13 @@ def count_real_roots(g: MultivariatePolynomial, a: Scalar, b: Scalar) -> int:
     Requires a < b and g(a) != 0 != g(b).  Roots are counted without
     multiplicity, which is exactly what the Sturm chain delivers: the
     difference of its sign changes at a and at b.  To count on many
-    intervals, read one `sturm_sequence(g)` at their endpoints instead.
+    intervals, read one `sturm_sequence` at their endpoints instead.  A
+    multivariate g is refused by `univariate_coeffs`, and the zero
+    polynomial by `sturm_sequence`, both with ArgumentError.
     """
     if _coef(a) >= _coef(b):
         raise ArgumentError(f"empty interval ({a}, {b})")
-    seq = sturm_sequence(g)
+    seq = sturm_sequence(_cleared(univariate_coeffs(g))[0])
     at_a = seq.sign_changes_at(a)
     if at_a is None:
         raise PreconditionError(f"g({a}) = 0: endpoint must not be a root", witness=a)

@@ -5,20 +5,25 @@ exit code plus captured stdout/stderr; one smoke test goes through a real
 subprocess to cover the module entry point.
 """
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_roots
 from semiramsey import (ConstructionInstance, Formula, OrderedPointSet,
-                        SemiAlgebraicRelation, SeededRng, cli,
-                        count_real_roots, from_univariate_coeffs, jsonio,
-                        sturm_sequence)
+                        SemiAlgebraicRelation, SeededRng, base_construction,
+                        cli, count_real_roots, from_univariate_coeffs, jsonio,
+                        step_up, sturm_sequence)
 from semiramsey.cli import main
-from semiramsey.sturm import SturmSequence, sturm_chain
+from semiramsey.sturm import SturmSequence
 
 
 def run(capsys, *argv):
@@ -425,7 +430,8 @@ def test_verifier_counters_are_pinned_and_roots_are_counted_twice(capsys):
     trials of `verify sturm` are replayed from the same draws: `roots` is
     the sum of count_real_roots on the Fraction polynomial, and of the
     independent oracle, over the intervals the verifier reads, and
-    `chain_members` the sum of the chain lengths of sturm_sequence."""
+    `chain_members` the sum of the chain lengths of sturm_sequence on the
+    drawn ints."""
     code, doc, err = run_json(capsys, "verify", "sturm", "--trials", "40",
                               "--seed", "1")
     assert code == 0 and err == ""
@@ -436,15 +442,15 @@ def test_verifier_counters_are_pinned_and_roots_are_counted_twice(capsys):
     for trial in range(40):
         t_rng = rng.derive(f"poly-{trial}")
         degree = t_rng.randint(1, 8)
-        coeffs = [F(t_rng.randint(-9, 9)) for _ in range(degree)]
-        coeffs.append(F(t_rng.randint(1, 9)))
-        g = from_univariate_coeffs(coeffs)
+        coeffs = [t_rng.randint(-9, 9) for _ in range(degree)]
+        coeffs.append(t_rng.randint(1, 9))
+        g = from_univariate_coeffs([F(c) for c in coeffs])
         a, b = F(-100), F(100)
         while g.eval([a]) == 0:
             a -= 1
         while g.eval([b]) == 0:
             b += 1
-        members += len(sturm_sequence(g).ints)
+        members += len(sturm_sequence(coeffs).ints)
         ours += count_real_roots(g, a, b)
         oracle += oracle_roots.count_distinct_roots(coeffs, a, b)
     assert (members, ours, oracle) == (213, 63, 63)
@@ -482,11 +488,11 @@ _WRONG_CHAINS = {
     # a member whose root 200 is beyond b = 100 (caught at +-inf only)
     "member-past-b-appended": lambda ints, coeffs: [*ints, [-200, 1]],
     # the chain of g': roots of the wrong parity (caught by the parity only)
-    "chain-of-derivative": lambda ints, coeffs: sturm_chain(
+    "chain-of-derivative": lambda ints, coeffs: sturm_sequence(
         [i * c for i, c in enumerate(coeffs)][1:]).ints,
     # the chain of (x^2 - 1) * g: more roots than deg g where g has all
     # its roots real, as every g of degree 1 has (caught by the degree only)
-    "chain-of-x2-minus-1-times-g": lambda ints, coeffs: sturm_chain(
+    "chain-of-x2-minus-1-times-g": lambda ints, coeffs: sturm_sequence(
         _times(coeffs, [-1, 0, 1])).ints,
 }
 
@@ -498,9 +504,9 @@ def test_verify_sturm_refuses_a_wrong_chain(capsys, monkeypatch, mutant):
     three reads; the checks against the root count at +-inf, the degree
     of g, its parity and the reads' order find a wrong chain."""
     def wrong_chain(coeffs):
-        return SturmSequence(mutant(sturm_chain(coeffs).ints, coeffs))
+        return SturmSequence(mutant(sturm_sequence(coeffs).ints, coeffs))
 
-    monkeypatch.setattr(cli, "sturm_chain", wrong_chain)
+    monkeypatch.setattr(cli, "sturm_sequence", wrong_chain)
     code, doc, err = run_json(capsys, "verify", "sturm", "--trials", "200",
                               "--seed", "1")
     assert code == cli.EXIT_FAIL == 1 and err == ""
@@ -807,6 +813,117 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch,
     assert error["type"] == "AssertionError"
     assert error["message"] == "greedy invariant broken"
     assert "Traceback" in error["traceback"]
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "brute", "--input", "{base3}"], ["report", "hom", "--n", "3"]],
+    ids=["solve-brute", "report-hom"])
+def test_a_failed_certificate_is_internal_error(capsys, monkeypatch, tmp_path,
+                                                command):
+    """The search's subset is certified through solvers.eval_membership;
+    when that read disagrees with the search, both commands exit 5, as the
+    greedy does, and print no verdict."""
+    base3 = tmp_path / "base3.json"
+    assert run(capsys, "construct", "base", "--n", "3",
+               "--output", str(base3))[0] == 0
+    reads = []
+    original = cli.solvers.eval_membership
+
+    def flipped(*args):
+        reads.append(args)
+        return original(*args) != (len(reads) == 2)  # flips the second read
+
+    monkeypatch.setattr(cli.solvers, "eval_membership", flipped)
+    code, out, err = run(capsys, *[a.format(base3=base3) for a in command])
+    assert code == cli.EXIT_INTERNAL == 5 and out == ""
+    assert json.loads(err)["error"]["type"] == "AssertionError"
+    assert len(reads) >= 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "brute", "--input", "-", "--output", "x"],
+    ["solve", "greedy", "--input", "-", "--output", "x"],
+    ["solve", "monotone", "--values", "1,2", "--output", "x"],
+    ["solve", "spencer", "--input", "-", "--output", "x"],
+    ["verify", "properties-ab", "--bits", "3"],
+], ids=["brute-output", "greedy-output", "monotone-output", "spencer-output",
+        "properties-ab-bits"])
+def test_removed_options_are_refused(capsys, argv):
+    """`solve` prints its result on stdout only, and properties-ab takes
+    its exponent as --N only: argparse refuses the old spellings."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == cli.EXIT_USAGE == 2
+    assert capsys.readouterr().out == ""
+
+
+# Valid documents for the commands that read one; each mutation below
+# rewrites one node of a copy: drops it, or puts a value of the wrong type,
+# a string, an empty container or a huge int in its place.
+_INSTANCES = {"base-2": jsonio.instance_to_json(base_construction(2)),
+              "stepped-base-1": jsonio.instance_to_json(
+                  step_up(base_construction(1)))}
+_FUZZ_JOBS = [
+    (["solve", "brute"], _INSTANCES), (["solve", "greedy"], _INSTANCES),
+    (["solve", "spencer"], {"hypergraph": {
+        "n": 6, "edges": [[1, 2, 3], [4, 5, 6], [1, 4, 5]]}}),
+    (["solve", "monotone"], {"monotone": ["3", 1, "1/2", 4, "-2"]}),
+    (["construct", "stepup"], _INSTANCES),
+    (["construct", "order-type", "--dim", "2"], {"points": {
+        "dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"],
+                             ["1", "1/2"]]}}),
+    (["construct", "one-sided", "--dim", "2"], {"arrangement": ARRANGEMENT}),
+    (["verify", "eps-deep"], _INSTANCES),
+]
+_DROP = object()
+_SWAPS = [_DROP, None, True, 0, -1, 1.5, 10 ** 400, -(2 ** 64), "", "x",
+          "1/0", "-3/4", [], {}, [[]], {"": None}]
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@given(st.data())
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_mutated_documents_get_a_documented_exit(data):
+    """No mutated document crashes a command (exit 5); every error is one
+    JSON line on stderr, and only eps-deep's property can fail (exit 1)."""
+    command, docs = data.draw(st.sampled_from(_FUZZ_JOBS))
+    doc = copy.deepcopy(docs[data.draw(st.sampled_from(sorted(docs)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_nodes(doc))))
+        value = data.draw(st.sampled_from(_SWAPS))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            if path:
+                del parent[path[-1]]
+            else:
+                doc = {}
+        elif path:
+            parent[path[-1]] = copy.deepcopy(value)
+        else:
+            doc = copy.deepcopy(value)
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch("sys.stdin", io.StringIO(json.dumps(doc))),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        code = main([*command, "--input", "-"])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3, 4), err
+    assert err == "" or (err.count("\n") == 1 and err.endswith("\n")
+                         and list(json.loads(err)) == ["error"])
+    assert code != cli.EXIT_FAIL or command == ["verify", "eps-deep"]
 
 
 def test_module_entry_point_subprocess():

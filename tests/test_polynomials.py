@@ -29,7 +29,7 @@ from semiramsey import (
     univariate_coeffs,
     univariate_divmod,
 )
-from semiramsey.poly import _int_signs
+from semiramsey.poly import _cleared, _int_signs
 
 
 def x(i: int, n: int) -> Poly:
@@ -187,19 +187,17 @@ def test_derivative_of_cubic():
 
 
 def test_univariate_divmod_exact_factorization():
-    dividend = from_univariate_coeffs([-1, 0, 0, 1])  # x^3 - 1
-    divisor = from_univariate_coeffs([-1, 1])         # x - 1
-    quotient, remainder = univariate_divmod(dividend, divisor)
-    assert univariate_coeffs(quotient) == [F(1), F(1), F(1)]
-    assert remainder.is_zero()
+    # x^3 - 1 = (x^2 + x + 1)(x - 1)
+    assert univariate_divmod([-1, 0, 0, 1], [-1, 1]) == ([1, 1, 1], [], 1)
 
 
 def test_univariate_divmod_with_remainder():
-    dividend = from_univariate_coeffs([1, 0, 1])  # x^2 + 1
-    divisor = from_univariate_coeffs([-2, 1])     # x - 2
-    quotient, remainder = univariate_divmod(dividend, divisor)
-    assert univariate_coeffs(remainder) == [F(5)]
-    assert dividend == quotient * divisor + remainder
+    # x^2 + 1 = (x + 2)(x - 2) + 5, and 4(x^2 + 1) = (2x - 1)(2x + 1) + 5:
+    # a lead of b that does not divide scales s.
+    assert univariate_divmod([1, 0, 1], [-2, 1]) == ([2, 1], [5], 1)
+    q, r, s = univariate_divmod([1, 0, 1], [1, 2])
+    assert (q, r, s) == ([-1, 2], [5], 4)
+    assert oracle_roots.add(oracle_roots.mul(q, [1, 2]), r) == [4, 0, 4]
 
 
 # -- property tests --------------------------------------------------------------
@@ -266,15 +264,20 @@ coefficient_lists = st.lists(rationals, max_size=7)
          [F(-2), F(1, 7)], False)  # dividend with a 2^64 denominator
 @settings(max_examples=200, deadline=None)
 def test_divmod_and_derivative_equal_list_oracle(a, b, exact):
-    """Trailing zeros in the lists pad the polynomial; the oracle strips."""
+    """On the cleared int lists, Q / s and R / s are the quotient and the
+    remainder over Q.  Trailing zeros of the dividend pad it (the oracle
+    strips them); the divisor is stripped, as its last entry must be
+    nonzero."""
     if exact:
         a = oracle_roots.mul(a, b)
-    quotient, remainder = univariate_divmod(from_univariate_coeffs(a),
-                                            from_univariate_coeffs(b))
-    expected_q, expected_r = oracle_roots.poly_divmod(a, b)
-    assert univariate_coeffs(quotient) == expected_q
-    assert univariate_coeffs(remainder) == expected_r
-    assert remainder.is_zero() or not exact
+    ints_a = _cleared(a)[0]
+    ints_b = oracle_roots.strip(_cleared(b)[0])
+    q, r, s = univariate_divmod(ints_a, ints_b)
+    assert all(type(c) is int for c in q + r) and s
+    expected_q, expected_r = oracle_roots.poly_divmod(ints_a, ints_b)
+    assert oracle_roots.strip([F(c, s) for c in q]) == expected_q
+    assert [F(c, s) for c in r] == expected_r
+    assert not r or not exact
     assert (oracle_eval.derivative(from_univariate_coeffs(a).terms)
             == from_univariate_coeffs(oracle_roots.derivative(a)).terms)
 
@@ -296,11 +299,9 @@ def test_producers_return_canonical_term_maps(data, a, b):
     p, q = (Poly(n, data.draw(st.dictionaries(exponents, rationals, max_size=5)))
             for _ in range(2))
     fixed = data.draw(st.dictionaries(st.integers(0, n - 1), rationals))
-    u, v = from_univariate_coeffs(a), from_univariate_coeffs(b)
     outputs = [p + q, p - q, p - p, p + 2, 1 - p, p * q, p * 0, p * F(-1, 3),
-               p.restrict(fixed), u, v]
-    if not v.is_zero():
-        outputs.extend(univariate_divmod(u, v))
+               p.restrict(fixed), from_univariate_coeffs(a),
+               from_univariate_coeffs(b)]
     for out in outputs:
         assert_canonical(out)
 

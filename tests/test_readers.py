@@ -2,9 +2,7 @@
 
 A definition is read when an expression of the package outside
 `__init__.py`, or of the acceptance checks, names it, as a bare name or as
-an attribute.  A unit test alone is not a reader.  The only exemptions are
-the spans that the benchmark's tracer wraps (`TARGETS` in
-`perfbench/tracing.py`, read here as source, never imported).
+an attribute.  A unit test alone is not a reader, and nothing is exempt.
 """
 
 from __future__ import annotations
@@ -48,47 +46,30 @@ def definitions(source: str) -> list[str]:
     return out
 
 
-def unread(source: str, reads: set[str], exempt: set[str]) -> list[str]:
+def unread(source: str, reads: set[str]) -> list[str]:
     return [name for name in definitions(source)
-            if name.rsplit(".", 1)[-1] not in reads and name not in exempt]
-
-
-def traced(module: str) -> set[str]:
-    """The attribute paths in semiramsey.<module> that the tracer's TARGETS
-    resolve."""
-    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(
-        encoding="utf-8"))
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "TARGETS"
-                        for t in node.targets)):
-            return {attr for _, owner, attr in ast.literal_eval(node.value)
-                    if owner == f"semiramsey.{module}"}
-    raise AssertionError("perfbench/tracing.py has no TARGETS")
+            if name.rsplit(".", 1)[-1] not in reads]
 
 
 READS = read_names([p.read_text(encoding="utf-8") for p in READERS])
 
 
-def test_sources_and_spans_are_found():
-    assert len(SOURCES) >= 10
-    assert any(traced(p.stem) for p in SOURCES)
+def test_sources_and_readers_are_found():
+    assert len(SOURCES) >= 10 and all(p.is_file() for p in READERS)
+    assert {"max_homogeneous", "sturm_sequence", "univariate_divmod"} <= READS
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_definition_has_a_reader(path):
-    assert unread(path.read_text(encoding="utf-8"), READS,
-                  traced(path.stem)) == []
+    assert unread(path.read_text(encoding="utf-8"), READS) == []
 
 
 def test_unread_definition_is_reported():
     source = ("def used():\n    pass\n"
               "def planted():\n    pass\n"
-              "def traced_only():\n    pass\n"
               "class Shape:\n"
               "    def __len__(self):\n        return 0\n"
               "    def area(self):\n        return self.side()\n"
               "    def side(self):\n        return 1\n")
     reads = read_names([source, "used()\nShape()\n"])
-    assert unread(source, reads, {"traced_only"}) == [
-        "planted", "Shape.area"]
+    assert unread(source, reads) == ["planted", "Shape.area"]

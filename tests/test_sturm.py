@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracle_roots
 from semiramsey import sturm
-from semiramsey.poly import _pseudo_divmod
 from semiramsey import (
     ArgumentError,
     MultivariatePolynomial as Poly,
@@ -21,6 +20,7 @@ from semiramsey import (
     from_univariate_coeffs,
     sturm_sequence,
     univariate_coeffs,
+    univariate_divmod,
 )
 
 
@@ -41,8 +41,7 @@ def test_sturm_sequence_of_square_difference():
         [F(0), F(2)],
         [F(1)],
     ]
-    g = from_univariate_coeffs(coeffs)
-    assert sturm_sequence(g).ints == [[-1, 0, 1], [0, 1], [1]]
+    assert sturm_sequence(coeffs).ints == [[-1, 0, 1], [0, 1], [1]]
 
 
 def test_sturm_sequence_stops_at_zero_remainder():
@@ -51,24 +50,26 @@ def test_sturm_sequence_stops_at_zero_remainder():
         [F(1), F(-2), F(1)],
         [F(-2), F(2)],
     ]
-    g = from_univariate_coeffs(coeffs)
-    assert sturm_sequence(g).ints == [[1, -2, 1], [-1, 1]]
+    assert sturm_sequence(coeffs).ints == [[1, -2, 1], [-1, 1]]
 
 
 def test_sturm_sequence_of_identity():
     assert oracle_roots.canonical_chain([0, 1]) == [[F(0), F(1)], [F(1)]]
-    g = from_univariate_coeffs([0, 1])
-    assert sturm_sequence(g).ints == [[0, 1], [1]]
+    assert sturm_sequence([0, 1]).ints == [[0, 1], [1]]
 
 
 def test_sturm_sequence_rejects_zero_polynomial():
+    """The zero polynomial has no chain: the builder refuses its empty
+    coefficient list, and so the root count refuses it."""
     with pytest.raises(ArgumentError):
-        sturm_sequence(Poly(1, {}))
+        sturm_sequence([])
+    with pytest.raises(ArgumentError):
+        count_real_roots(Poly(1, {}), -1, 1)
 
 
 def test_sturm_sequence_rejects_multivariate_input():
     with pytest.raises(ArgumentError):
-        sturm_sequence(Poly.variable(0, 2))
+        count_real_roots(Poly.variable(0, 2), -1, 1)
 
 
 def test_sign_changes_ignores_zeros():
@@ -95,7 +96,7 @@ def test_double_root_counted_once():
 
 def test_endpoint_root_is_a_precondition_error():
     g = from_univariate_coeffs([-1, 0, 1])
-    seq = sturm_sequence(g)
+    seq = sturm_sequence([-1, 0, 1])
     # (a, b, witness); with both endpoints roots, a is reported.
     cases = ((F(1), F(2), F(1)), (F(-3), F(-1), F(-1)), (F(-1), F(1), F(-1)))
     for a, b, witness in cases:
@@ -113,7 +114,7 @@ def test_reversed_interval_rejected():
 
 def test_precomputed_sequence_can_be_reused():
     g = from_univariate_coeffs([0, -1, 0, 1])  # x^3 - x
-    seq = sturm_sequence(g)
+    seq = sturm_sequence([0, -1, 0, 1])
     assert oracle_roots.canonical_chain([0, -1, 0, 1]) == [
         [0, -1, 0, 1], [-1, 0, 3], [0, F(2, 3)], [1]]
     assert seq.ints == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
@@ -198,7 +199,7 @@ def rational_polys(draw):
 @settings(max_examples=300, deadline=None)
 def test_integer_chain_is_a_positive_multiple_of_the_rational_chain(coeffs, a, b):
     g = from_univariate_coeffs(coeffs)
-    seq = sturm_sequence(g)
+    seq = sturm_sequence(sturm._cleared(coeffs)[0])
     assert_positive_multiples(seq.ints, oracle_roots.canonical_chain(coeffs))
     assume(a != b)
     a, b = min(a, b), max(a, b)
@@ -214,7 +215,7 @@ def test_integer_chain_is_a_positive_multiple_of_the_rational_chain(coeffs, a, b
 def test_pseudo_division_leaves_its_inputs_unchanged(b):
     a = [1, -2, 0, 5, 7]
     a_before, b_before = list(a), list(b)
-    q, r, s = _pseudo_divmod(a, b)
+    q, r, s = univariate_divmod(a, b)
     assert (a, b) == (a_before, b_before)
     assert len(r) < len(b)
     assert oracle_roots.add(oracle_roots.mul(q, b), r) == [s * c for c in a]
@@ -229,24 +230,25 @@ def test_pseudo_division_leaves_its_inputs_unchanged(b):
 ], ids=["deg0", "deg0-fraction", "deg1-fractions", "deg1-content-2",
         "deg2-fractions", "content-6", "deg3-fractions", "x-squared-times-4"])
 def test_int_builder_equals_the_sequence_of_g(coeffs):
-    """sturm_chain on the cleared coefficients of g gives the chain that
-    sturm_sequence(g) gives, and each of its lists is a primitive positive
-    multiple of the canonical member of g (and so of d * g, for the
-    factor d > 0 by which the coefficients were cleared)."""
+    """sturm_sequence on the cleared coefficients of g gives lists that are
+    each a primitive positive multiple of the canonical member of g (and so
+    of d * g, for the factor d > 0 by which the coefficients were
+    cleared), and count_real_roots(g) reads that chain."""
     g = from_univariate_coeffs(coeffs)
-    seq = sturm_sequence(g)
     ints, d = sturm._cleared(univariate_coeffs(g))
     assert d > 0 and ints == [d * c for c in univariate_coeffs(g)]
-    built = sturm.sturm_chain(ints)
-    assert built.ints == seq.ints
+    built = sturm_sequence(ints)
     assert_positive_multiples(built.ints, oracle_roots.canonical_chain(coeffs))
     assert_positive_multiples(built.ints, oracle_roots.canonical_chain(ints))
+    a, b = -100, 100  # every root of g lies in (-37, 37) (Cauchy's bound)
+    assert count_real_roots(g, a, b) == (
+        built.sign_changes_at(a) - built.sign_changes_at(b))
 
 
 def test_int_builder_refuses_a_zero_lead():
     for coeffs in ([], [0], [3, 0]):
         with pytest.raises(ArgumentError):
-            sturm.sturm_chain(coeffs)
+            sturm_sequence(coeffs)
 
 
 @given(rational_polys(),
@@ -256,7 +258,7 @@ def test_int_builder_refuses_a_zero_lead():
 def test_sign_change_reader_counts_the_members_signs(coeffs, xs):
     """At int and Fraction points the reader gives the sign changes of the
     canonical members' signs there, and None exactly at the roots of g."""
-    seq = sturm_sequence(from_univariate_coeffs(coeffs))
+    seq = sturm_sequence(sturm._cleared(coeffs)[0])
     chain = oracle_roots.canonical_chain(coeffs)
     assert len(seq.ints) == len(chain)
     for x in xs + [int(x) for x in xs]:
