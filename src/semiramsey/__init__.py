@@ -12,16 +12,14 @@ from .errors import (ArgumentError, BudgetExhaustedError, DegenerateInputError,
 from .geometry import (Arrangement, Hyperplane, general_position_points,
                        general_position_hyperplanes, hyperplane_intersection,
                        is_convex_position, one_sided_relation,
-                       order_type_relation, orientation_polynomial,
-                       solve_linear_system)
+                       order_type_relation, orientation_polynomial)
 from .poly import (MultivariatePolynomial, from_univariate_coeffs,
                    univariate_coeffs, univariate_divmod)
 from .relation import (Atom, Formula, OrderedPointSet, SemiAlgebraicRelation,
                        count_distinct_sign_vectors, eval_membership,
                        milnor_thom_bound)
 from .rng import SeededRng
-from .solvers import (HomogeneousResult, Hypergraph3, TransitiveColoring,
-                      erdos_rado_greedy, homogeneous_check,
+from .solvers import (HomogeneousResult, Hypergraph3, erdos_rado_greedy,
                       longest_monotone_subsequence, max_homogeneous,
                       spencer_independent_set, transitive_ramsey_number,
                       verify_transitive_ramsey)
@@ -35,15 +33,14 @@ __all__ = [
     "HomogeneousResult", "Hypergraph3", "Hyperplane",
     "MultivariatePolynomial", "OrderedPointSet", "PreconditionError",
     "ResourceLimitError", "SeededRng", "SemiAlgebraicRelation",
-    "TransitiveColoring", "base_construction", "base_relation",
-    "count_distinct_sign_vectors", "count_real_roots", "delta_index",
-    "erdos_rado_greedy", "eval_membership", "frankl_wilson_graph",
-    "from_univariate_coeffs", "general_position_hyperplanes",
-    "general_position_points", "homogeneous_check",
+    "base_construction", "base_relation", "count_distinct_sign_vectors",
+    "count_real_roots", "delta_index", "erdos_rado_greedy", "eval_membership",
+    "frankl_wilson_graph", "from_univariate_coeffs",
+    "general_position_hyperplanes", "general_position_points",
     "hyperplane_intersection", "is_convex_position",
     "longest_monotone_subsequence", "max_homogeneous", "milnor_thom_bound",
     "one_dim_k4_construction", "one_dim_k4_relation", "one_sided_relation",
-    "order_type_relation", "orientation_polynomial", "solve_linear_system",
+    "order_type_relation", "orientation_polynomial",
     "spencer_independent_set", "step_up", "step_up_membership_rule",
     "step_up_points", "step_up_relation", "sturm_sequence", "tower",
     "transitive_ramsey_number", "univariate_coeffs", "univariate_divmod",

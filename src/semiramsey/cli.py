@@ -24,7 +24,7 @@ from .relation import (count_distinct_sign_vectors, eval_membership,
                        milnor_thom_bound)
 from .poly import MultivariatePolynomial, _sum_terms
 from .rng import SeededRng
-from .sturm import count_real_roots, sturm_sequence
+from .sturm import count_real_roots, sign_changes_at, sturm_sequence
 
 # No command calls count_real_roots, but it stays exported: the tests of
 # the benchmark's tracer (perfbench/test_perfbench.py) patch it here.
@@ -142,34 +142,28 @@ def cmd_construct_frankl_wilson(args) -> int:
     return _write_instance(args, inst)
 
 
-def cmd_construct_order_type(args) -> int:
-    relation = geometry.order_type_relation(args.dim)
+def cmd_construct_geometric(args) -> int:
+    """construct order-type | one-sided: the relation alone, or an instance
+    of it on the points read from --input (for one-sided, the
+    representation points of the arrangement read)."""
+    if args.input is None and args.output is not None:
+        raise ArgumentError("--output needs --input: without it the "
+                            "relation alone is printed")
+    one_sided = args.what == "one-sided"
+    relation = (geometry.one_sided_relation if one_sided
+                else geometry.order_type_relation)(args.dim)
     if args.input is None:
         _emit(jsonio.relation_to_json(relation))
         return EXIT_OK
-    points = _read_json(args.input, jsonio.points_from_json)
-    if points.dim != args.dim:
-        raise ArgumentError(
-            f"points have dimension {points.dim}, expected {args.dim}")
+    read = _read_json(args.input, jsonio.arrangement_from_json if one_sided
+                      else jsonio.points_from_json)
+    if read.dim != args.dim:
+        raise ArgumentError(f"{args.what} input lives in dimension "
+                            f"{read.dim}, expected {args.dim}")
     inst = constructions.ConstructionInstance(
-        points=points, relation=relation, epsilon=None,
-        provenance={"kind": "order-type", "dim": args.dim})
-    return _write_instance(args, inst)
-
-
-def cmd_construct_one_sided(args) -> int:
-    relation = geometry.one_sided_relation(args.dim)
-    if args.input is None:
-        _emit(jsonio.relation_to_json(relation))
-        return EXIT_OK
-    arr = _read_json(args.input, jsonio.arrangement_from_json)
-    if arr.dim != args.dim:
-        raise ArgumentError(
-            f"arrangement lives in dimension {arr.dim}, expected {args.dim}")
-    points = arr.representation_points()
-    inst = constructions.ConstructionInstance(
-        points=points, relation=relation, epsilon=None,
-        provenance={"kind": "one-sided", "dim": args.dim})
+        points=read.representation_points() if one_sided else read,
+        relation=relation, epsilon=None,
+        provenance={"kind": args.what, "dim": args.dim})
     return _write_instance(args, inst)
 
 
@@ -274,7 +268,7 @@ def cmd_verify_transitive_ramsey(args) -> int:
         _, witness = solvers.verify_transitive_ramsey(
             args.s, args.n, args.points, budget=args.budget)
         if witness is not None:
-            witness = jsonio.coloring_to_json(witness)
+            witness = jsonio.coloring_to_json(args.points, witness)
         return _verdict(witness, s=args.s, n=args.n, points=args.points)
     # No vertex count given: confirm the closed-form threshold is exact.
     # It must hold with that many vertices and fail with one fewer.
@@ -287,7 +281,7 @@ def cmd_verify_transitive_ramsey(args) -> int:
     out = {"ok": ok, "s": args.s, "n": args.n, "threshold": threshold,
            "holds_at_threshold": at, "holds_below": below}
     if not below and witness is not None:
-        out["witness_below"] = jsonio.coloring_to_json(witness)
+        out["witness_below"] = jsonio.coloring_to_json(threshold - 1, witness)
     _emit(out)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -353,25 +347,24 @@ def cmd_verify_sturm(args) -> int:
         degree = t_rng.randint(1, 8)
         coeffs = t_rng.randints(-9, 9, degree)
         coeffs.append(t_rng.randint(1, 9))
-        seq = sturm_sequence(coeffs)
-        ints = seq.ints
-        members += len(ints)
+        chain = sturm_sequence(coeffs)
+        members += len(chain)
         # Each point is read once: the root counts on (a, b), (a, mid) and
         # (mid, b) are differences of the three reads.
         a, b = -100, 100
-        while (at_a := seq.sign_changes_at(a)) is None:
+        while (at_a := sign_changes_at(chain, a)) is None:
             a -= 1
             reads += 1
-        while (at_b := seq.sign_changes_at(b)) is None:
+        while (at_b := sign_changes_at(chain, b)) is None:
             b += 1
             reads += 1
         total = at_a - at_b
         roots += total
         mid = (a + b) // 2 if (a + b) % 2 == 0 else Fraction(a + b, 2)
-        at_mid = seq.sign_changes_at(mid)
+        at_mid = sign_changes_at(chain, mid)
         reads += 3
         if at_mid is None:
-            at_mid = seq.sign_changes_at(mid + Fraction(1, 257))
+            at_mid = sign_changes_at(chain, mid + Fraction(1, 257))
             reads += 1
         # By Cauchy's bound (|c_i| <= 9, lead >= 1) every root of g lies in
         # (-10, 10), inside (a, b).  So the total is also the count of all
@@ -382,13 +375,13 @@ def cmd_verify_sturm(args) -> int:
         # neither.  The total is at most deg g, and has the parity of deg g
         # when the chain ends in a constant (g square-free).
         real = 0
-        prev = ints[0]
-        for m in ints[1:]:
+        prev = chain[0]
+        for m in chain[1:]:
             if (len(prev) + len(m)) % 2:
                 real += 1 if (prev[-1] > 0) is (m[-1] > 0) else -1
             prev = m
         if not (real == total and total <= degree
-                and (len(ints[-1]) > 1 or (degree - total) % 2 == 0)
+                and (len(chain[-1]) > 1 or (degree - total) % 2 == 0)
                 and (at_mid is None or at_a >= at_mid >= at_b)):
             witness = {"trial": trial, "degree": degree, "real_roots": real,
                        "reads": [at_a, at_mid, at_b]}
@@ -516,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None,
                    help="point-set JSON to bundle with the relation")
     common(p, output=True)
-    p.set_defaults(func=cmd_construct_order_type)
+    p.set_defaults(func=cmd_construct_geometric)
 
     p = csub.add_parser("one-sided", help="same-side relation on (d+1)-"
                                           "tuples of hyperplane representations")
@@ -525,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arrangement JSON whose representation points "
                         "become the instance points")
     common(p, output=True)
-    p.set_defaults(func=cmd_construct_one_sided)
+    p.set_defaults(func=cmd_construct_geometric)
 
     solve = sub.add_parser("solve", help="find homogeneous subsets")
     ssub = solve.add_subparsers(dest="what", required=True)

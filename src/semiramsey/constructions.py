@@ -770,7 +770,7 @@ def verify_eps_deep_sampled(instance: ConstructionInstance,
             yield [v + rng.fraction(-eps, eps) for v in coords]
 
     for indices in itertools.combinations(range(1, len(pts) + 1), k):
-        coords = pts.coords_for(indices)
+        coords = [x for i in indices for x in pts.points[i - 1]]
         original = rel.holds_on_coords(coords)
         for perturbed in trials(coords):
             if rel.holds_on_coords(perturbed) != original:

@@ -1,8 +1,8 @@
 """Exact computational geometry: orientations, hyperplane arrangements,
 one-sided tuples and convex position, all over the rationals.  The
 orientation table behind general and convex position (decided in ints)
-and the Cramer solve behind `hyperplane_intersection` share one
-fraction-free integer elimination.
+and `hyperplane_intersection`'s Cramer solve share one fraction-free
+integer elimination, `_eliminate`.
 """
 
 from __future__ import annotations
@@ -46,20 +46,6 @@ def _eliminate(rows: list[list[int]]) -> int:
                     row[j] = (p * row[j] - f * pivot_row[j]) // prev
         prev = p
     return prev
-
-
-def solve_linear_system(a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction]:
-    """Solve a square system exactly by Cramer's rule: one elimination of
-    the cleared rows of [A | b] gives det * x.  Raises DegenerateInputError
-    if the system is singular."""
-    n = len(a)
-    if len(b) != n or any(len(row) != n for row in a):
-        raise ArgumentError("system shape mismatch")
-    rows = [_cleared([*row, bv])[0] for row, bv in zip(a, b)]
-    d = _eliminate(rows)
-    if not d:
-        raise DegenerateInputError("singular linear system")
-    return [Fraction(row[n], d) for row in rows]
 
 
 def _check_expansion(size: int, copies: int) -> None:
@@ -191,14 +177,19 @@ class Arrangement:
 
 
 def hyperplane_intersection(hyperplanes: Sequence[Hyperplane]) -> tuple[Fraction, ...]:
-    """Common point of d hyperplanes in R^d (exact; error if not unique)."""
+    """Common point of d hyperplanes in R^d, exactly, by Cramer's rule: one
+    elimination of their cleared representation points, the rows [a | b],
+    gives det * x.  Raises DegenerateInputError if the point is not unique."""
     if not hyperplanes:
         raise ArgumentError("no hyperplanes given")
     d = hyperplanes[0].dim
-    if len(hyperplanes) != d:
+    if len(hyperplanes) != d or any(h.dim != d for h in hyperplanes):
         raise ArgumentError(f"need exactly {d} hyperplanes in R^{d}")
-    return tuple(solve_linear_system([h.a for h in hyperplanes],
-                                     [h.b for h in hyperplanes]))
+    rows = [_cleared(h.representation_point())[0] for h in hyperplanes]
+    det = _eliminate(rows)
+    if not det:
+        raise DegenerateInputError("singular linear system")
+    return tuple(Fraction(row[d], det) for row in rows)
 
 
 def general_position_hyperplanes(arr: Arrangement):

@@ -19,7 +19,7 @@ from .geometry import Arrangement, Hyperplane
 from .poly import MultivariatePolynomial, Scalar
 from .relation import Formula, OrderedPointSet, SemiAlgebraicRelation
 from .constructions import ConstructionInstance
-from .solvers import Hypergraph3, HomogeneousResult, TransitiveColoring
+from .solvers import Hypergraph3, HomogeneousResult
 
 
 _RATIONAL = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?"
@@ -173,10 +173,9 @@ def result_to_json(res: HomogeneousResult) -> dict:
     }
 
 
-def coloring_to_json(col: TransitiveColoring) -> dict:
-    return {"n": col.n,
-            "triples": [{"t": list(t), "color": c}
-                        for t, c in sorted(col.colors.items())]}
+def coloring_to_json(n: int, colors: dict) -> dict:
+    return {"n": n, "triples": [{"t": list(t), "color": c}
+                                for t, c in sorted(colors.items())]}
 
 
 def jsonable(value: Any) -> Any:

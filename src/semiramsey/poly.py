@@ -431,7 +431,11 @@ def univariate_divmod(a: Sequence[int],
     q = [0] * max(1, len(r) - len(b) + 1)
     lead = b[-1]
     s = 1
-    while len(r) >= len(b):
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b):
+            return q, r, s
         shift = len(r) - len(b)
         g = math.gcd(r[-1], lead)
         mult, factor = lead // g, r[-1] // g
@@ -442,9 +446,6 @@ def univariate_divmod(a: Sequence[int],
         q[shift] = factor
         for i, c in enumerate(b):
             r[shift + i] -= factor * c
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r, s
 
 
 def _cleared(values: Sequence[Scalar]) -> tuple[list[int], int]:

@@ -286,9 +286,6 @@ class OrderedPointSet:
         self._check_index(index)
         return self.points[index - 1]
 
-    def coords_for(self, indices: Sequence[int]) -> list[Scalar]:
-        return [x for i in indices for x in self.point(i)]
-
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(M, X), built on first use: M is the LCM of every coordinate
         denominator and X the points times M, as int tuples in index order.

@@ -9,8 +9,9 @@ relation's integer forms (at arity 2, the exact search's polynomials),
 certifying the final subset against the original relation.
 The rest are the side results the CLI and the acceptance checks read: the
 longest monotone subsequence (Erdos-Szekeres), transitive-coloring Ramsey
-thresholds with their exhaustive verification, and deletion-method
-independent sets in 3-uniform hypergraphs.
+thresholds with their exhaustive verification (a witness coloring is a
+dict, sorted triple -> color), and deletion-method independent sets in
+3-uniform hypergraphs.
 """
 
 from __future__ import annotations
@@ -319,14 +320,6 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     )
 
 
-def homogeneous_check(points: OrderedPointSet, relation: SemiAlgebraicRelation,
-                      subset: Sequence[int]):
-    """Polarity of a subset if homogeneous, else (None, witness) where the
-    witness is a k-tuple of the subset on the other side from its first
-    k-tuple."""
-    return MembershipOracle(points, relation).polarity(tuple(sorted(subset)))
-
-
 # -- greedy extraction --------------------------------------------------------
 
 
@@ -498,26 +491,6 @@ def longest_monotone_subsequence(values: Sequence) -> list:
 # -- transitive Ramsey --------------------------------------------------------
 
 
-@dataclass
-class TransitiveColoring:
-    """2-coloring of the triples of 1..n, transitive when any two triples
-    (i1,i2,i3), (i2,i3,i4) of one color force (i1,i2,i4) and (i1,i3,i4)
-    into that color."""
-    n: int
-    colors: dict  # sorted triple -> "red" | "blue"
-
-    def color(self, triple) -> str:
-        return self.colors[tuple(sorted(triple))]
-
-    def monochromatic_subset(self, size: int, color: str):
-        need = math.comb(size, 3)
-        for sub in itertools.combinations(range(1, self.n + 1), size):
-            if need == 0 or all(self.colors[t] == color
-                                for t in itertools.combinations(sub, 3)):
-                return sub
-        return None
-
-
 def transitive_ramsey_number(s: int, n: int) -> int:
     """Least N such that every transitive 2-coloring of triples of 1..N has
     a red clique of size s or a blue clique of size n:
@@ -533,7 +506,10 @@ def verify_transitive_ramsey(s: int, n: int, N: int,
     red K_s or blue K_n, by backtracking over transitivity-consistent
     colorings with early pruning of completed monochromatic cliques.
 
-    Returns (True, None) or (False, witness_coloring).  Raises
+    Returns (True, None) or (False, colors), where the witness colors maps
+    each sorted triple to "red" or "blue", is transitive (any two triples
+    (i1,i2,i3), (i2,i3,i4) of one color force (i1,i2,i4) and (i1,i3,i4)
+    into that color) and has neither clique.  Raises
     BudgetExhaustedError when the node budget runs out (inconclusive), and
     ResourceLimitError, before listing any, for more than MAX_TUPLES triples.
     """
@@ -571,14 +547,18 @@ def verify_transitive_ramsey(s: int, n: int, N: int,
                 return True
         return False
 
+    def has_clique(size: int, c: str) -> bool:
+        # The leaf check, which certifies a full coloring apart from
+        # completes_clique's pruning.
+        return any(all(colors[t] == c for t in itertools.combinations(sub, 3))
+                   for sub in itertools.combinations(range(1, N + 1), size))
+
     def assign(pos: int):
         nonlocal nodes
         if pos == len(triples):
-            coloring = TransitiveColoring(N, dict(colors))
-            if (coloring.monochromatic_subset(s, "red") is None
-                    and coloring.monochromatic_subset(n, "blue") is None):
-                return coloring
-            return None
+            if has_clique(s, "red") or has_clique(n, "blue"):
+                return None
+            return dict(colors)
         t = triples[pos]
         for c, limit in (("red", s), ("blue", n)):
             nodes += 1

@@ -5,11 +5,12 @@ coefficients of g: g divided by its content, its derivative, then one list
 per step of the integer pseudo-remainder sequence (`poly.univariate_divmod`),
 each step divided by its content and signed so that every list is a
 positive multiple of the canonical rational member
-g_i = -rem(g_{i-2}, g_{i-1}).  A positive multiple has the member's sign
-everywhere, so the chain's one reader, `SturmSequence.sign_changes_at`,
-counts its sign changes at a rational x = p/q by one homogeneous Horner sum
-per list over ints, sum c_i * p^i * q^(d - i), and never forms a value; a
-root count is two such reads.  No rational member is ever built: the one
+g_i = -rem(g_{i-2}, g_{i-1}).  The chain is that list of int lists and
+nothing more.  A positive multiple has the member's sign everywhere, so
+the chain's one reader, `sign_changes_at(chain, x)`, counts its sign
+changes at a rational x = p/q by one homogeneous Horner sum per list over
+ints, sum c_i * p^i * q^(d - i), and never forms a value; a root count is
+two such reads.  No rational member is ever built: the one
 rational entry, `count_real_roots`, clears the denominators of g once.
 """
 
@@ -29,48 +30,38 @@ def _primitive(coeffs: Sequence[int], sign: int = 1) -> list[int]:
     return [c // content for c in coeffs]
 
 
-class SturmSequence:
-    """Canonical Sturm chain of g: g0 = g, g1 = g', g_i = -rem(g_{i-2}, g_{i-1}).
+def sign_changes_at(chain: list[list[int]], x: Scalar) -> int | None:
+    """The number of sign changes of the chain at the rational x (an int or
+    a Fraction), zeros ignored, or None where g(x) = 0.
 
-    `ints` holds the chain as primitive int coefficient lists, each a
-    positive multiple of its member; signs are read from these alone.
+    Each list's sign at x = p/q (q > 0) is that of
+    sum c_i * p^i * q^(d - i), q^d > 0 times its member's value, read by
+    one Horner pass over ints.
     """
-
-    __slots__ = ("ints",)
-
-    def __init__(self, ints: list[list[int]]):
-        self.ints = ints
-
-    def sign_changes_at(self, x: Scalar) -> int | None:
-        """The number of sign changes of the chain at the rational x (an
-        int or a Fraction), zeros ignored, or None where g(x) = 0.
-
-        Each list's sign at x = p/q (q > 0) is that of
-        sum c_i * p^i * q^(d - i), q^d > 0 times its member's value, read
-        by one Horner pass over ints.
-        """
-        p, q = x.as_integer_ratio()
-        changes, last = -1, None  # the first sign counts as no change
-        for coeffs in self.ints:
-            total = 0
-            qk = 1
-            for c in reversed(coeffs):
-                total = total * p + c * qk
-                qk *= q
-            if total:
-                positive = total > 0
-                if positive is not last:
-                    changes += 1
-                    last = positive
-            elif last is None:  # the first list is g
-                return None
-        return changes
+    p, q = x.as_integer_ratio()
+    changes, last = -1, None  # the first sign counts as no change
+    for coeffs in chain:
+        total = 0
+        qk = 1
+        for c in reversed(coeffs):
+            total = total * p + c * qk
+            qk *= q
+        if total:
+            positive = total > 0
+            if positive is not last:
+                changes += 1
+                last = positive
+        elif last is None:  # the first list is g
+            return None
+    return changes
 
 
-def sturm_sequence(coeffs: Sequence[int]) -> SturmSequence:
+def sturm_sequence(coeffs: Sequence[int]) -> list[list[int]]:
     """Sturm chain of the polynomial sum coeffs[i] * x^i, for int
     coefficients with a nonzero last entry, stopping before the first
-    identically-zero remainder.
+    identically-zero remainder: the canonical chain g0 = g, g1 = g',
+    g_i = -rem(g_{i-2}, g_{i-1}), as primitive int lists, each a positive
+    multiple of its member.
 
     Each step takes the pseudo-remainder s * a = Q * b + R of the last two
     lists; with a and b positive multiples of g_{i-2} and g_{i-1}, R is
@@ -80,15 +71,15 @@ def sturm_sequence(coeffs: Sequence[int]) -> SturmSequence:
     if not coeffs or not coeffs[-1]:
         raise ArgumentError("sturm_sequence needs a nonzero last coefficient")
     first = _primitive(coeffs)
-    ints = [first]
+    chain = [first]
     if len(first) > 1:
-        ints.append(_primitive([i * c for i, c in enumerate(first)][1:]))
+        chain.append(_primitive([i * c for i, c in enumerate(first)][1:]))
         while True:
-            _, rem, s = univariate_divmod(ints[-2], ints[-1])
+            _, rem, s = univariate_divmod(chain[-2], chain[-1])
             if not rem:
                 break
-            ints.append(_primitive(rem, -1 if s > 0 else 1))
-    return SturmSequence(ints)
+            chain.append(_primitive(rem, -1 if s > 0 else 1))
+    return chain
 
 
 def count_real_roots(g: MultivariatePolynomial, a: Scalar, b: Scalar) -> int:
@@ -97,17 +88,18 @@ def count_real_roots(g: MultivariatePolynomial, a: Scalar, b: Scalar) -> int:
     Requires a < b and g(a) != 0 != g(b).  Roots are counted without
     multiplicity, which is exactly what the Sturm chain delivers: the
     difference of its sign changes at a and at b.  To count on many
-    intervals, read one `sturm_sequence` at their endpoints instead.  A
+    intervals, build one `sturm_sequence` and read it with
+    `sign_changes_at` at their endpoints instead.  A
     multivariate g is refused by `univariate_coeffs`, and the zero
     polynomial by `sturm_sequence`, both with ArgumentError.
     """
     if _coef(a) >= _coef(b):
         raise ArgumentError(f"empty interval ({a}, {b})")
-    seq = sturm_sequence(_cleared(univariate_coeffs(g))[0])
-    at_a = seq.sign_changes_at(a)
+    chain = sturm_sequence(_cleared(univariate_coeffs(g))[0])
+    at_a = sign_changes_at(chain, a)
     if at_a is None:
         raise PreconditionError(f"g({a}) = 0: endpoint must not be a root", witness=a)
-    at_b = seq.sign_changes_at(b)
+    at_b = sign_changes_at(chain, b)
     if at_b is None:
         raise PreconditionError(f"g({b}) = 0: endpoint must not be a root", witness=b)
     return at_a - at_b

@@ -2,9 +2,11 @@
 
 Clique freeness of the 3-uniform hypergraph that a ternary relation
 induces on a point set, read one triple at a time through the checked
-eval_membership, and transitivity of a 2-coloring of triples, the
-property that verify_transitive_ramsey's witnesses must have.  No command
-reads them; they check the package's constructions and witnesses.
+eval_membership, and the transitivity and monochromatic cliques of a
+2-coloring of the triples of 1..n (a dict, sorted triple -> color), the
+properties that verify_transitive_ramsey's witnesses must have and lack.
+No command reads them; they check the package's constructions and
+witnesses.
 """
 
 from __future__ import annotations
@@ -35,13 +37,21 @@ def is_K4e_free(points, relation):
     return True, None
 
 
-def is_transitive(coloring) -> bool:
+def is_transitive(n: int, colors: dict) -> bool:
     """Any two triples (i1,i2,i3), (i2,i3,i4) of one color force (i1,i2,i4)
     and (i1,i3,i4) into that color."""
-    colors = coloring.colors
-    for i1, i2, i3, i4 in itertools.combinations(range(1, coloring.n + 1), 4):
+    for i1, i2, i3, i4 in itertools.combinations(range(1, n + 1), 4):
         c = colors.get((i1, i2, i3))
         if c is not None and c == colors.get((i2, i3, i4)):
             if colors.get((i1, i2, i4)) != c or colors.get((i1, i3, i4)) != c:
                 return False
     return True
+
+
+def monochromatic_subset(n: int, colors: dict, size: int, color: str):
+    """The first size-subset of 1..n, in combinations order, with all its
+    triples of the color, or None."""
+    for sub in itertools.combinations(range(1, n + 1), size):
+        if all(colors[t] == color for t in itertools.combinations(sub, 3)):
+            return sub
+    return None

@@ -268,8 +268,8 @@ def test_criterion_10_greedy_soundness():
     for name, inst in instances:
         assert len(inst.points) <= 300
         res = solvers.erdos_rado_greedy(inst.points, inst.relation)
-        polarity, bad = solvers.homogeneous_check(inst.points, inst.relation,
-                                                  res.subset)
+        polarity, bad = solvers.MembershipOracle(
+            inst.points, inst.relation).polarity(res.subset)
         if not res.certified or polarity != res.polarity or bad is not None:
             failures.append((name, res.subset, bad))
     ok = not failures

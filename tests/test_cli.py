@@ -23,7 +23,6 @@ from semiramsey import (ConstructionInstance, Formula, OrderedPointSet,
                         cli, count_real_roots, from_univariate_coeffs, jsonio,
                         step_up, sturm_sequence)
 from semiramsey.cli import main
-from semiramsey.sturm import SturmSequence
 
 
 def run(capsys, *argv):
@@ -140,6 +139,39 @@ def test_construct_one_sided_relation_only(capsys):
     code, doc, err = run_json(capsys, "construct", "one-sided", "--dim", "2")
     assert code == 0 and err == ""
     assert doc["arity"] == 2 and doc["dim"] == 3
+
+
+@pytest.mark.parametrize("command", ["order-type", "one-sided"])
+def test_construct_geometry_refuses_output_without_input(capsys, tmp_path,
+                                                         command):
+    # Without --input only the relation is printed, so there is no
+    # instance to write: --output is refused, not ignored.
+    target = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", command, "--dim", "2",
+                         "--output", str(target))
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("order-type", {"dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}),
+    ("one-sided", {"dim": 2, "hyperplanes": [{"a": ["1", "0"], "b": "2"},
+                                             {"a": [0, "1/2"], "b": "-1"}]})])
+def test_construct_geometry_bundles_input_of_its_dimension(capsys, tmp_path,
+                                                           command, doc):
+    source = tmp_path / "in.json"
+    source.write_text(json.dumps(doc))
+    code, inst, err = run_json(capsys, "construct", command, "--dim", "2",
+                               "--input", str(source))
+    assert code == 0 and err == ""
+    assert inst["provenance"] == {"kind": command, "dim": 2}
+    assert len(inst["points"]["points"]) == len(doc.get("points")
+                                                or doc["hyperplanes"])
+    code, out, err = run(capsys, "construct", command, "--dim", "3",
+                         "--input", str(source))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
 
 
 @pytest.mark.parametrize("command,dim", [
@@ -450,7 +482,7 @@ def test_verifier_counters_are_pinned_and_roots_are_counted_twice(capsys):
             a -= 1
         while g.eval([b]) == 0:
             b += 1
-        members += len(sturm_sequence(coeffs).ints)
+        members += len(sturm_sequence(coeffs))
         ours += count_real_roots(g, a, b)
         oracle += oracle_roots.count_distinct_roots(coeffs, a, b)
     assert (members, ours, oracle) == (213, 63, 63)
@@ -473,7 +505,7 @@ def _times(coeffs, factor):
     return out
 
 
-# Wrong chains, each built from the true chain's lists (`ints`) or from
+# Wrong chains, each built from the true chain (`ints`, its int lists) or from
 # wrong coefficients.  On every one of them the split at the midpoint adds
 # up to the total, as it must (both are differences of the same three
 # reads); each is caught by one of the other checks.
@@ -489,11 +521,11 @@ _WRONG_CHAINS = {
     "member-past-b-appended": lambda ints, coeffs: [*ints, [-200, 1]],
     # the chain of g': roots of the wrong parity (caught by the parity only)
     "chain-of-derivative": lambda ints, coeffs: sturm_sequence(
-        [i * c for i, c in enumerate(coeffs)][1:]).ints,
+        [i * c for i, c in enumerate(coeffs)][1:]),
     # the chain of (x^2 - 1) * g: more roots than deg g where g has all
     # its roots real, as every g of degree 1 has (caught by the degree only)
     "chain-of-x2-minus-1-times-g": lambda ints, coeffs: sturm_sequence(
-        _times(coeffs, [-1, 0, 1])).ints,
+        _times(coeffs, [-1, 0, 1])),
 }
 
 
@@ -504,7 +536,7 @@ def test_verify_sturm_refuses_a_wrong_chain(capsys, monkeypatch, mutant):
     three reads; the checks against the root count at +-inf, the degree
     of g, its parity and the reads' order find a wrong chain."""
     def wrong_chain(coeffs):
-        return SturmSequence(mutant(sturm_sequence(coeffs).ints, coeffs))
+        return mutant(sturm_sequence(coeffs), coeffs)
 
     monkeypatch.setattr(cli, "sturm_sequence", wrong_chain)
     code, doc, err = run_json(capsys, "verify", "sturm", "--trials", "200",

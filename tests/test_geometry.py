@@ -27,7 +27,6 @@ from semiramsey import (
     max_homogeneous,
     one_sided_relation,
     order_type_relation,
-    solve_linear_system,
 )
 from semiramsey import geometry
 from semiramsey.errors import MAX_BITS
@@ -56,12 +55,6 @@ def test_det_small_cases():
     assert geometry._eliminate([[1, 2], [3, 4]]) == -2
     assert geometry._eliminate([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
     assert geometry._eliminate([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
-
-
-def test_solve_linear_system_exact():
-    assert solve_linear_system([[2, 0], [0, 4]], [1, 1]) == [F(1, 2), F(1, 4)]
-    with pytest.raises(DegenerateInputError):
-        solve_linear_system([[1, 1], [2, 2]], [1, 2])
 
 
 # -- orientation --------------------------------------------------------------------
@@ -181,6 +174,21 @@ def test_intersection_solves_two_by_two_system():
 def test_intersection_of_parallel_lines_is_degenerate():
     with pytest.raises(DegenerateInputError):
         hyperplane_intersection([line(0, 1, 0), line(0, 1, 1)])
+
+
+def test_intersection_exact_and_singular():
+    assert hyperplane_intersection(
+        [line(2, 0, 1), line(0, 4, 1)]) == (F(1, 2), F(1, 4))
+    with pytest.raises(DegenerateInputError):  # one line, written twice
+        hyperplane_intersection([line(1, 1, 1), line(2, 2, 2)])
+
+
+def test_intersection_rejects_mixed_dimensions():
+    plane = Hyperplane.make([1, 0, 0], 1)
+    for planes in ([line(1, 0, 0), plane],
+                   [plane, Hyperplane.make([0, 1, 0], 1), line(0, 1, 0)]):
+        with pytest.raises(ArgumentError):
+            hyperplane_intersection(planes)
 
 
 def test_general_position_three_lines():
@@ -392,26 +400,24 @@ def test_det_and_solve_match_fraction_oracle(system):
     rows = [_cleared(row)[0] for row in a]
     want = oracle_linalg.det(rows)
     assert geometry._eliminate(rows) == want
+    if not all(any(row) for row in a):
+        with pytest.raises(ArgumentError):  # a zero row is no hyperplane
+            [Hyperplane.make(row, bv) for row, bv in zip(a, b)]
+        return
+    planes = [Hyperplane.make(row, bv) for row, bv in zip(a, b)]
     try:
         expected = oracle_linalg.solve_linear_system(a, b)
     except DegenerateInputError:
         with pytest.raises(DegenerateInputError):
-            solve_linear_system(a, b)
+            hyperplane_intersection(planes)
     else:
-        assert solve_linear_system(a, b) == expected
+        assert hyperplane_intersection(planes) == tuple(expected)
 
 
 @given(point_tuples())
 @settings(max_examples=300, deadline=None)
 def test_orientation_matches_fraction_oracle(points):
     assert orientation(points) == oracle_linalg.orientation(points)
-
-
-def test_solve_linear_system_rejects_mismatched_right_side():
-    with pytest.raises(ArgumentError):
-        solve_linear_system([[1, 0], [0, 1]], [1, 2, 3])
-    with pytest.raises(ArgumentError):
-        solve_linear_system([[1, 0], [0, 1]], [1])
 
 
 def _outcome(test, points):

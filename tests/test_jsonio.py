@@ -11,7 +11,7 @@ from semiramsey.errors import (ArgumentError, MAX_DEGREE, MAX_DIGITS,
 from semiramsey.geometry import Hyperplane
 from semiramsey.poly import MultivariatePolynomial as Poly
 from semiramsey.relation import Formula, OrderedPointSet, SemiAlgebraicRelation
-from semiramsey.solvers import HomogeneousResult, TransitiveColoring
+from semiramsey.solvers import HomogeneousResult
 
 
 # -- rationals ------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_relation_round_trip_preserves_membership():
     assert jsonio.relation_to_json(again) == data
     points = OrderedPointSet(1, [[F(1, 3)], [F(2)], [F(3)]])
     for pair in [(1, 2), (1, 3), (2, 3)]:
-        coords = points.coords_for(pair)
+        coords = [x for i in pair for x in points.point(i)]
         assert again.holds_on_coords(coords) == rel.holds_on_coords(coords)
 
 
@@ -219,9 +219,9 @@ def test_result_to_json_is_a_literal_dict():
 
 
 def test_coloring_to_json_is_a_literal_dict():
-    col = TransitiveColoring(4, {(2, 3, 4): "red", (1, 2, 4): "blue",
-                                 (1, 3, 4): "red", (1, 2, 3): "red"})
-    assert jsonio.coloring_to_json(col) == {
+    colors = {(2, 3, 4): "red", (1, 2, 4): "blue", (1, 3, 4): "red",
+              (1, 2, 3): "red"}
+    assert jsonio.coloring_to_json(4, colors) == {
         "n": 4, "triples": [{"t": [1, 2, 3], "color": "red"},
                             {"t": [1, 2, 4], "color": "blue"},
                             {"t": [1, 3, 4], "color": "red"},

@@ -257,6 +257,8 @@ coefficient_lists = st.lists(rationals, max_size=7)
 @example([], [F(3)], False)                       # zero dividend
 @example([F(1), F(2), F(-1)], [F(-2, 3)], False)  # constant divisor
 @example([F(1), F(2)], [F(1), F(0), F(5)], False)  # divisor of higher degree
+@example([F(1), F(0)], [F(0), F(0), F(1)], False)  # ... and a trailing zero
+@example([F(0)], [F(0), F(1)], False)  # a zero dividend written as [0]
 @example([F(1), F(-1, 2)], [F(2), F(0), F(1)], True)  # exact division
 @example([F(1), F(-2), F(0), F(5, 2), F(-4, 9)],
          [F(1, 2), F(-3, 5), F(7, 3)], False)  # non-monic rational divisor

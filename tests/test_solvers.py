@@ -21,12 +21,10 @@ from semiramsey import (
     ResourceLimitError,
     SemiAlgebraicRelation,
     SeededRng,
-    TransitiveColoring,
     base_construction,
     base_relation,
     erdos_rado_greedy,
     eval_membership,
-    homogeneous_check,
     longest_monotone_subsequence,
     max_homogeneous,
     milnor_thom_bound,
@@ -114,19 +112,20 @@ def test_budget_exhaustion_at_arity_four():
     assert result.stats["nodes"] == 40 and not result.stats["maximum"]
     assert result.certified
     assert 4 <= len(result.subset) < 6
-    assert homogeneous_check(inst.points, inst.relation,
-                             result.subset) == (result.polarity, None)
+    oracle = solvers.MembershipOracle(inst.points, inst.relation)
+    assert oracle.polarity(result.subset) == (result.polarity, None)
 
 
 def _naive_max_homogeneous(points, relation) -> int:
     n = len(points)
     k = relation.arity
+    oracle = solvers.MembershipOracle(points, relation)
     best = 0
     for size in range(n, 0, -1):
         if size <= best:
             break
         for subset in itertools.combinations(range(1, n + 1), size):
-            polarity, _ = homogeneous_check(points, relation, subset)
+            polarity, _ = oracle.polarity(subset)
             if polarity is not None:
                 best = size
                 break
@@ -317,18 +316,18 @@ def test_search_counters_are_deterministic():
     assert first.stats["evaluations"] <= math.comb(8, 3)
 
 
-def test_homogeneous_check_detects_mixed_subsets():
+def test_polarity_detects_mixed_subsets():
     inst = base_construction(2)
-    assert homogeneous_check(inst.points, inst.relation, [1, 2, 3]) == ("in", None)
+    oracle = solvers.MembershipOracle(inst.points, inst.relation)
+    assert oracle.polarity((1, 2, 3)) == ("in", None)
     # (1, 2, 3) and (1, 2, 4) are in; (1, 3, 4) is the first triple that is
     # not, as 1 + 4 - 2*3 = -1 < -1/2.
-    assert homogeneous_check(inst.points, inst.relation,
-                             [1, 2, 3, 4]) == (None, (1, 3, 4))
+    assert oracle.polarity((1, 2, 3, 4)) == (None, (1, 3, 4))
     # Index 0, negative indices, an index above n = 4 and a repeated index
     # are refused, never read as a bit of the memo.
-    for subset in ([0, 1, 2], [-3, -2, -1], [1, 2, 5], [1, 2, 2]):
+    for subset in ((0, 1, 2), (-3, -2, -1), (1, 2, 5), (1, 2, 2)):
         with pytest.raises(ArgumentError):
-            homogeneous_check(inst.points, inst.relation, subset)
+            oracle.polarity(subset)
 
 
 def test_point_and_relation_dimension_mismatch_rejected():
@@ -513,15 +512,22 @@ def test_threshold_formula_rejects_small_cliques():
 
 def test_verification_at_and_below_threshold():
     assert verify_transitive_ramsey(3, 3, 3) == (True, None)
-    holds, witness = verify_transitive_ramsey(3, 3, 2)
-    assert not holds and witness.n == 2
+    # Two vertices have no triple: the empty coloring is the witness.
+    assert verify_transitive_ramsey(3, 3, 2) == (False, {})
 
     assert verify_transitive_ramsey(4, 3, 4)[0]
     holds, witness = verify_transitive_ramsey(4, 3, 3)
     assert not holds
-    assert oracle_triples.is_transitive(witness)
-    assert witness.monochromatic_subset(4, "red") is None
-    assert witness.monochromatic_subset(3, "blue") is None
+    assert oracle_triples.is_transitive(3, witness)
+    assert oracle_triples.monochromatic_subset(3, witness, 4, "red") is None
+    assert oracle_triples.monochromatic_subset(3, witness, 3, "blue") is None
+
+    # Below R(4, 4) = 7: a full transitive coloring of the 20 triples of 1..6.
+    holds, witness = verify_transitive_ramsey(4, 4, 6)
+    assert not holds and len(witness) == math.comb(6, 3)
+    assert oracle_triples.is_transitive(6, witness)
+    for color in ("red", "blue"):
+        assert oracle_triples.monochromatic_subset(6, witness, 4, color) is None
 
 
 def test_verification_budget_exhaustion():
@@ -531,13 +537,14 @@ def test_verification_budget_exhaustion():
 
 def test_transitive_coloring_predicate():
     triples = list(itertools.combinations(range(1, 5), 3))
-    all_red = TransitiveColoring(4, {t: "red" for t in triples})
-    assert oracle_triples.is_transitive(all_red)
-    assert all_red.monochromatic_subset(4, "red") == (1, 2, 3, 4)
+    all_red = dict.fromkeys(triples, "red")
+    assert oracle_triples.is_transitive(4, all_red)
+    assert oracle_triples.monochromatic_subset(4, all_red, 4, "red") == (
+        1, 2, 3, 4)
 
     broken = dict.fromkeys(triples, "red")
     broken[(1, 2, 4)] = "blue"  # (1,2,3) and (2,3,4) red force (1,2,4) red
-    assert not oracle_triples.is_transitive(TransitiveColoring(4, broken))
+    assert not oracle_triples.is_transitive(4, broken)
 
 
 # -- random deletion ---------------------------------------------------------------------

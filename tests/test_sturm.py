@@ -22,6 +22,7 @@ from semiramsey import (
     univariate_coeffs,
     univariate_divmod,
 )
+from semiramsey.sturm import sign_changes_at
 
 
 def assert_positive_multiples(ints: list[list[int]], chain: list[list[F]]):
@@ -41,7 +42,7 @@ def test_sturm_sequence_of_square_difference():
         [F(0), F(2)],
         [F(1)],
     ]
-    assert sturm_sequence(coeffs).ints == [[-1, 0, 1], [0, 1], [1]]
+    assert sturm_sequence(coeffs) == [[-1, 0, 1], [0, 1], [1]]
 
 
 def test_sturm_sequence_stops_at_zero_remainder():
@@ -50,12 +51,12 @@ def test_sturm_sequence_stops_at_zero_remainder():
         [F(1), F(-2), F(1)],
         [F(-2), F(2)],
     ]
-    assert sturm_sequence(coeffs).ints == [[1, -2, 1], [-1, 1]]
+    assert sturm_sequence(coeffs) == [[1, -2, 1], [-1, 1]]
 
 
 def test_sturm_sequence_of_identity():
     assert oracle_roots.canonical_chain([0, 1]) == [[F(0), F(1)], [F(1)]]
-    assert sturm_sequence([0, 1]).ints == [[0, 1], [1]]
+    assert sturm_sequence([0, 1]) == [[0, 1], [1]]
 
 
 def test_sturm_sequence_rejects_zero_polynomial():
@@ -103,7 +104,7 @@ def test_endpoint_root_is_a_precondition_error():
         with pytest.raises(PreconditionError) as info:
             count_real_roots(g, a, b)
         assert info.value.witness == witness
-        assert seq.sign_changes_at(witness) is None
+        assert sign_changes_at(seq, witness) is None
 
 
 def test_reversed_interval_rejected():
@@ -117,9 +118,9 @@ def test_precomputed_sequence_can_be_reused():
     seq = sturm_sequence([0, -1, 0, 1])
     assert oracle_roots.canonical_chain([0, -1, 0, 1]) == [
         [0, -1, 0, 1], [-1, 0, 3], [0, F(2, 3)], [1]]
-    assert seq.ints == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
-    assert seq.sign_changes_at(F(-2)) - seq.sign_changes_at(F(2)) == 3
-    assert seq.sign_changes_at(F(1, 2)) - seq.sign_changes_at(F(2)) == 1
+    assert seq == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
+    assert sign_changes_at(seq, F(-2)) - sign_changes_at(seq, F(2)) == 3
+    assert sign_changes_at(seq, F(1, 2)) - sign_changes_at(seq, F(2)) == 1
     assert count_real_roots(g, F(1, 2), F(2)) == 1
 
 
@@ -200,13 +201,13 @@ def rational_polys(draw):
 def test_integer_chain_is_a_positive_multiple_of_the_rational_chain(coeffs, a, b):
     g = from_univariate_coeffs(coeffs)
     seq = sturm_sequence(sturm._cleared(coeffs)[0])
-    assert_positive_multiples(seq.ints, oracle_roots.canonical_chain(coeffs))
+    assert_positive_multiples(seq, oracle_roots.canonical_chain(coeffs))
     assume(a != b)
     a, b = min(a, b), max(a, b)
     assume(oracle_roots.evaluate(coeffs, a) != 0)
     assume(oracle_roots.evaluate(coeffs, b) != 0)
     expected = oracle_roots.count_distinct_roots(coeffs, a, b)
-    assert seq.sign_changes_at(a) - seq.sign_changes_at(b) == expected
+    assert sign_changes_at(seq, a) - sign_changes_at(seq, b) == expected
     assert count_real_roots(g, a, b) == expected
 
 
@@ -238,11 +239,11 @@ def test_int_builder_equals_the_sequence_of_g(coeffs):
     ints, d = sturm._cleared(univariate_coeffs(g))
     assert d > 0 and ints == [d * c for c in univariate_coeffs(g)]
     built = sturm_sequence(ints)
-    assert_positive_multiples(built.ints, oracle_roots.canonical_chain(coeffs))
-    assert_positive_multiples(built.ints, oracle_roots.canonical_chain(ints))
+    assert_positive_multiples(built, oracle_roots.canonical_chain(coeffs))
+    assert_positive_multiples(built, oracle_roots.canonical_chain(ints))
     a, b = -100, 100  # every root of g lies in (-37, 37) (Cauchy's bound)
     assert count_real_roots(g, a, b) == (
-        built.sign_changes_at(a) - built.sign_changes_at(b))
+        sign_changes_at(built, a) - sign_changes_at(built, b))
 
 
 def test_int_builder_refuses_a_zero_lead():
@@ -260,9 +261,9 @@ def test_sign_change_reader_counts_the_members_signs(coeffs, xs):
     canonical members' signs there, and None exactly at the roots of g."""
     seq = sturm_sequence(sturm._cleared(coeffs)[0])
     chain = oracle_roots.canonical_chain(coeffs)
-    assert len(seq.ints) == len(chain)
+    assert len(seq) == len(chain)
     for x in xs + [int(x) for x in xs]:
         values = [oracle_roots.evaluate(m, x) for m in chain]
-        got = seq.sign_changes_at(x)
+        got = sign_changes_at(seq, x)
         assert got == (None if values[0] == 0
                        else oracle_roots.sign_variations(values))
