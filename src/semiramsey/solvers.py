@@ -339,9 +339,12 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation
     The pass runs on the scaled point set (OrderedPointSet.scaled) and the
     relation's integer forms, so every restriction and every sign is
     computed in ints.  Each level restricts a polynomial through one plan
-    (MultivariatePolynomial.plan) read once per (subset, q).  stats counts
-    the restrictions (the plan reads, plus the forms fixed each time the
-    arity drops) and the sign evaluations of the class splits.
+    (MultivariatePolynomial.plan), read in each split once per distinct
+    tuple of the chosen points at the slots the polynomial reads: prefixes
+    that differ only in slots it does not read give it the same form, and
+    so the same truth column.  stats counts the restrictions (the plan
+    reads made, plus the forms fixed each time the arity drops) and the
+    sign evaluations of the class splits.
     """
     oracle = MembershipOracle(points, relation)
     k = relation.arity
@@ -398,8 +401,12 @@ def _greedy_level(coords: list, indices: list[int],
                                 for s in (0, 1, -1))
                       for pi, atoms in atoms_by_poly.items()}
     # One restriction plan per polynomial with an atom: its first k-1
-    # slots fixed, read at each ((k-2)-subset of chosen, q), leaving w.
-    plans = [(forms[pi].plan(range((k - 1) * d)), truths)
+    # slots fixed, read at each ((k-2)-subset of chosen, q), leaving w;
+    # with the subset slots j < k-2 whose variables j*d .. (j+1)*d-1 it
+    # reads (q is the same for a whole split).
+    plans = [(forms[pi].plan(range((k - 1) * d)), truths,
+              sorted({v // d for e in forms[pi].terms
+                      for v, x in enumerate(e[:(k - 2) * d]) if x}))
              for pi, truths in truths_by_poly.items()]
 
     while survivors:
@@ -410,15 +417,22 @@ def _greedy_level(coords: list, indices: list[int],
         # Signature of a survivor w: truth of every atom of the relation
         # restricted at ((k-2)-subset of earlier chosen, q, w).  A form
         # without variables has one sign for every w and splits no class,
-        # so it is left out.
+        # so it is left out.  A plan restricts to the same form at prefixes
+        # that agree on the slots it reads, and a repeated column splits
+        # nothing, so each plan is read once per tuple of those positions.
         restricted: list[tuple[MultivariatePolynomial, tuple]] = []
+        seen: set[tuple] = set()
         for prefix in itertools.combinations(chosen[:-1], k - 2):
             values = [v for pos in (*prefix, q) for v in coords[pos]]
-            for read, truths in plans:
+            for number, (read, truths, reads) in enumerate(plans):
+                key = (number, *[prefix[j] for j in reads])
+                if key in seen:
+                    continue
+                seen.add(key)
                 form = read(values)
+                stats["restrictions"] += 1
                 if any(any(e) for e in form.terms):
                     restricted.append((form, truths))
-            stats["restrictions"] += len(plans)
         # One truth column per restricted form over all survivors, zipped
         # into the survivors' signatures; with no form, one class of ().
         signs = _int_signs([form for form, _ in restricted],

@@ -360,7 +360,8 @@ def test_greedy_keeps_one_class_when_no_form_reads_the_last_slot():
     """x0 > x1 at arity 3: once the first two slots are fixed no form has a
     variable left, so every survivor stays in the one class ().  Its 22
     restrictions are 21 plan reads, one per earlier chosen point at each
-    of six steps, and the one form fixed when the arity drops."""
+    of six steps (the form reads every slot, so no read is skipped), and
+    the one form fixed when the arity drops."""
     relation = SemiAlgebraicRelation(3, 1, [x(0, 3) - x(1, 3)],
                                      Formula.leaf(0, "gt"))
     result = erdos_rado_greedy(integer_points(5, 2, 8, 1, 9, 3, 7, 4), relation)
@@ -369,6 +370,79 @@ def test_greedy_keeps_one_class_when_no_form_reads_the_last_slot():
     assert result.stats == {
         "classes_per_level": [[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)]],
         "restrictions": 22, "sign_evaluations": 0, "method": "greedy"}
+
+
+def test_greedy_reads_a_form_once_per_tuple_of_the_slots_it_reads():
+    """x3 > x0 or x3 > x2 at arity 4, d = 1: the first polynomial reads
+    slot 0 and w, the second only q and w.  At a first-level step with m
+    earlier chosen points the C(m, 2) prefixes give the first polynomial
+    m - 1 distinct smallest points and the second the one q, so m reads
+    where reading every prefix would make 2 C(m, 2).  Fixing the last
+    chosen point into slot 3 costs 2, and leaves x3 - x0 reading slot 0
+    alone (m reads) and x3 - x2 reading only w (one read), so m + 1 reads
+    at a second-level step with m earlier chosen points, and 2 more at the
+    drop to arity 2.  With steps 2, 3, 4 and then 1, 2 that is
+    9 + 2 + 5 + 2 = 18 restrictions, against 20 + 2 + 6 + 2 = 30."""
+    relation = SemiAlgebraicRelation(
+        4, 1, [x(3, 4) - x(0, 4), x(3, 4) - x(2, 4)],
+        Formula.any_of([Formula.leaf(0, "gt"), Formula.leaf(1, "gt")]))
+    points = integer_points(5, 2, 8, 1, 9, 3, 7, 4, 6, 10)
+    result = erdos_rado_greedy(points, relation)
+    subset, polarity, classes = oracle_greedy.greedy_fraction(points, relation)
+    assert (result.subset, result.polarity) == (subset, polarity)
+    assert result.stats["classes_per_level"] == classes == [
+        [(2, 3), (3, 1), (4, 1)], [(1, 2), (2, 1)]]
+    assert result.stats["restrictions"] == 18
+
+
+def _random_linear_relation(rng: SeededRng) -> tuple:
+    """(points, relation): 10 to 14 points with int or half-integer
+    coordinates, and one to three linear polynomials of arity 3 or 4 in
+    dimension 1 or 2, each reading a random set of slots (possibly none,
+    possibly not w), under a random AND or OR of one or two atoms each."""
+    k, d = rng.randint(3, 4), rng.randint(1, 2)
+    n = k * d
+    polys, leaves = [], []
+    for pi in range(rng.randint(1, 3)):
+        reads = [rng.randint(0, 1) for _ in range(k)]
+        terms = {(0,) * n: rng.randint(-2, 2)}
+        for v in range(n):
+            if reads[v // d]:
+                terms[tuple(int(i == v) for i in range(n))] = rng.randint(-3, 3)
+        polys.append(Poly(n, {e: c for e, c in terms.items() if c}))
+        for _ in range(rng.randint(1, 2)):
+            leaves.append(Formula.leaf(pi, ("ge", "gt", "eq")[rng.randint(0, 2)]))
+    join = Formula.all_of if rng.randint(0, 1) else Formula.any_of
+    points = OrderedPointSet(d, [[F(rng.randint(-12, 12), rng.randint(1, 2))
+                                  for _ in range(d)]
+                                 for _ in range(rng.randint(10, 14))])
+    return points, SemiAlgebraicRelation(k, d, polys, join(leaves))
+
+
+def test_greedy_matches_the_oracle_on_random_relations_with_unread_slots():
+    """The reads skipped for unread slots never change the split: the
+    subset, polarity and classes equal the Fraction oracle's, which reads
+    every polynomial at every prefix.  The restrictions never exceed that
+    full count, one read per polynomial with an atom and per prefix at
+    each step plus one per polynomial at each drop, and fall below it
+    somewhere in the loop."""
+    rng = SeededRng(2024)
+    skipped = 0
+    for _ in range(60):
+        points, relation = _random_linear_relation(rng)
+        result = erdos_rado_greedy(points, relation)
+        subset, polarity, classes = oracle_greedy.greedy_fraction(
+            points, relation)
+        assert (result.subset, result.polarity,
+                result.stats["classes_per_level"]) == (
+            subset, polarity, classes)
+        with_atoms = len({a.poly_index for a in relation.formula.atoms()})
+        full = sum(with_atoms * math.comb(m, k - 2) for k, level in zip(
+                       range(relation.arity, 2, -1), classes)
+                   for m, _ in level) + len(relation.polys) * len(classes)
+        assert result.stats["restrictions"] <= full
+        skipped += full - result.stats["restrictions"]
+    assert skipped > 0
 
 
 def test_greedy_certifies_on_the_stepped_up_instance():
@@ -429,7 +503,7 @@ def test_greedy_counters_are_deterministic():
              for _ in range(2)]
     assert stats[0] == stats[1]
     assert (stats[0]["restrictions"], stats[0]["sign_evaluations"]) == (
-        1012, 1732)
+        616, 792)
 
 
 def test_common_denominator_over_max_bits_is_refused():
