@@ -199,7 +199,6 @@ def cmd_solve_monotone(args) -> int:
     res = solvers.HomogeneousResult(
         subset=tuple(positions),
         polarity="in" if increasing else "out",
-        certified=True,
         stats={"direction": "increasing" if increasing else "decreasing",
                "length": len(sub),
                "values": [jsonio.fraction_to_json(v) for v in sub]})
@@ -210,7 +209,7 @@ def cmd_solve_spencer(args) -> int:
     graph = _read_json(args.input, jsonio.hypergraph_from_json)
     vertices, stats = solvers.spencer_independent_set(graph, seed=args.seed)
     res = solvers.HomogeneousResult(
-        subset=tuple(vertices), polarity="out", certified=True, stats=stats)
+        subset=tuple(vertices), polarity="out", stats=stats)
     return _write_result(res)
 
 

@@ -160,8 +160,8 @@ def _delta_blocks(count: int):
             yield delta, lo, lo + size // 2, lo + size
 
 
-def verify_delta_properties(bits: int, delta=delta_index):
-    """Exhaustively check, over all of 1..2^bits:
+def verify_delta_properties(bits: int):
+    """Exhaustively check, for delta = delta_index over all of 1..2^bits:
 
     A: delta(a, b) != delta(b, c) for every a < b < c, and
     B: delta(a, c) = max(delta(a, b), delta(b, c)) for every a < b < c.
@@ -172,11 +172,10 @@ def verify_delta_properties(bits: int, delta=delta_index):
 
     Returns (True, None) or (False, witness): the first A violation by
     middle point, value, a and c, else the first B violation by b, a and c.
-    `delta` is the function checked, called as delta(a, b, bits) with
-    a < b.  The triples are checked with int bitmasks (bit x for point x)
-    of the points on each side of a point at each delta value: A is an
-    empty intersection of values per point and B a subset test per pair,
-    so the N = 10 case (all ~1.8e8 triples) finishes in seconds.  Its
+    The triples are checked with int bitmasks (bit x for point x) of the
+    points on each side of a point at each delta value: A is an empty
+    intersection of values per point and B a subset test per pair, so the
+    N = 10 case (all ~1.8e8 triples) finishes in seconds.  Its
     table has all C(2^bits, 2) pairs, so bits >= 11 are refused.
     """
     if bits < 1:
@@ -194,7 +193,7 @@ def verify_delta_properties(bits: int, delta=delta_index):
         row = [0] * (a + 1)
         ra = right[a]
         for c in range(a + 1, n + 1):
-            v = delta(a, c, bits)
+            v = delta_index(a, c, bits)
             row.append(v)
             ra[v] = ra.get(v, 0) | 1 << c
             lc = left[c]

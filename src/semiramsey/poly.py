@@ -11,18 +11,20 @@ every value and sign is H read at (X, L), with X = L * x for a rational
 point x.  One compiled form (`_compile`) has two readers: at one point, a
 straight-line function generated on first use (`_straight_line`,
 `kernel`) that the relation's decider and `eval` call; at a whole point
-set, `_int_signs`, the one column reader, which reads a family of forms
+set, `_int_signs`, the one column reader, which reads a family of tables
 in one pass with one column per power and per term, the coordinate and
 power columns shared by the whole family.  `eval` clears a point to
 (X, L); a point set scaled by M reads H with L fixed at M.
 Every substitution runs through one restriction plan (`_plan`), whose
 arithmetic does not depend on the coefficient type, so an integer form
-restricted at ints is another: `plan` reads one plan at many points (the
-greedy's class split), `restrict` reads it once (L
-fixed at M, the greedy's arity drop; rational values).  A read hands the
-restricted polynomial its compiled table, so it is never compiled.
+restricted at ints is another.  A plan read is the restricted form's
+compiled table and nothing more: the greedy's class split reads one plan
+at many points and hands the tables to `_int_signs`, and `restrict`
+(L fixed at M, the greedy's arity drop; rational values) reads it once and
+is the one place where a read becomes a term map.
 Univariate division is integer pseudo-division on int coefficient lists,
-`univariate_divmod`, the one division loop; every Sturm chain step is one.
+`univariate_divmod`, the one division loop, which keeps only the
+remainder; every Sturm chain step is one.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _sum_terms(pairs: Iterable) -> dict:
 class MultivariatePolynomial:
     """Immutable sparse polynomial in a fixed number of variables."""
 
-    __slots__ = ("num_vars", "terms", "_hash", "_int_form", "_loop", "_kernel")
+    __slots__ = ("num_vars", "terms", "_hash", "_int_form", "_kernel")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, Scalar] | Iterable = ()):
         if type(num_vars) is not int or num_vars < 0:
@@ -90,7 +92,6 @@ class MultivariatePolynomial:
         self.terms = terms
         self._hash = None
         self._int_form = None
-        self._loop = None
         self._kernel = None
         return self
 
@@ -232,15 +233,11 @@ class MultivariatePolynomial:
         scale, degree = self._int_form[:2]
         return Fraction(total, scale * lcm ** degree)
 
-    def _compiled(self) -> tuple:
-        self._loop = _compile(self.terms)
-        return self._loop
-
     def kernel(self) -> Callable[[Sequence[int]], int]:
         """total(x), an integer form's value at an integer point x as
         generated code (`_straight_line`), built on first use."""
         if self._kernel is None:
-            self._kernel = _straight_line(*(self._loop or self._compiled()))
+            self._kernel = _straight_line(*_compile(self.terms))
         return self._kernel
 
     def restrict(self, fixed: Mapping[int, Scalar]) -> "MultivariatePolynomial":
@@ -248,36 +245,27 @@ class MultivariatePolynomial:
 
         The surviving variables are re-indexed in increasing order of their
         old index, e.g. fixing x0 and x2 of a 3-variable polynomial leaves a
-        univariate polynomial in the old x1.  One read of `plan`; the values
-        are kept as given, so an integer form restricted at ints is one too.
+        univariate polynomial in the old x1.  One read of a `_plan`, whose
+        nonzero coefficients make the term map; the values are kept as
+        given, so an integer form restricted at ints is one too.
         """
         for i in fixed:
             if not 0 <= i < self.num_vars:
                 raise ArgumentError(f"fixed variable {i} out of range")
-        return self.plan(list(fixed))([_coef(v) for v in fixed.values()])
-
-    def plan(self, fixed: Sequence[int]
-             ) -> Callable[[Sequence[Scalar]], "MultivariatePolynomial"]:
-        """read(values), unchecked: this polynomial restricted at the
-        variables `fixed` (distinct indices) set to `values` in that order.
-        One `_plan`, read at many points."""
-        num_vars, read_terms = _plan(self.terms, self.num_vars, fixed)
-
-        def read(values: Sequence[Scalar]) -> MultivariatePolynomial:
-            terms, loop = read_terms(values)
-            form = MultivariatePolynomial._from_terms(num_vars, terms)
-            form._loop = loop
-            return form
-
-        return read
+        keys, read = _plan(self.terms, self.num_vars, list(fixed))
+        _, terms = read([_coef(v) for v in fixed.values()])
+        return self._from_terms(self.num_vars - len(fixed), {
+            e: c for e, (c, _) in zip(keys, terms) if c})
 
 
 def _plan(terms: dict, num_vars: int, fixed: Sequence[int]) -> tuple:
-    """(number of kept variables, read): read(values) gives the term map
-    `terms` restricted at the variables `fixed` (distinct indices, in any
-    order) set to `values` in that order, the other variables kept in
-    order, with the (powers, terms) table of the two readers for its
-    nonzero coefficients.  Coefficients and values are ints or Fractions
+    """(keys, read): read(values) gives the (powers, terms) table of the
+    two readers for the term map `terms` restricted at the variables
+    `fixed` (distinct indices, in any order) set to `values` in that
+    order, the other variables kept in order.  Its terms hold one
+    (coefficient, factors) pair per kept monomial, the exponent tuples
+    `keys`, in that order, zero coefficients included; no term map and no
+    polynomial is built.  Coefficients and values are ints or Fractions
     alike.
 
     The terms are grouped once by their exponents in the kept variables,
@@ -294,25 +282,22 @@ def _plan(terms: dict, num_vars: int, fixed: Sequence[int]) -> tuple:
                            for _, fs in group for f in fs})
     index = {f: j for j, f in enumerate(fixed_powers)}
     powers, slots = _compile(dict.fromkeys(groups, 1))
-    rows = [(key, factors, [(c, [index[f] for f in fs]) for c, fs in group])
-            for (key, group), (_, factors) in zip(groups.items(), slots)]
+    rows = [(factors, [(c, [index[f] for f in fs]) for c, fs in group])
+            for group, (_, factors) in zip(groups.values(), slots)]
 
-    def read(values: Sequence[Scalar]) -> tuple[dict, tuple]:
-        table = [values[j] ** k for j, k in fixed_powers]
-        restricted = {}
-        loop = []
-        for key, factors, group in rows:
+    def read(values: Sequence[Scalar]) -> tuple:
+        raised = [values[j] ** k for j, k in fixed_powers]
+        out = []
+        for factors, group in rows:
             total = 0
             for c, fs in group:
                 for j in fs:
-                    c *= table[j]
+                    c *= raised[j]
                 total += c
-            if total:
-                restricted[key] = total
-                loop.append((total, factors))
-        return restricted, (powers, tuple(loop))
+            out.append((total, factors))
+        return powers, out
 
-    return len(keep), read
+    return tuple(groups), read
 
 
 def _compile(terms: dict) -> tuple:
@@ -365,34 +350,36 @@ def _straight_line(powers: tuple,
     return namespace["total"]
 
 
-def _int_signs(forms: Sequence[MultivariatePolynomial],
+def _int_signs(tables: Sequence[tuple],
                points: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The compiled forms' reader at a point set: for each form, the sign
-    of the form at each point.  Every power and every term is built as a
-    column over all points by `map`, so the per-point loops run in C; the
-    forms share the coordinate columns and each power column, which is
-    raised once for the whole family.  No code is generated, so for a form
-    read at few points this is the cheaper reader: generating the kernel
-    costs as much as reading 60 to 180 points by columns (105- and 4-term
-    forms), and the kernel then reads a point only 1.3 to 2 times
-    faster."""
+    """The compiled forms' reader at a point set: for each (powers, terms)
+    table (`_compile`, or a `_plan` read), the sign of its form at each
+    point.  Every power and every term is built as a column over all
+    points by `map`, so the per-point loops run in C; the tables share the
+    coordinate columns and each power column, which is raised once for the
+    whole family, and a term with a zero coefficient is skipped.  No code
+    is generated, so for a form read at few points this is the cheaper
+    reader: generating the kernel costs as much as reading 60 to 180
+    points by columns (105- and 4-term forms), and the kernel then reads a
+    point only 1.3 to 2 times faster."""
     n = len(points)
     if not n:
-        return [[] for _ in forms]
+        return [[] for _ in tables]
     columns = list(zip(*points))
-    table: dict[tuple[int, int], Sequence[int]] = {}
+    shared: dict[tuple[int, int], Sequence[int]] = {}
     out = []
-    for form in forms:
-        powers, terms = form._loop or form._compiled()
+    for powers, terms in tables:
         cols = []
         for v, k in powers:
-            col = table.get((v, k))
+            col = shared.get((v, k))
             if col is None:
-                col = table[v, k] = (columns[v] if k == 1 else
+                col = shared[v, k] = (columns[v] if k == 1 else
                                      list(map(pow, columns[v], repeat(k, n))))
             cols.append(col)
         totals = repeat(0, n)
         for c, factors in terms:
+            if not c:
+                continue
             column = repeat(c, n)
             for j in factors:
                 column = map(mul, column, cols[j])
@@ -419,31 +406,32 @@ def from_univariate_coeffs(coeffs: Sequence[Scalar]) -> MultivariatePolynomial:
 
 
 def univariate_divmod(a: Sequence[int],
-                      b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Pseudo-division of int coefficient lists (index = power, b with a
-    nonzero last entry): (Q, R, s) with s * a = Q * b + R, deg R < deg b.
+                      b: Sequence[int]) -> tuple[list[int], int]:
+    """Pseudo-remainder of int coefficient lists (index = power, b with a
+    nonzero last entry): (R, s) with s * a = Q * b + R for an int list Q,
+    deg R < deg b.  Q itself is never built: the Sturm chain builder, the
+    one caller, reads only R and s.  The name stays that of the division,
+    as the benchmark tracer (`perfbench/tracing.py`, span `poly.divmod`)
+    wraps it under this name.
 
     The one division loop: each step multiplies s by lead(b) / gcd,
     so s is a nonzero int whose sign may be either.  R has no trailing
     zeros (it is [] when b divides a), and neither input is modified.
     """
     r = list(a)
-    q = [0] * max(1, len(r) - len(b) + 1)
     lead = b[-1]
     s = 1
     while True:
         while r and r[-1] == 0:
             r.pop()
         if len(r) < len(b):
-            return q, r, s
+            return r, s
         shift = len(r) - len(b)
         g = math.gcd(r[-1], lead)
         mult, factor = lead // g, r[-1] // g
         if mult != 1:
             s *= mult
             r = [mult * c for c in r]
-            q = [mult * c for c in q]
-        q[shift] = factor
         for i, c in enumerate(b):
             r[shift + i] -= factor * c
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import MAX_BITS, ArgumentError, ResourceLimitError
-from .poly import MultivariatePolynomial, Scalar, _cleared, _int_signs
+from .poly import MultivariatePolynomial, Scalar, _cleared, _compile, _int_signs
 
 COMPARISONS = ("ge", "gt", "eq")
 
@@ -378,7 +378,8 @@ def count_distinct_sign_vectors(polys: Sequence[MultivariatePolynomial],
     if scale.bit_length() > MAX_BITS:
         raise ResourceLimitError(
             f"common denominator of the points exceeds {MAX_BITS} bits")
-    return len(set(zip(*_int_signs([p.integer_form() for p in polys],
+    return len(set(zip(*_int_signs([_compile(p.integer_form().terms)
+                                    for p in polys],
                                    [[*x, scale] for x in scaled]))))
 
 

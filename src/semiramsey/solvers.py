@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import (MAX_PAIRS, MAX_ROUNDS, MAX_TUPLES, ArgumentError,
                      BudgetExhaustedError, PreconditionError, ResourceLimitError)
-from .poly import MultivariatePolynomial, _coef, _int_signs
+from .poly import MultivariatePolynomial, _coef, _int_signs, _plan
 from .relation import (Atom, OrderedPointSet, SemiAlgebraicRelation,
                        _check_spaces, eval_membership)
 from .rng import SeededRng
@@ -33,12 +33,11 @@ from .rng import SeededRng
 @dataclass
 class HomogeneousResult:
     """A homogeneous subset: indices (1-based, increasing), which side of the
-    relation they all fall on, whether homogeneity was re-verified
-    exhaustively, and solver statistics (including whether the subset is a
-    certified maximum)."""
+    relation they all fall on, and solver statistics (including whether the
+    subset is a certified maximum).  Every solver re-verifies homogeneity
+    exhaustively before it returns one, and raises if that fails."""
     subset: tuple
     polarity: str  # "in" or "out"
-    certified: bool
     stats: dict = field(default_factory=dict)
 
 
@@ -312,7 +311,6 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
     return HomogeneousResult(
         subset=subset,
         polarity=polarity,
-        certified=True,
         stats={"nodes": nodes, "prunes": prunes,
                "colour_prunes": colour_prunes,
                "evaluations": oracle.evaluations, "maximum": not exhausted,
@@ -338,13 +336,16 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation
 
     The pass runs on the scaled point set (OrderedPointSet.scaled) and the
     relation's integer forms, so every restriction and every sign is
-    computed in ints.  Each level restricts a polynomial through one plan
-    (MultivariatePolynomial.plan), read in each split once per distinct
-    tuple of the chosen points at the slots the polynomial reads: prefixes
-    that differ only in slots it does not read give it the same form, and
-    so the same truth column.  stats counts the restrictions (the plan
-    reads made, plus the forms fixed each time the arity drops) and the
-    sign evaluations of the class splits.
+    computed in ints.  Each level gives every polynomial with a variable
+    in the last slot one restriction plan (`poly._plan`); a polynomial
+    without one has one sign for every candidate, so it splits no class
+    and is not read.  A plan is read in each split once per distinct tuple
+    of the chosen points at the slots the polynomial reads: prefixes that
+    differ only in slots it does not read give it the same form, and so
+    the same truth column.  A read is the compiled table the column reader
+    takes.  stats counts the restrictions (the plan reads made, plus the
+    forms fixed each time the arity drops) and the sign evaluations of the
+    class splits (survivors times tables read, constant ones included).
     """
     oracle = MembershipOracle(points, relation)
     k = relation.arity
@@ -369,7 +370,6 @@ def erdos_rado_greedy(points: OrderedPointSet, relation: SemiAlgebraicRelation
     return HomogeneousResult(
         subset=subset,
         polarity=polarity,
-        certified=True,
         stats=stats,
     )
 
@@ -400,14 +400,19 @@ def _greedy_level(coords: list, indices: list[int],
     truths_by_poly = {pi: tuple(tuple(a.holds(s) for a in atoms)
                                 for s in (0, 1, -1))
                       for pi, atoms in atoms_by_poly.items()}
-    # One restriction plan per polynomial with an atom: its first k-1
-    # slots fixed, read at each ((k-2)-subset of chosen, q), leaving w;
-    # with the subset slots j < k-2 whose variables j*d .. (j+1)*d-1 it
-    # reads (q is the same for a whole split).
-    plans = [(forms[pi].plan(range((k - 1) * d)), truths,
-              sorted({v // d for e in forms[pi].terms
-                      for v, x in enumerate(e[:(k - 2) * d]) if x}))
-             for pi, truths in truths_by_poly.items()]
+    # One restriction plan per polynomial with an atom and a variable in
+    # slot k-1 (w): its first k-1 slots fixed, read at each ((k-2)-subset
+    # of chosen, q), leaving w; with the subset slots j < k-2 whose
+    # variables j*d .. (j+1)*d-1 it reads (q is the same for a whole
+    # split).  A polynomial without a variable in w has one sign for every
+    # w, so it splits no class and has no plan.
+    plans = []
+    for pi, truths in truths_by_poly.items():
+        form = forms[pi]
+        slots = {v // d for e in form.terms for v, x in enumerate(e) if x}
+        if k - 1 in slots:
+            _, read = _plan(form.terms, form.num_vars, range((k - 1) * d))
+            plans.append((read, truths, sorted(j for j in slots if j < k - 2)))
 
     while survivors:
         q = survivors.pop(0)
@@ -415,27 +420,25 @@ def _greedy_level(coords: list, indices: list[int],
         if not survivors:
             break
         # Signature of a survivor w: truth of every atom of the relation
-        # restricted at ((k-2)-subset of earlier chosen, q, w).  A form
-        # without variables has one sign for every w and splits no class,
-        # so it is left out.  A plan restricts to the same form at prefixes
-        # that agree on the slots it reads, and a repeated column splits
-        # nothing, so each plan is read once per tuple of those positions.
-        restricted: list[tuple[MultivariatePolynomial, tuple]] = []
+        # restricted at ((k-2)-subset of earlier chosen, q, w), one
+        # compiled table per plan read.  A plan restricts to the same form
+        # at prefixes that agree on the slots it reads, and a repeated
+        # column splits nothing, so each plan is read once per tuple of
+        # those positions.  A form that vanishes at a prefix, or loses w
+        # there, gives a constant column, which splits nothing either.
+        restricted: list[tuple[tuple, tuple]] = []
         seen: set[tuple] = set()
         for prefix in itertools.combinations(chosen[:-1], k - 2):
             values = [v for pos in (*prefix, q) for v in coords[pos]]
             for number, (read, truths, reads) in enumerate(plans):
                 key = (number, *[prefix[j] for j in reads])
-                if key in seen:
-                    continue
-                seen.add(key)
-                form = read(values)
-                stats["restrictions"] += 1
-                if any(any(e) for e in form.terms):
-                    restricted.append((form, truths))
+                if key not in seen:
+                    seen.add(key)
+                    restricted.append((read(values), truths))
+        stats["restrictions"] += len(restricted)
         # One truth column per restricted form over all survivors, zipped
         # into the survivors' signatures; with no form, one class of ().
-        signs = _int_signs([form for form, _ in restricted],
+        signs = _int_signs([table for table, _ in restricted],
                            [coords[w] for w in survivors])
         columns = [[truths[s] for s in column]
                    for column, (_, truths) in zip(signs, restricted)]

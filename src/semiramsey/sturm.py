@@ -75,7 +75,7 @@ def sturm_sequence(coeffs: Sequence[int]) -> list[list[int]]:
     if len(first) > 1:
         chain.append(_primitive([i * c for i, c in enumerate(first)][1:]))
         while True:
-            _, rem, s = univariate_divmod(chain[-2], chain[-1])
+            rem, s = univariate_divmod(chain[-2], chain[-1])
             if not rem:
                 break
             chain.append(_primitive(rem, -1 if s > 0 else 1))

@@ -208,7 +208,7 @@ def test_arrangement_round_trip():
 
 
 def test_result_to_json_is_a_literal_dict():
-    res = HomogeneousResult(subset=(1, 2, 3), polarity="in", certified=True,
+    res = HomogeneousResult(subset=(1, 2, 3), polarity="in",
                             stats={"nodes": 17, "maximum": True,
                                    "method": "branch-and-bound",
                                    "ratio": F(1, 3), "levels": [(1, 2)]})

@@ -29,7 +29,8 @@ from semiramsey import (
     univariate_coeffs,
     univariate_divmod,
 )
-from semiramsey.poly import _cleared, _int_signs
+from semiramsey.poly import (_cleared, _compile, _int_signs, _plan,
+                             _straight_line)
 
 
 def x(i: int, n: int) -> Poly:
@@ -131,10 +132,11 @@ def test_restrict_refuses_a_value_not_an_int_or_a_fraction(entry, value):
 def test_integer_form_restricted_at_ints_stays_int():
     p = Poly(2, {(2, 0): F(1, 2), (0, 1): F(-2, 3), (1, 1): F(5), (0, 0): F(7)})
     form = p.integer_form()
-    for restricted in (form.restrict({2: 6}), form.restrict({0: -3, 2: 6}),
-                       form.plan([2, 0])([6, -3])):
+    for restricted in (form.restrict({2: 6}), form.restrict({0: -3, 2: 6})):
         assert restricted.terms
         assert all(type(c) is int for c in restricted.terms.values())
+    _, terms = _plan(form.terms, form.num_vars, [2, 0])[1]([6, -3])
+    assert terms and all(type(c) is int for c, _ in terms)
 
 
 def test_restrict_everything_leaves_constant(midpoint_gap):
@@ -188,16 +190,14 @@ def test_derivative_of_cubic():
 
 def test_univariate_divmod_exact_factorization():
     # x^3 - 1 = (x^2 + x + 1)(x - 1)
-    assert univariate_divmod([-1, 0, 0, 1], [-1, 1]) == ([1, 1, 1], [], 1)
+    assert univariate_divmod([-1, 0, 0, 1], [-1, 1]) == ([], 1)
 
 
 def test_univariate_divmod_with_remainder():
     # x^2 + 1 = (x + 2)(x - 2) + 5, and 4(x^2 + 1) = (2x - 1)(2x + 1) + 5:
     # a lead of b that does not divide scales s.
-    assert univariate_divmod([1, 0, 1], [-2, 1]) == ([2, 1], [5], 1)
-    q, r, s = univariate_divmod([1, 0, 1], [1, 2])
-    assert (q, r, s) == ([-1, 2], [5], 4)
-    assert oracle_roots.add(oracle_roots.mul(q, [1, 2]), r) == [4, 0, 4]
+    assert univariate_divmod([1, 0, 1], [-2, 1]) == ([5], 1)
+    assert univariate_divmod([1, 0, 1], [1, 2]) == ([5], 4)
 
 
 # -- property tests --------------------------------------------------------------
@@ -266,19 +266,19 @@ coefficient_lists = st.lists(rationals, max_size=7)
          [F(-2), F(1, 7)], False)  # dividend with a 2^64 denominator
 @settings(max_examples=200, deadline=None)
 def test_divmod_and_derivative_equal_list_oracle(a, b, exact):
-    """On the cleared int lists, Q / s and R / s are the quotient and the
-    remainder over Q.  Trailing zeros of the dividend pad it (the oracle
+    """On the cleared int lists, R / s is the remainder over Q, and b
+    divides s * a - R.  Trailing zeros of the dividend pad it (the oracle
     strips them); the divisor is stripped, as its last entry must be
     nonzero."""
     if exact:
         a = oracle_roots.mul(a, b)
     ints_a = _cleared(a)[0]
     ints_b = oracle_roots.strip(_cleared(b)[0])
-    q, r, s = univariate_divmod(ints_a, ints_b)
-    assert all(type(c) is int for c in q + r) and s
-    expected_q, expected_r = oracle_roots.poly_divmod(ints_a, ints_b)
-    assert oracle_roots.strip([F(c, s) for c in q]) == expected_q
-    assert [F(c, s) for c in r] == expected_r
+    r, s = univariate_divmod(ints_a, ints_b)
+    assert all(type(c) is int for c in r) and s
+    assert [F(c, s) for c in r] == oracle_roots.poly_divmod(ints_a, ints_b)[1]
+    s_a_minus_r = oracle_roots.add([s * c for c in ints_a], [-c for c in r])
+    assert oracle_roots.poly_divmod(s_a_minus_r, ints_b)[1] == []
     assert not r or not exact
     assert (oracle_eval.derivative(from_univariate_coeffs(a).terms)
             == from_univariate_coeffs(oracle_roots.derivative(a)).terms)
@@ -507,28 +507,36 @@ def test_column_signs_equal_per_point_signs(seed):
         for size in (0, 1, 2, 9):
             rows = [[rng.randint(-4, 4) * [1, 2 ** 70][rng.randint(0, 1)]
                      for _ in range(n)] for _ in range(size)]
-            assert (_int_signs((form,), rows)[0]
+            assert (_int_signs((_compile(form.terms),), rows)[0]
                     == [sign(form.kernel()(x)) for x in rows])
-    assert _int_signs((Poly._from_terms(2, {}),), [[1, 2], [0, 0]]) == [[0, 0]]
-    assert _int_signs((Poly._from_terms(0, {(): -3}),), [[], []]) == [[-1, -1]]
-    assert _int_signs((Poly._from_terms(1, {(1,): 1}),), []) == [[]]
+    assert _int_signs((_compile({}),), [[1, 2], [0, 0]]) == [[0, 0]]
+    assert _int_signs((_compile({(): -3}),), [[], []]) == [[-1, -1]]
+    assert _int_signs((_compile({(1,): 1}),), []) == [[]]
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_family_reader_equals_each_form_alone(seed):
-    """_int_signs reads a family that shares power columns, with a zero
-    and a constant form among them, as each form reads alone; an empty
-    point set gives one empty column per form."""
+    """_int_signs reads a family of tables that shares power columns, with
+    a zero and a constant form among them and a plan read whose first
+    coefficient is 0, as each form reads alone; an empty point set gives
+    one empty column per table."""
     rng = SeededRng(seed)
     family = [form for form in seeded_forms(seed) if form.num_vars == 2]
     family += [Poly._from_terms(2, {}), Poly._from_terms(2, {(0, 0): -5}),
                Poly._from_terms(2, {(2, 0): 1, (0, 2): 1, (0, 0): -25})]
+    tables = [_compile(form.terms) for form in family]
+    # x0 * x1 - 2 * x1 + 3 * x2^2 at x0 = 2: the x1 term reads 0.
+    cancelled = Poly._from_terms(3, {(1, 1, 0): 1, (0, 1, 0): -2,
+                                     (0, 0, 2): 3})
+    family.append(cancelled.restrict({0: 2}))
+    tables.append(_plan(cancelled.terms, 3, [0])[1]([2]))
+    assert [c for c, _ in tables[-1][1]] == [0, 3]
     for size in (0, 1, 7):
         rows = [[rng.randint(-5, 5), rng.randint(-5, 5)] for _ in range(size)]
-        assert _int_signs(family, rows) == [
+        assert _int_signs(tables, rows) == [
             [sign(form.kernel()(x)) for x in rows] for form in family]
     assert _int_signs([], [[1, 2]]) == []
-    assert _int_signs(family, []) == [[] for _ in family]
+    assert _int_signs(tables, []) == [[] for _ in tables]
 
 
 # Small values make cancellations in a read common; 2^70 keeps big ints in.
@@ -591,24 +599,29 @@ def plan_cases(draw):
           [2], [[1], [-4]]))                               # one monomial does
 @settings(max_examples=300, deadline=None)
 def test_plan_read_equals_restrict(case):
-    """A plan read, restrict on the int form and restrict on its Fraction
-    copy each give the substitution oracle's term map; the planned form, never
-    compiled, reads the signs that the oracle's form reads after
-    `_compile`, and the values of the whole form."""
+    """A plan read is one int (coefficient, factors) pair per key, zeros
+    included, whose nonzero pairs are the substitution oracle's term map,
+    as restrict on the int form and on its Fraction copy give it; the
+    table reads the signs that the oracle's form reads after `_compile`,
+    and, as generated code, the values of the whole form."""
     form, fixed, values, rows = case
     at = dict(zip(fixed, values))
     want = oracle_eval.substitute(form.terms, at, form.num_vars)
-    planned, restricted = form.plan(fixed)(values), form.restrict(at)
-    assert planned.num_vars == restricted.num_vars == form.num_vars - len(at)
-    assert planned.terms == restricted.terms == want
-    assert all(type(c) is int for c in planned.terms.values())
+    keys, read = _plan(form.terms, form.num_vars, fixed)
+    table = read(values)
+    restricted = form.restrict(at)
+    assert restricted.num_vars == form.num_vars - len(at)
+    assert all(len(e) == restricted.num_vars for e in keys)
+    assert len(table[1]) == len(keys)
+    assert all(type(c) is int for c, _ in table[1])
+    assert {e: c for e, (c, _) in zip(keys, table[1]) if c} == want
+    assert restricted.terms == want
     assert Poly(form.num_vars, form.terms).restrict(at).terms == want
-    assert _int_signs([planned], rows) == _int_signs(
-        [Poly._from_terms(planned.num_vars, want)], rows)
+    assert _int_signs([table], rows) == _int_signs([_compile(want)], rows)
     rest = [i for i in range(form.num_vars) if i not in at]
     for row in rows:
         full = {**at, **dict(zip(rest, row))}
-        assert planned.kernel()(row) == form.kernel()(
+        assert _straight_line(*table)(row) == form.kernel()(
             [full[i] for i in range(form.num_vars)])
 
 
@@ -651,7 +664,7 @@ def test_form_of_twenty_thousand_terms_reads_as_its_columns():
     assert len(form.terms) > 20_000
     rows = [[0, 0]] + [[rng.randint(-3, 3), rng.randint(-3, 3)]
                        for _ in range(11)]
-    signs = _int_signs((form,), rows)[0]
+    signs = _int_signs((_compile(form.terms),), rows)[0]
     assert [sign(t) for t in map(form.kernel(), rows)] == signs
     assert set(signs) == {-1, 0, 1}
 

@@ -82,7 +82,7 @@ def test_base_two_has_an_all_in_triangle():
     result = max_homogeneous(inst.points, inst.relation)
     assert len(result.subset) == 3
     assert result.polarity == "in"
-    assert result.certified and result.stats["maximum"]
+    assert result.stats["maximum"]
 
 
 def test_never_true_relation_makes_everything_out_homogeneous():
@@ -102,7 +102,6 @@ def test_budget_exhaustion_degrades_to_uncertified_maximum():
     inst = base_construction(3)
     result = max_homogeneous(inst.points, inst.relation, budget=3)
     assert not result.stats["maximum"]
-    assert result.certified  # the subset itself is still re-checked
     assert len(result.subset) >= 1
 
 
@@ -110,7 +109,6 @@ def test_budget_exhaustion_at_arity_four():
     inst = step_up(base_construction(2))
     result = max_homogeneous(inst.points, inst.relation, budget=40)
     assert result.stats["nodes"] == 40 and not result.stats["maximum"]
-    assert result.certified
     assert 4 <= len(result.subset) < 6
     oracle = solvers.MembershipOracle(inst.points, inst.relation)
     assert oracle.polarity(result.subset) == (result.polarity, None)
@@ -139,7 +137,6 @@ def _assert_matches_prefix_loop(points, relation, result=None):
         points, relation)
     assert (result.subset, result.polarity, result.stats["maximum"]) == (
         subset, polarity, maximum)
-    assert result.certified
     # The bitset bound counts only candidates that pass, so it never
     # visits more nodes than the prefix loop.
     assert result.stats["nodes"] <= nodes
@@ -344,7 +341,6 @@ def test_point_and_relation_dimension_mismatch_rejected():
 def test_greedy_output_is_certified_on_the_base_instance():
     inst = base_construction(3)
     result = erdos_rado_greedy(inst.points, inst.relation)
-    assert result.certified
     assert len(result.subset) >= 3
     assert result.stats["method"] == "greedy"
 
@@ -357,19 +353,17 @@ def test_greedy_on_never_true_relation_keeps_everything():
 
 
 def test_greedy_keeps_one_class_when_no_form_reads_the_last_slot():
-    """x0 > x1 at arity 3: once the first two slots are fixed no form has a
-    variable left, so every survivor stays in the one class ().  Its 22
-    restrictions are 21 plan reads, one per earlier chosen point at each
-    of six steps (the form reads every slot, so no read is skipped), and
-    the one form fixed when the arity drops."""
+    """x0 > x1 at arity 3: the form has no variable in the last slot w, so
+    it has one sign for every w, gets no restriction plan, and every
+    survivor stays in the one class ().  Its one restriction is the form
+    fixed when the arity drops."""
     relation = SemiAlgebraicRelation(3, 1, [x(0, 3) - x(1, 3)],
                                      Formula.leaf(0, "gt"))
     result = erdos_rado_greedy(integer_points(5, 2, 8, 1, 9, 3, 7, 4), relation)
-    assert (result.subset, result.polarity, result.certified) == (
-        (1, 2, 4, 8), "in", True)
+    assert (result.subset, result.polarity) == ((1, 2, 4, 8), "in")
     assert result.stats == {
         "classes_per_level": [[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)]],
-        "restrictions": 22, "sign_evaluations": 0, "method": "greedy"}
+        "restrictions": 1, "sign_evaluations": 0, "method": "greedy"}
 
 
 def test_greedy_reads_a_form_once_per_tuple_of_the_slots_it_reads():
@@ -379,10 +373,10 @@ def test_greedy_reads_a_form_once_per_tuple_of_the_slots_it_reads():
     m - 1 distinct smallest points and the second the one q, so m reads
     where reading every prefix would make 2 C(m, 2).  Fixing the last
     chosen point into slot 3 costs 2, and leaves x3 - x0 reading slot 0
-    alone (m reads) and x3 - x2 reading only w (one read), so m + 1 reads
-    at a second-level step with m earlier chosen points, and 2 more at the
-    drop to arity 2.  With steps 2, 3, 4 and then 1, 2 that is
-    9 + 2 + 5 + 2 = 18 restrictions, against 20 + 2 + 6 + 2 = 30."""
+    alone, with no variable in w, so it gets no plan, and x3 - x2 reading
+    only w: one read at each second-level step, and 2 more at the drop to
+    arity 2.  With steps 2, 3, 4 and then 1, 2 that is
+    9 + 2 + 2 + 2 = 15 restrictions, against 20 + 2 + 6 + 2 = 30."""
     relation = SemiAlgebraicRelation(
         4, 1, [x(3, 4) - x(0, 4), x(3, 4) - x(2, 4)],
         Formula.any_of([Formula.leaf(0, "gt"), Formula.leaf(1, "gt")]))
@@ -392,7 +386,31 @@ def test_greedy_reads_a_form_once_per_tuple_of_the_slots_it_reads():
     assert (result.subset, result.polarity) == (subset, polarity)
     assert result.stats["classes_per_level"] == classes == [
         [(2, 3), (3, 1), (4, 1)], [(1, 2), (2, 1)]]
-    assert result.stats["restrictions"] == 18
+    assert result.stats["restrictions"] == 15
+
+
+def test_greedy_splits_nothing_on_a_form_that_vanishes_at_a_prefix():
+    """(x0 - x2) * x5 > 0 and x5 - x1 >= 0 at arity 3, d = 2: the first
+    form reads w, but restricted at a prefix point that shares its first
+    coordinate with q it vanishes, and its column is the constant 0, which
+    splits nothing.  Subset, polarity and classes equal the Fraction
+    oracle's.  Both forms read w, so each step with m earlier chosen
+    points makes 2m plan reads, 20 over steps 1 to 4, and the drop 2 more;
+    every column read counts its survivors, the constant ones too."""
+    n = 6
+    relation = SemiAlgebraicRelation(
+        3, 2, [(x(0, n) - x(2, n)) * x(5, n), x(5, n) - x(1, n)],
+        Formula.all_of([Formula.leaf(0, "gt"), Formula.leaf(1, "ge")]))
+    points = OrderedPointSet(2, [(1, 0), (2, -3), (2, 1), (3, 5), (3, 3),
+                                 (1, -1), (2, -2), (2, 6), (3, 0), (2, 2)])
+    result = erdos_rado_greedy(points, relation)
+    subset, polarity, classes = oracle_greedy.greedy_fraction(points, relation)
+    assert (result.subset, result.polarity) == (subset, polarity) == (
+        (1, 2, 3, 4, 5, 8), "out")
+    assert result.stats["classes_per_level"] == classes == [
+        [(1, 2), (2, 1), (3, 2), (4, 2)]]
+    assert (result.stats["restrictions"],
+            result.stats["sign_evaluations"]) == (22, 76)
 
 
 def _random_linear_relation(rng: SeededRng) -> tuple:
@@ -448,14 +466,12 @@ def test_greedy_matches_the_oracle_on_random_relations_with_unread_slots():
 def test_greedy_certifies_on_the_stepped_up_instance():
     stepped = step_up(base_construction(2))
     result = erdos_rado_greedy(stepped.points, stepped.relation)
-    assert result.certified
     assert len(result.subset) >= 3
 
 
 def test_greedy_depth_grows_with_the_base_height():
     inst = base_construction(4)
     result = erdos_rado_greedy(inst.points, inst.relation)
-    assert result.certified
     assert len(result.subset) >= 3
     levels = result.stats["classes_per_level"]
     assert levels and levels[0][0] == (1, 1)
@@ -503,7 +519,7 @@ def test_greedy_counters_are_deterministic():
              for _ in range(2)]
     assert stats[0] == stats[1]
     assert (stats[0]["restrictions"], stats[0]["sign_evaluations"]) == (
-        616, 792)
+        212, 792)
 
 
 def test_common_denominator_over_max_bits_is_refused():
