@@ -1,14 +1,13 @@
 """Exact computational geometry: orientations, hyperplane arrangements,
-one-sided tuples and convex position, all over the rationals.  The
-orientation table behind general and convex position (decided in ints)
-and `hyperplane_intersection`'s Cramer solve share one fraction-free
-integer elimination, `_eliminate`.
+one-sided tuples and convex position, all over the rationals.  General and
+convex position read one orientation pass (decided in ints, keeping
+nothing), and it and `hyperplane_intersection`'s Cramer solve share one
+fraction-free integer elimination, `_eliminate`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -93,37 +92,29 @@ def orientation_polynomial(dim: int) -> MultivariatePolynomial:
 
 def order_type_relation(dim: int) -> SemiAlgebraicRelation:
     """(d+1)-ary relation holding on positively oriented tuples."""
-    if dim < 1:
-        raise ArgumentError("dimension must be at least 1")
+    if type(dim) is not int or dim < 1:
+        raise ArgumentError(f"dimension must be an int of at least 1, got {dim!r}")
     p = orientation_polynomial(dim)
     return SemiAlgebraicRelation(dim + 1, dim, [p], Formula.leaf(0, "gt"))
 
 
-def _orientation_table(points: OrderedPointSet):
-    """({(d+1)-subset: orientation} in combinations order, None), or
-    (None, witness) with witness the first subset of orientation 0.
-
-    The set is scaled to ints once (OrderedPointSet.scaled, which refuses
-    a common denominator above MAX_BITS bits): det of the rows (M, X_j) is
-    M^(d+1) times det of the rows (1, x_j), with the same sign.
-    """
+def _orientations(points: OrderedPointSet):
+    """Yield ((d+1)-subset, orientation sign) for every (d+1)-subset, in
+    combinations order, keeping nothing.  The set is scaled to ints once
+    (OrderedPointSet.scaled, which refuses a common denominator above
+    MAX_BITS bits): det of the rows (M, X_j) is M^(d+1) times det of the
+    rows (1, x_j), with the same sign."""
     m, scaled = points.scaled()
-    table = {}
     for combo in itertools.combinations(range(1, len(points) + 1), points.dim + 1):
         v = _eliminate([[m, *scaled[i - 1]] for i in combo])
-        table[combo] = (v > 0) - (v < 0)
-        if not v:
-            return None, combo
-    return table, None
+        yield combo, (v > 0) - (v < 0)
 
 
 def general_position_points(points: OrderedPointSet):
-    """All (d+1)-subsets have nonzero orientation.
-
-    Returns (True, None) or (False, witness_indices).
-    """
-    table, witness = _orientation_table(points)
-    return table is not None, witness
+    """All (d+1)-subsets have nonzero orientation.  Returns (True, None) or
+    (False, the first subset of orientation 0 in combinations order)."""
+    witness = next((c for c, sign in _orientations(points) if not sign), None)
+    return witness is None, witness
 
 
 # -- hyperplane arrangements ----------------------------------------------
@@ -155,8 +146,8 @@ class Arrangement:
     """Ordered list of hyperplanes in a common dimension."""
 
     def __init__(self, dim: int, hyperplanes: Sequence[Hyperplane]):
-        if dim < 1:
-            raise ArgumentError("dimension must be at least 1")
+        if type(dim) is not int or dim < 1:
+            raise ArgumentError(f"dimension must be an int of at least 1, got {dim!r}")
         for h in hyperplanes:
             if h.dim != dim:
                 raise ArgumentError("hyperplane of wrong dimension in arrangement")
@@ -220,8 +211,8 @@ def one_sided_relation(dim: int) -> SemiAlgebraicRelation:
     Raises ResourceLimitError when its (d!)^2 products exceed MAX_EXPANSION.
     """
     d = dim
-    if d < 1:
-        raise ArgumentError("dimension must be at least 1")
+    if type(d) is not int or d < 1:
+        raise ArgumentError(f"dimension must be an int of at least 1, got {d!r}")
     _check_expansion(d, 2)
     nv = d * (d + 1)
     # Coordinate j of representation point i is variable i*(d+1) + j.
@@ -235,17 +226,24 @@ def is_convex_position(points: OrderedPointSet) -> bool:
     """Whether every point is a vertex of the convex hull (planar, exact).
 
     Requires general position (raises PreconditionError otherwise, with the
-    first collinear triple in combinations order as witness).  Each triple's
-    orientation is computed once.  A point inside the hull of the others is
-    inside a triangle of three of them (Caratheodory), so it suffices that
-    every four points are in convex position: their affine dependency, with
-    coefficient signs +o(234), -o(134), +o(124), -o(123), splits them 2 + 2
-    (Radon), i.e. the four orientations multiply to +1.
+    first collinear triple in combinations order as witness).  One pass
+    reads each triple's orientation once.  With no three points collinear,
+    a pair is a hull edge when every other point lies on one side of its
+    line, and the hull's vertices are exactly the ends of those edges; so
+    each pair keeps a 2-bit mask of the sides its line has seen points on.
     """
     if points.dim != 2:
         raise ArgumentError("convex position test is for planar point sets")
-    table, witness = _orientation_table(points)
-    if table is None:
-        raise PreconditionError("points not in general position", witness=witness)
-    return all(math.prod(table[t] for t in itertools.combinations(quad, 3)) > 0
-               for quad in itertools.combinations(range(1, len(points) + 1), 4))
+    n = len(points)
+    sides = dict.fromkeys(itertools.combinations(range(1, n + 1), 2), 0)
+    for (i, j, k), o in _orientations(points):
+        if not o:
+            raise PreconditionError("points not in general position",
+                                    witness=(i, j, k))
+        # k is on side o of line ij, j on side -o of ik, i on side o of jk.
+        same, other = (1, 2) if o > 0 else (2, 1)
+        sides[i, j] |= same
+        sides[i, k] |= other
+        sides[j, k] |= same
+    ends = {p for pair, mask in sides.items() if mask != 3 for p in pair}
+    return n < 3 or len(ends) == n

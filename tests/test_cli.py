@@ -266,6 +266,22 @@ def test_a_string_or_an_object_in_place_of_an_array_is_refused(
     assert json.loads(err)["error"]["type"] == "ArgumentError"
 
 
+@pytest.mark.parametrize("dim", [True, 1.0])
+def test_an_arrangement_dimension_must_be_an_int(capsys, tmp_path, dim):
+    """A bool dimension was once taken for 1 and an instance written; a
+    float one was refused only by the representation points, naming their
+    dimension, one more than the arrangement's."""
+    path = tmp_path / "arrangement.json"
+    path.write_text(json.dumps({"dim": dim, "hyperplanes": [
+        {"a": ["1"], "b": "2"}, {"a": ["3"], "b": "1"}]}))
+    code, out, err = run(capsys, "construct", "one-sided", "--dim", "1",
+                         "--input", str(path))
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ArgumentError"
+    assert error["message"] == f"dimension must be an int of at least 1, got {dim!r}"
+
+
 @pytest.mark.parametrize("values", ["1e-1000000,1", "1,2.5", "1,+2", "1,0x10"])
 def test_solve_monotone_refuses_what_is_not_a_rational_string(capsys, values):
     """Exponent notation once decoded 1e-1000000 to a million-digit

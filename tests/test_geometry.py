@@ -38,11 +38,10 @@ def line(a1, a2, b) -> Hyperplane:
 
 
 def orientation(points) -> int:
-    """Orientation sign of d+1 points in R^d, read from the orientation
-    table behind general and convex position (0 when they are degenerate)."""
-    table, _ = geometry._orientation_table(
-        OrderedPointSet(len(points[0]), points))
-    return 0 if table is None else table[tuple(range(1, len(points) + 1))]
+    """Orientation sign of d+1 points in R^d, read from the orientation pass
+    behind general and convex position (0 when they are degenerate)."""
+    ((_, sign),) = geometry._orientations(OrderedPointSet(len(points[0]), points))
+    return sign
 
 
 # -- determinants -----------------------------------------------------------------
@@ -134,25 +133,25 @@ def test_general_position_points_examples():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_orientation_table_matches_per_tuple_orientation(dim):
+def test_orientation_pass_yields_every_subset_in_order(dim):
     rng = SeededRng(dim)
     coords = [[F(rng.randint(-50, 50), rng.randint(1, 97)) for _ in range(dim)]
               for _ in range(7)]
-    combos = list(itertools.combinations(range(1, 8), dim + 1))
-    table, _ = geometry._orientation_table(OrderedPointSet(dim, coords))
-    assert table == {t: oracle_linalg.orientation([coords[i - 1] for i in t])
-                     for t in combos}
-    assert set(table.values()) == {-1, 1}
-    # A repeated point: the walk stops at the first subset of orientation 0.
+    scan = list(geometry._orientations(OrderedPointSet(dim, coords)))
+    assert scan == [(t, oracle_linalg.orientation([coords[i - 1] for i in t]))
+                    for t in itertools.combinations(range(1, 8), dim + 1)]
+    assert {sign for _, sign in scan} == {-1, 1}
+    # A repeated point: general position stops at the first subset of
+    # orientation 0.
     coords.append(coords[2])
     first_zero = next(
         t for t in itertools.combinations(range(1, 9), dim + 1)
         if oracle_linalg.orientation([coords[i - 1] for i in t]) == 0)
-    assert geometry._orientation_table(OrderedPointSet(dim, coords)) == \
-        (None, first_zero)
+    assert general_position_points(OrderedPointSet(dim, coords)) == \
+        (False, first_zero)
 
 
-def test_orientation_table_refuses_denominators_past_the_bit_cap():
+def test_orientation_pass_refuses_denominators_past_the_bit_cap():
     points = OrderedPointSet(1, [[F(1, 2 ** MAX_BITS)], [1]])
     with pytest.raises(ResourceLimitError):
         general_position_points(points)
@@ -189,6 +188,17 @@ def test_intersection_rejects_mixed_dimensions():
                    [plane, Hyperplane.make([0, 1, 0], 1), line(0, 1, 0)]):
         with pytest.raises(ArgumentError):
             hyperplane_intersection(planes)
+
+
+@pytest.mark.parametrize("dim", [0, True, 2.0])
+@pytest.mark.parametrize("build", [order_type_relation, one_sided_relation])
+def test_a_relation_dimension_must_be_an_int_of_at_least_one(build, dim):
+    """A float dimension once failed with a TypeError while the determinant
+    was expanded, and a bool one was refused as an arity or a point
+    dimension."""
+    with pytest.raises(ArgumentError,
+                       match=f"^dimension must be an int of at least 1, got {dim!r}$"):
+        build(dim)
 
 
 def test_general_position_three_lines():
@@ -428,7 +438,7 @@ def _outcome(test, points):
 
 
 def test_convex_position_matches_oracle():
-    """Planar sets of 4-8 points; the small grids give many collinear
+    """Planar sets of 4-12 points; the small grids give many collinear
     triples, where the PreconditionError witness must be the oracle's."""
     rng = SeededRng(4242)
     seen = set()
@@ -437,12 +447,23 @@ def test_convex_position_matches_oracle():
         span = 3 if trial % 3 == 0 else 30
         coords = [[F(t_rng.randint(-span, span), t_rng.randint(1, 2)),
                    F(t_rng.randint(-span, span), t_rng.randint(1, 2))]
-                  for _ in range(4 + trial % 5)]
+                  for _ in range(4 + trial % 9)]
         points = OrderedPointSet(2, coords)
         expected = _outcome(oracle_linalg.is_convex_position, points)
         assert _outcome(is_convex_position, points) == expected, coords
         seen.add(expected if isinstance(expected, bool) else "witness")
     assert seen == {True, False, "witness"}
+
+
+@pytest.mark.parametrize("at", [0, 20, 40])
+def test_parabola_polygon_is_convex_until_a_point_goes_inside(at):
+    """40 points on y = x^2 are in convex position; (1/2, 2/3) lies inside
+    their hull, above the edge y = x from (0, 0) to (1, 1), and on no line
+    through two of them (those lines take values in Z/2 at x = 1/2)."""
+    polygon = [[i, i * i] for i in range(40)]
+    assert is_convex_position(OrderedPointSet(2, polygon))
+    polygon.insert(at, [F(1, 2), F(2, 3)])
+    assert not is_convex_position(OrderedPointSet(2, polygon))
 
 
 def test_convex_position_reads_each_triple_once(monkeypatch):
