@@ -472,21 +472,19 @@ def step_up_relation(base: SemiAlgebraicRelation) -> SemiAlgebraicRelation:
         flat_nums = [nums[s][c] for s in order_of_slots for c in range(d)]
         flat_dens = [dens[s][c] for s in order_of_slots for c in range(d)]
 
-        def remap(formula: Formula, table: dict) -> Formula:
-            if formula.op == "atom":
-                return table[id(formula)]
-            return Formula(formula.op,
-                           tuple(remap(ch, table) for ch in formula.children))
-
+        # The base formula, node for node, with a shared node still shared.
         # Output polynomials are numbered in nodes() order, so that order
         # fixes the serialized relation.
         table = {}
-        for leaf in base.formula.nodes():
-            if leaf.op == "atom":
+        for node in base.formula.nodes():
+            if node.op == "atom":
                 cleared = _clear_denominators(
-                    base.polys[leaf.atom.poly_index], flat_nums, flat_dens)
-                table[id(leaf)] = rb.atom(cleared, leaf.atom.cmp)
-        return remap(base.formula, table)
+                    base.polys[node.atom.poly_index], flat_nums, flat_dens)
+                table[id(node)] = rb.atom(cleared, node.atom.cmp)
+            else:
+                table[id(node)] = Formula(
+                    node.op, tuple(table[id(ch)] for ch in node.children))
+        return table[id(base.formula)]
 
     increasing = Formula.all_of(
         slope_greater(s + 1, s) for s in range(k - 1))

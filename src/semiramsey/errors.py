@@ -64,13 +64,15 @@ class BudgetExhaustedError(ResourceLimitError):
 # The deletion method (`spencer_independent_set`, `solve spencer`) gives up
 # after MAX_ROUNDS seeded rounds without a certified independent set.
 # A decoded formula nested more than MAX_FORMULA_DEPTH levels deep is
-# refused as malformed input (ArgumentError): the JSON writers and
-# stepping up recurse over the formula, a few frames per level, and
-# stepping up nests it 3 levels deeper, so every accepted formula is
-# written back within the interpreter's recursion limit.  Stepping up
-# refuses (ArgumentError) a base formula of more than MAX_FORMULA_DEPTH - 3
-# levels, so every instance it writes can be read back.  The
-# constructions nest at most 6 levels.  `frankl_wilson_graph` counts its
+# refused as malformed input (ArgumentError): every other reader folds over
+# the iterative `Formula.nodes()`, but the decoder and `json`'s own codec
+# recurse, a few frames per level, so the cap keeps them within the
+# interpreter's recursion limit.  Stepping up nests a formula 3 levels
+# deeper and an instance's provenance 1; it refuses a base formula of more
+# than MAX_FORMULA_DEPTH - 3 levels, and an instance whose provenance
+# nests deeper than MAX_FORMULA_DEPTH is refused read or written, so every
+# instance it writes can be read back.  The constructions nest at most 6
+# levels.  `frankl_wilson_graph` counts its
 # relation's literals before building any and refuses more than
 # MAX_LITERALS: p = 3 has 250,944, p = 5 about 3.2 * 10^15.
 MAX_POINTS = 2 ** 20

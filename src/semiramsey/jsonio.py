@@ -68,11 +68,19 @@ def poly_from_json(data: dict) -> MultivariatePolynomial:
 
 
 def formula_to_json(f: Formula) -> dict:
-    if f.op == "atom":
-        return {"op": "atom", "poly": f.atom.poly_index, "cmp": f.atom.cmp}
-    if f.op == "not":
-        return {"op": "not", "arg": formula_to_json(f.children[0])}
-    return {"op": f.op, "args": [formula_to_json(c) for c in f.children]}
+    """The formula as nested objects, one per node of `Formula.nodes()`:
+    a shared node is one object under each of its parents."""
+    out: dict[int, dict] = {}
+    for node in f.nodes():
+        args = [out[id(ch)] for ch in node.children]
+        if node.op == "atom":
+            out[id(node)] = {"op": "atom", "poly": node.atom.poly_index,
+                             "cmp": node.atom.cmp}
+        elif node.op == "not":
+            out[id(node)] = {"op": "not", "arg": args[0]}
+        else:
+            out[id(node)] = {"op": node.op, "args": args}
+    return out[id(f)]
 
 
 def formula_from_json(data: dict) -> Formula:
@@ -130,12 +138,26 @@ def points_from_json(data: dict) -> OrderedPointSet:
                       for row in _array(data["points"], "points")])
 
 
+def _provenance(value):
+    """value, refused (ArgumentError) read or written when its objects and
+    arrays nest more than MAX_FORMULA_DEPTH levels deep."""
+    level, depth = [value], 0
+    while level := [c for c in level if isinstance(c, (dict, list, tuple))]:
+        depth += 1
+        if depth > MAX_FORMULA_DEPTH:
+            raise ArgumentError(f"provenance nested too deeply: more than "
+                                f"{MAX_FORMULA_DEPTH} levels")
+        level = [v for c in level
+                 for v in (c.values() if isinstance(c, dict) else c)]
+    return value
+
+
 def instance_to_json(inst: ConstructionInstance) -> dict:
     return {
         "points": points_to_json(inst.points),
         "relation": relation_to_json(inst.relation),
         "epsilon": None if inst.epsilon is None else fraction_to_json(inst.epsilon),
-        "provenance": jsonable(inst.provenance),
+        "provenance": jsonable(_provenance(inst.provenance)),
     }
 
 
@@ -145,7 +167,7 @@ def instance_from_json(data: dict) -> ConstructionInstance:
         points=points_from_json(data["points"]),
         relation=relation_from_json(data["relation"]),
         epsilon=None if eps is None else fraction_from_json(eps),
-        provenance=data.get("provenance", {}),
+        provenance=_provenance(data.get("provenance", {})),
     )
 
 

@@ -55,9 +55,10 @@ class Formula:
     """Boolean formula tree over atoms.
 
     Nodes are immutable and may be shared between parents.  An AND with no
-    children is constant true, an OR with no children constant false.  A
-    relation decides its formula through one generated function
-    (`_generate`), built on its first read.
+    children is constant true, an OR with no children constant false.
+    Every reader folds over `nodes()` by node identity.  A relation decides
+    its formula through one generated function (`_generate`), built on its
+    first read.
     """
 
     __slots__ = ("op", "children", "atom")
@@ -93,17 +94,19 @@ class Formula:
         return cls("not", (child,))
 
     def nodes(self):
-        """Yield every node of the tree, shared nodes once, in depth-first
-        stack order (last child first)."""
+        """Yield every node once (a shared node too), after all of its
+        children, last child first: the one walk of a formula, iterative,
+        so its atoms come in the order of a last-child-first pre-order."""
         seen = set()
-        stack = [self]
+        stack = [(self, False)]
         while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            yield node
-            stack.extend(node.children)
+            node, expanded = stack.pop()
+            if expanded:
+                yield node
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((ch, False) for ch in node.children)
 
     def atoms(self) -> list[Atom]:
         return [node.atom for node in self.nodes() if node.op == "atom"]
@@ -112,30 +115,10 @@ class Formula:
         """Levels of the tree, counted as the JSON decoder counts them: an
         atom, or an empty AND or OR, is one level."""
         levels: dict[int, int] = {}
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in levels:
-                continue
-            if not expanded:
-                stack.append((node, True))
-                stack.extend((ch, False) for ch in node.children)
-                continue
+        for node in self.nodes():
             levels[id(node)] = 1 + max(
                 (levels[id(ch)] for ch in node.children), default=0)
         return levels[id(self)]
-
-    def max_poly_index(self) -> int:
-        return max((a.poly_index for a in self.atoms()), default=-1)
-
-    def __repr__(self):
-        if self.op == "atom":
-            return f"p{self.atom.poly_index} {self.atom.cmp} 0"
-        if self.op == "not":
-            return f"not({self.children[0]!r})"
-        joiner = " and " if self.op == "and" else " or "
-        inner = joiner.join(repr(c) for c in self.children)
-        return f"({inner})" if self.children else ("true" if self.op == "and" else "false")
 
 
 class SemiAlgebraicRelation:
@@ -153,7 +136,7 @@ class SemiAlgebraicRelation:
             if p.num_vars != nv:
                 raise ArgumentError(
                     f"poly {i} has {p.num_vars} variables, expected arity*dim = {nv}")
-        top = formula.max_poly_index()
+        top = max((a.poly_index for a in formula.atoms()), default=-1)
         if top >= len(polys):
             raise ArgumentError(f"formula references poly {top}, only {len(polys)} given")
         self.arity = arity
@@ -211,19 +194,12 @@ def _generate(formula: Formula, polys: Sequence[MultivariatePolynomial]
     is decided once per call, whether or not the expression that reads it
     gets that far.  Reads are pure, so only the read count changes.
     """
-    parents = Counter(id(ch) for node in formula.nodes() for ch in node.children)
+    order = list(formula.nodes())
+    parents = Counter(id(ch) for node in order for ch in node.children)
     # id(node) -> (expression, its nesting depth)
     done: dict[int, tuple[str, int]] = {}
     statements: list[str] = []
-    stack = [(formula, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in done:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((ch, False) for ch in node.children)
-            continue
+    for node in order:
         if node.op == "atom":
             i = node.atom.poly_index
             done[id(node)] = (f"((s{i} if s{i} is not None else (s{i} := k{i}(x)))"
@@ -242,7 +218,7 @@ def _generate(formula: Formula, polys: Sequence[MultivariatePolynomial]
             statements.append(f" n{len(statements)} = {expr}")
             expr, depth = f"n{len(statements) - 1}", 0
         done[id(node)] = (expr, depth)
-    used = sorted({a.poly_index for a in formula.atoms()})
+    used = sorted({node.atom.poly_index for node in order if node.op == "atom"})
     memos = [" " + " = ".join(f"s{i}" for i in used) + " = None"] if used else []
     source = "\n".join(["def decide(x):", *memos, *statements,
                         f" return {done[id(formula)][0]}"])

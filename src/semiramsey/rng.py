@@ -74,12 +74,12 @@ class SeededRng:
         return Fraction((ln * hd << 16) + (hn * ld - ln * hd) * k,
                         ld * hd << 16)
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]
-
     def sample(self, seq, k: int) -> list:
+        """k distinct items of seq: the first k steps of a Fisher-Yates
+        shuffle from the front (all of seq, shuffled, when k >= len(seq))."""
         pool = list(seq)
-        self.shuffle(pool)
+        last = len(pool) - 1
+        for i in range(min(k, last)):
+            j = self.randint(i, last)
+            pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]

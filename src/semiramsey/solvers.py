@@ -101,7 +101,8 @@ class MembershipOracle:
     def below(self, suffix: tuple, within: int) -> int:
         """Bitmask with bit c set for each point index c in the bitmask
         `within` such that (c,) + suffix is in the relation; suffix has k-1
-        entries and `within` only indices before suffix[0].  The mask of
+        entries, at least one (max_homogeneous reads only above() at
+        arity 1), and `within` only indices before suffix[0].  The mask of
         every suffix is kept with the bits it is known on, and a bit it
         does not know is first looked up in the prefix memo of above(),
         under the prefix (c,) + suffix[:-1] and the bit suffix[-1]."""
@@ -109,23 +110,18 @@ class MembershipOracle:
         todo = within & ~known
         if todo:
             masks = self.masks
-            if not suffix:  # arity 1: both memos are keyed by ()
-                prefix_known, prefix_mask = masks.get((), (0, 0))
-                unread = todo & ~prefix_known
-                mask |= todo & prefix_mask
-            else:
-                head, last = suffix[:-1], 1 << suffix[-1]
-                unread = 0
-                rest = todo
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    prefix_known, prefix_mask = masks.get(
-                        (low.bit_length() - 1,) + head, (0, 0))
-                    if not prefix_known & last:
-                        unread |= low
-                    elif prefix_mask & last:
-                        mask |= low
+            head, last = suffix[:-1], 1 << suffix[-1]
+            unread = 0
+            rest = todo
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                prefix_known, prefix_mask = masks.get(
+                    (low.bit_length() - 1,) + head, (0, 0))
+                if not prefix_known & last:
+                    unread |= low
+                elif prefix_mask & last:
+                    mask |= low
             if unread:
                 self.evaluations += unread.bit_count()
                 decide, scale, _, firsts = self._layout or self._first_read()

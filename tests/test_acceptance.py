@@ -284,8 +284,7 @@ def test_criterion_11_erdos_szekeres():
     for trial in range(10 ** 4):
         t_rng = rng.derive(f"perm-{trial}")
         n = t_rng.randint(1, 50)
-        perm = list(range(1, n + 1))
-        t_rng.shuffle(perm)
+        perm = t_rng.sample(range(1, n + 1), n)
         sub = solvers.longest_monotone_subsequence(perm)
         # ceil(sqrt(n)) == isqrt(n - 1) + 1 for every n >= 1
         if len(sub) < math.isqrt(n - 1) + 1:

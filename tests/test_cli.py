@@ -786,6 +786,37 @@ def test_stepping_up_past_the_depth_cap_is_refused(capsys, base2_file,
         assert "nested too deeply" in error["message"]
 
 
+@pytest.mark.parametrize("past_cap", [-1, 0, 1, 800])
+def test_stepping_up_a_deep_provenance(capsys, base2_file, tmp_path, past_cap):
+    """Stepping up nests the base's provenance one level deeper.  At
+    MAX_FORMULA_DEPTH - 1 levels the stepped instance (at the cap) is
+    written and reads back; at the cap it is read, but stepping it up is
+    refused with 2 and nothing is written; past the cap the input is
+    refused with 2, also at 900 levels, too deep for a recursive writer."""
+    from semiramsey.errors import MAX_FORMULA_DEPTH
+    with open(base2_file) as fh:
+        doc = json.load(fh)
+    provenance = doc["provenance"]
+    for _ in range(MAX_FORMULA_DEPTH + past_cap - 1):
+        provenance = {"kind": "step-up", "base": provenance}
+    doc["provenance"] = provenance
+    with open(base2_file, "w") as fh:
+        json.dump(doc, fh)
+    stepped = tmp_path / "stepped.json"
+    code, out, err = run(capsys, "construct", "stepup", "--input", base2_file,
+                         "--output", str(stepped))
+    if past_cap < 0:
+        assert code == cli.EXIT_OK and err == ""
+        again = jsonio.instance_from_json(json.loads(stepped.read_text()))
+        assert again.provenance["base"] == provenance
+        return
+    assert code == cli.EXIT_USAGE and out == ""
+    assert not stepped.exists()
+    error = json.loads(err)["error"]
+    assert error["type"] == "ArgumentError"
+    assert "provenance nested too deeply" in error["message"]
+
+
 def test_stepping_up_an_instance_without_epsilon_is_usage_error(capsys,
                                                                 base2_file):
     with open(base2_file) as fh:

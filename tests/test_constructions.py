@@ -7,12 +7,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_eval
+import oracle_formula
 import oracle_radius
 from semiramsey import constructions
 from semiramsey import (
@@ -434,6 +437,44 @@ def test_rule_and_polynomials_agree_on_sampled_tuples(stepped):
     for t in sample:
         assert (eval_membership(stepped.relation, stepped.points, t)
                 == step_up_membership_rule(base, t)), t
+
+
+def _shared_ladder(layers: int) -> SemiAlgebraicRelation:
+    """The base relation's polynomials under a ladder of `layers` nodes,
+    each reading the one below it twice: or(a, x, x), and(b, x, x), ...
+    It has `layers` + 3 nodes and unfolds to about 2^layers."""
+    atoms = [Formula.leaf(i, cmp) for i, cmp in enumerate(["gt", "gt", "ge"])]
+    node = atoms[0]
+    for level in range(layers):
+        node = Formula("and" if level % 2 else "or",
+                       (atoms[level % 3 - 1], node, node))
+    return SemiAlgebraicRelation(3, 1, base_relation().polys, node)
+
+
+def test_stepping_up_keeps_a_shared_base_formula_shared():
+    """Stepping up copies the base formula node for node: a 16-layer
+    shared ladder steps up to at most 100 nodes (a copy that unfolds it
+    has over 10^5), 40 layers step up within a second, and the stepped
+    decider agrees with the recursive oracle on the stepped points."""
+    assert sum(1 for _ in step_up_relation(_shared_ladder(16)).formula.nodes()) <= 100
+    start = time.perf_counter()
+    step_up_relation(_shared_ladder(40))
+    assert time.perf_counter() - start < 1
+    base = base_construction(2)
+    stepped = step_up(dataclasses.replace(base, relation=_shared_ladder(40)))
+    relation, points = stepped.relation, stepped.points
+    verdicts = set()
+    for t in list(itertools.combinations(range(1, 17), 4))[::5]:
+        coords = [x for i in t for x in points.point(i)]
+
+        def truth(atom):
+            value = oracle_eval.eval_fraction(
+                relation.polys[atom.poly_index].terms, coords)
+            return atom.holds((value > 0) - (value < 0))
+        expected = oracle_formula.evaluate(relation.formula, truth)
+        assert eval_membership(relation, points, t) == expected, t
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_stepped_relation_arity_grows_by_one():

@@ -1,5 +1,6 @@
 """Round-trip and determinism tests for the canonical JSON layer."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -139,6 +140,20 @@ def test_formula_json_depth_cap():
         jsonio.formula_from_json(data)
 
 
+def test_shared_formula_writes_as_its_unfolded_tree():
+    """formula_to_json folds over nodes(): a shared node is written under
+    each of its parents, byte for byte as an unshared copy."""
+    atom = Formula.leaf(0, "ge")
+    middle = Formula.any_of([atom, Formula.negation(atom)])
+    shared = Formula.all_of([middle, Formula.leaf(1, "gt"), middle])
+    atom = {"op": "atom", "poly": 0, "cmp": "ge"}
+    middle = {"op": "or", "args": [atom, {"op": "not", "arg": atom}]}
+    want = {"op": "and", "args": [middle, {"op": "atom", "poly": 1, "cmp": "gt"},
+                                  middle]}
+    assert jsonio.formula_to_json(shared) == want
+    assert jsonio.dumps(jsonio.formula_to_json(shared)) == jsonio.dumps(want)
+
+
 def test_points_round_trip():
     pts = OrderedPointSet(2, [[F(1, 2), F(-3)], [F(0), F(5, 7)]])
     again = jsonio.points_from_json(jsonio.points_to_json(pts))
@@ -167,6 +182,31 @@ def test_instance_epsilon_may_be_null():
     again = jsonio.instance_from_json(data)
     assert again.epsilon is None
     assert again.provenance == {"kind": "test"}
+
+
+def nested_provenance(levels: int):
+    """A provenance of `levels` levels: the objects of a chain of step-ups
+    around one base, every other one inside a one-item array."""
+    provenance = {"kind": "base", "n": 2}
+    for level in range(2, levels + 1):
+        provenance = ({"kind": "step-up", "base": provenance} if level % 2
+                      else [provenance])
+    return provenance
+
+
+def test_instance_provenance_depth_cap():
+    """A provenance MAX_FORMULA_DEPTH levels deep is read and written back;
+    one level more is refused as malformed, read or written."""
+    data = jsonio.instance_to_json(base_construction(2))
+    data["provenance"] = nested_provenance(MAX_FORMULA_DEPTH)
+    inst = jsonio.instance_from_json(data)
+    assert jsonio.instance_to_json(inst) == data
+    deeper = nested_provenance(MAX_FORMULA_DEPTH + 1)
+    with pytest.raises(ArgumentError, match="provenance nested too deeply"):
+        jsonio.instance_to_json(dataclasses.replace(inst, provenance=deeper))
+    data["provenance"] = deeper
+    with pytest.raises(ArgumentError, match="provenance nested too deeply"):
+        jsonio.instance_from_json(data)
 
 
 def test_instance_with_high_degree_polynomial_is_refused():

@@ -97,3 +97,22 @@ def test_randints_refuses_an_empty_range():
     with pytest.raises(ValueError, match="empty range"):
         rng.randint(3, 2)
     assert rng.next_u64() == SeededRng(1).next_u64()
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (0, 3), (1, 1), (5, 0), (5, 2),
+                                  (5, 4), (5, 5), (5, 9), (300, 7)])
+def test_sample_takes_the_first_k_steps_of_a_front_shuffle(n, k):
+    """k distinct items of the sequence, drawn by the first k swaps of a
+    Fisher-Yates shuffle from the front (the last step, a swap of the
+    last item with itself, is not drawn); all of it, shuffled, when k is
+    at least its length."""
+    rng, twin = SeededRng(11), SeededRng(11)
+    got = rng.sample(range(100, 100 + n), k)
+    pool = list(range(100, 100 + n))
+    for i in range(min(k, n - 1)):
+        j = twin.randint(i, n - 1)
+        pool[i], pool[j] = pool[j], pool[i]
+    assert got == pool[:k]
+    assert len(got) == len(set(got)) == min(k, n)
+    assert set(got) <= set(range(100, 100 + n))
+    assert rng.next_u64() == twin.next_u64()
