@@ -14,6 +14,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -94,8 +95,12 @@ def _write_instance(args, inst: constructions.ConstructionInstance) -> int:
     if args.output in (None, "-"):
         _emit(doc)
         return EXIT_OK
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dumps(doc))
+    # Written over in place and cut to length, never opened with O_TRUNC:
+    # on ext4 that open waits for the writeback of the old pages, ~50 ms.
+    with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        size = fh.write(jsonio.dumps(doc).encode())
+        if size < os.fstat(fh.fileno()).st_size:
+            fh.truncate(size)
     eps = inst.epsilon
     _emit({"points": len(inst.points), "dim": inst.points.dim,
            "arity": inst.relation.arity,
@@ -299,26 +304,27 @@ def cmd_verify_milnor_thom(args) -> int:
         dim = t_rng.randint(2, 3)
         family_size = t_rng.randint(dim, 6)
         degree = t_rng.randint(1, 3)
+        # The family in three draws: term counts, variables, coefficients.
+        counts = t_rng.randints(1, 6, family_size)
+        variables = t_rng.randints(0, dim - 1, degree * sum(counts))
+        pairs = iter([
+            (tuple(map(variables[at:at + degree].count, range(dim))), c)
+            for at, c in zip(range(0, len(variables), degree),
+                             t_rng.randints(-5, 5, sum(counts)))])
         polys = []
-        for _ in range(family_size):
-            pairs = []
-            for _ in range(t_rng.randint(1, 6)):
-                e = [0] * dim
-                for v in t_rng.randints(0, dim - 1, degree):
-                    e[v] += 1
-                pairs.append((tuple(e), t_rng.randint(-5, 5)))
+        for count in counts:
             # The verifier's own int term map, summed and wrapped unchecked.
             # Every term has total degree `degree` >= 1, so a nonzero sum
             # has that degree.
-            terms = _sum_terms(pairs)
+            terms = _sum_terms(itertools.islice(pairs, count))
             if terms:
                 polys.append(MultivariatePolynomial._from_terms(dim, terms))
         if len(polys) < dim:
             continue
-        # The grid of rng.fraction(-10, 10), (20 k - 10 * 2^16) / 2^16, kept
-        # as integer numerators over the one denominator 2^16, drawn in one
-        # call and cut into rows.
-        grid = t_rng.randints(0, 1 << 16, args.points * dim)
+        # The grid -10 + 20 k / 2^16 for k in [0, 2^16), points of [-10, 10),
+        # kept as integer numerators 20 k - 10 * 2^16 over the one
+        # denominator 2^16, four k per 64-bit draw, and cut into rows.
+        grid = t_rng.uint16s(args.points * dim)
         rows = [[20 * k - (10 << 16) for k in grid[at:at + dim]]
                 for at in range(0, len(grid), dim)]
         got = count_distinct_sign_vectors(polys, rows, denominator=1 << 16)

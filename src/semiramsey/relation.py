@@ -238,18 +238,21 @@ class OrderedPointSet:
         if type(dim) is not int or dim < 1:
             raise ArgumentError(f"dimension must be an int of at least 1, got {dim!r}")
         pts = []
+        all_ints = True
         for p in points:
             if len(p) != dim:
                 raise ArgumentError(f"point {p} does not have dimension {dim}")
             p = tuple(p)
             for x in p:  # poly._coef's rule inline: a call per x is 2.5x slower
-                if type(x) is not int and not isinstance(x, Fraction):
-                    raise ArgumentError(
-                        f"coordinate {x!r} of point {p} is not an int or a Fraction")
+                if type(x) is not int:
+                    if not isinstance(x, Fraction):
+                        raise ArgumentError(
+                            f"coordinate {x!r} of point {p} is not an int or a Fraction")
+                    all_ints = False
             pts.append(p)
         self.dim = dim
         self.points = tuple(pts)
-        self._scaled = None
+        self._scaled = (1, self.points) if all_ints else None
 
     def __len__(self):
         return len(self.points)
@@ -263,18 +266,15 @@ class OrderedPointSet:
         return self.points[index - 1]
 
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(M, X), built on first use: M is the LCM of every coordinate
-        denominator and X the points times M, as int tuples in index order.
-        A set of int coordinates has M = 1 and is its own X: the points
-        are kept, not copied.
+        """(M, X): M is the LCM of every coordinate denominator and X the
+        points times M, as int tuples in index order, built on first use.
+        A set of int coordinates has M = 1 and is its own X, set when the
+        set is made: the points are kept, not copied.
 
         Raises ResourceLimitError when M has more than MAX_BITS bits.
         """
         if self._scaled is None:
             points = self.points
-            if all(type(x) is int for p in points for x in p):
-                self._scaled = (1, points)
-                return self._scaled
             scale = 1
             for d in {x.denominator for p in points for x in p}:
                 scale = math.lcm(scale, d)

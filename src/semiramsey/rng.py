@@ -6,7 +6,7 @@ give identical streams on every platform and Python version, which keeps
 CLI runs byte-for-byte reproducible.  Every draw is an int or an exact
 Fraction; nothing here returns a float.  A caller that needs many draws
 from one range takes them in one `randints` call, which yields the same
-stream as that many `randint` calls.
+stream as that many `randint` calls; `uint16s` gives four per 64-bit draw.
 """
 
 from __future__ import annotations
@@ -64,6 +64,15 @@ class SeededRng:
             out.append(lo + u % span)
         self._state = state
         return out
+
+    def uint16s(self, count: int) -> list[int]:
+        """`count` uniform integers in [0, 2^16): the 16-bit lanes of
+        ceil(count / 4) `next_u64` words, lowest lane first."""
+        out = []
+        for _ in range((count + 3) >> 2):
+            u = self.next_u64()
+            out += (u & 0xFFFF, u >> 16 & 0xFFFF, u >> 32 & 0xFFFF, u >> 48)
+        return out[:count]
 
     def fraction(self, lo: int | Fraction, hi: int | Fraction) -> Fraction:
         """Exact rational sample from [lo, hi] on the uniform grid of 2^16

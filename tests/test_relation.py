@@ -3,6 +3,7 @@ degree-based sign-pattern bound."""
 
 from __future__ import annotations
 
+import json
 import types
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_eval
 import oracle_formula
+from semiramsey import cli
 from semiramsey import (
     ArgumentError,
     Atom,
@@ -119,18 +121,27 @@ def test_point_set_keeps_int_coordinates_and_refuses_other_types():
     for bad in (True, 0.5, "1", None):
         with pytest.raises(ArgumentError):
             OrderedPointSet(2, [[1, 2], [3, bad]])
+        with pytest.raises(ArgumentError):  # after a Fraction, too
+            OrderedPointSet(2, [[F(1, 2), 2], [bad, 3]])
+    with pytest.raises(ArgumentError, match=r"^coordinate 0\.5 of point "
+                       r"\(3, 0\.5\) is not an int or a Fraction$"):
+        OrderedPointSet(2, [[1, 2], [3, 0.5]])
 
 
 def test_scaled_keeps_an_int_point_set_and_rescales_a_mixed_one():
     """An all-int set is its own X at M = 1, not a copy; a set with a
-    Fraction (even one of denominator 1) is rescaled to int tuples as
-    before, and a common denominator above MAX_BITS bits is refused."""
+    Fraction (even one of denominator 1, or one among ints) is rescaled to
+    int tuples by the LCM, and a common denominator above MAX_BITS bits is
+    refused."""
     ints = OrderedPointSet(2, [[3, -1], (0, 2 ** 80)])
     scale, scaled = ints.scaled()
     assert scale == 1 and scaled is ints.points
+    assert ints.scaled()[1] is ints.points
     assert OrderedPointSet(1, []).scaled() == (1, ())
     for points, want in [
             ([[1, F(1, 2)], (3, F(4))], (2, ((2, 1), (6, 8)))),
+            ([[3, -1], [2, F(1, 6)], [7, 4]],
+             (6, ((18, -6), (12, 1), (42, 24)))),
             ([[F(3)], [-2]], (1, ((3,), (-2,)))),
             ([[F(-1, 6)], [F(3, 4)], [5]], (12, ((-2,), (9,), (60,))))]:
         scale, scaled = OrderedPointSet(len(points[0]), points).scaled()
@@ -483,19 +494,28 @@ def test_count_distinct_sign_vectors_examples():
 
 
 def milnor_thom_family(rng: SeededRng) -> list[Poly]:
-    """A family drawn as `verify milnor-thom` draws one; empty when that
-    command would skip the trial."""
+    """A family drawn as `verify milnor-thom` draws one, one value per
+    call: the sizes, each polynomial's term count, every term's variables
+    and then every coefficient; empty when that command would skip the
+    trial."""
     dim = rng.randint(2, 3)
     family_size = rng.randint(dim, 6)
     degree = rng.randint(1, 3)
+    counts = [rng.randint(1, 6) for _ in range(family_size)]
+    exponents = []
+    for _ in range(sum(counts)):
+        e = [0] * dim
+        for _ in range(degree):
+            e[rng.randint(0, dim - 1)] += 1
+        exponents.append(tuple(e))
+    coefficients = [rng.randint(-5, 5) for _ in exponents]
+    drawn = iter(zip(exponents, coefficients))
     polys = []
-    for _ in range(family_size):
+    for count in counts:
         terms = {}
-        for _ in range(rng.randint(1, 6)):
-            e = [0] * dim
-            for _ in range(degree):
-                e[rng.randint(0, dim - 1)] += 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) + rng.randint(-5, 5)
+        for _ in range(count):
+            e, c = next(drawn)
+            terms[e] = terms.get(e, 0) + c
         p = Poly(dim, terms)
         if not p.is_zero() and p.degree() >= 1:
             polys.append(p)
@@ -552,31 +572,41 @@ def test_count_distinct_sign_vectors_equals_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_integer_grid_count_equals_fraction_grid_count(seed):
-    """The trials of `verify milnor-thom` replayed: the grid drawn as
-    integer numerators over 2^16 counts as the same draws taken as
-    rng.fraction(-10, 10) points, and as the oracle.  The draws here are
-    one `randint` call each, the stream that the verifier's batched
-    `randints` calls must reproduce."""
+def test_integer_grid_count_equals_fraction_grid_count(seed, capsys):
+    """The trials of `verify milnor-thom` replayed one value at a time: the
+    family as `milnor_thom_family` draws it, then the grid's k in [0, 2^16),
+    the 16-bit lanes of `next_u64` words, lowest lane first.  The int rows
+    20 k - 10 * 2^16 over 2^16 count as the same points taken as Fractions,
+    and as the oracle; summed over the trials they are the verifier's
+    stats, whose batched draws must reproduce this stream."""
     rng = SeededRng(seed)
-    families = 0
+    families = evaluations = vectors = 0
     for trial in range(200):
-        ints, fracs = rng.derive(f"trial-{trial}"), rng.derive(f"trial-{trial}")
-        polys = milnor_thom_family(ints)
-        assert milnor_thom_family(fracs) == polys
+        t_rng = rng.derive(f"trial-{trial}")
+        polys = milnor_thom_family(t_rng)
         if not polys:
             continue
         families += 1
         dim = polys[0].num_vars
-        rows = [[20 * ints.randint(0, 1 << 16) - (10 << 16)
-                 for _ in range(dim)] for _ in range(30)]
-        points = [[fracs.fraction(-10, 10) for _ in range(dim)]
-                  for _ in range(30)]
-        assert points == [[F(v, 1 << 16) for v in row] for row in rows]
+        lanes = []
+        while len(lanes) < 30 * dim:
+            u = t_rng.next_u64()
+            lanes += [u >> shift & 0xFFFF for shift in (0, 16, 32, 48)]
+        rows = [[20 * k - (10 << 16) for k in lanes[at:at + dim]]
+                for at in range(0, 30 * dim, dim)]
+        points = [[F(v, 1 << 16) for v in row] for row in rows]
+        assert all(-10 <= x < 10 for p in points for x in p)
         got = count_distinct_sign_vectors(polys, rows, denominator=1 << 16)
         assert got == count_distinct_sign_vectors(polys, points)
         assert got == oracle_sign_vector_count(polys, points)
+        evaluations += len(polys) * len(rows)
+        vectors += got
     assert families > 100
+    assert cli.main(["verify", "milnor-thom", "--points", "30", "--trials",
+                     "200", "--seed", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"] == {
+        "families": families, "sign_evaluations": evaluations,
+        "sign_vectors": vectors}
 
 
 def test_count_distinct_sign_vectors_refuses_bad_denominators():

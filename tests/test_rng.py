@@ -38,7 +38,9 @@ def test_fraction_default_grid_is_two_to_the_sixteen():
 
 def test_first_draws_of_seed_one_are_pinned():
     """The stdout of `verify sturm` and `verify milnor-thom` is made of
-    these streams, so any change to the generator shows here first."""
+    these streams (`derive`, then `randint` and `randints`; the grid of
+    `verify milnor-thom` from `uint16s`), so any change to the generator
+    shows here first."""
     rng = SeededRng(1)
     assert rng.next_u64() == 10451216379200822465
     rng = SeededRng(1)
@@ -49,12 +51,15 @@ def test_first_draws_of_seed_one_are_pinned():
     rng = SeededRng(1)
     assert [rng.fraction(-1, 1) for _ in range(3)] == [
         F(-1967, 16384), F(-10865, 32768), F(-3951, 4096)]
+    # The 16-bit lanes of the first word above, lowest first, then the next.
+    assert SeededRng(1).uint16s(6) == [
+        23745, 35074, 11756, 37130, 60519, 25998]
 
 
 @pytest.mark.parametrize("lo, hi", [
     (5, 5),                      # span 1
     (-5, 5),                     # span 11
-    (0, 1 << 16),                # span 2^16 + 1, the grid of `verify milnor-thom`
+    (0, 1 << 16),                # span 2^16 + 1, the grid of `fraction`
     (0, (1 << 63) + (1 << 62)),  # span near 2^63: about 1 draw in 4 rejected
     (-(1 << 63), 0),             # span 2^63 + 1: about 1 draw in 2 rejected
 ])
@@ -65,6 +70,21 @@ def test_randints_equals_that_many_randint_calls(lo, hi, count):
     assert batched.randints(lo, hi, count) == want
     assert [single.randint(lo, hi) for _ in range(count)] == want
     assert batched.next_u64() == single.next_u64() == twin.next_u64()
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 7, 300])
+def test_uint16s_are_the_lanes_of_next_u64_words(count):
+    """Four values per `next_u64` word, lowest 16 bits first; a last word
+    is drawn whole even when only some of its lanes are taken."""
+    rng, twin = SeededRng(5), SeededRng(5)
+    lanes = []
+    while len(lanes) < count:
+        u = twin.next_u64()
+        lanes += [u >> shift & 0xFFFF for shift in (0, 16, 32, 48)]
+    got = rng.uint16s(count)
+    assert got == lanes[:count]
+    assert all(type(k) is int and 0 <= k < 1 << 16 for k in got)
+    assert rng.next_u64() == twin.next_u64()
 
 
 def _rejection_draw(rng: SeededRng, lo: int, hi: int) -> int:

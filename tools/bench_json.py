@@ -4,7 +4,10 @@
 
 Each directory holds the result files that `perfbench/run.py` writes to
 `.perfbench-work/results/` (`{"record", "result"}`), one per run, under any
-names ending in `.json`.  Only untraced runs (`--trace 0`) are read.  For
+names ending in `.json`.  `run.py` names its file by workload, seed and
+trace only, so the next such run overwrites it: copy each run's file away
+under its own name (a run number first keeps them in run order) before
+the next run.  Only untraced runs (`--trace 0`) are read.  For
 each workload and seed, every end-to-end metric gets the median and the
 quartiles of each side's runs and the change's median over the parent's.
 Runs are paired in record order, the i-th parent run with the i-th change
