@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (ArgumentError, PreconditionError, ResourceLimitError,
-                     MAX_BITS, MAX_FORMULA_DEPTH, MAX_LITERALS, MAX_PAIRS,
-                     MAX_POINTS, MAX_TUPLES)
+                     MAX_BITS, MAX_LITERALS, MAX_PAIRS, MAX_POINTS,
+                     MAX_TUPLES)
 from .poly import MultivariatePolynomial, _coef
 from .relation import (Formula, OrderedPointSet, SemiAlgebraicRelation,
                        eval_membership)
@@ -437,17 +437,10 @@ def step_up_relation(base: SemiAlgebraicRelation) -> SemiAlgebraicRelation:
     reversed slope tuple satisfies the base relation.  All slope conditions
     are written as polynomial atoms by clearing denominators through even
     powers, which preserves signs on tuples with nonvanishing x-differences.
-
-    The base formula ends up 3 levels deeper; a base formula of more than
-    MAX_FORMULA_DEPTH - 3 levels is refused (ArgumentError), since the
-    stepped relation could not be read back.
     """
     k = base.arity
     if k < 3:
         raise ArgumentError("stepping up requires base arity at least 3")
-    if base.formula.depth() + 3 > MAX_FORMULA_DEPTH:
-        raise ArgumentError(f"formula nested too deeply: more than "
-                            f"{MAX_FORMULA_DEPTH} levels once stepped up")
     d = base.point_dim
     dim2 = 2 * d
     arity_out = k + 1

@@ -63,18 +63,14 @@ class BudgetExhaustedError(ResourceLimitError):
 # so its output does not depend on the Python version or its settings.
 # The deletion method (`spencer_independent_set`, `solve spencer`) gives up
 # after MAX_ROUNDS seeded rounds without a certified independent set.
-# A decoded formula nested more than MAX_FORMULA_DEPTH levels deep is
-# refused as malformed input (ArgumentError): every other reader folds over
-# the iterative `Formula.nodes()`, but the decoder and `json`'s own codec
-# recurse, a few frames per level, so the cap keeps them within the
-# interpreter's recursion limit.  Stepping up nests a formula 3 levels
-# deeper and an instance's provenance 1; it refuses a base formula of more
-# than MAX_FORMULA_DEPTH - 3 levels, and an instance whose provenance
-# nests deeper than MAX_FORMULA_DEPTH is refused read or written, so every
-# instance it writes can be read back.  The constructions nest at most 6
-# levels.  `frankl_wilson_graph` counts its
-# relation's literals before building any and refuses more than
-# MAX_LITERALS: p = 3 has 250,944, p = 5 about 3.2 * 10^15.
+# An instance whose provenance nests more than MAX_PROVENANCE_DEPTH levels
+# deep is refused, read or written, as malformed input (ArgumentError):
+# `jsonable` and `json`'s codec recurse over it, a few frames per level.
+# Stepping up nests it 1 level deeper, so every instance it writes reads
+# back; the constructions nest 2.  A formula has no depth cap: it is a flat
+# node list on disk (`jsonio.formula_to_json`).  `frankl_wilson_graph`
+# counts its relation's literals before building any and refuses more
+# than MAX_LITERALS: p = 3 has 250,944, p = 5 about 3.2 * 10^15.
 MAX_POINTS = 2 ** 20
 MAX_BITS = 10 ** 6
 MAX_PAIRS = 10 ** 6
@@ -83,5 +79,5 @@ MAX_DEGREE = 1000
 MAX_EXPANSION = 20_000
 MAX_DIGITS = 4300
 MAX_ROUNDS = 10 ** 4
-MAX_FORMULA_DEPTH = 100
+MAX_PROVENANCE_DEPTH = 100
 MAX_LITERALS = 10 ** 6

@@ -3,7 +3,8 @@
 Rationals are encoded as exact strings ("3", "-1/2"), never floats, and
 decoded from those strings or JSON ints alone.  dumps is deterministic:
 keys sorted, compact separators, one trailing newline, so equal objects
-serialize to identical bytes.
+serialize to identical bytes.  A formula is the flat array of its nodes,
+root last (`formula_to_json`): nothing recurses over it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import (ArgumentError, ResourceLimitError, MAX_DEGREE,
-                     MAX_DIGITS, MAX_FORMULA_DEPTH)
+                     MAX_DIGITS, MAX_PROVENANCE_DEPTH)
 from .geometry import Arrangement, Hyperplane
 from .poly import MultivariatePolynomial, Scalar
 from .relation import Formula, OrderedPointSet, SemiAlgebraicRelation
@@ -67,40 +68,55 @@ def poly_from_json(data: dict) -> MultivariatePolynomial:
     return p
 
 
-def formula_to_json(f: Formula) -> dict:
-    """The formula as nested objects, one per node of `Formula.nodes()`:
-    a shared node is one object under each of its parents."""
-    out: dict[int, dict] = {}
+def formula_to_json(f: Formula) -> list:
+    """The formula as its node list: the nodes of `Formula.nodes()` in that
+    post-order, root last, each child written as the index of its earlier
+    entry, so a shared node is written once."""
+    index: dict[int, int] = {}
+    out = []
     for node in f.nodes():
-        args = [out[id(ch)] for ch in node.children]
+        args = [index[id(ch)] for ch in node.children]
+        index[id(node)] = len(out)
         if node.op == "atom":
-            out[id(node)] = {"op": "atom", "poly": node.atom.poly_index,
-                             "cmp": node.atom.cmp}
+            out.append({"op": "atom", "poly": node.atom.poly_index,
+                        "cmp": node.atom.cmp})
         elif node.op == "not":
-            out[id(node)] = {"op": "not", "arg": args[0]}
+            out.append({"op": "not", "arg": args[0]})
         else:
-            out[id(node)] = {"op": node.op, "args": args}
-    return out[id(f)]
+            out.append({"op": node.op, "args": args})
+    return out
 
 
-def formula_from_json(data: dict) -> Formula:
-    """The formula, refused (ArgumentError) when nested more than
-    MAX_FORMULA_DEPTH levels deep."""
-    def decode(node: dict, depth: int) -> Formula:
-        if depth > MAX_FORMULA_DEPTH:
-            raise ArgumentError(f"formula nested too deeply: more than "
-                                f"{MAX_FORMULA_DEPTH} levels")
+def formula_from_json(data: list) -> Formula:
+    """The formula of a node list as `formula_to_json` writes it, refused
+    (ArgumentError) unless it is a nonempty array in which each reference is
+    an int j with 0 <= j < its own position and each entry but the last is
+    read by a later one."""
+    nodes: list[Formula] = []
+    unread = set()
+
+    def read(j) -> Formula:
+        if type(j) is not int or not 0 <= j < len(nodes):
+            raise ArgumentError(f"formula node {len(nodes)} reads {j!r:.60}, "
+                                f"not an earlier node")
+        unread.discard(j)
+        return nodes[j]
+
+    for node in _array(data, "a formula"):
         op = node["op"]
         if op == "atom":
-            return Formula.leaf(node["poly"], node["cmp"])
-        if op == "not":
-            return Formula.negation(decode(node["arg"], depth + 1))
-        if op == "and":
-            return Formula.all_of(decode(c, depth + 1) for c in node["args"])
-        if op == "or":
-            return Formula.any_of(decode(c, depth + 1) for c in node["args"])
-        raise ArgumentError(f"unknown formula op {op!r}")
-    return decode(data, 1)
+            formula = Formula.leaf(node["poly"], node["cmp"])
+        elif op == "not":
+            formula = Formula.negation(read(node["arg"]))
+        else:  # Formula refuses an op other than "and" and "or"
+            formula = Formula(op, tuple(
+                [read(j) for j in _array(node["args"], "a formula's args")]))
+        unread.add(len(nodes))
+        nodes.append(formula)
+    if unread != {len(nodes) - 1}:
+        raise ArgumentError("a formula must be a nonempty node list, each "
+                            "node but the last read by a later one")
+    return nodes[-1]
 
 
 def relation_to_json(rel: SemiAlgebraicRelation) -> dict:
@@ -140,13 +156,13 @@ def points_from_json(data: dict) -> OrderedPointSet:
 
 def _provenance(value):
     """value, refused (ArgumentError) read or written when its objects and
-    arrays nest more than MAX_FORMULA_DEPTH levels deep."""
+    arrays nest more than MAX_PROVENANCE_DEPTH levels deep."""
     level, depth = [value], 0
     while level := [c for c in level if isinstance(c, (dict, list, tuple))]:
         depth += 1
-        if depth > MAX_FORMULA_DEPTH:
+        if depth > MAX_PROVENANCE_DEPTH:
             raise ArgumentError(f"provenance nested too deeply: more than "
-                                f"{MAX_FORMULA_DEPTH} levels")
+                                f"{MAX_PROVENANCE_DEPTH} levels")
         level = [v for c in level
                  for v in (c.values() if isinstance(c, dict) else c)]
     return value

@@ -111,15 +111,6 @@ class Formula:
     def atoms(self) -> list[Atom]:
         return [node.atom for node in self.nodes() if node.op == "atom"]
 
-    def depth(self) -> int:
-        """Levels of the tree, counted as the JSON decoder counts them: an
-        atom, or an empty AND or OR, is one level."""
-        levels: dict[int, int] = {}
-        for node in self.nodes():
-            levels[id(node)] = 1 + max(
-                (levels[id(ch)] for ch in node.children), default=0)
-        return levels[id(self)]
-
 
 class SemiAlgebraicRelation:
     """Arity-k relation on R^d given by polynomials and a Boolean formula."""

@@ -245,53 +245,54 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
                             free = below((a,) + link, free)
             return used
 
-        def extend(current: list[int], candidates: int):
-            # current is in search order: increasing for "in", decreasing
-            # for "out".
-            nonlocal best, nodes, prunes, colour_prunes, exhausted
-            if nodes >= budget:
-                exhausted = True
-                return
-            nodes += 1
-            if len(current) > len(best):
-                best = tuple(current[::step])
-            room = len(best) - len(current)
-            if (k > 1 and len(current) >= k - 2
-                    and candidates.bit_count() > room
-                    and colours(tuple(current[len(current) - k + 2:][::step]),
-                                candidates, room) <= room):
-                colour_prunes += 1
-                return
-            while candidates:
-                if len(current) + candidates.bit_count() <= len(best):
-                    prunes += 1
-                    break
-                if exhausted:
-                    return
-                if want:
-                    bit = candidates & -candidates
-                    v = bit.bit_length() - 1
-                else:
-                    v = candidates.bit_length() - 1
-                    bit = 1 << v
-                candidates ^= bit
-                child = candidates
-                if k > 1:
-                    for s in itertools.combinations(current, k - 2):
-                        if not child:
-                            break
-                        if want:
-                            child = above(s + (v,), child)
-                        else:
-                            child ^= below((v,) + s[::-1], child)
-                extend(current + [v], child)
-
         candidates = (1 << (n + 1)) - 2
         if k == 1:
             mask = above((), candidates)
             candidates = mask if want else candidates ^ mask
-        extend([], candidates)
-        return best
+        # Depth first, one [current, candidates] frame per open node, with
+        # current in search order: a subset of any size needs no recursion.
+        frames = []
+        current: list[int] = []
+        while True:
+            if nodes >= budget:  # enter the node (current, candidates)
+                exhausted = True
+            else:
+                nodes += 1
+                if len(current) > len(best):
+                    best = tuple(current[::step])
+                room = len(best) - len(current)
+                if (k > 1 and len(current) >= k - 2
+                        and candidates.bit_count() > room
+                        and colours(tuple(current[len(current) - k + 2:][::step]),
+                                    candidates, room) <= room):
+                    colour_prunes += 1
+                else:
+                    frames.append([current, candidates])
+            while frames:  # the next child of the innermost open node
+                current, candidates = frame = frames[-1]
+                if candidates and (len(current) + candidates.bit_count()
+                                   <= len(best)):
+                    prunes += 1
+                    candidates = 0
+                if not candidates or exhausted:
+                    frames.pop()
+                    continue
+                # "in" takes the lowest candidate, "out" the highest.
+                v = (candidates & -candidates if want
+                     else candidates).bit_length() - 1
+                frame[1] = candidates = candidates ^ (1 << v)
+                if k > 1:
+                    for s in itertools.combinations(current, k - 2):
+                        if not candidates:
+                            break
+                        if want:
+                            candidates = above(s + (v,), candidates)
+                        else:
+                            candidates ^= below((v,) + s[::-1], candidates)
+                current = current + [v]
+                break
+            else:
+                return best
 
     best_in = search(True)
     best_out = search(False)

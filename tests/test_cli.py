@@ -217,6 +217,28 @@ def test_solve_brute_finds_maximum(capsys, base2_file):
     assert doc["stats"]["maximum"] is True
 
 
+def test_solve_brute_certifies_a_subset_past_the_recursion_limit(capsys,
+                                                                 tmp_path):
+    """On 1,200 increasing points in R^1 every pair has one orientation,
+    so the branch and bound chooses all 1,200, one point per level: `solve
+    brute` and `report hom` certify hom 1200 with exit 0."""
+    points, instance = tmp_path / "points.json", tmp_path / "line.json"
+    points.write_text(json.dumps(
+        {"dim": 1, "points": [[str(i)] for i in range(1200)]}))
+    code, _, err = run(capsys, "construct", "order-type", "--dim", "1",
+                       "--input", str(points), "--output", str(instance))
+    assert code == 0 and err == ""
+    code, doc, err = run_json(capsys, "solve", "brute", "--input",
+                              str(instance))
+    assert code == 0 and err == ""
+    assert (doc["subset"], doc["polarity"], doc["stats"]["maximum"]) == (
+        list(range(1, 1201)), "in", True)
+    code, doc, err = run_json(capsys, "report", "hom", "--input",
+                              str(instance))
+    assert code == 0 and err == ""
+    assert [(row["hom"], row["maximum"]) for row in doc] == [(1200, True)]
+
+
 def test_solve_brute_budget_exhaustion_is_inconclusive(capsys, base2_file):
     code, doc, err = run_json(capsys, "solve", "brute", "--input", base2_file,
                               "--budget", "3")
@@ -743,10 +765,9 @@ def test_malformed_input_is_usage_error(capsys, base2_file):
                          ids=["and-300", "and-450", "not-2000"])
 def test_deeply_nested_formula_is_usage_error(capsys, base2_file, command,
                                               op, depth):
-    """Nested ands past MAX_FORMULA_DEPTH are refused by the formula
-    decoder (300 of them once decoded, and then failed to write the stepped
-    instance), and a 2000-deep not chain overflows the JSON decoder: exit
-    2, not an internal error."""
+    """A formula nested as objects is not a node list: 300 or 450 nested
+    ands are refused as not an array, and a 2000-deep not chain overflows
+    the JSON decoder: exit 2, not an internal error."""
     with open(base2_file) as fh:
         doc = json.load(fh)
     inner = json.dumps(doc["relation"]["formula"])
@@ -758,59 +779,78 @@ def test_deeply_nested_formula_is_usage_error(capsys, base2_file, command,
     assert code == cli.EXIT_USAGE == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ArgumentError"
-    assert "nested too deeply" in error["message"]
+    assert ("nested too deeply" if op == "not"
+            else "a formula must be an array") in error["message"]
 
 
-def test_stepping_up_past_the_depth_cap_is_refused(capsys, base2_file,
-                                                  tmp_path):
-    """Stepping up nests the base formula 3 levels deeper.  A base of
-    MAX_FORMULA_DEPTH levels is read and solved, but stepping it up is
-    refused with 2 and nothing is written; at MAX_FORMULA_DEPTH - 3 levels
-    the stepped instance (at the cap) is written and reads back."""
-    from semiramsey.errors import MAX_FORMULA_DEPTH
+def test_stepping_up_a_formula_ten_thousand_levels_deep(capsys, base2_file,
+                                                        tmp_path):
+    """A formula has no depth cap: base(2)'s under a chain of 10^4 ands is
+    read and solved, and steps up to an instance that is written, solved
+    and read back to the same bytes, each with exit 0."""
     with open(base2_file) as fh:
         doc = json.load(fh)
     formula = doc["relation"]["formula"]
-    assert formula["op"] == "and" and formula["args"][0]["op"] == "atom"
-    for levels, written in ((MAX_FORMULA_DEPTH, False),
-                            (MAX_FORMULA_DEPTH - 2, False),
-                            (MAX_FORMULA_DEPTH - 3, True)):
-        nested = formula
-        for _ in range(levels - 2):
-            nested = {"op": "and", "args": [nested]}
-        doc["relation"]["formula"] = nested
-        with open(base2_file, "w") as fh:
-            json.dump(doc, fh)
-        code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
-        assert code == cli.EXIT_OK and err == ""
-        stepped = tmp_path / f"stepped-{levels}.json"
-        code, out, err = run(capsys, "construct", "stepup", "--input",
-                             base2_file, "--output", str(stepped))
-        if written:
-            assert code == cli.EXIT_OK and err == ""
-            code, out, err = run(capsys, "solve", "brute",
-                                 "--input", str(stepped))
-            assert code == cli.EXIT_OK and err == ""
-            continue
-        assert code == cli.EXIT_USAGE and out == ""
-        assert not stepped.exists()
-        error = json.loads(err)["error"]
-        assert error["type"] == "ArgumentError"
-        assert "nested too deeply" in error["message"]
+    for _ in range(10 ** 4):
+        formula.append({"op": "and", "args": [len(formula) - 1]})
+    with open(base2_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
+    assert code == cli.EXIT_OK and err == ""
+    assert json.loads(out)["subset"] == [1, 2, 3]
+    stepped = tmp_path / "stepped.json"
+    code, out, err = run(capsys, "construct", "stepup", "--input",
+                         base2_file, "--output", str(stepped))
+    assert code == cli.EXIT_OK and err == ""
+    code, out, err = run(capsys, "solve", "brute", "--input", str(stepped))
+    assert code == cli.EXIT_OK and err == ""
+    text = stepped.read_text()
+    again = jsonio.instance_from_json(json.loads(text))
+    assert jsonio.dumps(jsonio.instance_to_json(again)) == text
+
+
+_ATOM = {"op": "atom", "poly": 0, "cmp": "gt"}
+
+
+@pytest.mark.parametrize("formula", [
+    [{"op": "not", "arg": 1}, _ATOM, {"op": "and", "args": [0, 1]}],
+    [_ATOM, {"op": "and", "args": [0, 1]}],
+    [_ATOM, {"op": "not", "arg": -1}],
+    [_ATOM, {"op": "not", "arg": True}],
+    [_ATOM, {"op": "and", "args": [10 ** 400]}],
+    [_ATOM, {"op": "not", "arg": 1.5}],
+    [_ATOM, _ATOM, {"op": "not", "arg": 1}],
+    [],
+    {"op": "and", "args": [_ATOM]},
+], ids=["forward-reference", "self-reference", "minus-one", "true",
+        "huge-int", "float", "unread-entry", "empty", "nested-object"])
+def test_broken_node_list_is_usage_error(capsys, base2_file, formula):
+    """A node list whose references do not each read an earlier entry, one
+    with an entry no later entry reads, an empty one and the nested form
+    are refused with exit 2 and one JSON line on stderr."""
+    with open(base2_file) as fh:
+        doc = json.load(fh)
+    doc["relation"]["formula"] = formula
+    with open(base2_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "solve", "brute", "--input", base2_file)
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "ArgumentError"
 
 
 @pytest.mark.parametrize("past_cap", [-1, 0, 1, 800])
 def test_stepping_up_a_deep_provenance(capsys, base2_file, tmp_path, past_cap):
     """Stepping up nests the base's provenance one level deeper.  At
-    MAX_FORMULA_DEPTH - 1 levels the stepped instance (at the cap) is
+    MAX_PROVENANCE_DEPTH - 1 levels the stepped instance (at the cap) is
     written and reads back; at the cap it is read, but stepping it up is
     refused with 2 and nothing is written; past the cap the input is
     refused with 2, also at 900 levels, too deep for a recursive writer."""
-    from semiramsey.errors import MAX_FORMULA_DEPTH
+    from semiramsey.errors import MAX_PROVENANCE_DEPTH
     with open(base2_file) as fh:
         doc = json.load(fh)
     provenance = doc["provenance"]
-    for _ in range(MAX_FORMULA_DEPTH + past_cap - 1):
+    for _ in range(MAX_PROVENANCE_DEPTH + past_cap - 1):
         provenance = {"kind": "step-up", "base": provenance}
     doc["provenance"] = provenance
     with open(base2_file, "w") as fh:
@@ -848,13 +888,13 @@ def _float_exponent(doc):
 
 
 def _atom_on_float_poly(doc):
-    doc["relation"]["formula"] = {"op": "atom", "poly": 0.5, "cmp": "ge"}
+    doc["relation"]["formula"] = [{"op": "atom", "poly": 0.5, "cmp": "ge"}]
     return doc
 
 
 def _float_arity_without_polys(doc):
     doc["relation"] = {"arity": 2.5, "dim": 1, "polys": [],
-                       "formula": {"op": "and", "args": []}}
+                       "formula": [{"op": "and", "args": []}]}
     return doc
 
 
@@ -952,9 +992,22 @@ def test_removed_options_are_refused(capsys, argv):
 # Valid documents for the commands that read one; each mutation below
 # rewrites one node of a copy: drops it, or puts a value of the wrong type,
 # a string, an empty container or a huge int in its place.
+def _shared_node_instance() -> ConstructionInstance:
+    """base(2) under or(a, x, x) with x = and(b, not c): the node list of a
+    formula with a shared non-atom node, which the mutations can reach."""
+    base = base_construction(2)
+    a, b, c = (Formula.leaf(i, cmp) for i, cmp in enumerate(["gt", "gt", "ge"]))
+    x = Formula.all_of([b, Formula.negation(c)])
+    relation = SemiAlgebraicRelation(3, 1, base.relation.polys,
+                                     Formula.any_of([a, x, x]))
+    return ConstructionInstance(base.points, relation, base.epsilon,
+                                base.provenance)
+
+
 _INSTANCES = {"base-2": jsonio.instance_to_json(base_construction(2)),
               "stepped-base-1": jsonio.instance_to_json(
-                  step_up(base_construction(1)))}
+                  step_up(base_construction(1))),
+              "shared-node": jsonio.instance_to_json(_shared_node_instance())}
 _FUZZ_JOBS = [
     (["solve", "brute"], _INSTANCES), (["solve", "greedy"], _INSTANCES),
     (["solve", "spencer"], {"hypergraph": {

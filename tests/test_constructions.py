@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import oracle_eval
 import oracle_formula
 import oracle_radius
-from semiramsey import constructions
+from semiramsey import constructions, jsonio
+from semiramsey.cli import main
 from semiramsey import (
     ArgumentError,
     ConstructionInstance,
@@ -451,17 +453,9 @@ def _shared_ladder(layers: int) -> SemiAlgebraicRelation:
     return SemiAlgebraicRelation(3, 1, base_relation().polys, node)
 
 
-def test_stepping_up_keeps_a_shared_base_formula_shared():
-    """Stepping up copies the base formula node for node: a 16-layer
-    shared ladder steps up to at most 100 nodes (a copy that unfolds it
-    has over 10^5), 40 layers step up within a second, and the stepped
-    decider agrees with the recursive oracle on the stepped points."""
-    assert sum(1 for _ in step_up_relation(_shared_ladder(16)).formula.nodes()) <= 100
-    start = time.perf_counter()
-    step_up_relation(_shared_ladder(40))
-    assert time.perf_counter() - start < 1
-    base = base_construction(2)
-    stepped = step_up(dataclasses.replace(base, relation=_shared_ladder(40)))
+def _agrees_with_the_recursive_oracle(stepped: ConstructionInstance) -> None:
+    """The stepped decider agrees with the recursive oracle on every fifth
+    4-tuple of the 16 stepped points, and some are in, some out."""
     relation, points = stepped.relation, stepped.points
     verdicts = set()
     for t in list(itertools.combinations(range(1, 17), 4))[::5]:
@@ -475,6 +469,41 @@ def test_stepping_up_keeps_a_shared_base_formula_shared():
         assert eval_membership(relation, points, t) == expected, t
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def test_stepping_up_keeps_a_shared_base_formula_shared():
+    """Stepping up copies the base formula node for node: a 16-layer
+    shared ladder steps up to at most 100 nodes (a copy that unfolds it
+    has over 10^5), 40 layers step up within a second, and the stepped
+    decider agrees with the recursive oracle on the stepped points."""
+    assert sum(1 for _ in step_up_relation(_shared_ladder(16)).formula.nodes()) <= 100
+    start = time.perf_counter()
+    step_up_relation(_shared_ladder(40))
+    assert time.perf_counter() - start < 1
+    base = base_construction(2)
+    _agrees_with_the_recursive_oracle(
+        step_up(dataclasses.replace(base, relation=_shared_ladder(40))))
+
+
+@pytest.mark.parametrize("layers", [16, 40])
+def test_a_stepped_shared_ladder_stays_shared_on_disk(capsys, tmp_path,
+                                                      layers):
+    """`construct stepup --input` writes the stepped shared ladder as its
+    node list, under 20 kB (an unfolded copy of 16 layers is 11.8 MB) and
+    within a second with its read back, and the file reads back to a
+    decider that agrees with the recursive oracle."""
+    base = jsonio.instance_to_json(dataclasses.replace(
+        base_construction(2), relation=_shared_ladder(layers)))
+    source, stepped = tmp_path / "ladder.json", tmp_path / "stepped.json"
+    source.write_text(jsonio.dumps(base))
+    start = time.perf_counter()
+    assert main(["construct", "stepup", "--input", str(source),
+                 "--output", str(stepped)]) == 0
+    again = jsonio.instance_from_json(json.loads(stepped.read_text()))
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ""
+    assert stepped.stat().st_size < 20_000
+    _agrees_with_the_recursive_oracle(again)
 
 
 def test_stepped_relation_arity_grows_by_one():

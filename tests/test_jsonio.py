@@ -6,10 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from semiramsey import jsonio
-from semiramsey.constructions import ConstructionInstance, base_construction
+from semiramsey.constructions import (ConstructionInstance, base_construction,
+                                      frankl_wilson_graph,
+                                      one_dim_k4_construction, step_up)
 from semiramsey.errors import (ArgumentError, MAX_DEGREE, MAX_DIGITS,
-                               MAX_FORMULA_DEPTH, ResourceLimitError)
-from semiramsey.geometry import Hyperplane
+                               MAX_PROVENANCE_DEPTH, ResourceLimitError)
+from semiramsey.geometry import (Hyperplane, one_sided_relation,
+                                 order_type_relation)
 from semiramsey.poly import MultivariatePolynomial as Poly
 from semiramsey.relation import Formula, OrderedPointSet, SemiAlgebraicRelation
 from semiramsey.solvers import HomogeneousResult
@@ -123,35 +126,33 @@ def test_relation_round_trip_preserves_membership():
 
 def test_formula_json_rejects_unknown_op():
     with pytest.raises(ArgumentError):
-        jsonio.formula_from_json({"op": "xor", "args": []})
+        jsonio.formula_from_json([{"op": "xor", "args": []}])
 
 
-def test_formula_json_depth_cap():
-    """A formula MAX_FORMULA_DEPTH levels deep decodes and writes back; one
-    level more is refused as malformed."""
-    data = {"op": "atom", "poly": 0, "cmp": "ge"}
-    for level in range(2, MAX_FORMULA_DEPTH + 2):
-        data = ({"op": "not", "arg": data} if level % 2
-                else {"op": "and", "args": [data]})
-        if level == MAX_FORMULA_DEPTH:
-            at_cap = data
-    assert jsonio.formula_to_json(jsonio.formula_from_json(at_cap)) == at_cap
-    with pytest.raises(ArgumentError, match="nested too deeply"):
-        jsonio.formula_from_json(data)
+def test_formula_json_has_no_depth_cap():
+    """A chain of nots and ands 10^4 levels deep over one atom is 10^4
+    entries, each reading the one before it, and writes back as read."""
+    data = [{"op": "atom", "poly": 0, "cmp": "ge"}]
+    for level in range(1, 10 ** 4):
+        data.append({"op": "not", "arg": level - 1} if level % 2
+                    else {"op": "and", "args": [level - 1]})
+    assert jsonio.formula_to_json(jsonio.formula_from_json(data)) == data
 
 
-def test_shared_formula_writes_as_its_unfolded_tree():
-    """formula_to_json folds over nodes(): a shared node is written under
-    each of its parents, byte for byte as an unshared copy."""
+def test_shared_formula_is_written_once():
+    """formula_to_json writes the nodes() post-order, root last, a child as
+    the index of its entry: a shared node is one entry, read by index under
+    each of its parents, and reads back shared."""
     atom = Formula.leaf(0, "ge")
     middle = Formula.any_of([atom, Formula.negation(atom)])
     shared = Formula.all_of([middle, Formula.leaf(1, "gt"), middle])
-    atom = {"op": "atom", "poly": 0, "cmp": "ge"}
-    middle = {"op": "or", "args": [atom, {"op": "not", "arg": atom}]}
-    want = {"op": "and", "args": [middle, {"op": "atom", "poly": 1, "cmp": "gt"},
-                                  middle]}
+    want = [{"op": "atom", "poly": 0, "cmp": "ge"}, {"op": "not", "arg": 0},
+            {"op": "or", "args": [0, 1]}, {"op": "atom", "poly": 1, "cmp": "gt"},
+            {"op": "and", "args": [2, 3, 2]}]
     assert jsonio.formula_to_json(shared) == want
-    assert jsonio.dumps(jsonio.formula_to_json(shared)) == jsonio.dumps(want)
+    again = jsonio.formula_from_json(want)
+    assert again.children[0] is again.children[2]
+    assert jsonio.formula_to_json(again) == want
 
 
 def test_points_round_trip():
@@ -171,6 +172,23 @@ def test_instance_round_trip_with_epsilon():
     assert again.points.points == inst.points.points
     assert again.epsilon == inst.epsilon
     assert jsonio.instance_to_json(again) == data
+
+
+@pytest.mark.parametrize("build", [
+    lambda: base_construction(3).relation,
+    lambda: step_up(base_construction(2)).relation,
+    lambda: one_dim_k4_construction(2).relation,
+    lambda: frankl_wilson_graph(3, 2)[1],
+    lambda: order_type_relation(2),
+    lambda: one_sided_relation(2),
+], ids=["base", "stepup", "onedim-k4", "frankl-wilson", "order-type",
+        "one-sided"])
+def test_every_construction_writes_back_its_own_bytes(build):
+    """Each construction family's relation, formula included, is written,
+    read and written again to identical bytes."""
+    text = jsonio.dumps(jsonio.relation_to_json(build()))
+    again = jsonio.relation_from_json(jsonio.loads(text))
+    assert jsonio.dumps(jsonio.relation_to_json(again)) == text
 
 
 def test_instance_epsilon_may_be_null():
@@ -195,13 +213,13 @@ def nested_provenance(levels: int):
 
 
 def test_instance_provenance_depth_cap():
-    """A provenance MAX_FORMULA_DEPTH levels deep is read and written back;
+    """A provenance MAX_PROVENANCE_DEPTH levels deep is read and written back;
     one level more is refused as malformed, read or written."""
     data = jsonio.instance_to_json(base_construction(2))
-    data["provenance"] = nested_provenance(MAX_FORMULA_DEPTH)
+    data["provenance"] = nested_provenance(MAX_PROVENANCE_DEPTH)
     inst = jsonio.instance_from_json(data)
     assert jsonio.instance_to_json(inst) == data
-    deeper = nested_provenance(MAX_FORMULA_DEPTH + 1)
+    deeper = nested_provenance(MAX_PROVENANCE_DEPTH + 1)
     with pytest.raises(ArgumentError, match="provenance nested too deeply"):
         jsonio.instance_to_json(dataclasses.replace(inst, provenance=deeper))
     data["provenance"] = deeper

@@ -204,16 +204,13 @@ def _shares_a_subtree(formula: Formula) -> bool:
 def test_nodes_is_a_post_order_walk_with_pre_order_atoms(seed):
     """nodes() yields each node once, shared ones too, after all of its
     children and with the root last; its atoms come in the order of the
-    last-child-first pre-order walk, and depth() is the recursive one."""
+    last-child-first pre-order walk."""
     def pre_order(node, seen):
         if id(node) not in seen:
             seen.add(id(node))
             yield node
             for ch in reversed(node.children):
                 yield from pre_order(ch, seen)
-
-    def depth(node):
-        return 1 + max(map(depth, node.children), default=0)
 
     rng = SeededRng(seed)
     for _ in range(100):
@@ -227,7 +224,6 @@ def test_nodes_is_a_post_order_walk_with_pre_order_atoms(seed):
         assert {id(node) for node in reference} == set(position)
         assert ([node for node in walk if node.op == "atom"]
                 == [node for node in reference if node.op == "atom"])
-        assert formula.depth() == depth(formula)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
