@@ -11,7 +11,8 @@ function (`_generate`): its formula as a short-circuit expression over the
 straight-line kernels of its polynomials' integer forms
 (`MultivariatePolynomial.kernel`).  Both are generated on the first read.
 `eval_membership` checks every tuple it reads; a search that reads many
-checks once and reads the decider itself (`solvers.MembershipOracle`).
+checks once and reads the decider itself (`solvers.MembershipOracle`),
+folded on its point set (`decider_on`).
 """
 
 from __future__ import annotations
@@ -158,6 +159,59 @@ class SemiAlgebraicRelation:
         if self._decide is None:
             self._decide = _generate(self.formula, self.polys)
         return self._decide
+
+    def decider_on(self, rows: Sequence[Sequence[int]]
+                   ) -> Callable[[Sequence[int]], bool]:
+        """decider() for increasing tuples of the scaled points `rows` only:
+        the formula folded on `_order_signs`, or decider() if none folds."""
+        signs = _order_signs(self, rows)
+        return (_generate(_fold(self.formula, signs), self.polys) if signs
+                else self.decider())
+
+
+def _order_signs(relation: SemiAlgebraicRelation,
+                 rows: Sequence[Sequence[int]]) -> dict[int, int]:
+    """poly index -> its sign on every increasing tuple of the rows, for
+    each a*(x_u - x_v) with u = j*d + c, v = i*d + c and i != j, where the
+    rows (two at least) strictly increase in coordinate c: sign(a) *
+    sign(j - i), negated where they strictly decrease."""
+    d = relation.point_dim
+    steps = list(zip(rows, rows[1:]))
+    trend = [all(a[c] < b[c] for a, b in steps) - all(a[c] > b[c] for a, b in steps)
+             for c in range(d)]
+    signs = {}
+    for i, p in enumerate(relation.polys):
+        if len(p.terms) != 2:
+            continue
+        (eu, a), (ev, b) = p.terms.items()
+        if a == -b and sum(eu) == sum(ev) == 1:
+            u, v = eu.index(1), ev.index(1)
+            if u % d == v % d and trend[u % d]:
+                signs[i] = (1 if a > 0 else -1) * (1 if u > v else -1) * trend[u % d]
+    return signs
+
+
+def _fold(formula: Formula, signs: dict[int, int]) -> Formula:
+    """The formula with each atom on a polynomial of `signs` a constant
+    (AND with no children, true; OR with none, false), simplified upward.
+    Nodes map by identity, so a shared node stays shared."""
+    done: dict[int, Formula] = {}
+    for node in formula.nodes():
+        op, new = node.op, node
+        kids = [done[id(ch)] for ch in node.children]
+        truths = [ch.op == "and" if ch.op != "atom" and not ch.children else None
+                  for ch in kids]
+        if op == "atom" and node.atom.poly_index in signs:
+            new = Formula("and" if node.atom.holds(signs[node.atom.poly_index])
+                          else "or")
+        elif op == "not" and truths[0] is not None:
+            new = Formula("or" if truths[0] else "and")
+        elif op != "not" and (op == "or") in truths:  # false in AND, true in OR
+            new = Formula("or" if op == "and" else "and")
+        elif kids != list(node.children):  # drops true from AND, false from OR
+            new = Formula(op, tuple(ch for ch, t in zip(kids, truths) if t is None))
+        done[id(node)] = new
+    return done[id(formula)]
 
 
 # Deepest nesting of one generated expression: a deeper node becomes a

@@ -47,15 +47,17 @@ class MembershipOracle:
 
     The point set and the relation must live in the same space; that is
     checked once, here.  above() and below() then read the relation's
-    decider without a per-tuple check: their callers pass only increasing
-    tuples of the point set.  Membership is memoized in two layouts, each
-    a bitmask per (k-1)-tuple: per prefix, with the varying point last
-    (above), and per suffix, with the varying point first (below).  A
-    tuple below() does not know yet is looked up in the prefix memo before
-    the decider is read, so when every above() read comes first, as in
-    max_homogeneous, `evaluations` counts each distinct tuple once.
-    polarity() is the homogeneity check every solver certifies with, and
-    reads each k-tuple through eval_membership, independently of the memos.
+    decider folded on the point set (`SemiAlgebraicRelation.decider_on`,
+    built on the first read) without a per-tuple check: their callers pass
+    only increasing tuples of the point set.  Membership is memoized in two
+    layouts, each a bitmask per (k-1)-tuple: per prefix, with the varying
+    point last (above), and per suffix, with the varying point first
+    (below).  A tuple below() does not know yet is looked up in the prefix
+    memo before the decider is read, so when every above() read comes
+    first, as in max_homogeneous, `evaluations` counts each distinct tuple
+    once.  polarity() is the homogeneity check every solver certifies with,
+    and reads each k-tuple through eval_membership and the unfolded
+    decider, independently of the memos.
     """
 
     def __init__(self, points: OrderedPointSet,
@@ -70,10 +72,11 @@ class MembershipOracle:
 
     def _first_read(self) -> tuple:
         """(decide, M, rows [*X_c, M], rows [*X_c]) of the points X_c / M,
-        taken on the first read and kept (`OrderedPointSet.scaled` refuses
-        M above MAX_BITS bits).  Bit c of a mask is point c, at row c - 1."""
+        decide folded on the X_c, taken on the first read and kept (`scaled`
+        refuses M above MAX_BITS bits).  Bit c of a mask is point c, at row
+        c - 1."""
         scale, scaled = self.points.scaled()
-        self._layout = (self.relation.decider(), scale,
+        self._layout = (self.relation.decider_on(scaled), scale,
                         [[*x, scale] for x in scaled],
                         [list(x) for x in scaled])
         return self._layout
@@ -186,10 +189,11 @@ def max_homogeneous(points: OrderedPointSet, relation: SemiAlgebraicRelation,
 
     Membership is read through one MembershipOracle, which checks the
     point set, the relation and the scale once and then reads the
-    relation's decider directly, each tuple once: "out" first looks up
-    what "in" has read.  The subset returned is certified through
-    MembershipOracle.polarity, which reads each of its k-tuples through the
-    checked eval_membership, independently of the search's reads; a
+    relation's decider folded on the point set directly, each tuple once:
+    "out" first looks up what "in" has read.  The subset returned is
+    certified through MembershipOracle.polarity, which reads each of its
+    k-tuples through the checked eval_membership and the unfolded decider,
+    independently of the search's reads; a
     certificate that disagrees with the search raises AssertionError, as in
     erdos_rado_greedy (a bug, never a verdict).
 

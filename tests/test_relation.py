@@ -3,6 +3,7 @@ degree-based sign-pattern bound."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import types
 from fractions import Fraction as F
@@ -25,11 +26,12 @@ from semiramsey import (
     base_construction,
     count_distinct_sign_vectors,
     eval_membership,
+    max_homogeneous,
     milnor_thom_bound,
     order_type_relation,
 )
 from semiramsey.errors import MAX_BITS
-from semiramsey.relation import COMPARISONS
+from semiramsey.relation import COMPARISONS, _fold, _order_signs
 
 
 def x(i: int, n: int) -> Poly:
@@ -451,6 +453,123 @@ def test_holds_on_coords_clears_its_tuple_once(monkeypatch):
     calls.clear()
     assert not relation.holds_on_coords([F(1, 3), F(2, 3)])
     assert len(calls) == 1
+
+
+# -- order atoms folded on a point set -------------------------------------------
+
+
+def order_signs(polys, rows, arity=2, dim=1) -> dict:
+    relation = SemiAlgebraicRelation(arity, dim, polys, Formula.all_of(
+        Formula.leaf(i, "gt") for i in range(len(polys))))
+    return _order_signs(relation, rows)
+
+
+RISING = [(1,), (2,), (5,)]
+FALLING = RISING[::-1]
+
+
+def test_order_signs_read_the_slot_order_and_the_trend():
+    assert order_signs([x(1, 2) - x(0, 2)], RISING) == {0: 1}
+    assert order_signs([x(1, 2) - x(0, 2)], FALLING) == {0: -1}
+    assert order_signs([2 * (x(0, 2) - x(1, 2)),
+                        F(1, 3) * (x(1, 2) - x(0, 2))], RISING) == {0: -1, 1: 1}
+    assert order_signs([2 * (x(0, 2) - x(1, 2)),
+                        F(1, 3) * (x(1, 2) - x(0, 2))], FALLING) == {0: 1, 1: -1}
+    # Slots 0 and 2 of a triple, the later slot written second.
+    assert order_signs([x(0, 3) - x(2, 3)], RISING, arity=3) == {0: -1}
+
+
+def test_order_signs_leave_out_ties_zigzags_and_other_shapes():
+    rise = x(1, 2) - x(0, 2)
+    assert order_signs([rise], [(1,), (2,), (2,), (3,)]) == {}
+    assert order_signs([rise], [(1,), (3,), (2,)]) == {}
+    # In R^2, the first coordinate rises and the second zigzags.
+    plane = [(1, 0), (2, 5), (3, 1)]
+    assert order_signs([x(2, 4) - x(0, 4), x(3, 4) - x(1, 4)],
+                       plane, dim=2) == {0: 1}
+    others = [x(2, 4) - x(1, 4),  # two coordinates
+              x(2, 3) - 2 * x(1, 3) + x(0, 3),  # three terms
+              2 * x(2, 3) - x(0, 3),  # unequal coefficients
+              x(1, 3) - x(0, 3) + Poly.constant(3, 1),
+              x(1, 3) ** 2 - x(0, 3) ** 2]
+    assert order_signs(others[:1], plane, dim=2) == {}
+    assert order_signs(others[1:], RISING, arity=3) == {}
+
+
+def test_one_point_is_harmless():
+    points = OrderedPointSet(1, [[4]])
+    assert order_signs([x(1, 2) - x(0, 2)], points.scaled()[1]) == {}
+    result = max_homogeneous(points, base_construction(2).relation)
+    assert (result.subset, result.polarity) == ((1,), "in")
+
+
+def test_fold_keeps_a_shared_node_shared_and_an_untouched_node_as_it_is():
+    shared = Formula.all_of([Formula.leaf(0, "gt"), Formula.leaf(1, "ge")])
+    untouched = Formula.any_of([Formula.leaf(1, "eq"), Formula.leaf(2, "gt")])
+    root = Formula.any_of([shared, Formula.negation(shared), untouched])
+    folded = _fold(root, {0: 1})
+    kept, negated, same = folded.children
+    assert negated.children[0] is kept and same is untouched
+    assert [(n.op, n.atom) for n in kept.children] == [("atom", Atom(1, "ge"))]
+    assert _fold(root, {2: 1}) is not root and _fold(root, {3: 1}) is root
+
+
+def test_fold_simplifies_constants_upward():
+    false = _fold(Formula.all_of([Formula.leaf(0, "gt"), Formula.leaf(1, "ge")]),
+                  {0: -1})
+    assert (false.op, false.children) == ("or", ())
+    true = _fold(Formula.any_of([Formula.leaf(1, "ge"), Formula.leaf(0, "ge")]),
+                 {0: 1})
+    assert (true.op, true.children) == ("and", ())
+    for sign, op in ((1, "or"), (-1, "and")):
+        folded = _fold(Formula.negation(Formula.leaf(0, "gt")), {0: sign})
+        assert (folded.op, folded.children) == (op, ())
+    kept = _fold(Formula.all_of([Formula.leaf(0, "eq"), Formula.leaf(1, "gt")]),
+                 {1: 1})
+    assert [n.atom for n in kept.children] == [Atom(0, "eq")]
+
+
+def test_a_fully_folded_formula_reads_no_kernel(monkeypatch):
+    def no_kernel(self):
+        raise AssertionError("a kernel was generated")
+    monkeypatch.setattr(Poly, "kernel", no_kernel)
+    only_order = SemiAlgebraicRelation(
+        3, 1, base_construction(2).relation.polys,
+        Formula.all_of([Formula.leaf(0, "gt"), Formula.leaf(1, "gt")]))
+    for rows, want in ((RISING, True), (FALLING, False)):
+        decide = only_order.decider_on(rows)
+        assert decide.__code__.co_names == ()
+        assert decide([1, 2, 5, 1]) is want
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_folded_decider_matches_the_unfolded_one(seed):
+    """Random formulas over COMPILED_POLYS, whose first polynomial is the
+    order atom x0 - x1: on every increasing pair of a rising and a falling
+    point set the folded decider agrees with the decider and the
+    recursive walk."""
+    rng = SeededRng(seed)
+    rising = OrderedPointSet(1, [[v] for v in COMPILED_VALUES])
+    sets = (rising, OrderedPointSet(1, rising.points[::-1]))
+    folded_any = 0
+    for _ in range(150):
+        formula = random_formula(rng, 4, [])
+        relation = SemiAlgebraicRelation(2, 1, COMPILED_POLYS, formula)
+        for points in sets:
+            scale, rows = points.scaled()
+            folded = relation.decider_on(rows)
+            folded_any += folded is not relation.decider()
+            for a, b in itertools.combinations(range(len(rows)), 2):
+                coords = [points.points[a][0], points.points[b][0]]
+
+                def truth(atom):
+                    value = oracle_eval.eval_fraction(
+                        COMPILED_POLYS[atom.poly_index].terms, coords)
+                    return atom.holds((value > 0) - (value < 0))
+                row = [*rows[a], *rows[b], scale]
+                assert (folded(row) == relation.decider()(row)
+                        == oracle_formula.evaluate(formula, truth))
+    assert folded_any > 100
 
 
 # -- sign vectors ----------------------------------------------------------------

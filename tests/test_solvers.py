@@ -37,6 +37,8 @@ from semiramsey import (
 from semiramsey import solvers
 
 import oracle_bnb
+import oracle_eval
+import oracle_formula
 import oracle_greedy
 import oracle_triples
 
@@ -254,6 +256,110 @@ def test_constructions_match_the_prefix_loop(make, subset, polarity,
     _assert_matches_prefix_loop(points, relation, result)
     # The colouring bound prunes on every one of these (arity 3 and 4).
     assert result.stats["colour_prunes"] > 0
+
+
+def _reordered(points: OrderedPointSet, how: str) -> OrderedPointSet:
+    """The points as built, reversed, or with the first coordinate of the
+    second point tied to the first's."""
+    rows = [list(p) for p in points.points]
+    if how == "reversed":
+        rows.reverse()
+    elif how == "tied":
+        rows[1][0] = rows[0][0]
+    return OrderedPointSet(points.dim, rows)
+
+
+@pytest.mark.parametrize("how", ["as-built", "reversed", "tied"])
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: _instance(base_construction(n)) for n in (2, 3, 4)],
+    lambda: jittered_base(5, 1), lambda: jittered_base(5, 7),
+    lambda: _instance(step_up(base_construction(2))),
+    lambda: _instance(one_dim_k4_construction(2)),
+], ids=["base-2", "base-3", "base-4", "jittered5-s1", "jittered5-s7",
+        "step-up-base-2", "onedim-k4-2"])
+def test_the_folded_decider_matches_the_decider_and_the_formula(make, how):
+    """On every increasing tuple the search's decider, folded on its point
+    set, agrees with the relation's decider and the recursive walk of the
+    formula at the rational point."""
+    points, relation = make()
+    points = _reordered(points, how)
+    scale, rows = points.scaled()
+    folded, plain = relation.decider_on(rows), relation.decider()
+    # As built every construction is increasing in each coordinate, so its
+    # order atoms fold; with a tie they fold only in the other coordinate.
+    assert (folded is plain) == (how == "tied" and points.dim == 1)
+    verdicts = set()
+    for tup in itertools.combinations(range(len(rows)), relation.arity):
+        coords = [c for i in tup for c in points.points[i]]
+
+        def truth(atom):
+            value = oracle_eval.eval_fraction(
+                relation.polys[atom.poly_index].terms, coords)
+            return atom.holds((value > 0) - (value < 0))
+        row = [c for i in tup for c in rows[i]] + [scale]
+        verdict = folded(row)
+        assert verdict == plain(row) == oracle_formula.evaluate(
+            relation.formula, truth)
+        verdicts.add(verdict)
+    # Reversed, every order atom fails; as built, both verdicts occur.
+    if how != "tied":
+        assert verdicts == ({False} if how == "reversed" else {True, False})
+
+
+def test_a_wrong_fold_fails_the_certificate(monkeypatch, tmp_path, capsys):
+    """With one order sign flipped the search reads base(5) as an empty
+    relation, and the certificate, which reads the unfolded decider,
+    refuses its subset: AssertionError, and exit 5 from `solve brute`."""
+    from semiramsey import cli, relation as relation_module
+
+    def flipped(relation, rows, _order_signs=relation_module._order_signs):
+        signs = _order_signs(relation, rows)
+        signs[0] = -signs[0]
+        return signs
+    monkeypatch.setattr(relation_module, "_order_signs", flipped)
+    points, relation = _instance(base_construction(5))
+    with pytest.raises(AssertionError):
+        max_homogeneous(points, relation)
+    path = tmp_path / "base5.json"
+    assert cli.main(["construct", "base", "--n", "5",
+                     "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", "brute", "--input", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and '"AssertionError"' in err
+
+
+def test_the_folded_decider_is_generated_on_the_first_search_read(
+        monkeypatch):
+    """An oracle generates its folded decider on its first above() or
+    below() read, and once; polarity() generates only the relation's own
+    decider.  The greedy reads the relation itself only to certify, so
+    unfolded; its arity-2 tail is a search on restricted forms, which
+    folds."""
+    from semiramsey import relation as relation_module
+    generated: list = []
+
+    def counted(formula, polys, _generate=relation_module._generate):
+        generated.append((formula, polys))
+        return _generate(formula, polys)
+    monkeypatch.setattr(relation_module, "_generate", counted)
+    points, relation = _instance(base_construction(3))
+    assert erdos_rado_greedy(points, relation).subset
+    assert [f for f, polys in generated if polys is relation.polys] == [
+        relation.formula]
+    for read in ("above", "below"):
+        generated.clear()
+        oracle = solvers.MembershipOracle(points, relation)
+        assert oracle.polarity((1, 2, 3)) == ("in", None)
+        assert generated == []  # the relation's decider is already built
+        for tup, later, earlier in (((1, 2), 0b11000, 0b0),
+                                    ((2, 3), 0b110000, 0b10)):
+            if read == "above":
+                oracle.above(tup, later)
+            else:
+                oracle.below(tup, earlier)
+        assert len(generated) == 1
+        assert generated[0][0] is not relation.formula
 
 
 def _sign_relation(arity: int) -> tuple:
